@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import lambda_K
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
-from .splitting import SplittingType, _records_up_to, _splitting_pairs, rational_primes
+from .splitting import SplittingType, _ensure_pairs, _records_up_to, rational_primes
 
 DENSE_SIEVE_CAP = 10 ** 8
 _CHUNK = 1 << 22
@@ -105,8 +105,10 @@ def _top_exponent(p: int, n_max: int) -> int:
 def _dense_row_numpy(field: FieldDescriptor, n_max: int) -> np.ndarray:
     row = np.ones(n_max + 1, dtype=np.int64)
     row[0] = 0
-    for p in rational_primes(n_max).tolist():
-        fs = [f for _, f in _splitting_pairs(field, p)]
+    primes = rational_primes(n_max).tolist()
+    pairs_by_p = _ensure_pairs(field, primes)
+    for p in primes:
+        fs = [f for _, f in pairs_by_p[p]]
         counts = _counts_from_degrees(fs, _top_exponent(p, n_max))
         if all(c == 1 for c in counts):
             continue
@@ -130,8 +132,10 @@ def _dense_row_numpy(field: FieldDescriptor, n_max: int) -> np.ndarray:
 def _dense_row_python(field: FieldDescriptor, n_max: int) -> list[int]:
     row = [1] * (n_max + 1)
     row[0] = 0
-    for p in rational_primes(n_max).tolist():
-        fs = [f for _, f in _splitting_pairs(field, p)]
+    primes = rational_primes(n_max).tolist()
+    pairs_by_p = _ensure_pairs(field, primes)
+    for p in primes:
+        fs = [f for _, f in pairs_by_p[p]]
         counts = _counts_from_degrees(fs, _top_exponent(p, n_max))
         if all(c == 1 for c in counts):
             continue

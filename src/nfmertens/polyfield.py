@@ -254,55 +254,6 @@ def _frobenius(h, f, p):
     return _ppowmod(h, p, f, p)
 
 
-def _xpow_p_mod_monic(fc: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """x^p mod f for monic f, tuned for the per-prime hot path.
-
-    Square-and-multiply with base x: the multiply step is a coefficient
-    shift, so each exponent bit costs one squaring plus an O(deg f) fixup.
-    """
-    d = len(fc) - 1
-    if p < d:
-        out = [0] * (p + 1)
-        out[p] = 1
-        return tuple(out)
-    neg = [(-c) % p for c in fc[:d]]
-    r = [0] * d
-    r[0] = 1
-    for bit in bin(p)[2:]:
-        s = [0] * (2 * d - 1)
-        for i in range(d):
-            ri = r[i]
-            if ri:
-                s[2 * i] += ri * ri
-                two_ri = 2 * ri
-                for j in range(i + 1, d):
-                    s[i + j] += two_ri * r[j]
-        for k in range(2 * d - 2, d - 1, -1):
-            c = s[k] % p
-            if c:
-                base = k - d
-                for t in range(d):
-                    s[base + t] += c * neg[t]
-        r = [v % p for v in s[:d]]
-        if bit == "1":
-            top = r[d - 1]
-            r = [0] + r[: d - 1]
-            if top:
-                for t in range(d):
-                    r[t] = (r[t] + top * neg[t]) % p
-    return _trim(r)
-
-
-def _compose_mod(g, h, f, p):
-    """g(h) mod f by Horner."""
-    out = ()
-    for c in reversed(g):
-        out = _pmod(_pmul(out, h, p), f, p)
-        if c:
-            out = _padd(out, (c,), p)
-    return out
-
-
 def _pth_root(a, p):
     # in F_p[x], a polynomial with zero derivative is b(x^p); coefficients
     # are fixed by Frobenius, so the root just reindexes them

@@ -4,9 +4,20 @@ For each rational prime p the splitting type is the multiset of
 (ramification index, inertia degree) pairs of the prime ideals over p; the
 pairs always satisfy sum(e_i * f_i) = degree. Quadratic fields are resolved
 exactly from the Kronecker symbol of the fundamental discriminant, bypassing
-polynomial factorization. Degree >= 3 reads the pattern from the defining
-polynomial mod p, guarded by the Dedekind index criterion: a prime dividing
-the index is a hard error, never a guess.
+polynomial factorization.
+
+Cubic and quartic fields classify a whole range of primes in one batched
+numpy pass: for every odd p <= 1e8 not dividing disc(f), x^p mod f (and for
+quartics x^(p^2) mod f) is computed in int64 columns, one column per prime,
+and Stickelberger's theorem, (disc f / p) = (-1)^(n - r) for the number r of
+irreducible factors of f mod p, settles what those powers leave open; no gcd
+is taken. Every kernel value lies in [0, p), so each step is one product
+plus one addend below 1e16 + 1e8 < 2^63; disc(f), which can exceed int64, is
+reduced mod p digit by digit. The prime 2, primes dividing disc(f), every
+field of degree >= 5, and single-prime queries outside the tabled range take
+the exact pipeline: the defining polynomial factored mod p, guarded by the
+Dedekind index criterion, so a prime dividing the index is a hard error,
+never a guess. The exact pipeline is also the batched pass's test oracle.
 
 Streams of prime ideals are ordered by (norm, p) and deterministic; repeated
 queries against the same field reuse a per-field cache, so ascending grids
@@ -20,6 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from math import fsum
 
 import numpy as np
@@ -27,19 +39,25 @@ import numpy as np
 from .errors import CompositeModulus, IndexPrimeUnsupported
 from .field import FieldDescriptor
 from .polyfield import (
-    _X,
-    _compose_mod,
     _dedekind_from_parts,
     _distinct_degree_parts,
-    _pgcd,
-    _psub,
     _squarefree_parts,
-    _xpow_p_mod_monic,
     is_prime,
     poly_discriminant,
 )
 
 SIEVE_SEGMENT = 1 << 20
+
+# Primes per batched Frobenius block: each temporary is an int64 row of this
+# length (512 KB), so the pass holds a few MB whatever the range.
+FROBENIUS_BLOCK = 1 << 16
+
+# Largest prime the batched kernel takes (the dense-sieve cap). Kernel values
+# lie in [0, p), so every step computes one product plus one addend, at most
+# (1e8 - 1)^2 + 1e8 < 1e16 + 1e8 < 2^63, before reducing mod p.
+FROBENIUS_P_MAX = 10 ** 8
+
+_DIGIT_BITS = 24
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -142,30 +160,93 @@ def _pattern_mod_p(field: FieldDescriptor, p: int) -> tuple[tuple[int, int], ...
     return tuple(pairs)
 
 
-def _pattern_unramified_small(coeffs, p: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Degree pattern for squarefree cubic/quartic reductions.
+def _int_mod(a: int, primes: np.ndarray) -> np.ndarray:
+    """a mod p for every p in primes, for any int a and primes below 2^39.
 
-    Only the count of linear factors (plus one quadratic probe for quartics)
-    is needed, so this avoids the full factorization pipeline per prime.
+    |a| enters in base-2^24 digits by Horner's rule; with r < p < 2^39 each
+    step r * 2^24 + digit stays below 2^63.
     """
-    h = _xpow_p_mod_monic(coeffs, p)
-    g1 = _pgcd(_psub(h, _X, p), coeffs, p)
-    r = len(g1) - 1
-    if r == n:
-        return ((1, 1),) * n
+    mag = abs(a)
+    r = np.zeros_like(primes)
+    for shift in range(mag.bit_length() // _DIGIT_BITS * _DIGIT_BITS, -1, -_DIGIT_BITS):
+        digit = (mag >> shift) & ((1 << _DIGIT_BITS) - 1)
+        r = (r * (1 << _DIGIT_BITS) + digit) % primes
+    return (-r) % primes if a < 0 else r
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, neg: np.ndarray,
+            primes: np.ndarray) -> np.ndarray:
+    """a * b mod (f, p) per column; neg[t] = -f_t mod p for monic f."""
+    d = len(neg)
+    s = np.zeros((2 * d - 1, len(primes)), dtype=np.int64)
+    for i in range(d):
+        for j in range(d):
+            s[i + j] = (s[i + j] + a[i] * b[j]) % primes
+    # x^k = x^(k-d) * x^d and x^d = sum_t neg[t] x^t mod f
+    for k in range(2 * d - 2, d - 1, -1):
+        for t in range(d):
+            s[k - d + t] = (s[k - d + t] + s[k] * neg[t]) % primes
+    return s[:d]
+
+
+def _xpow(e: np.ndarray, neg: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """x^e mod (f, p) per column, each column with its own exponent."""
+    r = np.zeros_like(neg)
+    r[0] = 1
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        r = _mulmod(r, r, neg, primes)
+        # r * x: shift up one place and fold the x^d term back in
+        rx = np.roll(r, 1, axis=0)
+        rx[0] = 0
+        rx = (rx + r[-1] * neg) % primes
+        r = np.where((e >> bit) & 1 == 1, rx, r)
+    return r
+
+
+# Splitting pattern by (degree, (disc f / p) == 1, x^p == x, x^(p^2) == x)
+# for squarefree f mod p; cubics never need x^(p^2).
+_ONE = (1, 1)
+_FROBENIUS_TYPES = {
+    (3, False, False, None): (_ONE, (1, 2)),
+    (3, True, True, None): (_ONE, _ONE, _ONE),
+    (3, True, False, None): ((1, 3),),
+    (4, True, True, True): (_ONE, _ONE, _ONE, _ONE),
+    (4, True, False, True): ((1, 2), (1, 2)),
+    (4, True, False, False): (_ONE, (1, 3)),
+    (4, False, False, True): (_ONE, _ONE, (1, 2)),
+    (4, False, False, False): ((1, 4),),
+}
+
+
+def _frobenius_pairs(coeffs: tuple[int, ...], disc: int,
+                     primes: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
+    """Splitting pattern of monic f (degree 3 or 4) at each prime in primes.
+
+    Every prime must be odd, at most FROBENIUS_P_MAX and prime to disc = disc(f),
+    so f is squarefree mod p and Stickelberger's theorem gives the parity of
+    its number of factors.
+    """
+    n = len(coeffs) - 1
+    neg = np.stack([_int_mod(-c, primes) for c in coeffs[:n]])
+    h = _xpow(primes, neg, primes)
+    x = np.zeros((n, 1), dtype=np.int64)
+    x[1] = 1
+    is_x = (h == x).all(axis=0).tolist()
+    # Euler's criterion by the same loop: x^e mod (x - disc) is disc^e
+    square = (_xpow((primes - 1) >> 1, _int_mod(disc, primes)[None], primes)[0] == 1).tolist()
     if n == 3:
-        return ((1, 3),) if r == 0 else ((1, 1), (1, 2))
-    if r == 2:
-        return ((1, 1), (1, 1), (1, 2))
-    if r == 1:
-        return ((1, 1), (1, 3))
-    h2 = _compose_mod(h, h, coeffs, p)
-    g2 = _pgcd(_psub(h2, _X, p), coeffs, p)
-    return ((1, 2), (1, 2)) if len(g2) - 1 == 4 else ((1, 4),)
+        is_x2 = [None] * len(primes)
+    else:
+        h2 = np.zeros_like(h)  # h(h) mod f by Horner's rule
+        h2[0] = h[n - 1]
+        for i in range(n - 2, -1, -1):
+            h2 = _mulmod(h2, h, neg, primes)
+            h2[0] = (h2[0] + h[i]) % primes
+        is_x2 = (h2 == x).all(axis=0).tolist()
+    return [_FROBENIUS_TYPES[n, q, a, b] for q, a, b in zip(square, is_x, is_x2)]
 
 
-def _pairs_for(field: FieldDescriptor, p: int,
-               disc_poly: int) -> tuple[tuple[int, int], ...]:
+def _pairs_for(field: FieldDescriptor, p: int) -> tuple[tuple[int, int], ...]:
     n = field.degree
     if n == 1:
         return ((1, 1),)
@@ -174,9 +255,6 @@ def _pairs_for(field: FieldDescriptor, p: int,
         if chi == 1:
             return ((1, 1), (1, 1))
         return ((1, 2),) if chi == -1 else ((2, 1),)
-    if n in (3, 4) and disc_poly % p != 0:
-        coeffs = tuple(c % p for c in field.defining_poly.coeffs)
-        return _pattern_unramified_small(coeffs, p, n)
     return _pattern_mod_p(field, p)
 
 
@@ -190,11 +268,12 @@ def splitting_type(field: FieldDescriptor, p: int) -> SplittingType:
 class _FieldCache:
     """Per-field splitting cache plus a sorted prime-ideal stream."""
 
-    __slots__ = ("disc_poly", "pairs_by_p", "records", "records_xmax")
+    __slots__ = ("disc_poly", "pairs_by_p", "pairs_pmax", "records", "records_xmax")
 
     def __init__(self, field: FieldDescriptor):
         self.disc_poly = poly_discriminant(field.defining_poly)
         self.pairs_by_p: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.pairs_pmax = 0  # pairs_by_p holds every prime <= pairs_pmax
         self.records: list[tuple[int, int, int]] = []  # (norm, p, f)
         self.records_xmax = 0
 
@@ -213,9 +292,51 @@ def _splitting_pairs(field: FieldDescriptor, p: int) -> tuple[tuple[int, int], .
     cache = _cache_for(field)
     pairs = cache.pairs_by_p.get(p)
     if pairs is None:
-        pairs = _pairs_for(field, p, cache.disc_poly)
+        pairs = _pairs_for(field, p)
         cache.pairs_by_p[p] = pairs
     return pairs
+
+
+def _batchable(primes: list[int], disc: int) -> tuple[np.ndarray, np.ndarray]:
+    """primes as an array, and the mask of those the batched kernel takes."""
+    arr = np.array(primes, dtype=np.int64)
+    return arr, (arr != 2) & (arr <= FROBENIUS_P_MAX) & (_int_mod(disc, arr) != 0)
+
+
+def _ensure_pairs(field: FieldDescriptor,
+                  primes: list[int]) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Tabulate the splitting of every prime in primes, an ascending list of
+    all primes up to its last entry; returns the table.
+
+    New keys are the int objects of primes, so a caller that keeps them (the
+    record stream) does not hold a second copy.
+    """
+    cache = _cache_for(field)
+    pairs_by_p = cache.pairs_by_p
+    new = primes[bisect_right(primes, cache.pairs_pmax):]
+    if not new:
+        return pairs_by_p
+    if field.degree in (3, 4):
+        disc = cache.disc_poly
+        starts = range(0, len(new), FROBENIUS_BLOCK)
+        # the exact pipeline runs first, so an index prime raises before any
+        # batched work
+        for lo in starts:
+            block = new[lo:lo + FROBENIUS_BLOCK]
+            _, sel = _batchable(block, disc)
+            for p in compress(block, (~sel).tolist()):
+                pairs_by_p[p] = _pattern_mod_p(field, p)
+        coeffs = field.defining_poly.coeffs
+        for lo in starts:
+            block = new[lo:lo + FROBENIUS_BLOCK]
+            arr, sel = _batchable(block, disc)
+            if sel.any():
+                pairs_by_p.update(zip(compress(block, sel.tolist()),
+                                      _frobenius_pairs(coeffs, disc, arr[sel])))
+    else:
+        pairs_by_p.update((p, _pairs_for(field, p)) for p in new)
+    cache.pairs_pmax = new[-1]
+    return pairs_by_p
 
 
 def _records_up_to(field: FieldDescriptor, x: float) -> list[tuple[int, int, int]]:
@@ -224,14 +345,10 @@ def _records_up_to(field: FieldDescriptor, x: float) -> list[tuple[int, int, int
     cache = _cache_for(field)
     if xi > cache.records_xmax:
         records = []
-        pairs_by_p = cache.pairs_by_p
-        disc_poly = cache.disc_poly
-        for p in rational_primes(xi).tolist():
-            pairs = pairs_by_p.get(p)
-            if pairs is None:
-                pairs = _pairs_for(field, p, disc_poly)
-                pairs_by_p[p] = pairs
-            for _, f in pairs:
+        primes = rational_primes(xi).tolist()
+        pairs_by_p = _ensure_pairs(field, primes)
+        for p in primes:
+            for _, f in pairs_by_p[p]:
                 norm = p ** f
                 if norm <= xi:
                     records.append((norm, p, f))

@@ -1,18 +1,36 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy import kronecker_symbol
 
 from nfmertens.errors import CompositeModulus, IndexPrimeUnsupported
+from nfmertens.idealcount import DENSE_SIEVE_CAP, ideal_count_sieve
+from nfmertens.polyfield import (
+    IntPoly,
+    _distinct_degree_parts,
+    _squarefree_parts,
+    poly_discriminant,
+)
 from nfmertens.splitting import (
+    FROBENIUS_P_MAX,
     kronecker,
     prime_ideals_up_to,
     rational_primes,
     splitting_type,
     theta_K,
 )
-from nfmertens.splitting import _pattern_mod_p, _splitting_pairs, _cache_for
+from nfmertens.splitting import (
+    _cache_for,
+    _ensure_pairs,
+    _frobenius_pairs,
+    _pattern_mod_p,
+    _records_up_to,
+)
+
+BATCHED_FIELDS = ("cbrt2", "cyclic-cubic-49", "cyclotomic5")
 
 
 def naive_primes(n):
@@ -73,13 +91,17 @@ class TestSplittingType:
         assert err.value.p == 2
 
     def test_degree_sum_invariant(self, corpus):
+        # reads the table the sieve and the prime-ideal stream use
+        primes = rational_primes(10 ** 5).tolist()
         for name, field in corpus.items():
-            for p in rational_primes(10 ** 5).tolist():
-                try:
-                    pairs = splitting_type(field, p).pairs
-                except IndexPrimeUnsupported:
-                    assert name == "non-monogenic-cubic"
-                    continue
+            try:
+                _records_up_to(field, 10 ** 5)
+            except IndexPrimeUnsupported:
+                assert name == "non-monogenic-cubic"
+                continue
+            table = _cache_for(field).pairs_by_p
+            for p in primes:
+                pairs = table[p]
                 assert sum(e * f for e, f in pairs) == field.degree, (name, p)
                 for k in range(1, field.degree + 1):
                     assert sum(1 for _, f in pairs if f == k) \
@@ -96,13 +118,65 @@ class TestSplittingType:
         assert splitting_type(fd, 2).pairs == ((2, 1),)
         assert splitting_type(fd, 5).pairs == ((1, 1), (1, 1))
 
-    def test_fast_path_agrees_with_pipeline(self, corpus):
-        for name in ("cyclic-cubic-49", "cbrt2", "cyclotomic5"):
+    def test_index_prime_error_same_through_records_and_sieve(self, corpus):
+        field = corpus["non-monogenic-cubic"]
+        raised = []
+        for call in (prime_ideals_up_to, ideal_count_sieve):
+            with pytest.raises(IndexPrimeUnsupported) as err:
+                call(field, 1000)
+            raised.append((str(err.value), err.value.p))
+        assert raised[0] == raised[1]
+        assert raised[0][1] == 2
+        # the exact pipeline ran first: no batched prime was tabled
+        cache = _cache_for(field)
+        assert cache.pairs_pmax == 0
+        assert 3 not in cache.pairs_by_p
+
+
+def exact_pattern(coeffs, p):
+    """Pattern of a monic f squarefree mod p, from the factorization pipeline."""
+    [(g, mult)] = _squarefree_parts(tuple(c % p for c in coeffs), p)
+    assert mult == 1
+    return tuple((1, d) for prod, d in _distinct_degree_parts(g, p)
+                 for _ in range((len(prod) - 1) // d))
+
+
+class TestBatchedFrobenius:
+    def test_table_agrees_with_pipeline_to_1e5(self, corpus):
+        primes = rational_primes(10 ** 5).tolist()
+        for name in BATCHED_FIELDS:
             field = corpus[name]
-            disc = _cache_for(field).disc_poly
-            for p in rational_primes(500).tolist():
-                assert _splitting_pairs(field, p) == _pattern_mod_p(field, p), \
-                    (name, p)
+            table = _ensure_pairs(field, primes)
+            for p in primes:
+                assert table[p] == _pattern_mod_p(field, p), (name, p)
+
+    def test_top_prime_below_cap(self, corpus):
+        p = 99_999_989
+        assert p == sympy.prevprime(DENSE_SIEVE_CAP) and FROBENIUS_P_MAX == DENSE_SIEVE_CAP
+        for name in BATCHED_FIELDS:
+            field = corpus[name]
+            coeffs = field.defining_poly.coeffs
+            disc = poly_discriminant(field.defining_poly)
+            assert disc % p
+            assert _frobenius_pairs(coeffs, disc, np.array([p])) \
+                == [_pattern_mod_p(field, p)], name
+
+    @given(st.integers(min_value=3, max_value=4).flatmap(
+               lambda n: st.lists(st.integers(-10 ** 12, 10 ** 12),
+                                  min_size=n, max_size=n)),
+           st.lists(st.integers(min_value=2, max_value=DENSE_SIEVE_CAP - 12)
+                    .map(sympy.nextprime), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    @example([10 ** 12, 7 - 10 ** 12, 3 * 10 ** 11], [5, 7, 99_999_989])
+    @example([-10 ** 12, 10 ** 12 - 11, 5, -10 ** 12], [3, 5, 99_999_989])
+    def test_random_polynomials(self, low, primes):
+        # coefficients up to 1e12 put disc(f) far beyond int64
+        coeffs = (*low, 1)
+        disc = poly_discriminant(IntPoly.of(coeffs))
+        primes = sorted({p for p in primes if disc % p})
+        assume(primes)
+        assert _frobenius_pairs(coeffs, disc, np.array(primes, dtype=np.int64)) \
+            == [exact_pattern(coeffs, p) for p in primes]
 
 
 class TestPrimeIdeals:
