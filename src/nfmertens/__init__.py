@@ -1,6 +1,6 @@
 """Number-field Mertens sums, ideal counting, and explicit residue bounds."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .bounds import (
     BoundsReport,
@@ -39,10 +39,7 @@ from .mertens import (
     MertensRow,
     geometric_grid,
     mertens_constant,
-    mertens_first,
-    mertens_second,
     mertens_table,
-    mertens_third,
     prime_power_sum,
 )
 from .polyfield import (
@@ -70,8 +67,8 @@ __all__ = [
     "StructureFlags", "SummatoryPoint", "dedekind_index_test",
     "descriptor_text", "factor_mod_p", "geometric_grid", "ideal_count_sieve",
     "kappa_estimate", "kappa_exact", "kronecker", "lambda_K", "load_field",
-    "local_counts", "louboutin_upper", "mertens_constant", "mertens_first",
-    "mertens_second", "mertens_table", "mertens_third", "multipart_bound",
+    "local_counts", "louboutin_upper", "mertens_constant", "mertens_table",
+    "multipart_bound",
     "poly_discriminant", "prime_ideals_up_to", "prime_power_sum",
     "rational_primes", "splitting_type", "stark_lower", "summatory",
     "sunley_constants", "t_K", "theta_K", "upsilon_K", "verify_all", "xi_K",

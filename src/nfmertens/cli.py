@@ -59,7 +59,6 @@ class RunConfig:
     fmt: str = "csv"
     theta_variant: str = "classic"
     truncation_x: float = 1e6
-    seed: int = 0
     sieve_what: str = "counts"
     exact_residue: bool = False
 
@@ -68,9 +67,19 @@ class RunConfig:
             raise NfMertensError(f"unknown command {self.command!r}")
         if self.fmt not in ("csv", "json"):
             raise NfMertensError("format must be csv or json")
-        if self.command in ("sieve", "verify") and self.x_max > DENSE_SIEVE_CAP:
+        # residue estimates kappa by sieving to x_max unless --exact
+        sieved = self.command in ("sieve", "verify") \
+            or (self.command == "residue" and not self.exact_residue)
+        if sieved and self.x_max > DENSE_SIEVE_CAP:
             raise NfMertensError(
                 f"x_max {self.x_max:g} exceeds the dense-sieve cap {DENSE_SIEVE_CAP:g}")
+        if self.command == "sieve" and self.sieve_what in ("counts", "ideals"):
+            low = 1 if self.sieve_what == "counts" else 2
+            if self.x_max < low:
+                raise NfMertensError(
+                    f"sieve --what {self.sieve_what} needs x_max >= {low}")
+        if self.command in ("mertens", "verify") and not self.grid:
+            raise NfMertensError("grid is empty: no grid point lies in [2, x_max]")
         if list(self.grid) != sorted(set(self.grid)):
             raise NfMertensError("grid must be strictly ascending")
         if self.grid and (self.grid[0] < 2 or self.grid[-1] > self.x_max):
@@ -337,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta-constant", choices=("classic", "broadbent"),
                        default="classic")
         p.add_argument("--truncation-x", type=float, default=1e6)
-        p.add_argument("--seed", type=int, default=0)
         if name == "sieve":
             p.add_argument("--what", choices=("counts", "ideals", "summatory"),
                            default="counts")
@@ -362,7 +370,6 @@ def main(argv=None) -> int:
             fmt=args.format,
             theta_variant=args.theta_constant,
             truncation_x=args.truncation_x,
-            seed=args.seed,
             sieve_what=getattr(args, "what", "counts"),
             exact_residue=getattr(args, "exact", False),
         )

@@ -8,13 +8,17 @@ into an all-ones row, one prime power at a time, in exact integers.
 The numpy row uses int64, guarded by an a-priori bound (I(n) <= d(n)^degree,
 and the maximal divisor count below x is computed exactly); when the bound
 could overflow 62 bits the sieve escalates to arbitrary-precision Python
-integers. The dense row is capped at x = 1e8.
+integers. The dense row is capped at x = 1e8 and kept in the field's context.
+
+Sums over the row take one ascending pass over a grid of cutoffs (row_sums,
+row_log_sums); the single-point functions are one-point grids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum
 from typing import Optional, Sequence, Union
 
@@ -22,7 +26,13 @@ import numpy as np
 
 from .bounds import lambda_K
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
-from .splitting import SplittingType, _ensure_pairs, _records_up_to, rational_primes
+from .splitting import (
+    SplittingType,
+    _ensure_pairs,
+    _records_up_to,
+    field_context,
+    rational_primes,
+)
 
 DENSE_SIEVE_CAP = 10 ** 8
 _CHUNK = 1 << 22
@@ -83,111 +93,121 @@ def _max_divisor_count(x: int) -> int:
     return best
 
 
-def _prime_power_levels(p: int, n_max: int):
-    """(k, p^k) pairs for every p^k <= n_max."""
-    q = p
-    k = 1
-    while q <= n_max:
-        yield k, q
-        k += 1
-        q *= p
-
-
-def _top_exponent(p: int, n_max: int) -> int:
-    k = 0
-    q = 1
-    while q * p <= n_max:
-        q *= p
-        k += 1
-    return k
+def _local_factors(field: FieldDescriptor, n_max: int):
+    """(p, p^k, c) for every prime power p^k <= n_max whose local count c,
+    the number of ideals of norm p^k, is not 1."""
+    primes = rational_primes(n_max).tolist()
+    pairs_by_p = _ensure_pairs(field, primes)
+    for p in primes:
+        powers = [p]
+        while powers[-1] * p <= n_max:
+            powers.append(powers[-1] * p)
+        counts = _counts_from_degrees([f for _, f in pairs_by_p[p]], len(powers))
+        for q, c in zip(powers, counts[1:]):
+            if c != 1:
+                yield p, q, c
 
 
 def _dense_row_numpy(field: FieldDescriptor, n_max: int) -> np.ndarray:
     row = np.ones(n_max + 1, dtype=np.int64)
     row[0] = 0
-    primes = rational_primes(n_max).tolist()
-    pairs_by_p = _ensure_pairs(field, primes)
-    for p in primes:
-        fs = [f for _, f in pairs_by_p[p]]
-        counts = _counts_from_degrees(fs, _top_exponent(p, n_max))
-        if all(c == 1 for c in counts):
-            continue
-        for k, q in _prime_power_levels(p, n_max):
-            ck = counts[k]
-            if ck == 1:
-                continue
-            m = n_max // q
-            view = row[q:: q]
-            for lo in range(0, m, _CHUNK):
-                hi = min(lo + _CHUNK, m)
-                t = np.arange(lo + 1, hi + 1)
-                sel = t % p != 0
-                if ck == 0:
-                    view[lo:hi][sel] = 0
-                else:
-                    view[lo:hi][sel] *= ck
+    for p, q, c in _local_factors(field, n_max):
+        m = n_max // q
+        view = row[q:: q]
+        for lo in range(0, m, _CHUNK):
+            hi = min(lo + _CHUNK, m)
+            t = np.arange(lo + 1, hi + 1)
+            sel = t % p != 0
+            if c == 0:
+                view[lo:hi][sel] = 0
+            else:
+                view[lo:hi][sel] *= c
     return row
 
 
 def _dense_row_python(field: FieldDescriptor, n_max: int) -> list[int]:
     row = [1] * (n_max + 1)
     row[0] = 0
-    primes = rational_primes(n_max).tolist()
-    pairs_by_p = _ensure_pairs(field, primes)
-    for p in primes:
-        fs = [f for _, f in pairs_by_p[p]]
-        counts = _counts_from_degrees(fs, _top_exponent(p, n_max))
-        if all(c == 1 for c in counts):
-            continue
-        for k, q in _prime_power_levels(p, n_max):
-            ck = counts[k]
-            if ck == 1:
-                continue
-            for t in range(1, n_max // q + 1):
-                if t % p:
-                    row[q * t] *= ck
+    for p, q, c in _local_factors(field, n_max):
+        for t in range(1, n_max // q + 1):
+            if t % p:
+                row[q * t] *= c
     return row
-
-
-_ROW_CACHE: dict[FieldDescriptor, tuple[int, Union[np.ndarray, list[int]]]] = {}
 
 
 def _dense_row(field: FieldDescriptor, n_max: int) -> Union[np.ndarray, list[int]]:
-    """Row r with r[n] = I(n) for 0 <= n <= n_max; cached per field."""
+    """Row r with r[n] = I(n) for 0 <= n <= n_max, possibly longer; kept in
+    the field's context."""
     if n_max > DENSE_SIEVE_CAP:
         raise ValueError(f"dense sieve capped at {DENSE_SIEVE_CAP}")
-    cached = _ROW_CACHE.get(field)
-    if cached is not None and cached[0] >= n_max:
-        row = cached[1]
-        return row[: n_max + 1]
-    if _max_divisor_count(max(n_max, 2)) ** field.degree < 2 ** 62:
-        row = _dense_row_numpy(field, n_max)
-    else:
-        row = _dense_row_python(field, n_max)
-    _ROW_CACHE[field] = (n_max, row)
-    return row
+    ctx = field_context(field)
+    if ctx.row is None or len(ctx.row) <= n_max:
+        ctx.row = None  # free the shorter row before building the longer one
+        if _max_divisor_count(max(n_max, 2)) ** field.degree < 2 ** 62:
+            ctx.row = _dense_row_numpy(field, n_max)
+        else:
+            ctx.row = _dense_row_python(field, n_max)
+    return ctx.row
+
+
+def _row_chunks(row: Union[np.ndarray, list[int]], lo: int, hi: int):
+    """(start, row[start:end]) over [lo, hi) in chunks of at most _CHUNK
+    entries. The Python-int row comes as object arrays, so integer sums stay
+    exact and float conversion is per entry, as for the int64 row."""
+    for a in range(lo, hi, _CHUNK):
+        chunk = row[a:min(a + _CHUNK, hi)]
+        yield a, np.array(chunk, dtype=object) if isinstance(row, list) else chunk
+
+
+def row_sums(row: Union[np.ndarray, list[int]], grid) -> list[int]:
+    """Sum of row[n] over n <= x for each x of the ascending grid, in one
+    pass of exact per-segment sums."""
+    out = []
+    total = 0
+    start = 0
+    for x in grid:
+        cut = math.floor(x) + 1
+        total += sum(int(c.sum()) for _, c in _row_chunks(row, start, cut))
+        start = max(start, cut)
+        out.append(total)
+    return out
+
+
+def row_log_sums(row: Union[np.ndarray, list[int]], grid) -> list[float]:
+    """Sum of row[n] log(n) over 2 <= n <= x for each x of the ascending
+    grid, in one pass.
+
+    Each segment between grid points is one fsum of its float64 terms, fed a
+    chunk at a time, and the value at x is the fsum of the segment sums.
+    """
+    out = []
+    seg_sums = []
+    start = 2
+    for x in grid:
+        cut = math.floor(x) + 1
+        if cut > start:
+            terms = ((c.astype(np.float64) * np.log(
+                np.arange(a, a + len(c), dtype=np.float64))).tolist()
+                for a, c in _row_chunks(row, start, cut))
+            seg_sums.append(fsum(chain.from_iterable(terms)))
+            start = cut
+        out.append(fsum(seg_sums))
+    return out
 
 
 def ideal_count_sieve(field: FieldDescriptor, x: int) -> np.ndarray:
     """I(1), ..., I(x) as exact integers."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    row = _dense_row(field, int(x))
-    if isinstance(row, list):
-        return np.array(row[1:], dtype=object)
-    return row[1:].copy()
+    n = int(x)
+    return np.concatenate([c for _, c in _row_chunks(_dense_row(field, n), 1, n + 1)])
 
 
 def summatory(field: FieldDescriptor, x: float) -> SummatoryPoint:
     """Sum of I(n) for n <= x, with the explicit envelope when available."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    n_max = math.floor(x)
-    if n_max < 1:
-        value = 0
-    else:
-        row = _dense_row(field, n_max)
-        value = int(np.sum(row)) if isinstance(row, np.ndarray) else sum(row)
+    [value] = row_sums(_dense_row(field, math.floor(x)), [x])
     envelope = None
     if field.degree >= 2:
         n = field.degree
@@ -204,16 +224,7 @@ def t_K(field: FieldDescriptor, x: float) -> float:
     """Sum of I(n) log(n) for n <= x, compensated."""
     if x < 2:
         raise ValueError("t_K requires x >= 2")
-    n_max = math.floor(x)
-    row = _dense_row(field, n_max)
-    if isinstance(row, list):
-        return fsum(c * math.log(n) for n, c in enumerate(row[2:], start=2) if c)
-    chunk_sums = []
-    for lo in range(2, n_max + 1, _CHUNK):
-        hi = min(lo + _CHUNK, n_max + 1)
-        terms = row[lo:hi].astype(np.float64) * np.log(np.arange(lo, hi, dtype=np.float64))
-        chunk_sums.append(fsum(terms.tolist()))
-    return fsum(chunk_sums)
+    return row_log_sums(_dense_row(field, math.floor(x)), [x])[0]
 
 
 def kappa_estimate(field: FieldDescriptor, x: float) -> Residue:
@@ -240,24 +251,16 @@ def legendre_chebyshev_rhs(field: FieldDescriptor, x: float) -> float:
     if x < 2:
         raise ValueError("requires x >= 2")
     n_max = math.floor(x)
-    row = _dense_row(field, n_max)
-    if isinstance(row, list):
-        csum = [0] * (n_max + 1)
-        acc = 0
-        for i in range(n_max + 1):
-            acc += row[i]
-            csum[i] = acc
-    else:
-        csum = np.cumsum(row)
-    terms = []
+    # each ideal's exponent reads Isum at the points floor(x / norm^j)
+    reads = []
     for norm, _, _ in _records_up_to(field, x):
-        exponent = 0
+        points = []
         q = norm
         while q <= n_max:
-            exponent += int(csum[n_max // q])
+            points.append(n_max // q)
             q *= norm
-        if exponent:
-            terms.append(exponent * math.log(norm))
-    if not terms:
-        return 0.0
-    return fsum(terms)
+        reads.append((norm, points))
+    grid = sorted({t for _, points in reads for t in points})
+    isum = dict(zip(grid, row_sums(_dense_row(field, n_max), grid)))
+    exponents = ((norm, sum(isum[t] for t in points)) for norm, points in reads)
+    return fsum(e * math.log(norm) for norm, e in exponents if e)

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import fsum
 
-from .errors import EmptyProduct, InvariantViolation, MissingResidue
+from .errors import EmptyProduct, MissingResidue
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
 from .splitting import _records_up_to, rational_primes
 
@@ -63,14 +63,6 @@ def geometric_grid(k_min: int = 4, k_max: int = 28) -> tuple[float, ...]:
     return tuple(10 ** (k / 4) for k in range(k_min, k_max + 1))
 
 
-def mertens_first(field: FieldDescriptor, x: float) -> tuple[float, float]:
-    """(sum of log(N)/N over norms N <= x, that sum minus log x)."""
-    if x < 2:
-        raise ValueError("mertens_first requires x >= 2")
-    total = fsum(math.log(norm) / norm for norm, _, _ in _records_up_to(field, x))
-    return total, total - math.log(x)
-
-
 def mertens_constant(field: FieldDescriptor, truncation_x: float,
                      kappa: Residue) -> MertensConstant:
     """Mertens constant from the truncated series, with a rigorous tail."""
@@ -87,48 +79,6 @@ def mertens_constant(field: FieldDescriptor, truncation_x: float,
         truncation_x=truncation_x,
         approximate=kappa.provenance != PROVENANCE_EXACT,
     )
-
-
-def mertens_second(field: FieldDescriptor, x: float,
-                   mconst: MertensConstant) -> tuple[float, float]:
-    """(sum of 1/N over norms N <= x, that sum minus log log x minus M).
-
-    The returned error term inherits the truncation half-width of M as a
-    systematic uncertainty; reports carry that half-width explicitly.
-    """
-    if x < 2:
-        raise ValueError("mertens_second requires x >= 2")
-    total = fsum(1.0 / norm for norm, _, _ in _records_up_to(field, x))
-    return total, total - math.log(math.log(x)) - mconst.M_K
-
-
-def mertens_third(field: FieldDescriptor, x: float, mconst: MertensConstant,
-                  kappa: Residue) -> tuple[float, float, float]:
-    """(product of (1 - 1/N), its relative error C, the bound on |C|).
-
-    The product is exp of the compensated log sum. C satisfies
-    product = e^(-gamma) (1 + C) / (kappa log x); |C| is checked against
-    E e^E with E = degree/(x-1) + |B|, substituting the computable bound
-    for the unknown true error.
-    """
-    if x < 2:
-        raise ValueError("mertens_third requires x >= 2")
-    if kappa is None or kappa.value <= 0:
-        raise MissingResidue("mertens_third requires a positive residue")
-    records = _records_up_to(field, x)
-    if not records:
-        raise EmptyProduct(f"no prime ideal has norm <= {x}")
-    log_product = fsum(math.log1p(-1.0 / norm) for norm, _, _ in records)
-    product = math.exp(log_product)
-    c_term = kappa.value * math.log(x) * math.exp(EULER_GAMMA) * product - 1.0
-    _, b_term = mertens_second(field, x, mconst)
-    e_bound = field.degree / (x - 1) + abs(b_term)
-    if not mconst.approximate and kappa.provenance == PROVENANCE_EXACT:
-        if abs(c_term) > e_bound * math.exp(e_bound):
-            raise InvariantViolation(
-                f"|C({x})| = {abs(c_term)} exceeds its error bound "
-                f"{e_bound * math.exp(e_bound)}")
-    return product, c_term, e_bound
 
 
 def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,

@@ -19,9 +19,11 @@ the exact pipeline: the defining polynomial factored mod p, guarded by the
 Dedekind index criterion, so a prime dividing the index is a hard error,
 never a guess. The exact pipeline is also the batched pass's test oracle.
 
-Streams of prime ideals are ordered by (norm, p) and deterministic; repeated
-queries against the same field reuse a per-field cache, so ascending grids
-cost a single pass. Log-norm sums are accumulated with exact (Shewchuk)
+Streams of prime ideals are ordered by (norm, p) and deterministic. What is
+computed for a field (the splitting table, the prime-ideal stream and the
+dense I(n) row) lives in one FieldContext, reached through field_context();
+it grows as larger cutoffs are asked for and is freed with the field's
+descriptor. Log-norm sums are accumulated with exact (Shewchuk)
 summation, keeping 12+ significant digits over millions of terms and making
 results independent of segmentation.
 """
@@ -29,6 +31,7 @@ results independent of segmentation.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
@@ -262,13 +265,19 @@ def splitting_type(field: FieldDescriptor, p: int) -> SplittingType:
     """Splitting of the rational prime p in the field."""
     if not is_prime(p):
         raise CompositeModulus(f"{p} is not prime")
-    return SplittingType(p=p, pairs=_splitting_pairs(field, p))
+    pairs_by_p = field_context(field).pairs_by_p
+    if p not in pairs_by_p:
+        pairs_by_p[p] = _pairs_for(field, p)
+    return SplittingType(p=p, pairs=pairs_by_p[p])
 
 
-class _FieldCache:
-    """Per-field splitting cache plus a sorted prime-ideal stream."""
+class FieldContext:
+    """Everything computed for one field, grown on demand: the polynomial
+    discriminant, the splitting table, the prime-ideal stream and the dense
+    I(n) row (built by idealcount)."""
 
-    __slots__ = ("disc_poly", "pairs_by_p", "pairs_pmax", "records", "records_xmax")
+    __slots__ = ("disc_poly", "pairs_by_p", "pairs_pmax", "records",
+                 "records_xmax", "row", "owner", "__weakref__")
 
     def __init__(self, field: FieldDescriptor):
         self.disc_poly = poly_discriminant(field.defining_poly)
@@ -276,25 +285,27 @@ class _FieldCache:
         self.pairs_pmax = 0  # pairs_by_p holds every prime <= pairs_pmax
         self.records: list[tuple[int, int, int]] = []  # (norm, p, f)
         self.records_xmax = 0
+        self.row = None  # r[n] = I(n) for n < len(r): int64 array or list
+        self.owner = weakref.ref(field)  # the descriptor it is registered under
 
 
-_CACHES: dict[FieldDescriptor, _FieldCache] = {}
+_CONTEXTS: weakref.WeakKeyDictionary[FieldDescriptor, FieldContext] = \
+    weakref.WeakKeyDictionary()
 
 
-def _cache_for(field: FieldDescriptor) -> _FieldCache:
-    cache = _CACHES.get(field)
-    if cache is None:
-        cache = _CACHES[field] = _FieldCache(field)
-    return cache
+def field_context(field: FieldDescriptor) -> FieldContext:
+    """The context of field, shared by every descriptor equal to it.
 
-
-def _splitting_pairs(field: FieldDescriptor, p: int) -> tuple[tuple[int, int], ...]:
-    cache = _cache_for(field)
-    pairs = cache.pairs_by_p.get(p)
-    if pairs is None:
-        pairs = _pairs_for(field, p)
-        cache.pairs_by_p[p] = pairs
-    return pairs
+    The registry holds descriptors weakly. A descriptor that reaches a
+    context registered under an equal one keeps that one alive, so the
+    context is freed only with the last of them.
+    """
+    ctx = _CONTEXTS.get(field)
+    if ctx is None:
+        ctx = _CONTEXTS[field] = FieldContext(field)
+    elif ctx.owner() is not field:
+        object.__setattr__(field, "_context_owner", ctx.owner())
+    return ctx
 
 
 def _batchable(primes: list[int], disc: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,13 +322,13 @@ def _ensure_pairs(field: FieldDescriptor,
     New keys are the int objects of primes, so a caller that keeps them (the
     record stream) does not hold a second copy.
     """
-    cache = _cache_for(field)
-    pairs_by_p = cache.pairs_by_p
-    new = primes[bisect_right(primes, cache.pairs_pmax):]
+    ctx = field_context(field)
+    pairs_by_p = ctx.pairs_by_p
+    new = primes[bisect_right(primes, ctx.pairs_pmax):]
     if not new:
         return pairs_by_p
     if field.degree in (3, 4):
-        disc = cache.disc_poly
+        disc = ctx.disc_poly
         starts = range(0, len(new), FROBENIUS_BLOCK)
         # the exact pipeline runs first, so an index prime raises before any
         # batched work
@@ -335,15 +346,15 @@ def _ensure_pairs(field: FieldDescriptor,
                                       _frobenius_pairs(coeffs, disc, arr[sel])))
     else:
         pairs_by_p.update((p, _pairs_for(field, p)) for p in new)
-    cache.pairs_pmax = new[-1]
+    ctx.pairs_pmax = new[-1]
     return pairs_by_p
 
 
 def _records_up_to(field: FieldDescriptor, x: float) -> list[tuple[int, int, int]]:
-    """Sorted (norm, p, f) triples with norm <= x; cached per field."""
+    """Sorted (norm, p, f) triples with norm <= x, kept in the field's context."""
     xi = math.floor(x)
-    cache = _cache_for(field)
-    if xi > cache.records_xmax:
+    ctx = field_context(field)
+    if xi > ctx.records_xmax:
         records = []
         primes = rational_primes(xi).tolist()
         pairs_by_p = _ensure_pairs(field, primes)
@@ -353,10 +364,10 @@ def _records_up_to(field: FieldDescriptor, x: float) -> list[tuple[int, int, int
                 if norm <= xi:
                     records.append((norm, p, f))
         records.sort()
-        cache.records = records
-        cache.records_xmax = xi
-    cut = bisect_right(cache.records, (xi + 1, 0, 0))
-    return cache.records[:cut]
+        ctx.records = records
+        ctx.records_xmax = xi
+    cut = bisect_right(ctx.records, (xi + 1, 0, 0))
+    return ctx.records[:cut]
 
 
 def prime_ideals_up_to(field: FieldDescriptor, x: float) -> tuple[PrimeIdealRecord, ...]:

@@ -39,7 +39,7 @@ from .bounds import (
 )
 from .errors import UnknownStructureFlags
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
-from .idealcount import _dense_row, legendre_chebyshev_rhs
+from .idealcount import _dense_row, legendre_chebyshev_rhs, row_log_sums, row_sums
 from .mertens import (
     EULER_GAMMA,
     mertens_constant,
@@ -95,32 +95,6 @@ def _theta_values(grid) -> list[float]:
         cut = int(np.searchsorted(primes, math.floor(x), side="right"))
         seg_sums.append(fsum(logs[start:cut].tolist()))
         start = cut
-        out.append(fsum(seg_sums))
-    return out
-
-
-def _summatory_values(field: FieldDescriptor, grid) -> list[int]:
-    row = _dense_row(field, math.floor(grid[-1]))
-    if isinstance(row, list):
-        csum = np.cumsum(np.array(row, dtype=object))
-    else:
-        csum = np.cumsum(row)
-    return [int(csum[math.floor(x)]) for x in grid]
-
-
-def _t_values(field: FieldDescriptor, grid) -> list[float]:
-    row = _dense_row(field, math.floor(grid[-1]))
-    arr = np.asarray(row, dtype=np.float64)
-    out = []
-    seg_sums = []
-    start = 2
-    for x in grid:
-        cut = math.floor(x) + 1
-        if cut > start:
-            counts = arr[start:cut]
-            logs = np.log(np.arange(start, cut, dtype=np.float64))
-            seg_sums.append(fsum((counts * logs).tolist()))
-            start = cut
         out.append(fsum(seg_sums))
     return out
 
@@ -200,8 +174,9 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
 
     if mconst is not None:
         rows = mertens_table(field, grid, mconst, kappa)
-        isums = _summatory_values(field, grid)
-        tvals = _t_values(field, grid)
+        counts = _dense_row(field, math.floor(grid[-1]))
+        isums = row_sums(counts, grid)
+        tvals = row_log_sums(counts, grid)
         for row, isum, tval in zip(rows, isums, tvals):
             x = row.x
             if ups is not None:

@@ -10,6 +10,7 @@ from nfmertens.errors import NfMertensError
 FIELDS = Path(__file__).resolve().parent.parent / "fields"
 GAUSS = str(FIELDS / "gaussian.field")
 GOLDEN = str(FIELDS / "golden.field")
+CBRT2 = str(FIELDS / "cbrt2.field")
 NONMONO = str(FIELDS / "non-monogenic-cubic.field")
 
 
@@ -200,3 +201,14 @@ class TestErrors:
         code = main(["verify", "--field", GAUSS, "--grid", "100,10",
                      "--out", str(out)])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--field", GAUSS, "--xmax", "5"],  # default grid cut to empty
+        ["mertens", "--field", GAUSS, "--xmax", "5"],
+        ["residue", "--field", CBRT2, "--xmax", "2e8"],  # estimate past the cap
+        ["sieve", "--field", GAUSS, "--what", "counts", "--xmax", "0.5"],
+    ], ids=["verify-empty-grid", "mertens-empty-grid", "residue-past-cap",
+            "sieve-counts-below-one"])
+    def test_usage_error_exits_two(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

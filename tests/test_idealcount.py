@@ -10,10 +10,14 @@ from nfmertens.idealcount import (
     kappa_estimate,
     legendre_chebyshev_rhs,
     local_counts,
+    row_log_sums,
+    row_sums,
     summatory,
     t_K,
 )
-from nfmertens.idealcount import _dense_row_python, _max_divisor_count
+from nfmertens import idealcount
+from nfmertens.idealcount import _dense_row, _dense_row_python, _max_divisor_count
+from nfmertens.mertens import geometric_grid
 from nfmertens.splitting import kronecker, splitting_type
 
 
@@ -180,6 +184,58 @@ class TestTK:
         direct = math.fsum(int(c) * math.log(n)
                            for n, c in enumerate(row, start=1) if c)
         assert t_K(field, 3000) == pytest.approx(direct, rel=1e-13)
+
+
+def segment_log_sums(row, grid):
+    """T at each grid point: the fsum of per-segment fsums of the float64
+    terms I(n) log n, each segment taken whole."""
+    arr = np.asarray(row, dtype=np.float64)
+    out, segs, start = [], [], 2
+    for x in grid:
+        cut = math.floor(x) + 1
+        if cut > start:
+            logs = np.log(np.arange(start, cut, dtype=np.float64))
+            segs.append(math.fsum((arr[start:cut] * logs).tolist()))
+            start = cut
+        out.append(math.fsum(segs))
+    return out
+
+
+class TestGridSums:
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # an odd chunk length puts chunk edges inside and between segments
+        monkeypatch.setattr(idealcount, "_CHUNK", 4099)
+
+    def test_corpus_at_1e5(self, corpus):
+        grid = geometric_grid(4, 20)
+        for name, field in corpus.items():
+            if name == "non-monogenic-cubic":
+                continue
+            csum = np.cumsum(ideal_count_sieve(field, 10 ** 5))
+            row = _dense_row(field, 10 ** 5)
+            assert row_sums(row, grid) == \
+                [int(csum[math.floor(x) - 1]) for x in grid], name
+            assert row_log_sums(row, grid) == segment_log_sums(row, grid), name
+
+    @pytest.mark.parametrize("name", ["gaussian", "cyclic-cubic-49", "cyclotomic5"])
+    def test_python_int_row(self, corpus, name):
+        field = corpus[name]
+        grid = list(geometric_grid(4, 13)) + [3000.0]
+        row = _dense_row_python(field, 3000)
+        sums = row_sums(row, grid)
+        assert all(type(v) is int for v in sums)
+        assert sums == [sum(row[:math.floor(x) + 1]) for x in grid]
+        assert sums == row_sums(_dense_row(field, 3000), grid)
+        assert row_log_sums(row, grid) == segment_log_sums(row, grid)
+
+    def test_python_ints_beyond_int64(self):
+        row = [0] + [2 ** 70 + n for n in range(1, 10000)]
+        grid = [1.0, 4500.5, 9999.0]
+        assert row_sums(row, grid) == [sum(row[:math.floor(x) + 1]) for x in grid]
+
+    def test_points_below_one_sum_to_zero(self, gauss):
+        assert row_sums(_dense_row(gauss, 10), [0.0, 0.5, 10.0]) == [0, 0, 9]
 
 
 class TestKappaEstimate:

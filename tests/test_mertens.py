@@ -11,14 +11,19 @@ from nfmertens.mertens import (
     THETA_CLASSIC,
     geometric_grid,
     mertens_constant,
-    mertens_first,
-    mertens_second,
     mertens_table,
-    mertens_third,
     prime_power_sum,
     prime_power_sum_bound,
 )
-from nfmertens.splitting import theta_K
+from nfmertens.splitting import prime_ideals_up_to, theta_K
+
+
+def one_row(field, x, mc=None):
+    """The single mertens_table row at x, with the exact residue."""
+    kappa = kappa_exact(field)
+    mc = mc or mertens_constant(field, 10 ** 5, kappa)
+    [row] = mertens_table(field, [x], mc, kappa)
+    return row
 
 
 class TestGamma:
@@ -32,20 +37,20 @@ class TestGamma:
 
 class TestMertensFirst:
     def test_gaussian_at_five(self, gauss):
-        total, a_term = mertens_first(gauss, 5)
+        row = one_row(gauss, 5)
         expected = math.log(2) / 2 + 2 * math.log(5) / 5
-        assert total == pytest.approx(expected, rel=1e-14)
-        assert a_term == pytest.approx(expected - math.log(5), rel=1e-12)
+        assert row.sum_logN_over_N == pytest.approx(expected, rel=1e-14)
+        assert row.A_K == pytest.approx(expected - math.log(5), rel=1e-12)
 
     def test_rationals_at_two(self, rationals):
-        total, a_term = mertens_first(rationals, 2)
-        assert total == pytest.approx(math.log(2) / 2, rel=1e-14)
-        assert a_term == pytest.approx(math.log(2) / 2 - math.log(2), rel=1e-12)
+        row = one_row(rationals, 2)
+        assert row.sum_logN_over_N == pytest.approx(math.log(2) / 2, rel=1e-14)
+        assert row.A_K == pytest.approx(math.log(2) / 2 - math.log(2), rel=1e-12)
 
     def test_golden_at_four(self, golden):
-        total, a_term = mertens_first(golden, 4)
-        assert total == pytest.approx(math.log(4) / 4, rel=1e-14)
-        assert a_term == pytest.approx(math.log(4) / 4 - math.log(4), rel=1e-12)
+        row = one_row(golden, 4)
+        assert row.sum_logN_over_N == pytest.approx(math.log(4) / 4, rel=1e-14)
+        assert row.A_K == pytest.approx(math.log(4) / 4 - math.log(4), rel=1e-12)
 
 
 class TestMertensConstant:
@@ -77,66 +82,60 @@ class TestMertensConstant:
 class TestMertensSecond:
     def test_rationals_at_ten(self, rationals):
         mc = mertens_constant(rationals, 10 ** 5, kappa_exact(rationals))
-        total, b_term = mertens_second(rationals, 10, mc)
-        assert total == pytest.approx(1 / 2 + 1 / 3 + 1 / 5 + 1 / 7, rel=1e-14)
-        assert b_term == pytest.approx(
-            total - math.log(math.log(10)) - mc.M_K, abs=1e-14)
+        row = one_row(rationals, 10, mc)
+        assert row.sum_recip == pytest.approx(1 / 2 + 1 / 3 + 1 / 5 + 1 / 7, rel=1e-14)
+        assert row.B_K == pytest.approx(
+            row.sum_recip - math.log(math.log(10)) - mc.M_K, abs=1e-14)
 
     def test_gaussian_at_five(self, gauss):
-        mc = mertens_constant(gauss, 10 ** 5, kappa_exact(gauss))
-        total, _ = mertens_second(gauss, 5, mc)
-        assert total == pytest.approx(0.9, rel=1e-14)
+        assert one_row(gauss, 5).sum_recip == pytest.approx(0.9, rel=1e-14)
 
 
 class TestMertensThird:
     def test_rationals_at_three(self, rationals):
-        mc = mertens_constant(rationals, 10 ** 5, kappa_exact(rationals))
-        product, _, _ = mertens_third(rationals, 3, mc, kappa_exact(rationals))
-        assert product == pytest.approx(1 / 3, rel=1e-14)
+        assert one_row(rationals, 3).product == pytest.approx(1 / 3, rel=1e-14)
 
     def test_gaussian_at_five(self, gauss):
-        kappa = kappa_exact(gauss)
-        mc = mertens_constant(gauss, 10 ** 5, kappa)
-        product, c_term, e_bound = mertens_third(gauss, 5, mc, kappa)
-        assert product == pytest.approx(0.32, rel=1e-14)
-        assert abs(c_term) <= e_bound * math.exp(e_bound)
-        assert 1 + c_term > 0
+        row = one_row(gauss, 5)
+        assert row.product == pytest.approx(0.32, rel=1e-14)
+        assert abs(row.C_K) <= row.E_K_bound * math.exp(row.E_K_bound)
+        assert 1 + row.C_K > 0
 
     def test_empty_product(self, golden):
-        kappa = kappa_exact(golden)
-        mc = mertens_constant(golden, 10 ** 4, kappa)
         with pytest.raises(EmptyProduct):
-            mertens_third(golden, 3, mc, kappa)
+            one_row(golden, 3)
 
     def test_exp_identity(self, gauss):
         # the product equals exp of the compensated log sum to 1e-12
-        kappa = kappa_exact(gauss)
-        mc = mertens_constant(gauss, 10 ** 5, kappa)
-        product, _, _ = mertens_third(gauss, 1000, mc, kappa)
-        from nfmertens.splitting import prime_ideals_up_to
         direct = 1.0
         for rec in prime_ideals_up_to(gauss, 1000):
             direct *= 1 - 1 / rec.norm
-        assert product == pytest.approx(direct, rel=1e-12)
+        assert one_row(gauss, 1000).product == pytest.approx(direct, rel=1e-12)
 
 
 class TestMertensTable:
     def test_matches_single_calls(self, gauss):
+        # each row against direct sums over the prime ideals up to its x
         kappa = kappa_exact(gauss)
         mc = mertens_constant(gauss, 10 ** 5, kappa)
         grid = [10.0, 100.0, 1000.0]
         rows = mertens_table(gauss, grid, mc, kappa)
         for row in rows:
-            s1, a1 = mertens_first(gauss, row.x)
-            s2, b2 = mertens_second(gauss, row.x, mc)
-            p3, c3, e3 = mertens_third(gauss, row.x, mc, kappa)
+            x = row.x
+            norms = [rec.norm for rec in prime_ideals_up_to(gauss, x)]
+            s1 = math.fsum(math.log(n) / n for n in norms)
+            s2 = math.fsum(1 / n for n in norms)
+            p3 = math.exp(math.fsum(math.log1p(-1 / n) for n in norms))
+            b2 = s2 - math.log(math.log(x)) - mc.M_K
+            c3 = kappa.value * math.log(x) * math.exp(EULER_GAMMA) * p3 - 1
             assert row.sum_logN_over_N == pytest.approx(s1, rel=1e-13)
-            assert row.A_K == pytest.approx(a1, rel=1e-12)
+            assert row.A_K == pytest.approx(s1 - math.log(x), rel=1e-12)
             assert row.sum_recip == pytest.approx(s2, rel=1e-13)
             assert row.B_K == pytest.approx(b2, abs=1e-13)
             assert row.product == pytest.approx(p3, rel=1e-13)
             assert row.C_K == pytest.approx(c3, abs=1e-13)
-            assert row.E_K_bound == pytest.approx(e3, abs=1e-13)
+            assert row.E_K_bound == pytest.approx(
+                gauss.degree / (x - 1) + abs(b2), abs=1e-13)
 
     def test_e_bound_definition(self, gauss):
         kappa = kappa_exact(gauss)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sympy import kronecker_symbol
 
 from nfmertens.errors import CompositeModulus, IndexPrimeUnsupported
+from nfmertens.field import load_field
 from nfmertens.idealcount import DENSE_SIEVE_CAP, ideal_count_sieve
 from nfmertens.polyfield import (
     IntPoly,
@@ -23,11 +26,11 @@ from nfmertens.splitting import (
     theta_K,
 )
 from nfmertens.splitting import (
-    _cache_for,
     _ensure_pairs,
     _frobenius_pairs,
     _pattern_mod_p,
     _records_up_to,
+    field_context,
 )
 
 BATCHED_FIELDS = ("cbrt2", "cyclic-cubic-49", "cyclotomic5")
@@ -99,7 +102,7 @@ class TestSplittingType:
             except IndexPrimeUnsupported:
                 assert name == "non-monogenic-cubic"
                 continue
-            table = _cache_for(field).pairs_by_p
+            table = field_context(field).pairs_by_p
             for p in primes:
                 pairs = table[p]
                 assert sum(e * f for e, f in pairs) == field.degree, (name, p)
@@ -128,9 +131,9 @@ class TestSplittingType:
         assert raised[0] == raised[1]
         assert raised[0][1] == 2
         # the exact pipeline ran first: no batched prime was tabled
-        cache = _cache_for(field)
-        assert cache.pairs_pmax == 0
-        assert 3 not in cache.pairs_by_p
+        ctx = field_context(field)
+        assert ctx.pairs_pmax == 0
+        assert 3 not in ctx.pairs_by_p
 
 
 def exact_pattern(coeffs, p):
@@ -230,3 +233,32 @@ class TestThetaK:
                 if name == "non-monogenic-cubic":
                     continue
                 assert theta_K(field, x) <= field.degree * theta_q + 1e-9
+
+
+class TestFieldContext:
+    # no other test keeps a descriptor equal to this one alive
+    TEXT = "poly = [-1, 3, 1]\n"
+
+    def test_freed_with_descriptor(self):
+        field = load_field(self.TEXT)
+        prime_ideals_up_to(field, 1000)
+        ideal_count_sieve(field, 1000)
+        ctx = weakref.ref(field_context(field))
+        assert ctx().records and ctx().row is not None
+        del field
+        gc.collect()
+        assert ctx() is None
+
+    def test_equal_descriptors_share_while_either_lives(self):
+        first, second = load_field(self.TEXT), load_field(self.TEXT)
+        assert first is not second and first == second
+        ctx = weakref.ref(field_context(first))
+        assert field_context(second) is ctx()
+        del first  # the descriptor the context was registered under
+        gc.collect()
+        assert ctx() is not None
+        assert field_context(second) is ctx()
+        assert field_context(load_field(self.TEXT)) is ctx()
+        del second
+        gc.collect()
+        assert ctx() is None
