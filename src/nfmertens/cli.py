@@ -38,7 +38,7 @@ from .idealcount import (
     DENSE_SIEVE_CAP,
     ideal_count_sieve,
     kappa_estimate,
-    summatory,
+    summatory_grid,
 )
 from .mertens import geometric_grid, mertens_constant, mertens_table
 from .splitting import prime_ideals_up_to
@@ -188,10 +188,8 @@ def _cmd_sieve(field, config, meta, out_path):
     elif what == "summatory":
         kappa = _residue_for(field, config)
         meta["kappa_provenance"] = kappa.provenance
-        rows = []
-        for x in config.grid:
-            point = summatory(field, x)
-            rows.append([x, point.value, kappa.value * x, point.sunley_envelope])
+        rows = [[p.x, p.value, kappa.value * p.x, p.sunley_envelope]
+                for p in summatory_grid(field, config.grid)]
         _emit(config, meta,
               ["x", "ideal_count_sum", "kappa_x", "envelope"], rows, out_path)
     else:

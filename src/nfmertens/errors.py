@@ -49,6 +49,11 @@ class EmptyProduct(NfMertensError):
     """No prime ideal of norm <= x exists, so the product is empty."""
 
 
+class DenseSieveCapExceeded(NfMertensError, ValueError):
+    """The dense I(n) row was asked for beyond its cap; also a ValueError,
+    as it was before it became a usage error."""
+
+
 class IndexPrimeUnsupported(NfMertensError):
     """Splitting at a prime dividing the index cannot be read from the
     defining polynomial."""

@@ -3,12 +3,22 @@
 I(n) counts integral ideals of norm exactly n. It is multiplicative, and at a
 prime p its local values are the coefficients of prod_i 1/(1 - t^{f_i}) over
 the inertia degrees above p. The dense sieve multiplies those local counts
-into an all-ones row, one prime power at a time, in exact integers.
+into an all-ones row in exact integers.
 
-The numpy row uses int64, guarded by an a-priori bound (I(n) <= d(n)^degree,
-and the maximal divisor count below x is computed exactly); when the bound
-could overflow 62 bits the sieve escalates to arbitrary-precision Python
-integers. The dense row is capped at x = 1e8 and kept in the field's context.
+The numpy row takes two passes. Each prime p <= sqrt(N) multiplies in the
+count of every power p^k <= N at the multiples of p^k with cofactor prime to
+p. A prime P > sqrt(N) has P^2 > N, so only the number c1(P) of ideals of
+norm P matters, and every multiple m*P <= N has a cofactor m < P; one
+vectorised step per cofactor m scales row[m*P] by c1(P) for all such P at
+once. The Python-int row, the fallback and the test oracle, goes prime power
+by prime power.
+
+The numpy row uses int64, guarded by an a-priori bound: each local count at
+p^k is at most C(k + deg - 1, deg - 1), so every partial product is at most
+d_deg(n), the deg-fold divisor function, whose maximum below x is computed
+exactly. When it could overflow 62 bits the sieve escalates to
+arbitrary-precision Python integers. The dense row is capped at x = 1e8 and
+kept in the field's context.
 
 Sums over the row take one ascending pass over a grid of cutoffs (row_sums,
 row_log_sums); the single-point functions are one-point grids.
@@ -17,14 +27,16 @@ row_log_sums); the single-point functions are one-point grids.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from math import fsum
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .bounds import lambda_K
+from .errors import DenseSieveCapExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
 from .splitting import (
     SplittingType,
@@ -71,33 +83,34 @@ def local_counts(split: SplittingType, m: int) -> LocalCountTable:
                            counts=tuple(_counts_from_degrees(split.inertia_degrees(), m)))
 
 
-def _max_divisor_count(x: int) -> int:
-    """Exact max of d(n) over n <= x, by descending-exponent search."""
+def _max_divisor_count(x: int, k: int) -> int:
+    """Exact max over n <= x of d_k(n) = prod_i C(e_i + k - 1, k - 1), the
+    k-fold divisor function (d_2 = d), by descending-exponent search: d_k
+    grows with each exponent, so a maximiser is a product of the first primes
+    with non-increasing exponents."""
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
     best = 1
 
-    def rec(i: int, remaining: int, divisors: int, max_exp: int) -> None:
+    def rec(i: int, remaining: int, count: int, max_exp: int) -> None:
         nonlocal best
-        if divisors > best:
-            best = divisors
+        if count > best:
+            best = count
         if i == len(primes):
             return
         p = primes[i]
         power = p
         e = 1
         while power <= remaining and e <= max_exp:
-            rec(i + 1, remaining // power, divisors * (e + 1), e)
+            rec(i + 1, remaining // power, count * math.comb(e + k - 1, k - 1), e)
             e += 1
             power *= p
     rec(0, x, 1, 64)
     return best
 
 
-def _local_factors(field: FieldDescriptor, n_max: int):
-    """(p, p^k, c) for every prime power p^k <= n_max whose local count c,
-    the number of ideals of norm p^k, is not 1."""
-    primes = rational_primes(n_max).tolist()
-    pairs_by_p = _ensure_pairs(field, primes)
+def _local_factors(pairs_by_p, primes: list[int], n_max: int):
+    """(p, p^k, c) for every p of primes and power p^k <= n_max whose local
+    count c, the number of ideals of norm p^k, is not 1."""
     for p in primes:
         powers = [p]
         while powers[-1] * p <= n_max:
@@ -108,27 +121,58 @@ def _local_factors(field: FieldDescriptor, n_max: int):
                 yield p, q, c
 
 
+class _DegreeOneCounts(dict):
+    """Number of ideals of norm p, #{(e, f) : f = 1}, per splitting tuple;
+    the few distinct splittings recur, so each is counted once."""
+
+    def __missing__(self, pairs):
+        count = self[pairs] = sum(f == 1 for _, f in pairs)
+        return count
+
+
 def _dense_row_numpy(field: FieldDescriptor, n_max: int) -> np.ndarray:
     row = np.ones(n_max + 1, dtype=np.int64)
     row[0] = 0
-    for p, q, c in _local_factors(field, n_max):
+    prime_arr = rational_primes(n_max)
+    primes = prime_arr.tolist()
+    pairs_by_p = _ensure_pairs(field, primes)
+    split = bisect_right(primes, math.isqrt(n_max))
+    # primes p <= sqrt(n_max): every power p^k <= n_max, at the multiples of
+    # p^k whose cofactor is prime to p
+    for p, q, c in _local_factors(pairs_by_p, primes[:split], n_max):
         m = n_max // q
         view = row[q:: q]
         for lo in range(0, m, _CHUNK):
             hi = min(lo + _CHUNK, m)
-            t = np.arange(lo + 1, hi + 1)
-            sel = t % p != 0
-            if c == 0:
-                view[lo:hi][sel] = 0
-            else:
-                view[lo:hi][sel] *= c
+            sel = np.arange(lo + 1, hi + 1) % p != 0
+            view[lo:hi][sel] *= c
+    # primes P > sqrt(n_max): P^2 > n_max, and each multiple m*P <= n_max has
+    # a cofactor m < P prime to P, so its local factor is c1[P], the number of
+    # ideals of norm P; one pass per cofactor m over all P <= n_max // m
+    c1 = np.fromiter(map(_DegreeOneCounts().__getitem__,
+                         map(pairs_by_p.__getitem__, islice(primes, split, None))),
+                     dtype=np.int64, count=len(primes) - split)
+    del primes
+    keep = c1 != 1
+    big_p, big_c = prime_arr[split:][keep], c1[keep]
+    del prime_arr, c1, keep
+    if len(big_p):
+        tops = np.searchsorted(big_p, n_max // np.arange(1, n_max // int(big_p[0]) + 1),
+                               "right").tolist()
+        for m, j in enumerate(tops, start=1):
+            for lo in range(0, j, _CHUNK):
+                hi = min(lo + _CHUNK, j)
+                # indices m*P <= n_max <= 1e8; the values are partial products
+                # of I(n), bounded by the d_deg guard in _dense_row
+                row[m * big_p[lo:hi]] *= big_c[lo:hi]
     return row
 
 
 def _dense_row_python(field: FieldDescriptor, n_max: int) -> list[int]:
     row = [1] * (n_max + 1)
     row[0] = 0
-    for p, q, c in _local_factors(field, n_max):
+    primes = rational_primes(n_max).tolist()
+    for p, q, c in _local_factors(_ensure_pairs(field, primes), primes, n_max):
         for t in range(1, n_max // q + 1):
             if t % p:
                 row[q * t] *= c
@@ -139,11 +183,12 @@ def _dense_row(field: FieldDescriptor, n_max: int) -> Union[np.ndarray, list[int
     """Row r with r[n] = I(n) for 0 <= n <= n_max, possibly longer; kept in
     the field's context."""
     if n_max > DENSE_SIEVE_CAP:
-        raise ValueError(f"dense sieve capped at {DENSE_SIEVE_CAP}")
+        raise DenseSieveCapExceeded(
+            f"x = {n_max} exceeds the dense-sieve cap {DENSE_SIEVE_CAP}")
     ctx = field_context(field)
     if ctx.row is None or len(ctx.row) <= n_max:
         ctx.row = None  # free the shorter row before building the longer one
-        if _max_divisor_count(max(n_max, 2)) ** field.degree < 2 ** 62:
+        if _max_divisor_count(n_max, field.degree) < 2 ** 62:
             ctx.row = _dense_row_numpy(field, n_max)
         else:
             ctx.row = _dense_row_python(field, n_max)
@@ -203,21 +248,34 @@ def ideal_count_sieve(field: FieldDescriptor, x: int) -> np.ndarray:
     return np.concatenate([c for _, c in _row_chunks(_dense_row(field, n), 1, n + 1)])
 
 
+def _sunley_envelope(field: FieldDescriptor, x: float) -> Optional[float]:
+    """Lambda_K x^(1 - 2/(n+1)), the bound on |Isum(x) - kappa x|; None for Q."""
+    if field.degree < 2:
+        return None
+    if x <= 0:
+        return 0.0
+    n = field.degree
+    log_env = lambda_K(n, field.abs_discriminant).natural_log \
+        + (1 - 2 / (n + 1)) * math.log(x)
+    return math.exp(log_env) if log_env < 700 else math.inf
+
+
+def summatory_grid(field: FieldDescriptor, grid) -> list[SummatoryPoint]:
+    """summatory at each x of the ascending grid, from one row built at the
+    top point and one pass over it."""
+    if not grid:
+        return []
+    if grid[0] < 0:
+        raise ValueError("x must be >= 0")
+    values = row_sums(_dense_row(field, math.floor(grid[-1])), grid)
+    return [SummatoryPoint(x=x, value=v, sunley_envelope=_sunley_envelope(field, x))
+            for x, v in zip(grid, values)]
+
+
 def summatory(field: FieldDescriptor, x: float) -> SummatoryPoint:
     """Sum of I(n) for n <= x, with the explicit envelope when available."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    [value] = row_sums(_dense_row(field, math.floor(x)), [x])
-    envelope = None
-    if field.degree >= 2:
-        n = field.degree
-        if x > 0:
-            log_env = lambda_K(n, field.abs_discriminant).natural_log \
-                + (1 - 2 / (n + 1)) * math.log(x)
-            envelope = math.exp(log_env) if log_env < 700 else math.inf
-        else:
-            envelope = 0.0
-    return SummatoryPoint(x=x, value=value, sunley_envelope=envelope)
+    [point] = summatory_grid(field, [x])
+    return point
 
 
 def t_K(field: FieldDescriptor, x: float) -> float:

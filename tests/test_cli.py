@@ -1,17 +1,26 @@
 import csv
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
-from nfmertens.cli import main, parse_grid
+from nfmertens import idealcount, splitting
+from nfmertens.cli import _f15, main, parse_grid
 from nfmertens.errors import NfMertensError
+from nfmertens.field import kappa_exact, load_field
+from nfmertens.idealcount import summatory
+from nfmertens.mertens import geometric_grid
 
 FIELDS = Path(__file__).resolve().parent.parent / "fields"
 GAUSS = str(FIELDS / "gaussian.field")
 GOLDEN = str(FIELDS / "golden.field")
 CBRT2 = str(FIELDS / "cbrt2.field")
 NONMONO = str(FIELDS / "non-monogenic-cubic.field")
+# Q(sqrt 13) without class data, so kappa is estimated by sieving to x_max;
+# the tests that use it write it to their tmp_path
+NO_CLASS = "no-class-data.field"
+NO_CLASS_TEXT = "poly = [-1, 3, 1]\n"
 
 
 def read_csv(path):
@@ -170,6 +179,26 @@ class TestSieveCommand:
         assert header == ["x", "ideal_count_sum", "kappa_x", "envelope"]
         assert int(rows[0][1]) == 9
 
+    def test_summatory_builds_row_once(self, tmp_path, monkeypatch):
+        # a fresh registry, so no other test's gaussian row is reused
+        monkeypatch.setattr(splitting, "_CONTEXTS", weakref.WeakKeyDictionary())
+        builds = []
+        build = idealcount._dense_row_numpy
+        monkeypatch.setattr(idealcount, "_dense_row_numpy",
+                            lambda field, n: builds.append(n) or build(field, n))
+        out = tmp_path / "summatory.csv"
+        code = main(["sieve", "--field", GAUSS, "--what", "summatory",
+                     "--xmax", "1e4", "--out", str(out)])
+        assert code == 0
+        assert builds == [10 ** 4]
+        # the rows one summatory() call per grid point gives
+        field = load_field(Path(GAUSS).read_text())
+        kappa = kappa_exact(field).value
+        points = [summatory(field, x) for x in geometric_grid(4, 16)]
+        assert read_csv(out)[2] == [
+            [_f15(p.x), str(p.value), _f15(kappa * p.x), _f15(p.sunley_envelope)]
+            for p in points]
+
     def test_dense_cap_enforced(self, tmp_path, capsys):
         out = tmp_path / "counts.csv"
         code = main(["sieve", "--field", GAUSS, "--xmax", "1e9",
@@ -207,8 +236,15 @@ class TestErrors:
         ["mertens", "--field", GAUSS, "--xmax", "5"],
         ["residue", "--field", CBRT2, "--xmax", "2e8"],  # estimate past the cap
         ["sieve", "--field", GAUSS, "--what", "counts", "--xmax", "0.5"],
+        # kappa estimated past the cap
+        ["mertens", "--field", NO_CLASS, "--xmax", "2e8"],
+        ["constants", "--field", NO_CLASS, "--xmax", "2e8"],
+        ["sieve", "--field", NO_CLASS, "--what", "summatory", "--xmax", "2e8"],
     ], ids=["verify-empty-grid", "mertens-empty-grid", "residue-past-cap",
-            "sieve-counts-below-one"])
+            "sieve-counts-below-one", "mertens-past-cap", "constants-past-cap",
+            "sieve-summatory-past-cap"])
     def test_usage_error_exits_two(self, tmp_path, capsys, args):
+        (tmp_path / NO_CLASS).write_text(NO_CLASS_TEXT)
+        args = [str(tmp_path / NO_CLASS) if a == NO_CLASS else a for a in args]
         assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -1,11 +1,14 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfmertens.field import kappa_exact
+from nfmertens.errors import DenseSieveCapExceeded, NfMertensError
+from nfmertens.field import kappa_exact, load_field
 from nfmertens.idealcount import (
+    DENSE_SIEVE_CAP,
     ideal_count_sieve,
     kappa_estimate,
     legendre_chebyshev_rhs,
@@ -16,7 +19,12 @@ from nfmertens.idealcount import (
     t_K,
 )
 from nfmertens import idealcount
-from nfmertens.idealcount import _dense_row, _dense_row_python, _max_divisor_count
+from nfmertens.idealcount import (
+    _dense_row,
+    _dense_row_numpy,
+    _dense_row_python,
+    _max_divisor_count,
+)
 from nfmertens.mertens import geometric_grid
 from nfmertens.splitting import kronecker, splitting_type
 
@@ -143,6 +151,49 @@ class TestSieve:
         assert int(row.sum()) == sum(int(v) for v in row)
 
 
+class TestCofactorPass:
+    """The two-pass int64 row against the Python-int row, the oracle."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # an odd chunk length puts chunk edges inside both passes
+        monkeypatch.setattr(idealcount, "_CHUNK", 1001)
+
+    # 59^2 = 3481 sits on the split between the passes; 3491 is prime, so
+    # the largest prime's only multiple is itself; below 4 there is no small
+    # prime at all
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 3480, 3481, 3482, 3491, 10 ** 5])
+    def test_matches_python_row(self, corpus, n_max):
+        for name, field in corpus.items():
+            if name == "non-monogenic-cubic":
+                continue
+            assert _dense_row_numpy(field, n_max).tolist() == \
+                _dense_row_python(field, n_max), name
+
+
+class TestRowGuard:
+    def test_degree_seven_takes_int64_row(self, monkeypatch):
+        # x^7 - 2 at the cap: max d(n)^7 = 768^7 > 2^62, but max d_7(n) is
+        # 1,483,241,760
+        field = load_field("poly = [-2, 0, 0, 0, 0, 0, 0, 1]\n"
+                           "signature = [1, 3]\ndiscriminant = -52706752\n")
+        assert _max_divisor_count(DENSE_SIEVE_CAP, 2) ** 7 > 2 ** 62
+        assert _max_divisor_count(DENSE_SIEVE_CAP, 7) == 1_483_241_760
+        built = []
+        monkeypatch.setattr(idealcount, "_dense_row_numpy",
+                            lambda f, n: built.append("numpy") or np.zeros(1))
+        monkeypatch.setattr(idealcount, "_dense_row_python",
+                            lambda f, n: built.append("python") or [0])
+        _dense_row(field, DENSE_SIEVE_CAP)
+        assert built == ["numpy"]
+
+    def test_cap_error_is_usage_error_and_value_error(self, gauss):
+        with pytest.raises(DenseSieveCapExceeded) as info:
+            ideal_count_sieve(gauss, DENSE_SIEVE_CAP + 1)
+        assert isinstance(info.value, NfMertensError)
+        assert isinstance(info.value, ValueError)
+
+
 class TestSummatory:
     def test_gaussian_at_ten(self, gauss):
         assert summatory(gauss, 10).value == 9
@@ -265,7 +316,15 @@ class TestLegendreChebyshev:
 
 
 def test_max_divisor_count_brute():
-    def d(n):
-        return sum(1 for k in range(1, n + 1) if n % k == 0)
-    for x in (1, 2, 10, 60, 720, 5040):
-        assert _max_divisor_count(x) == max(d(n) for n in range(1, x + 1))
+    # d_k by Dirichlet convolution with 1: d_1 = 1, d_k(n) = sum of d_{k-1}(m)
+    # over m | n
+    n_max = 5040
+    d = [0] + [1] * n_max
+    for k in range(2, 6):
+        prev, d = d, [0] * (n_max + 1)
+        for m in range(1, n_max + 1):
+            for n in range(m, n_max + 1, m):
+                d[n] += prev[m]
+        best = list(accumulate(d, max))
+        for x in range(1, n_max + 1):
+            assert _max_divisor_count(x, k) == best[x], (k, x)
