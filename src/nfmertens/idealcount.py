@@ -27,9 +27,8 @@ row_log_sums); the single-point functions are one-point grids.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from math import fsum
 from typing import Optional, Sequence, Union
 
@@ -40,14 +39,16 @@ from .errors import DenseSieveCapExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
 from .splitting import (
     SplittingType,
-    _ensure_pairs,
     _records_up_to,
+    _splitting_table,
     field_context,
-    rational_primes,
 )
 
 DENSE_SIEVE_CAP = 10 ** 8
 _CHUNK = 1 << 22
+# float terms fed to fsum at a time: the list of Python floats stays
+# cache-sized instead of holding a whole chunk
+_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,38 +109,29 @@ def _max_divisor_count(x: int, k: int) -> int:
     return best
 
 
-def _local_factors(pairs_by_p, primes: list[int], n_max: int):
+def _local_factors(primes: np.ndarray, codes: np.ndarray, patterns,
+                   n_max: int):
     """(p, p^k, c) for every p of primes and power p^k <= n_max whose local
-    count c, the number of ideals of norm p^k, is not 1."""
-    for p in primes:
+    count c, the number of ideals of norm p^k, is not 1; codes index each
+    prime's splitting pattern in patterns."""
+    for p, code in zip(primes.tolist(), codes.tolist()):
         powers = [p]
         while powers[-1] * p <= n_max:
             powers.append(powers[-1] * p)
-        counts = _counts_from_degrees([f for _, f in pairs_by_p[p]], len(powers))
+        counts = _counts_from_degrees([f for _, f in patterns[code]], len(powers))
         for q, c in zip(powers, counts[1:]):
             if c != 1:
                 yield p, q, c
 
 
-class _DegreeOneCounts(dict):
-    """Number of ideals of norm p, #{(e, f) : f = 1}, per splitting tuple;
-    the few distinct splittings recur, so each is counted once."""
-
-    def __missing__(self, pairs):
-        count = self[pairs] = sum(f == 1 for _, f in pairs)
-        return count
-
-
 def _dense_row_numpy(field: FieldDescriptor, n_max: int) -> np.ndarray:
     row = np.ones(n_max + 1, dtype=np.int64)
     row[0] = 0
-    prime_arr = rational_primes(n_max)
-    primes = prime_arr.tolist()
-    pairs_by_p = _ensure_pairs(field, primes)
-    split = bisect_right(primes, math.isqrt(n_max))
+    primes, codes, patterns = _splitting_table(field, n_max)
+    split = np.searchsorted(primes, math.isqrt(n_max), "right")
     # primes p <= sqrt(n_max): every power p^k <= n_max, at the multiples of
     # p^k whose cofactor is prime to p
-    for p, q, c in _local_factors(pairs_by_p, primes[:split], n_max):
+    for p, q, c in _local_factors(primes[:split], codes[:split], patterns, n_max):
         m = n_max // q
         view = row[q:: q]
         for lo in range(0, m, _CHUNK):
@@ -149,13 +141,11 @@ def _dense_row_numpy(field: FieldDescriptor, n_max: int) -> np.ndarray:
     # primes P > sqrt(n_max): P^2 > n_max, and each multiple m*P <= n_max has
     # a cofactor m < P prime to P, so its local factor is c1[P], the number of
     # ideals of norm P; one pass per cofactor m over all P <= n_max // m
-    c1 = np.fromiter(map(_DegreeOneCounts().__getitem__,
-                         map(pairs_by_p.__getitem__, islice(primes, split, None))),
-                     dtype=np.int64, count=len(primes) - split)
-    del primes
-    keep = c1 != 1
-    big_p, big_c = prime_arr[split:][keep], c1[keep]
-    del prime_arr, c1, keep
+    c1_by_pattern = np.array([sum(f == 1 for _, f in pairs) for pairs in patterns],
+                             dtype=np.int64)
+    keep = (c1_by_pattern != 1)[codes[split:]]
+    big_p, big_c = primes[split:][keep], c1_by_pattern[codes[split:][keep]]
+    del primes, codes, keep
     if len(big_p):
         tops = np.searchsorted(big_p, n_max // np.arange(1, n_max // int(big_p[0]) + 1),
                                "right").tolist()
@@ -171,8 +161,7 @@ def _dense_row_numpy(field: FieldDescriptor, n_max: int) -> np.ndarray:
 def _dense_row_python(field: FieldDescriptor, n_max: int) -> list[int]:
     row = [1] * (n_max + 1)
     row[0] = 0
-    primes = rational_primes(n_max).tolist()
-    for p, q, c in _local_factors(_ensure_pairs(field, primes), primes, n_max):
+    for p, q, c in _local_factors(*_splitting_table(field, n_max), n_max):
         for t in range(1, n_max // q + 1):
             if t % p:
                 row[q * t] *= c
@@ -218,12 +207,23 @@ def row_sums(row: Union[np.ndarray, list[int]], grid) -> list[int]:
     return out
 
 
+def _log_terms(row: Union[np.ndarray, list[int]], lo: int, hi: int):
+    """The float64 terms row[n] log(n) for lo <= n < hi, as lists of at most
+    _SLICE Python floats."""
+    for a, c in _row_chunks(row, lo, hi):
+        for s in range(0, len(c), _SLICE):
+            part = c[s:s + _SLICE]
+            yield (part.astype(np.float64) * np.log(
+                np.arange(a + s, a + s + len(part), dtype=np.float64))).tolist()
+
+
 def row_log_sums(row: Union[np.ndarray, list[int]], grid) -> list[float]:
     """Sum of row[n] log(n) over 2 <= n <= x for each x of the ascending
     grid, in one pass.
 
-    Each segment between grid points is one fsum of its float64 terms, fed a
-    chunk at a time, and the value at x is the fsum of the segment sums.
+    Each segment between grid points is one fsum of its float64 terms, fed
+    _SLICE terms at a time (fsum rounds exactly whatever the slicing), and
+    the value at x is the fsum of the segment sums.
     """
     out = []
     seg_sums = []
@@ -231,10 +231,7 @@ def row_log_sums(row: Union[np.ndarray, list[int]], grid) -> list[float]:
     for x in grid:
         cut = math.floor(x) + 1
         if cut > start:
-            terms = ((c.astype(np.float64) * np.log(
-                np.arange(a, a + len(c), dtype=np.float64))).tolist()
-                for a, c in _row_chunks(row, start, cut))
-            seg_sums.append(fsum(chain.from_iterable(terms)))
+            seg_sums.append(fsum(chain.from_iterable(_log_terms(row, start, cut))))
             start = cut
         out.append(fsum(seg_sums))
     return out
@@ -311,7 +308,7 @@ def legendre_chebyshev_rhs(field: FieldDescriptor, x: float) -> float:
     n_max = math.floor(x)
     # each ideal's exponent reads Isum at the points floor(x / norm^j)
     reads = []
-    for norm, _, _ in _records_up_to(field, x):
+    for norm in _records_up_to(field, x)[:, 0].tolist():
         points = []
         q = norm
         while q <= n_max:

@@ -18,9 +18,10 @@ summation, so 15-digit report values are reproducible across platforms.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import fsum
+
+import numpy as np
 
 from .errors import EmptyProduct, MissingResidue
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
@@ -71,7 +72,7 @@ def mertens_constant(field: FieldDescriptor, truncation_x: float,
     if kappa is None or kappa.value <= 0:
         raise MissingResidue("mertens_constant requires a positive residue")
     series = fsum(1.0 / norm + math.log1p(-1.0 / norm)
-                  for norm, _, _ in _records_up_to(field, truncation_x))
+                  for norm in _records_up_to(field, truncation_x)[:, 0].tolist())
     tail = field.degree / (math.ceil(truncation_x) - 1)
     return MertensConstant(
         M_K=EULER_GAMMA + math.log(kappa.value) + series,
@@ -89,17 +90,16 @@ def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,
         raise ValueError("grid must be ascending with min >= 2")
     if kappa is None or kappa.value <= 0:
         raise MissingResidue("mertens_table requires a positive residue")
-    records = _records_up_to(field, grid[-1])
-    norms = [norm for norm, _, _ in records]
+    norms = _records_up_to(field, grid[-1])[:, 0]
+    cuts = np.searchsorted(norms, [math.floor(x) for x in grid], "right").tolist()
     rows = []
     seg_lnn = []
     seg_rec = []
     seg_l1p = []
     start = 0
     e_gamma = math.exp(EULER_GAMMA)
-    for x in grid:
-        cut = bisect_right(norms, math.floor(x), lo=start)
-        chunk = norms[start:cut]
+    for x, cut in zip(grid, cuts):
+        chunk = norms[start:cut].tolist()
         seg_lnn.append(fsum(math.log(n) / n for n in chunk))
         seg_rec.append(fsum(1.0 / n for n in chunk))
         seg_l1p.append(fsum(math.log1p(-1.0 / n) for n in chunk))

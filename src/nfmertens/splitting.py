@@ -2,44 +2,46 @@
 
 For each rational prime p the splitting type is the multiset of
 (ramification index, inertia degree) pairs of the prime ideals over p; the
-pairs always satisfy sum(e_i * f_i) = degree. Quadratic fields are resolved
-exactly from the Kronecker symbol of the fundamental discriminant, bypassing
-polynomial factorization.
+pairs always satisfy sum(e_i * f_i) = degree.
 
-Cubic and quartic fields classify a whole range of primes in one batched
-numpy pass: for every odd p <= 1e8 not dividing disc(f), x^p mod f (and for
-quartics x^(p^2) mod f) is computed in int64 columns, one column per prime,
+Quadratic, cubic and quartic fields classify a whole range of primes in
+batched numpy passes over int64 columns, one column per prime, in blocks of
+FROBENIUS_BLOCK primes. A quadratic field reads the character (D / p) of its
+fundamental discriminant D at every odd p <= 1e8 not dividing D by Euler's
+criterion, D^((p-1)/2) mod p. A cubic or quartic field computes x^p mod f
+(and for quartics x^(p^2) mod f) at every odd p <= 1e8 not dividing disc(f),
 and Stickelberger's theorem, (disc f / p) = (-1)^(n - r) for the number r of
 irreducible factors of f mod p, settles what those powers leave open; no gcd
 is taken. Every kernel value lies in [0, p), so each step is one product
-plus one addend below 1e16 + 1e8 < 2^63; disc(f), which can exceed int64, is
-reduced mod p digit by digit. The prime 2, primes dividing disc(f), every
-field of degree >= 5, and single-prime queries outside the tabled range take
-the exact pipeline: the defining polynomial factored mod p, guarded by the
-Dedekind index criterion, so a prime dividing the index is a hard error,
-never a guess. The exact pipeline is also the batched pass's test oracle.
+plus one addend below 1e16 + 1e8 < 2^63; D and disc(f), which can exceed
+int64, are reduced mod p digit by digit. The primes dividing 2D of a
+quadratic field take the scalar Kronecker symbol. The prime 2 and primes
+dividing disc(f) of a cubic or quartic field, every field of degree >= 5,
+and single-prime queries past the table take the exact pipeline: the
+defining polynomial factored mod p, guarded by the Dedekind index criterion,
+so a prime dividing the index is a hard error, never a guess. The scalar
+routes are also the batched passes' test oracles.
 
-Streams of prime ideals are ordered by (norm, p) and deterministic. What is
-computed for a field (the splitting table, the prime-ideal stream and the
-dense I(n) row) lives in one FieldContext, reached through field_context();
-it grows as larger cutoffs are asked for and is freed with the field's
-descriptor. Log-norm sums are accumulated with exact (Shewchuk)
-summation, keeping 12+ significant digits over millions of terms and making
-results independent of segmentation.
+What is computed for a field lives in one FieldContext, reached through
+field_context(), as numpy arrays: the splitting table (the primes, a small
+code per prime, and the few distinct patterns the codes index), the
+prime-ideal stream (a (k, 3) int64 array of (norm, p, f) rows ordered by
+(norm, p)) and the dense I(n) row. It grows as larger cutoffs are asked for
+and is freed with the field's descriptor. Log-norm sums are accumulated
+with exact (Shewchuk) summation, keeping 12+ significant digits over
+millions of terms and making results independent of segmentation.
 """
-
 from __future__ import annotations
 
 import math
 import weakref
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import product
 from math import fsum
 
 import numpy as np
 
-from .errors import CompositeModulus, IndexPrimeUnsupported
+from .errors import CompositeModulus, IndexPrimeUnsupported, InvariantViolation
 from .field import FieldDescriptor
 from .polyfield import (
     _dedekind_from_parts,
@@ -206,24 +208,51 @@ def _xpow(e: np.ndarray, neg: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return r
 
 
-# Splitting pattern by (degree, (disc f / p) == 1, x^p == x, x^(p^2) == x)
-# for squarefree f mod p; cubics never need x^(p^2).
+def _euler_square(a_mod: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """(a / p) == 1 per odd prime p not dividing a, given a mod p, by Euler's
+    criterion a^((p-1)/2) = (a / p) mod p, run by _xpow: x^e mod (x - a) is
+    a^e."""
+    return _xpow((primes - 1) >> 1, a_mod[None], primes)[0] == 1
+
+
 _ONE = (1, 1)
+
+# Splitting pattern by ((disc f / p) == 1, x^p == x, x^(p^2) == x) for monic f
+# of degree 3 or 4, squarefree mod p; cubics never need x^(p^2), so it reads
+# False for them.
 _FROBENIUS_TYPES = {
-    (3, False, False, None): (_ONE, (1, 2)),
-    (3, True, True, None): (_ONE, _ONE, _ONE),
-    (3, True, False, None): ((1, 3),),
-    (4, True, True, True): (_ONE, _ONE, _ONE, _ONE),
-    (4, True, False, True): ((1, 2), (1, 2)),
-    (4, True, False, False): (_ONE, (1, 3)),
-    (4, False, False, True): (_ONE, _ONE, (1, 2)),
-    (4, False, False, False): ((1, 4),),
+    3: {(False, False, False): (_ONE, (1, 2)),
+        (True, True, False): (_ONE, _ONE, _ONE),
+        (True, False, False): ((1, 3),)},
+    4: {(True, True, True): (_ONE, _ONE, _ONE, _ONE),
+        (True, False, True): ((1, 2), (1, 2)),
+        (True, False, False): (_ONE, (1, 3)),
+        (False, False, True): (_ONE, _ONE, (1, 2)),
+        (False, False, False): ((1, 4),)},
+}
+
+# The patterns every context of a degree starts with, so that the batched
+# passes write codes directly: split, inert and ramified for quadratics, the
+# Frobenius types for cubics and quartics.
+_INITIAL_PATTERNS = {
+    1: ((_ONE,),),
+    2: ((_ONE, _ONE), ((1, 2),), ((2, 1),)),
+    **{n: tuple(types.values()) for n, types in _FROBENIUS_TYPES.items()},
+}
+
+# Code of each Frobenius type at 4 * square + 2 * (x^p == x) + (x^(p^2) == x),
+# -1 where Stickelberger's theorem rules the combination out.
+_FROBENIUS_CODES = {
+    n: np.array([list(types).index(key) if key in types else -1
+                 for key in product((False, True), repeat=3)])
+    for n, types in _FROBENIUS_TYPES.items()
 }
 
 
 def _frobenius_pairs(coeffs: tuple[int, ...], disc: int,
-                     primes: np.ndarray) -> list[tuple[tuple[int, int], ...]]:
-    """Splitting pattern of monic f (degree 3 or 4) at each prime in primes.
+                     primes: np.ndarray) -> np.ndarray:
+    """Code in _INITIAL_PATTERNS[n] of the splitting pattern of monic f
+    (degree n = 3 or 4) at each prime in primes.
 
     Every prime must be odd, at most FROBENIUS_P_MAX and prime to disc = disc(f),
     so f is squarefree mod p and Stickelberger's theorem gives the parity of
@@ -234,19 +263,18 @@ def _frobenius_pairs(coeffs: tuple[int, ...], disc: int,
     h = _xpow(primes, neg, primes)
     x = np.zeros((n, 1), dtype=np.int64)
     x[1] = 1
-    is_x = (h == x).all(axis=0).tolist()
-    # Euler's criterion by the same loop: x^e mod (x - disc) is disc^e
-    square = (_xpow((primes - 1) >> 1, _int_mod(disc, primes)[None], primes)[0] == 1).tolist()
-    if n == 3:
-        is_x2 = [None] * len(primes)
-    else:
+    key = 4 * _euler_square(_int_mod(disc, primes), primes) + 2 * (h == x).all(axis=0)
+    if n == 4:
         h2 = np.zeros_like(h)  # h(h) mod f by Horner's rule
         h2[0] = h[n - 1]
         for i in range(n - 2, -1, -1):
             h2 = _mulmod(h2, h, neg, primes)
             h2[0] = (h2[0] + h[i]) % primes
-        is_x2 = (h2 == x).all(axis=0).tolist()
-    return [_FROBENIUS_TYPES[n, q, a, b] for q, a, b in zip(square, is_x, is_x2)]
+        key += (h2 == x).all(axis=0)
+    codes = _FROBENIUS_CODES[n][key]
+    if (codes < 0).any():
+        raise InvariantViolation("Stickelberger parity of the factor count mod p")
+    return codes
 
 
 def _pairs_for(field: FieldDescriptor, p: int) -> tuple[tuple[int, int], ...]:
@@ -265,10 +293,11 @@ def splitting_type(field: FieldDescriptor, p: int) -> SplittingType:
     """Splitting of the rational prime p in the field."""
     if not is_prime(p):
         raise CompositeModulus(f"{p} is not prime")
-    pairs_by_p = field_context(field).pairs_by_p
-    if p not in pairs_by_p:
-        pairs_by_p[p] = _pairs_for(field, p)
-    return SplittingType(p=p, pairs=pairs_by_p[p])
+    ctx = field_context(field)
+    if p > ctx.table_xmax:
+        return SplittingType(p=p, pairs=_pairs_for(field, p))
+    code = ctx.codes[np.searchsorted(ctx.primes, p)]
+    return SplittingType(p=p, pairs=ctx.patterns[code])
 
 
 class FieldContext:
@@ -276,14 +305,19 @@ class FieldContext:
     discriminant, the splitting table, the prime-ideal stream and the dense
     I(n) row (built by idealcount)."""
 
-    __slots__ = ("disc_poly", "pairs_by_p", "pairs_pmax", "records",
-                 "records_xmax", "row", "owner", "__weakref__")
+    __slots__ = ("disc_poly", "primes", "codes", "patterns", "table_xmax",
+                 "records", "records_xmax", "row", "owner", "__weakref__")
 
     def __init__(self, field: FieldDescriptor):
         self.disc_poly = poly_discriminant(field.defining_poly)
-        self.pairs_by_p: dict[int, tuple[tuple[int, int], ...]] = {}
-        self.pairs_pmax = 0  # pairs_by_p holds every prime <= pairs_pmax
-        self.records: list[tuple[int, int, int]] = []  # (norm, p, f)
+        # the splitting table: every prime <= table_xmax, ascending, and the
+        # index of its splitting pattern in patterns
+        self.primes = np.empty(0, dtype=np.int64)
+        self.codes = np.empty(0, dtype=np.uint8)
+        self.patterns: list[tuple[tuple[int, int], ...]] = \
+            list(_INITIAL_PATTERNS.get(field.degree, ()))
+        self.table_xmax = 0
+        self.records = np.empty((0, 3), dtype=np.int64)  # rows (norm, p, f)
         self.records_xmax = 0
         self.row = None  # r[n] = I(n) for n < len(r): int64 array or list
         self.owner = weakref.ref(field)  # the descriptor it is registered under
@@ -308,66 +342,107 @@ def field_context(field: FieldDescriptor) -> FieldContext:
     return ctx
 
 
-def _batchable(primes: list[int], disc: int) -> tuple[np.ndarray, np.ndarray]:
-    """primes as an array, and the mask of those the batched kernel takes."""
-    arr = np.array(primes, dtype=np.int64)
-    return arr, (arr != 2) & (arr <= FROBENIUS_P_MAX) & (_int_mod(disc, arr) != 0)
+def _batchable(primes: np.ndarray, disc: int) -> np.ndarray:
+    """Mask of the primes the batched kernels take: odd, at most
+    FROBENIUS_P_MAX and prime to disc."""
+    return (primes != 2) & (primes <= FROBENIUS_P_MAX) & (_int_mod(disc, primes) != 0)
 
 
-def _ensure_pairs(field: FieldDescriptor,
-                  primes: list[int]) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Tabulate the splitting of every prime in primes, an ascending list of
-    all primes up to its last entry; returns the table.
+def _code(patterns: list, pairs: tuple[tuple[int, int], ...]) -> int:
+    """Index of pairs in patterns, appended if new."""
+    if pairs not in patterns:
+        patterns.append(pairs)
+    return patterns.index(pairs)
 
-    New keys are the int objects of primes, so a caller that keeps them (the
-    record stream) does not hold a second copy.
+
+def _tabulate(field: FieldDescriptor, ctx: FieldContext,
+              primes: np.ndarray) -> np.ndarray:
+    """Code in ctx.patterns of the splitting pattern of each prime in primes.
+
+    Quadratics take Euler's criterion and cubics and quartics the Frobenius
+    pass, both in blocks of FROBENIUS_BLOCK primes; the rest, and every prime
+    of a field of degree >= 5, take _pairs_for one prime at a time.
     """
-    ctx = field_context(field)
-    pairs_by_p = ctx.pairs_by_p
-    new = primes[bisect_right(primes, ctx.pairs_pmax):]
-    if not new:
-        return pairs_by_p
-    if field.degree in (3, 4):
-        disc = ctx.disc_poly
-        starts = range(0, len(new), FROBENIUS_BLOCK)
-        # the exact pipeline runs first, so an index prime raises before any
-        # batched work
-        for lo in starts:
-            block = new[lo:lo + FROBENIUS_BLOCK]
-            _, sel = _batchable(block, disc)
-            for p in compress(block, (~sel).tolist()):
-                pairs_by_p[p] = _pattern_mod_p(field, p)
-        coeffs = field.defining_poly.coeffs
-        for lo in starts:
-            block = new[lo:lo + FROBENIUS_BLOCK]
-            arr, sel = _batchable(block, disc)
-            if sel.any():
-                pairs_by_p.update(zip(compress(block, sel.tolist()),
-                                      _frobenius_pairs(coeffs, disc, arr[sel])))
+    n = field.degree
+    codes = np.zeros(len(primes), dtype=np.int64)
+    if n == 1 or not len(primes):
+        return codes
+    disc = field.discriminant if n == 2 else ctx.disc_poly
+    starts = range(0, len(primes), FROBENIUS_BLOCK)
+    if n <= 4:
+        sel = np.concatenate([_batchable(primes[lo:lo + FROBENIUS_BLOCK], disc)
+                              for lo in starts])
     else:
-        pairs_by_p.update((p, _pairs_for(field, p)) for p in new)
-    ctx.pairs_pmax = new[-1]
-    return pairs_by_p
+        sel = np.zeros(len(primes), dtype=bool)
+    # the exact pipeline runs first, so an index prime raises before any
+    # batched work
+    for i in np.flatnonzero(~sel).tolist():
+        codes[i] = _code(ctx.patterns, _pairs_for(field, int(primes[i])))
+    for lo in starts:
+        block_sel = sel[lo:lo + FROBENIUS_BLOCK]
+        if not block_sel.any():
+            continue
+        block = primes[lo:lo + FROBENIUS_BLOCK][block_sel]
+        if n == 2:  # code 0 split, 1 inert
+            batch = ~_euler_square(_int_mod(disc, block), block)
+        else:
+            batch = _frobenius_pairs(field.defining_poly.coeffs, disc, block)
+        codes[lo:lo + FROBENIUS_BLOCK][block_sel] = batch
+    return codes
 
 
-def _records_up_to(field: FieldDescriptor, x: float) -> list[tuple[int, int, int]]:
-    """Sorted (norm, p, f) triples with norm <= x, kept in the field's context."""
+def _splitting_table(field: FieldDescriptor,
+                     n: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """(primes, codes, patterns): every prime p <= n ascending, the index of
+    its splitting pattern in patterns, and the patterns; kept in the field's
+    context, which grows the table when n passes its end."""
+    ctx = field_context(field)
+    if n > ctx.table_xmax:
+        primes = rational_primes(n)
+        codes = np.concatenate((ctx.codes, _tabulate(field, ctx, primes[len(ctx.primes):])))
+        ctx.codes = codes.astype(np.min_scalar_type(len(ctx.patterns) - 1))
+        ctx.primes, ctx.table_xmax = primes, n
+    k = np.searchsorted(ctx.primes, n, "right")
+    return ctx.primes[:k], ctx.codes[:k], ctx.patterns
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest r with r^k <= n, for n >= 0."""
+    r = int(n ** (1 / k))
+    while r ** k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def _ideal_records(primes: np.ndarray, codes: np.ndarray, patterns: list,
+                   xi: int) -> np.ndarray:
+    """(norm, p, f) rows, one per prime ideal of norm <= xi, sorted by
+    (norm, p), from the splitting table of every prime <= xi."""
+    parts = [np.empty((0, 3), dtype=np.int64)]
+    for f in sorted({f for pairs in patterns for _, f in pairs}):
+        per_prime = np.array([sum(g == f for _, g in pairs) for pairs in patterns])
+        # only primes p <= xi^(1/f) are raised to the power f, so each norm
+        # p^f <= xi, which the int64 prime table bounds below 2^63
+        k = np.searchsorted(primes, _iroot(xi, f), "right")
+        p = np.repeat(primes[:k], per_prime[codes[:k]])
+        parts.append(np.column_stack((p ** f, p, np.full_like(p, f))))
+    records = np.concatenate(parts)
+    # each part is sorted by norm, and a norm p^f fixes p and f, so a stable
+    # sort merges the runs
+    return records[np.argsort(records[:, 0], kind="stable")]
+
+
+def _records_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
+    """(norm, p, f) rows, one per prime ideal of norm <= x, sorted by
+    (norm, p): a (k, 3) int64 array kept in the field's context."""
     xi = math.floor(x)
     ctx = field_context(field)
     if xi > ctx.records_xmax:
-        records = []
-        primes = rational_primes(xi).tolist()
-        pairs_by_p = _ensure_pairs(field, primes)
-        for p in primes:
-            for _, f in pairs_by_p[p]:
-                norm = p ** f
-                if norm <= xi:
-                    records.append((norm, p, f))
-        records.sort()
-        ctx.records = records
+        ctx.records = _ideal_records(*_splitting_table(field, xi), xi)
         ctx.records_xmax = xi
-    cut = bisect_right(ctx.records, (xi + 1, 0, 0))
-    return ctx.records[:cut]
+    return ctx.records[:np.searchsorted(ctx.records[:, 0], xi, "right")]
 
 
 def prime_ideals_up_to(field: FieldDescriptor, x: float) -> tuple[PrimeIdealRecord, ...]:
@@ -379,7 +454,7 @@ def prime_ideals_up_to(field: FieldDescriptor, x: float) -> tuple[PrimeIdealReco
     if x < 2:
         raise ValueError("prime_ideals_up_to requires x >= 2")
     return tuple(PrimeIdealRecord(p=p, f=f, norm=norm)
-                 for norm, p, f in _records_up_to(field, x))
+                 for norm, p, f in _records_up_to(field, x).tolist())
 
 
 def theta_K(field: FieldDescriptor, x: float) -> float:
@@ -388,4 +463,4 @@ def theta_K(field: FieldDescriptor, x: float) -> float:
         raise ValueError("theta_K requires x >= 0")
     if x < 2:
         return 0.0
-    return fsum(math.log(norm) for norm, _, _ in _records_up_to(field, x))
+    return fsum(map(math.log, _records_up_to(field, x)[:, 0].tolist()))

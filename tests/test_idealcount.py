@@ -255,8 +255,10 @@ def segment_log_sums(row, grid):
 class TestGridSums:
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
-        # an odd chunk length puts chunk edges inside and between segments
+        # odd chunk and slice lengths put chunk edges and the slice edges of
+        # the log sums inside and between segments
         monkeypatch.setattr(idealcount, "_CHUNK", 4099)
+        monkeypatch.setattr(idealcount, "_SLICE", 1031)
 
     def test_corpus_at_1e5(self, corpus):
         grid = geometric_grid(4, 20)

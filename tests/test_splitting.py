@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,14 +27,20 @@ from nfmertens.splitting import (
     theta_K,
 )
 from nfmertens.splitting import (
-    _ensure_pairs,
+    _INITIAL_PATTERNS,
+    _euler_square,
     _frobenius_pairs,
+    _ideal_records,
+    _int_mod,
     _pattern_mod_p,
     _records_up_to,
+    _splitting_table,
+    _tabulate,
     field_context,
 )
 
 BATCHED_FIELDS = ("cbrt2", "cyclic-cubic-49", "cyclotomic5")
+TOP_PRIME = 99_999_989  # the largest prime below the dense-sieve cap
 
 
 def naive_primes(n):
@@ -102,9 +109,10 @@ class TestSplittingType:
             except IndexPrimeUnsupported:
                 assert name == "non-monogenic-cubic"
                 continue
-            table = field_context(field).pairs_by_p
-            for p in primes:
-                pairs = table[p]
+            table, codes, patterns = _splitting_table(field, 10 ** 5)
+            assert table.tolist() == primes, name
+            for p, code in zip(primes, codes.tolist()):
+                pairs = patterns[code]
                 assert sum(e * f for e, f in pairs) == field.degree, (name, p)
                 for k in range(1, field.degree + 1):
                     assert sum(1 for _, f in pairs if f == k) \
@@ -130,10 +138,10 @@ class TestSplittingType:
             raised.append((str(err.value), err.value.p))
         assert raised[0] == raised[1]
         assert raised[0][1] == 2
-        # the exact pipeline ran first: no batched prime was tabled
+        # the exact pipeline ran first: no prime was tabled
         ctx = field_context(field)
-        assert ctx.pairs_pmax == 0
-        assert 3 not in ctx.pairs_by_p
+        assert ctx.table_xmax == 0
+        assert len(ctx.primes) == len(ctx.codes) == 0
 
 
 def exact_pattern(coeffs, p):
@@ -146,23 +154,23 @@ def exact_pattern(coeffs, p):
 
 class TestBatchedFrobenius:
     def test_table_agrees_with_pipeline_to_1e5(self, corpus):
-        primes = rational_primes(10 ** 5).tolist()
         for name in BATCHED_FIELDS:
             field = corpus[name]
-            table = _ensure_pairs(field, primes)
-            for p in primes:
-                assert table[p] == _pattern_mod_p(field, p), (name, p)
+            primes, codes, patterns = _splitting_table(field, 10 ** 5)
+            assert len(primes) == 9592
+            for p, code in zip(primes.tolist(), codes.tolist()):
+                assert patterns[code] == _pattern_mod_p(field, p), (name, p)
 
     def test_top_prime_below_cap(self, corpus):
-        p = 99_999_989
+        p = TOP_PRIME
         assert p == sympy.prevprime(DENSE_SIEVE_CAP) and FROBENIUS_P_MAX == DENSE_SIEVE_CAP
         for name in BATCHED_FIELDS:
             field = corpus[name]
             coeffs = field.defining_poly.coeffs
             disc = poly_discriminant(field.defining_poly)
             assert disc % p
-            assert _frobenius_pairs(coeffs, disc, np.array([p])) \
-                == [_pattern_mod_p(field, p)], name
+            [code] = _frobenius_pairs(coeffs, disc, np.array([p]))
+            assert _INITIAL_PATTERNS[field.degree][code] == _pattern_mod_p(field, p), name
 
     @given(st.integers(min_value=3, max_value=4).flatmap(
                lambda n: st.lists(st.integers(-10 ** 12, 10 ** 12),
@@ -178,8 +186,101 @@ class TestBatchedFrobenius:
         disc = poly_discriminant(IntPoly.of(coeffs))
         primes = sorted({p for p in primes if disc % p})
         assume(primes)
-        assert _frobenius_pairs(coeffs, disc, np.array(primes, dtype=np.int64)) \
+        codes = _frobenius_pairs(coeffs, disc, np.array(primes, dtype=np.int64))
+        assert [_INITIAL_PATTERNS[len(low)][c] for c in codes.tolist()] \
             == [exact_pattern(coeffs, p) for p in primes]
+
+
+def kronecker_pattern(disc, p):
+    """Splitting of p in the quadratic field of discriminant disc, read from
+    the scalar Kronecker symbol."""
+    return {1: ((1, 1), (1, 1)), -1: ((1, 2),), 0: ((2, 1),)}[kronecker(disc, p)]
+
+
+def tabulate_quadratic(disc, primes):
+    """The table's patterns for primes in the quadratic field of discriminant
+    disc, without a descriptor or a context."""
+    ctx = SimpleNamespace(patterns=list(_INITIAL_PATTERNS[2]))
+    codes = _tabulate(SimpleNamespace(degree=2, discriminant=disc), ctx,
+                      np.array(primes, dtype=np.int64))
+    return [ctx.patterns[c] for c in codes.tolist()]
+
+
+class TestBatchedQuadratic:
+    def test_character_matches_kronecker_to_1e5(self, corpus):
+        quadratics = [f for f in corpus.values() if f.degree == 2]
+        assert len(quadratics) == 7
+        for field in quadratics:
+            primes, codes, patterns = _splitting_table(field, 10 ** 5)
+            assert len(primes) == 9592
+            for p, code in zip(primes.tolist(), codes.tolist()):
+                assert patterns[code] == kronecker_pattern(field.discriminant, p), \
+                    (field.discriminant, p)
+
+    def test_euler_criterion_is_the_character(self, corpus):
+        primes = rational_primes(10 ** 5)[1:]
+        for disc in (-4, 5, -163, 12, -3 * 2 ** 70, 2 ** 64 + 1):
+            odd = primes[_int_mod(disc, primes) != 0]
+            assert _euler_square(_int_mod(disc, odd), odd).tolist() \
+                == [kronecker(disc, p) == 1 for p in odd.tolist()], disc
+
+    def test_top_prime_below_cap(self, corpus):
+        for field in corpus.values():
+            if field.degree == 2:
+                assert tabulate_quadratic(field.discriminant, [TOP_PRIME]) \
+                    == [kronecker_pattern(field.discriminant, TOP_PRIME)]
+
+    @given(st.lists(st.integers(min_value=10 ** 5, max_value=10 ** 7).map(sympy.nextprime),
+                    min_size=4, max_size=6, unique=True),
+           st.sampled_from((1, -1)),
+           st.lists(st.integers(min_value=2, max_value=DENSE_SIEVE_CAP - 12)
+                    .map(sympy.nextprime), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    @example([100_003, 100_019, 100_043, 100_049], -1, [3, 99_999_989])
+    def test_discriminants_beyond_int64(self, factors, sign, primes):
+        # a product of distinct odd primes is squarefree, so m (m = 1 mod 4)
+        # or 4m (m = 3 mod 4) is a fundamental discriminant
+        m = sign * math.prod(factors)
+        disc = m if m % 4 == 1 else 4 * m
+        assert abs(disc) >= 2 ** 63
+        # 2 and the factors of m take the scalar route
+        primes = sorted({2, *factors, *primes})
+        assert tabulate_quadratic(disc, primes) == [kronecker_pattern(disc, p) for p in primes]
+
+
+class TestRecordArray:
+    def test_matches_splitting_type_at_1e5(self, corpus):
+        x = 10 ** 5
+        primes = rational_primes(x).tolist()
+        for name, field in corpus.items():
+            if name == "non-monogenic-cubic":
+                continue
+            expected = sorted([p ** f, p, f] for p in primes
+                              for _, f in splitting_type(field, p).pairs if p ** f <= x)
+            records = _records_up_to(field, x)
+            assert records.dtype == np.int64 and records.shape == (len(expected), 3)
+            assert records.tolist() == expected, name
+            assert _records_up_to(field, 1000).tolist() == \
+                [r for r in expected if r[0] <= 1000], name
+
+    def test_prime_powers_near_the_cap(self):
+        # int64 powers of primes near 1e8 wrap, 99,999,989^6 to a negative
+        # number, so only p <= x^(1/f) may be raised to the power f
+        assert (np.array([TOP_PRIME]) ** 6)[0] < 0
+        top = [TOP_PRIME]
+        while len(top) < 12:
+            top.insert(0, sympy.prevprime(top[0]))
+        primes = rational_primes(50).tolist() + top
+        patterns = [((1, 5),), ((1, 6),), ((1, 7),), ((1, 8),), ((1, 1), (1, 5))]
+        codes = [i % len(patterns) for i in range(len(primes))]
+        every = sorted([p ** f, p, f] for p, c in zip(primes, codes)
+                       for _, f in patterns[c])
+        in_range = [n for n, _, _ in every if n <= DENSE_SIEVE_CAP]
+        assert max(in_range) > 10 ** 7
+        for xi in sorted({DENSE_SIEVE_CAP, *in_range, *(n - 1 for n in in_range)}):
+            records = _ideal_records(np.array(primes, dtype=np.int64),
+                                     np.array(codes), patterns, xi)
+            assert records.tolist() == [r for r in every if r[0] <= xi], xi
 
 
 class TestPrimeIdeals:
@@ -244,7 +345,7 @@ class TestFieldContext:
         prime_ideals_up_to(field, 1000)
         ideal_count_sieve(field, 1000)
         ctx = weakref.ref(field_context(field))
-        assert ctx().records and ctx().row is not None
+        assert len(ctx().records) and len(ctx().primes) and ctx().row is not None
         del field
         gc.collect()
         assert ctx() is None
