@@ -83,6 +83,17 @@ class TestVerifyCommand:
         _, _, rows = read_csv(out)
         assert rows[0][5] == "FAIL"  # failures listed first
 
+    def test_truncation_below_grid_top_passes(self, tmp_path):
+        # B_K is measured against M_K truncated at 1000, so the third-quantity
+        # bound has to allow for the truncation tail above that point
+        out = tmp_path / "verify.csv"
+        code = main(["verify", "--field", GAUSS, "--xmax", "1e5", "--grid", "4:20",
+                     "--truncation-x", "1000", "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_csv(out)
+        third = [r for r in rows if r[0] == "third_mertens_error"]
+        assert len(third) == 17 and all(r[5] == "pass" for r in third)
+
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "verify.csv"
         args = ["verify", "--field", GAUSS, "--grid", "4:8", "--xmax", "100",

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from nfmertens.field import Residue, kappa_exact
+from nfmertens.mertens import mertens_constant, mertens_table
 from nfmertens.verify import verify_all
 
 
@@ -70,6 +73,23 @@ class TestVerifyAll:
             verify_all(gauss, [100.0, 10.0], kappa_exact(gauss))
         with pytest.raises(ValueError):
             verify_all(gauss, [1.0, 10.0], kappa_exact(gauss))
+
+    def test_third_bound_allows_for_truncation_tail(self, gauss):
+        kappa = kappa_exact(gauss)
+        grid = [10.0, 1000.0, 10 ** 5]
+        report = verify_all(gauss, grid, kappa, truncation_x=1000)
+        mconst = mertens_constant(gauss, 1000, kappa)
+        third = sorted((c for c in report.checks if c.name == "third_mertens_error"),
+                       key=lambda c: c.x)
+        assert [c.x for c in third] == grid
+        rows = mertens_table(gauss, grid, mconst, kappa)
+        for check, row in zip(third, rows):
+            e = row.E_K_bound + mconst.tail_halfwidth
+            assert check.bound == e * math.exp(e)
+            assert check.passed
+        # without the tail the bound fails at the top point
+        top = rows[-1]
+        assert abs(top.C_K) > top.E_K_bound * math.exp(top.E_K_bound)
 
     def test_stark_skipped_when_flags_unknown(self, gauss):
         from nfmertens.field import load_field
