@@ -423,8 +423,8 @@ def _ideal_records(primes: np.ndarray, codes: np.ndarray, patterns: list,
     parts = [np.empty((0, 3), dtype=np.int64)]
     for f in sorted({f for pairs in patterns for _, f in pairs}):
         per_prime = np.array([sum(g == f for _, g in pairs) for pairs in patterns])
-        # only primes p <= xi^(1/f) are raised to the power f, so each norm
-        # p^f <= xi, which the int64 prime table bounds below 2^63
+        # only primes p <= xi^(1/f) are raised to the power f, so each int64
+        # norm p^f <= xi, the end of a sieved prime table, far below 2^63
         k = np.searchsorted(primes, _iroot(xi, f), "right")
         p = np.repeat(primes[:k], per_prime[codes[:k]])
         parts.append(np.column_stack((p ** f, p, np.full_like(p, f))))

@@ -29,10 +29,8 @@ from nfmertens.splitting import (
 )
 from nfmertens.splitting import (
     _INITIAL_PATTERNS,
-    _euler_square,
     _frobenius_pairs,
     _ideal_records,
-    _int_mod,
     _pattern_mod_p,
     _records_up_to,
     _splitting_table,
@@ -222,13 +220,6 @@ class TestBatchedQuadratic:
             for p, code in zip(primes.tolist(), codes.tolist()):
                 assert patterns[code] == kronecker_pattern(field.discriminant, p), \
                     (field.discriminant, p)
-
-    def test_euler_criterion_is_the_character(self, corpus):
-        primes = rational_primes(10 ** 5)[1:]
-        for disc in (-4, 5, -163, 12, -3 * 2 ** 70, 2 ** 64 + 1):
-            odd = primes[_int_mod(disc, primes) != 0]
-            assert _euler_square(_int_mod(disc, odd), odd).tolist() \
-                == [kronecker(disc, p) == 1 for p in odd.tolist()], disc
 
     def test_top_prime_below_cap(self, corpus):
         for field in corpus.values():
