@@ -23,14 +23,15 @@ so a prime dividing the index is a hard error, never a guess. The scalar
 routes are also the batched passes' test oracles.
 
 What is computed for a field lives in one FieldContext, reached through
-field_context(), as numpy arrays: the splitting table (the primes, a small
+field_context(): the splitting table as numpy arrays (the primes, a small
 code per prime, and the few distinct patterns the codes index), the
-prime-ideal stream (a (k, 3) int64 array of (norm, p, f) rows ordered by
-(norm, p)) and the dense I(n) row. It grows as larger cutoffs are asked for
+prime-ideal stream as a (k, 3) int64 array of (norm, p, f) rows ordered by
+(norm, p), and the dense I(n) row. It grows as larger cutoffs are asked for
 and is freed with the field's descriptor. Log-norm sums are accumulated
 with exact (Shewchuk) summation, keeping 12+ significant digits over
 millions of terms and making results independent of segmentation.
 """
+
 from __future__ import annotations
 
 import math
@@ -348,13 +349,6 @@ def _batchable(primes: np.ndarray, disc: int) -> np.ndarray:
     return (primes != 2) & (primes <= FROBENIUS_P_MAX) & (_int_mod(disc, primes) != 0)
 
 
-def _code(patterns: list, pairs: tuple[tuple[int, int], ...]) -> int:
-    """Index of pairs in patterns, appended if new."""
-    if pairs not in patterns:
-        patterns.append(pairs)
-    return patterns.index(pairs)
-
-
 def _tabulate(field: FieldDescriptor, ctx: FieldContext,
               primes: np.ndarray) -> np.ndarray:
     """Code in ctx.patterns of the splitting pattern of each prime in primes.
@@ -377,7 +371,10 @@ def _tabulate(field: FieldDescriptor, ctx: FieldContext,
     # the exact pipeline runs first, so an index prime raises before any
     # batched work
     for i in np.flatnonzero(~sel).tolist():
-        codes[i] = _code(ctx.patterns, _pairs_for(field, int(primes[i])))
+        pairs = _pairs_for(field, int(primes[i]))
+        if pairs not in ctx.patterns:
+            ctx.patterns.append(pairs)
+        codes[i] = ctx.patterns.index(pairs)
     for lo in starts:
         block_sel = sel[lo:lo + FROBENIUS_BLOCK]
         if not block_sel.any():
