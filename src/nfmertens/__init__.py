@@ -9,7 +9,6 @@ from .bounds import (
     StarkBound,
     lambda_K,
     louboutin_upper,
-    multipart_bound,
     stark_lower,
     sunley_constants,
     upsilon_K,
@@ -26,11 +25,9 @@ from .field import (
     load_field,
 )
 from .idealcount import (
-    LocalCountTable,
     SummatoryPoint,
     ideal_count_sieve,
     kappa_estimate,
-    local_counts,
     summatory,
     t_K,
 )
@@ -44,7 +41,6 @@ from .mertens import (
 )
 from .polyfield import (
     IntPoly,
-    ModPoly,
     dedekind_index_test,
     factor_mod_p,
     poly_discriminant,
@@ -62,15 +58,13 @@ from .verify import verify_all
 
 __all__ = [
     "BoundsReport", "CheckResult", "ClassData", "FieldDescriptor", "IntPoly",
-    "LocalCountTable", "LogMagnitude", "MertensConstant", "MertensRow",
-    "ModPoly", "PrimeIdealRecord", "Residue", "SplittingType", "StarkBound",
-    "StructureFlags", "SummatoryPoint", "dedekind_index_test",
-    "descriptor_text", "factor_mod_p", "geometric_grid", "ideal_count_sieve",
-    "kappa_estimate", "kappa_exact", "kronecker", "lambda_K", "load_field",
-    "local_counts", "louboutin_upper", "mertens_constant", "mertens_table",
-    "multipart_bound",
-    "poly_discriminant", "prime_ideals_up_to", "prime_power_sum",
-    "rational_primes", "splitting_type", "stark_lower", "summatory",
-    "sunley_constants", "t_K", "theta_K", "upsilon_K", "verify_all", "xi_K",
-    "zimmert_lower",
+    "LogMagnitude", "MertensConstant", "MertensRow", "PrimeIdealRecord",
+    "Residue", "SplittingType", "StarkBound", "StructureFlags",
+    "SummatoryPoint", "dedekind_index_test", "descriptor_text", "factor_mod_p",
+    "geometric_grid", "ideal_count_sieve", "kappa_estimate", "kappa_exact",
+    "kronecker", "lambda_K", "load_field", "louboutin_upper",
+    "mertens_constant", "mertens_table", "poly_discriminant",
+    "prime_ideals_up_to", "prime_power_sum", "rational_primes",
+    "splitting_type", "stark_lower", "summatory", "sunley_constants", "t_K",
+    "theta_K", "upsilon_K", "verify_all", "xi_K", "zimmert_lower",
 ]

@@ -258,15 +258,3 @@ def multipart_case(n: int, j: int) -> tuple[str, float]:
         return "log", alpha
     return "decay", alpha
 
-
-def multipart_bound(n: int, j: int, x: float) -> float:
-    """Case-matched bound for x^(1-2/(n+1)) * sum over prime ideals of
-    log(norm)/norm^(j(1-2/(n+1)))."""
-    if j < 1 or n < 2 or x < 2:
-        raise DomainError("multipart_bound requires j >= 1, n >= 2, x >= 2")
-    case, _ = multipart_case(n, j)
-    if case == "linear":
-        return 0.55 * n * (n + 1) * x
-    if case == "log":
-        return n * x ** (1 - 2 / (n + 1)) * math.log(x)
-    return 13.2 * n * x ** (1 - 2 / (n + 1)) / 2 ** (j / 3)

@@ -15,8 +15,8 @@ must be a perfect square).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field as dataclass_field
+from typing import TYPE_CHECKING, Optional
 
 from .errors import (
     InvariantViolation,
@@ -31,6 +31,9 @@ from .polyfield import (
     is_prime,
     poly_discriminant,
 )
+
+if TYPE_CHECKING:
+    from .splitting import FieldContext
 
 PROVENANCE_EXACT = "exact-class-number-formula"
 PROVENANCE_ESTIMATED = "estimated-from-ideal-count"
@@ -80,6 +83,10 @@ class FieldDescriptor:
     discriminant: int
     class_data: Optional[ClassData]
     flags: StructureFlags
+    # the splitting.FieldContext of this descriptor, set on first use by
+    # field_context()
+    context: Optional[FieldContext] = dataclass_field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def abs_discriminant(self) -> int:

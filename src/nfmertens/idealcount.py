@@ -38,7 +38,6 @@ from .bounds import lambda_K
 from .errors import DenseSieveCapExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
 from .splitting import (
-    SplittingType,
     _records_up_to,
     _splitting_table,
     field_context,
@@ -49,14 +48,6 @@ _CHUNK = 1 << 22
 # float terms fed to fsum at a time: the list of Python floats stays
 # cache-sized instead of holding a whole chunk
 _SLICE = 1 << 16
-
-
-@dataclass(frozen=True)
-class LocalCountTable:
-    """c[k] = number of ideals of norm p^k."""
-
-    p: int
-    counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -74,14 +65,6 @@ def _counts_from_degrees(fs: Sequence[int], m: int) -> list[int]:
         for k in range(f, m + 1):
             counts[k] += counts[k - f]
     return counts
-
-
-def local_counts(split: SplittingType, m: int) -> LocalCountTable:
-    """Coefficients of prod_i (1 - t^{f_i})^(-1) up to degree m."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return LocalCountTable(p=split.p,
-                           counts=tuple(_counts_from_degrees(split.inertia_degrees(), m)))
 
 
 def _max_divisor_count(x: int, k: int) -> int:

@@ -2,8 +2,9 @@
 
 Integer polynomials are immutable coefficient tuples, lowest degree first,
 with arbitrary-precision coefficients throughout (discriminants overflow 64
-bits even for modest cubics). Mod-p polynomials carry their modulus and keep
-every coefficient reduced.
+bits even for modest cubics). Polynomials over F_p are plain trimmed
+coefficient tuples with every coefficient in [0, p); the modulus is passed
+alongside.
 
 Factorization over F_p runs the classical pipeline: squarefree decomposition,
 then distinct-degree splitting, then equal-degree splitting with a
@@ -90,23 +91,6 @@ class IntPoly:
             v = v * x + c
         return v
 
-    def reduce_mod(self, p: int) -> "ModPoly":
-        return ModPoly(p, _trim(c % p for c in self.coeffs))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                terms.append(xs if c == 1 else f"-{xs}" if c == -1 else f"{c}*{xs}")
-        return " + ".join(reversed(terms)).replace("+ -", "- ")
-
 
 def _sylvester_resultant(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Resultant of two integer polynomials via Bareiss elimination."""
@@ -155,8 +139,8 @@ def poly_discriminant(f: IntPoly) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p: raw-tuple kernels (hot path) plus the ModPoly wrapper.
-# All kernels take and return trimmed coefficient tuples.
+# Polynomials over F_p: every kernel takes and returns trimmed coefficient
+# tuples.
 
 
 def _padd(a, b, p):
@@ -306,8 +290,8 @@ def _distinct_degree_parts(g, p):
     return parts
 
 
-def _content_seed(p: int, coeffs: tuple[int, ...], seed: int) -> int:
-    h = 0x9E3779B97F4A7C15 ^ (seed & 0xFFFFFFFFFFFFFFFF)
+def _content_seed(p: int, coeffs: tuple[int, ...]) -> int:
+    h = 0x9E3779B97F4A7C15
     for v in (p, len(coeffs), *coeffs):
         h = (h ^ (v & 0xFFFFFFFFFFFFFFFF)) * 0x100000001B3 % (1 << 64)
     return h
@@ -340,86 +324,32 @@ def _equal_degree_split(g, d, p, rng):
             return _equal_degree_split(cand, d, p, rng) + _equal_degree_split(rest, d, p, rng)
 
 
-@dataclass(frozen=True)
-class ModPoly:
-    """Polynomial over F_p; coeffs[k] in [0, p) multiplies x^k."""
+def factor_mod_p(p: int, coeffs) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Factor the polynomial with these integer coefficients (lowest degree
+    first), reduced mod p, into monic irreducibles over F_p with
+    multiplicities.
 
-    p: int
-    coeffs: tuple[int, ...]
-
-    @staticmethod
-    def of(p: int, coeffs) -> "ModPoly":
-        return ModPoly(p, _trim(int(c) % p for c in coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _wrap(self, coeffs) -> "ModPoly":
-        return ModPoly(self.p, coeffs)
-
-    def __add__(self, other: "ModPoly") -> "ModPoly":
-        return self._wrap(_padd(self.coeffs, other.coeffs, self.p))
-
-    def __sub__(self, other: "ModPoly") -> "ModPoly":
-        return self._wrap(_psub(self.coeffs, other.coeffs, self.p))
-
-    def __mul__(self, other: "ModPoly") -> "ModPoly":
-        return self._wrap(_pmul(self.coeffs, other.coeffs, self.p))
-
-    def __divmod__(self, other: "ModPoly"):
-        q, r = _pdivmod(self.coeffs, other.coeffs, self.p)
-        return self._wrap(q), self._wrap(r)
-
-    def __floordiv__(self, other: "ModPoly") -> "ModPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "ModPoly") -> "ModPoly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "ModPoly":
-        return self._wrap(_pmonic(self.coeffs, self.p))
-
-    def gcd(self, other: "ModPoly") -> "ModPoly":
-        return self._wrap(_pgcd(self.coeffs, other.coeffs, self.p))
-
-    def pow_mod(self, e: int, modulus: "ModPoly") -> "ModPoly":
-        return self._wrap(_ppowmod(self.coeffs, e, modulus.coeffs, self.p))
-
-    def lift(self) -> IntPoly:
-        return IntPoly(self.coeffs)
-
-    def __str__(self) -> str:
-        return f"{IntPoly(self.coeffs)} (mod {self.p})"
-
-
-def factor_mod_p(f: ModPoly, seed: int = 0) -> tuple[tuple[ModPoly, int], ...]:
-    """Factor f into monic irreducibles over F_p with multiplicities.
-
-    The product of the factors, raised to their multiplicities and scaled by
-    the leading coefficient of f, reconstructs f exactly. Output order is
-    canonical: by degree, then lexicographic on the coefficient tuple. The
-    equal-degree stage draws from a generator seeded by (p, f, seed), so
+    Each factor is a trimmed coefficient tuple. The product of the factors,
+    raised to their multiplicities and scaled by the leading coefficient,
+    reconstructs the reduced polynomial exactly. Output order is canonical:
+    by degree, then lexicographic on the coefficient tuple. The equal-degree
+    stage draws from a generator seeded by the reduced polynomial, so
     repeated calls are reproducible.
     """
-    p = f.p
     if not is_prime(p):
         raise CompositeModulus(f"modulus {p} is not prime")
-    if f.is_zero:
+    f = _trim(int(c) % p for c in coeffs)
+    if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    if f.degree == 0:
+    if len(f) == 1:
         return ()
-    rng = random.Random(_content_seed(p, f.coeffs, seed))
+    rng = random.Random(_content_seed(p, f))
     out = []
-    for g, mult in _squarefree_parts(f.coeffs, p):
+    for g, mult in _squarefree_parts(f, p):
         for prod, d in _distinct_degree_parts(g, p):
             for irr in _equal_degree_split(prod, d, p, rng):
-                out.append((ModPoly(p, irr), mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+                out.append((irr, mult))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return tuple(out)
 
 
@@ -463,7 +393,6 @@ def dedekind_index_test(f: IntPoly, p: int) -> bool:
         raise CompositeModulus(f"modulus {p} is not prime")
     if not f.is_monic:
         raise ValueError("Dedekind criterion requires a monic polynomial")
-    fbar = f.reduce_mod(p)
-    if fbar.degree != f.degree:
-        raise ValueError("leading coefficient vanished mod p")
-    return _dedekind_from_parts(f, p, _squarefree_parts(fbar.coeffs, p))
+    # f is monic, so f mod p keeps its degree
+    fbar = tuple(c % p for c in f.coeffs)
+    return _dedekind_from_parts(f, p, _squarefree_parts(fbar, p))

@@ -26,8 +26,9 @@ What is computed for a field lives in one FieldContext, reached through
 field_context(): the splitting table as numpy arrays (the primes, a small
 code per prime, and the few distinct patterns the codes index), the
 prime-ideal stream as a (k, 3) int64 array of (norm, p, f) rows ordered by
-(norm, p), and the dense I(n) row. It grows as larger cutoffs are asked for
-and is freed with the field's descriptor. Log-norm sums are accumulated
+(norm, p), and the dense I(n) row. Each descriptor holds its own context,
+grown as larger cutoffs are asked for and freed with the descriptor; equal
+descriptors do not share one. Log-norm sums are accumulated
 with exact (Shewchuk) summation, keeping 12+ significant digits over
 millions of terms and making results independent of segmentation.
 """
@@ -35,7 +36,6 @@ millions of terms and making results independent of segmentation.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from itertools import product
 from math import fsum
@@ -138,9 +138,6 @@ class SplittingType:
 
     p: int
     pairs: tuple[tuple[int, int], ...]
-
-    def inertia_degrees(self) -> tuple[int, ...]:
-        return tuple(f for _, f in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -307,7 +304,7 @@ class FieldContext:
     I(n) row (built by idealcount)."""
 
     __slots__ = ("disc_poly", "primes", "codes", "patterns", "table_xmax",
-                 "records", "records_xmax", "row", "owner", "__weakref__")
+                 "records", "records_xmax", "row", "__weakref__")
 
     def __init__(self, field: FieldDescriptor):
         self.disc_poly = poly_discriminant(field.defining_poly)
@@ -321,26 +318,15 @@ class FieldContext:
         self.records = np.empty((0, 3), dtype=np.int64)  # rows (norm, p, f)
         self.records_xmax = 0
         self.row = None  # r[n] = I(n) for n < len(r): int64 array or list
-        self.owner = weakref.ref(field)  # the descriptor it is registered under
-
-
-_CONTEXTS: weakref.WeakKeyDictionary[FieldDescriptor, FieldContext] = \
-    weakref.WeakKeyDictionary()
 
 
 def field_context(field: FieldDescriptor) -> FieldContext:
-    """The context of field, shared by every descriptor equal to it.
-
-    The registry holds descriptors weakly. A descriptor that reaches a
-    context registered under an equal one keeps that one alive, so the
-    context is freed only with the last of them.
-    """
-    ctx = _CONTEXTS.get(field)
-    if ctx is None:
-        ctx = _CONTEXTS[field] = FieldContext(field)
-    elif ctx.owner() is not field:
-        object.__setattr__(field, "_context_owner", ctx.owner())
-    return ctx
+    """The context of this descriptor, made on first use and kept in its
+    context attribute, so it is freed with the descriptor. Equal descriptors
+    each have their own."""
+    if field.context is None:
+        object.__setattr__(field, "context", FieldContext(field))
+    return field.context
 
 
 def _batchable(primes: np.ndarray, disc: int) -> np.ndarray:

@@ -10,7 +10,6 @@ from nfmertens.bounds import (
     lambda_K,
     log_sum_exp,
     louboutin_upper,
-    multipart_bound,
     multipart_case,
     stark_lower,
     sunley_constants,
@@ -231,21 +230,6 @@ class TestStark:
 
 
 class TestMultipart:
-    def test_linear_case(self):
-        assert multipart_bound(2, 1, 100) == pytest.approx(330.0, rel=1e-14)
-
-    def test_log_case(self):
-        assert multipart_bound(3, 2, 100) == pytest.approx(
-            3 * 10 * math.log(100), rel=1e-14)
-        assert multipart_bound(3, 2, 100) == pytest.approx(138.15510557964274,
-                                                           rel=1e-13)
-
-    def test_decay_case(self):
-        assert multipart_bound(4, 2, 100) == pytest.approx(
-            13.2 * 4 * 100 ** 0.6 / 2 ** (2 / 3), rel=1e-14)
-        assert multipart_bound(4, 2, 100) == pytest.approx(527.1658378844467,
-                                                           rel=1e-13)
-
     def test_case_table_full_extent(self):
         for j in range(1, 8):
             for n in range(2, 15):

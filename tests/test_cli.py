@@ -1,11 +1,10 @@
 import csv
 import json
-import weakref
 from pathlib import Path
 
 import pytest
 
-from nfmertens import idealcount, splitting
+from nfmertens import idealcount
 from nfmertens.cli import _f15, main, parse_grid
 from nfmertens.errors import NfMertensError
 from nfmertens.field import kappa_exact, load_field
@@ -191,8 +190,6 @@ class TestSieveCommand:
         assert int(rows[0][1]) == 9
 
     def test_summatory_builds_row_once(self, tmp_path, monkeypatch):
-        # a fresh registry, so no other test's gaussian row is reused
-        monkeypatch.setattr(splitting, "_CONTEXTS", weakref.WeakKeyDictionary())
         builds = []
         build = idealcount._dense_row_numpy
         monkeypatch.setattr(idealcount, "_dense_row_numpy",

@@ -11,7 +11,7 @@ from sympy import kronecker_symbol
 
 from nfmertens import splitting
 from nfmertens.errors import CompositeModulus, IndexPrimeUnsupported
-from nfmertens.field import load_field
+from nfmertens.field import descriptor_text, load_field
 from nfmertens.idealcount import DENSE_SIEVE_CAP, ideal_count_sieve
 from nfmertens.polyfield import (
     IntPoly,
@@ -122,7 +122,7 @@ class TestSplittingType:
         # x^2 + 4 defines the Gaussian field through a non-maximal order;
         # the quadratic route uses the fundamental discriminant, so the
         # splitting at 2 is still exact
-        from nfmertens.field import load_field
+        from nfmertens.field import descriptor_text, load_field
         fd = load_field("poly = [4, 0, 1]\n")
         assert fd.discriminant == -4
         assert splitting_type(fd, 2).pairs == ((2, 1),)
@@ -336,7 +336,6 @@ class TestThetaK:
 
 
 class TestFieldContext:
-    # no other test keeps a descriptor equal to this one alive
     TEXT = "poly = [-1, 3, 1]\n"
 
     def test_freed_with_descriptor(self):
@@ -349,16 +348,16 @@ class TestFieldContext:
         gc.collect()
         assert ctx() is None
 
-    def test_equal_descriptors_share_while_either_lives(self):
-        first, second = load_field(self.TEXT), load_field(self.TEXT)
-        assert first is not second and first == second
-        ctx = weakref.ref(field_context(first))
-        assert field_context(second) is ctx()
-        del first  # the descriptor the context was registered under
-        gc.collect()
-        assert ctx() is not None
-        assert field_context(second) is ctx()
-        assert field_context(load_field(self.TEXT)) is ctx()
-        del second
-        gc.collect()
-        assert ctx() is None
+    def test_context_is_per_descriptor_and_not_compared(self):
+        used = load_field(self.TEXT)
+        ideal_count_sieve(used, 1000)
+        assert used.context is not None and used.context.row is not None
+        fresh = load_field(self.TEXT)
+        assert fresh.context is None
+        assert used == fresh and hash(used) == hash(fresh)
+        assert {used: "used"}[fresh] == "used"
+        assert load_field(descriptor_text(used)) == used
+        assert descriptor_text(used) == descriptor_text(fresh)
+        assert "context" not in repr(used)
+        assert field_context(used) is field_context(used) is used.context
+        assert field_context(fresh) is not field_context(used)
