@@ -13,12 +13,15 @@ vectorised step per cofactor m scales row[m*P] by c1(P) for all such P at
 once. The Python-int row, the fallback and the test oracle, goes prime power
 by prime power.
 
-The numpy row uses int64, guarded by an a-priori bound: each local count at
-p^k is at most C(k + deg - 1, deg - 1), so every partial product is at most
+The numpy row's dtype comes from an a-priori bound: each local count at p^k
+is at most C(k + deg - 1, deg - 1), so every partial product is at most
 d_deg(n), the deg-fold divisor function, whose maximum below x is computed
-exactly. When it could overflow 62 bits the sieve escalates to
-arbitrary-precision Python integers. The dense row is capped at x = 1e8 and
-kept in the field's context.
+exactly. The row takes the narrowest of uint16, uint32 and int64 that holds
+that maximum; at the 1e8 cap that is uint16 for quadratics and cubics (at
+most 58,320) and uint32 up to degree 7. When the maximum reaches 2^62 the
+sieve escalates to arbitrary-precision Python integers. The dense row is
+capped at x = 1e8 and kept in the field's context; ideal_count_sieve hands
+callers int64 whatever the row's dtype.
 
 Sums over the row take one ascending pass over a grid of cutoffs (row_sums,
 row_log_sums); the single-point functions are one-point grids.
@@ -107,8 +110,21 @@ def _local_factors(primes: np.ndarray, codes: np.ndarray, patterns,
                 yield p, q, c
 
 
-def _dense_row_numpy(field: FieldDescriptor, n_max: int) -> np.ndarray:
-    row = np.ones(n_max + 1, dtype=np.int64)
+def _row_dtype(bound: int):
+    """The narrowest of uint16, uint32 and int64 that holds every value in
+    [0, bound], or None when the int64 guard (bound < 2^62) fails and only
+    Python ints are safe."""
+    for dtype in (np.uint16, np.uint32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64 if bound < 2 ** 62 else None
+
+
+def _dense_row_numpy(field: FieldDescriptor, n_max: int,
+                     dtype=np.int64) -> np.ndarray:
+    """The row in dtype, which must hold every partial product of I(n) for
+    n <= n_max (the _max_divisor_count bound)."""
+    row = np.ones(n_max + 1, dtype=dtype)
     row[0] = 0
     primes, codes, patterns = _splitting_table(field, n_max)
     split = np.searchsorted(primes, math.isqrt(n_max), "right")
@@ -119,13 +135,15 @@ def _dense_row_numpy(field: FieldDescriptor, n_max: int) -> np.ndarray:
         view = row[q:: q]
         for lo in range(0, m, _CHUNK):
             hi = min(lo + _CHUNK, m)
-            sel = np.arange(lo + 1, hi + 1) % p != 0
+            # view[i] = row[q * (i + 1)]: drop the cofactors i + 1 = 0 mod p
+            sel = np.ones(hi - lo, dtype=bool)
+            sel[(-(lo + 1)) % p:: p] = False
             view[lo:hi][sel] *= c
     # primes P > sqrt(n_max): P^2 > n_max, and each multiple m*P <= n_max has
     # a cofactor m < P prime to P, so its local factor is c1[P], the number of
     # ideals of norm P; one pass per cofactor m over all P <= n_max // m
     c1_by_pattern = np.array([sum(f == 1 for _, f in pairs) for pairs in patterns],
-                             dtype=np.int64)
+                             dtype=dtype)
     keep = (c1_by_pattern != 1)[codes[split:]]
     big_p, big_c = primes[split:][keep], c1_by_pattern[codes[split:][keep]]
     del primes, codes, keep
@@ -160,8 +178,9 @@ def _dense_row(field: FieldDescriptor, n_max: int) -> Union[np.ndarray, list[int
     ctx = field_context(field)
     if ctx.row is None or len(ctx.row) <= n_max:
         ctx.row = None  # free the shorter row before building the longer one
-        if _max_divisor_count(n_max, field.degree) < 2 ** 62:
-            ctx.row = _dense_row_numpy(field, n_max)
+        dtype = _row_dtype(_max_divisor_count(n_max, field.degree))
+        if dtype is not None:
+            ctx.row = _dense_row_numpy(field, n_max, dtype)
         else:
             ctx.row = _dense_row_python(field, n_max)
     return ctx.row
@@ -225,7 +244,11 @@ def ideal_count_sieve(field: FieldDescriptor, x: int) -> np.ndarray:
     if x < 1:
         raise ValueError("x must be >= 1")
     n = int(x)
-    return np.concatenate([c for _, c in _row_chunks(_dense_row(field, n), 1, n + 1)])
+    row = _dense_row(field, n)
+    if isinstance(row, list):
+        return np.array(row[1:n + 1], dtype=object)
+    # int64 whatever the row's dtype, so a caller's arithmetic cannot wrap
+    return row[1:n + 1].astype(np.int64)
 
 
 def _sunley_envelope(field: FieldDescriptor, x: float) -> Optional[float]:

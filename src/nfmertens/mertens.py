@@ -18,6 +18,7 @@ summation, so 15-digit report values are reproducible across platforms.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import fsum
 
@@ -125,14 +126,26 @@ def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,
     return tuple(rows)
 
 
+def prime_power_sums(xs, alpha: float) -> list[float]:
+    """Brute-force sum of log(p)/p^alpha over rational primes p <= x for each
+    x of the ascending xs, from one sieve up to xs[-1] and one list of terms."""
+    xs = list(xs)
+    if not xs or xs[0] < 2 or alpha < 0:
+        raise ValueError("prime_power_sum requires x >= 2 and alpha >= 0")
+    if any(b < a for a, b in zip(xs, xs[1:])):
+        raise ValueError("prime_power_sums requires ascending xs")
+    primes = rational_primes(xs[-1]).tolist()
+    if alpha == 0:
+        terms = [math.log(p) for p in primes]
+    else:
+        terms = [math.log(p) / p ** alpha for p in primes]
+    return [fsum(terms[:bisect_right(primes, x)]) for x in xs]
+
+
 def prime_power_sum(x: float, alpha: float) -> float:
     """Brute-force sum of log(p)/p^alpha over rational primes p <= x."""
-    if x < 2 or alpha < 0:
-        raise ValueError("prime_power_sum requires x >= 2 and alpha >= 0")
-    primes = rational_primes(x)
-    if alpha == 0:
-        return fsum(math.log(p) for p in primes.tolist())
-    return fsum(math.log(p) / p ** alpha for p in primes.tolist())
+    [value] = prime_power_sums([x], alpha)
+    return value
 
 
 def prime_power_sum_bound(x: float, alpha: float,

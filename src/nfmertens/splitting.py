@@ -8,19 +8,23 @@ Quadratic, cubic and quartic fields classify a whole range of primes in
 batched numpy passes over int64 columns, one column per prime, in blocks of
 FROBENIUS_BLOCK primes. A quadratic field reads the character (D / p) of its
 fundamental discriminant D at every odd p <= 1e8 not dividing D by Euler's
-criterion, D^((p-1)/2) mod p. A cubic or quartic field computes x^p mod f
-(and for quartics x^(p^2) mod f) at every odd p <= 1e8 not dividing disc(f),
-and Stickelberger's theorem, (disc f / p) = (-1)^(n - r) for the number r of
-irreducible factors of f mod p, settles what those powers leave open; no gcd
-is taken. Every kernel value lies in [0, p), so each step is one product
-plus one addend below 1e16 + 1e8 < 2^63; D and disc(f), which can exceed
-int64, are reduced mod p digit by digit. The primes dividing 2D of a
-quadratic field take the scalar Kronecker symbol. The prime 2 and primes
-dividing disc(f) of a cubic or quartic field, every field of degree >= 5,
-and single-prime queries past the table take the exact pipeline: the
-defining polynomial factored mod p, guarded by the Dedekind index criterion,
-so a prime dividing the index is a hard error, never a guess. The scalar
-routes are also the batched passes' test oracles.
+criterion, D^((p-1)/2) mod p, a plain square-and-multiply per column. A cubic
+or quartic field computes x^p mod f (and for quartics x^(p^2) mod f) at every
+odd p <= 1e8 not dividing disc(f), and Stickelberger's theorem,
+(disc f / p) = (-1)^(n - r) for the number r of irreducible factors of f mod
+p, settles what those powers leave open; no gcd is taken. The powers of x use
+delayed modular reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008):
+each exponent bit sums the products of every coefficient of the square
+unreduced, shifts the square up one place where the bit is set, and reduces
+only while folding degrees d..2d-1 back through a per-block table of x^k mod
+f, 2d reductions per bit; FROBENIUS_P_MAX states the int64 bound. D and
+disc(f), which can exceed int64, are reduced mod p digit by digit. The
+primes dividing 2D of a quadratic field take the scalar Kronecker symbol.
+The prime 2 and primes dividing disc(f) of a cubic or quartic field, every
+field of degree >= 5, and single-prime queries past the table take the exact
+pipeline: the defining polynomial factored mod p, guarded by the Dedekind
+index criterion, so a prime dividing the index is a hard error, never a
+guess. The scalar routes are also the batched passes' test oracles.
 
 What is computed for a field lives in one FieldContext, reached through
 field_context(): the splitting table as numpy arrays (the primes, a small
@@ -54,13 +58,19 @@ from .polyfield import (
 
 SIEVE_SEGMENT = 1 << 20
 
-# Primes per batched Frobenius block: each temporary is an int64 row of this
-# length (512 KB), so the pass holds a few MB whatever the range.
-FROBENIUS_BLOCK = 1 << 16
+# Primes per batched Frobenius block: the kernel's rows of this length are
+# 64 KB each, so a squaring's working set of a few dozen rows stays in a
+# core's L2 cache whatever the range.
+FROBENIUS_BLOCK = 1 << 13
 
-# Largest prime the batched kernel takes (the dense-sieve cap). Kernel values
-# lie in [0, p), so every step computes one product plus one addend, at most
-# (1e8 - 1)^2 + 1e8 < 1e16 + 1e8 < 2^63, before reducing mod p.
+# Largest prime the batched kernel takes (the dense-sieve cap). Kernel inputs
+# lie in [0, p). A coefficient of a square or product of two polynomials of
+# degree < d sums at most d products of (p - 1)^2 before any reduction; the
+# fold reduces degrees d..2d-1 and adds d more such products to each low
+# coefficient, so at most 2d products of (p - 1)^2 meet in one int64. For
+# d <= 4 that is 8 (1e8 - 1)^2 < 8e16 < 2^63. The one-dimensional Euler power
+# and the per-block fold table take one product plus one addend below p,
+# under 1e16 + 1e8.
 FROBENIUS_P_MAX = 10 ** 8
 
 _DIGIT_BITS = 24
@@ -177,40 +187,78 @@ def _int_mod(a: int, primes: np.ndarray) -> np.ndarray:
     return (-r) % primes if a < 0 else r
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, neg: np.ndarray,
-            primes: np.ndarray) -> np.ndarray:
-    """a * b mod (f, p) per column; neg[t] = -f_t mod p for monic f."""
-    d = len(neg)
-    s = np.zeros((2 * d - 1, len(primes)), dtype=np.int64)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of a * b per column, unreduced, as 2d rows whose last is 0.
+
+    Each coefficient is a sum of at most d products of values in [0, p).
+    """
+    d = len(a)
+    s = np.zeros((2 * d, a.shape[1]), dtype=np.int64)
     for i in range(d):
         for j in range(d):
-            s[i + j] = (s[i + j] + a[i] * b[j]) % primes
-    # x^k = x^(k-d) * x^d and x^d = sum_t neg[t] x^t mod f
-    for k in range(2 * d - 2, d - 1, -1):
-        for t in range(d):
-            s[k - d + t] = (s[k - d + t] + s[k] * neg[t]) % primes
-    return s[:d]
+            s[i + j] += a[i] * b[j]
+    return s
 
 
-def _xpow(e: np.ndarray, neg: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """x^e mod (f, p) per column, each column with its own exponent."""
-    r = np.zeros_like(neg)
+def _fold(s: np.ndarray, xk: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """s(x) mod (f, p) per column, for the 2d unreduced coefficients s of a
+    polynomial of degree < 2d: degrees d..2d-1 are reduced and folded back
+    through xk[k] = x^(d + k) mod f, and each low coefficient is reduced once.
+    """
+    d = len(xk)
+    high = s[d:] % primes
+    r = s[:d].copy()
+    for k in range(d):
+        r += high[k] * xk[k]
+    return r % primes
+
+
+def _fold_table(neg: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """x^(d + k) mod (f, p) for k = 0..d-1, per column; neg[t] = -f_t mod p
+    for monic f of degree d, so x^d = sum_t neg[t] x^t."""
+    d = len(neg)
+    xk = np.empty((d, d, neg.shape[1]), dtype=np.int64)
+    xk[0] = neg
+    for k in range(1, d):
+        # x * x^(d+k-1): shift up one place and fold the x^d term back in
+        xk[k, 0] = 0
+        xk[k, 1:] = xk[k - 1, :-1]
+        xk[k] = (xk[k] + xk[k - 1, -1] * neg) % primes
+    return xk
+
+
+def _bit_length(e: np.ndarray) -> int:
+    return int(e.max()).bit_length() if len(e) else 0
+
+
+def _xpow(e: np.ndarray, xk: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """x^e mod (f, p) per column, each column with its own exponent, by
+    left-to-right squaring: where the exponent bit is set the unreduced
+    square is shifted up one place (times x) before the one fold."""
+    d = len(xk)
+    r = np.zeros((d, len(primes)), dtype=np.int64)
     r[0] = 1
-    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-        r = _mulmod(r, r, neg, primes)
-        # r * x: shift up one place and fold the x^d term back in
-        rx = np.roll(r, 1, axis=0)
-        rx[0] = 0
-        rx = (rx + r[-1] * neg) % primes
-        r = np.where((e >> bit) & 1 == 1, rx, r)
+    for bit in range(_bit_length(e) - 1, -1, -1):
+        s = _product(r, r)
+        # the top row of s is 0, so rolling it one row down multiplies by x
+        s = np.where((e >> bit) & 1 == 1, np.roll(s, 1, axis=0), s)
+        r = _fold(s, xk, primes)
+    return r
+
+
+def _powmod(a: np.ndarray, e: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """a^e mod p per column by left-to-right square-and-multiply, a in [0, p)."""
+    r = np.ones_like(primes)
+    for bit in range(_bit_length(e) - 1, -1, -1):
+        r = r * r % primes
+        r = np.where((e >> bit) & 1 == 1, r * a % primes, r)
     return r
 
 
 def _euler_square(a_mod: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """(a / p) == 1 per odd prime p not dividing a, given a mod p, by Euler's
-    criterion a^((p-1)/2) = (a / p) mod p, run by _xpow: x^e mod (x - a) is
-    a^e."""
-    return _xpow((primes - 1) >> 1, a_mod[None], primes)[0] == 1
+    criterion a^((p-1)/2) = (a / p) mod p."""
+    return _powmod(a_mod, (primes - 1) >> 1, primes) == 1
 
 
 _ONE = (1, 1)
@@ -258,7 +306,8 @@ def _frobenius_pairs(coeffs: tuple[int, ...], disc: int,
     """
     n = len(coeffs) - 1
     neg = np.stack([_int_mod(-c, primes) for c in coeffs[:n]])
-    h = _xpow(primes, neg, primes)
+    xk = _fold_table(neg, primes)
+    h = _xpow(primes, xk, primes)
     x = np.zeros((n, 1), dtype=np.int64)
     x[1] = 1
     key = 4 * _euler_square(_int_mod(disc, primes), primes) + 2 * (h == x).all(axis=0)
@@ -266,7 +315,7 @@ def _frobenius_pairs(coeffs: tuple[int, ...], disc: int,
         h2 = np.zeros_like(h)  # h(h) mod f by Horner's rule
         h2[0] = h[n - 1]
         for i in range(n - 2, -1, -1):
-            h2 = _mulmod(h2, h, neg, primes)
+            h2 = _fold(_product(h2, h), xk, primes)
             h2[0] = (h2[0] + h[i]) % primes
         key += (h2 == x).all(axis=0)
     codes = _FROBENIUS_CODES[n][key]
@@ -317,7 +366,9 @@ class FieldContext:
         self.table_xmax = 0
         self.records = np.empty((0, 3), dtype=np.int64)  # rows (norm, p, f)
         self.records_xmax = 0
-        self.row = None  # r[n] = I(n) for n < len(r): int64 array or list
+        # r[n] = I(n) for n < len(r): a uint16, uint32 or int64 array, the
+        # narrowest that holds the row's bound, or a list of Python ints
+        self.row = None
 
 
 def field_context(field: FieldDescriptor) -> FieldContext:

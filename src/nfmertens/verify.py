@@ -44,8 +44,8 @@ from .mertens import (
     EULER_GAMMA,
     mertens_constant,
     mertens_table,
-    prime_power_sum,
     prime_power_sum_bound,
+    prime_power_sums,
     theta_Q_bound_constant,
 )
 from .splitting import rational_primes
@@ -141,10 +141,10 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
                               log_slack=math.inf if mismatches == 0 else -math.inf,
                               passed=mismatches == 0))
     for alpha in PAINFUL_ALPHAS:
-        for x in PAINFUL_XS:
+        for x, value in zip(PAINFUL_XS, prime_power_sums(PAINFUL_XS, alpha)):
             checks.append(_ratio_check(
                 f"prime_power_sum_alpha_{alpha:g}", x,
-                prime_power_sum(x, alpha), prime_power_sum_bound(x, alpha)))
+                value, prime_power_sum_bound(x, alpha)))
 
     # theta bound on the grid
     theta_c = theta_Q_bound_constant(theta_variant)

@@ -193,7 +193,8 @@ class TestSieveCommand:
         builds = []
         build = idealcount._dense_row_numpy
         monkeypatch.setattr(idealcount, "_dense_row_numpy",
-                            lambda field, n: builds.append(n) or build(field, n))
+                            lambda field, n, dtype: builds.append(n)
+                            or build(field, n, dtype))
         out = tmp_path / "summatory.csv"
         code = main(["sieve", "--field", GAUSS, "--what", "summatory",
                      "--xmax", "1e4", "--out", str(out)])

@@ -24,9 +24,10 @@ from nfmertens.idealcount import (
     _dense_row_numpy,
     _dense_row_python,
     _max_divisor_count,
+    _row_dtype,
 )
 from nfmertens.mertens import geometric_grid
-from nfmertens.splitting import kronecker, splitting_type
+from nfmertens.splitting import field_context, kronecker, splitting_type
 
 
 def local_counts(field, p, m):
@@ -145,6 +146,14 @@ class TestSieve:
         python_row = _dense_row_python(field, 1500)[1:]
         assert list(numpy_row) == python_row
 
+    @pytest.mark.parametrize("name", ["gaussian", "cyclotomic5"])
+    def test_public_dtype_is_int64(self, corpus, name):
+        # the row itself is narrow; a caller's arithmetic must not wrap
+        counts = ideal_count_sieve(corpus[name], 1000)
+        assert _dense_row(corpus[name], 1000).dtype != np.int64
+        assert counts.dtype == np.int64
+        assert (counts - 1).min() == -1
+
     def test_nonnegative_and_exact_type(self, corpus):
         row = ideal_count_sieve(corpus["cyclotomic5"], 500)
         assert row.min() >= 0
@@ -171,6 +180,25 @@ class TestCofactorPass:
                 _dense_row_python(field, n_max), name
 
 
+class TestRowDtypeBoundary:
+    """cyclotomic5 crosses from a uint16 to a uint32 row at 302,400, the
+    first x with d_4(x) >= 2^16; the Python-int row is the oracle."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(idealcount, "_CHUNK", 1001)
+
+    def test_rows_either_side(self, corpus):
+        field = corpus["cyclotomic5"]
+        assert _max_divisor_count(302_399, 4) < 2 ** 16 <= _max_divisor_count(302_400, 4)
+        python_row = _dense_row_python(field, 302_400)
+        for n_max, dtype in ((302_399, np.uint16), (302_400, np.uint32)):
+            field_context(field).row = None
+            row = _dense_row(field, n_max)
+            assert row.dtype == dtype and len(row) == n_max + 1
+            assert row.tolist() == python_row[:n_max + 1], n_max
+
+
 class TestRowGuard:
     def test_degree_seven_takes_int64_row(self, monkeypatch):
         # x^7 - 2 at the cap: max d(n)^7 = 768^7 > 2^62, but max d_7(n) is
@@ -180,12 +208,35 @@ class TestRowGuard:
         assert _max_divisor_count(DENSE_SIEVE_CAP, 2) ** 7 > 2 ** 62
         assert _max_divisor_count(DENSE_SIEVE_CAP, 7) == 1_483_241_760
         built = []
+        dtypes = []
         monkeypatch.setattr(idealcount, "_dense_row_numpy",
-                            lambda f, n: built.append("numpy") or np.zeros(1))
+                            lambda f, n, dtype: built.append("numpy")
+                            or dtypes.append(dtype) or np.zeros(1))
         monkeypatch.setattr(idealcount, "_dense_row_python",
                             lambda f, n: built.append("python") or [0])
         _dense_row(field, DENSE_SIEVE_CAP)
         assert built == ["numpy"]
+        # and in the narrowest dtype: 1,483,241,760 < 2^32
+        assert dtypes == [np.uint32]
+
+    @pytest.mark.parametrize("bound, dtype", [
+        (0, np.uint16), (2 ** 16 - 1, np.uint16), (2 ** 16, np.uint32),
+        (2 ** 32 - 1, np.uint32), (2 ** 32, np.int64), (2 ** 62 - 1, np.int64),
+        (2 ** 62, None)])
+    def test_dtype_at_bounds(self, bound, dtype):
+        assert _row_dtype(bound) is dtype
+
+    def test_dtype_by_degree_at_the_cap(self, corpus):
+        # quadratics and cubics fit uint16, no corpus field needs int64
+        for name, field in corpus.items():
+            expected = np.uint16 if field.degree <= 3 else np.uint32
+            assert _row_dtype(_max_divisor_count(DENSE_SIEVE_CAP, field.degree)) \
+                is expected, name
+        for k in range(4, 8):
+            assert _row_dtype(_max_divisor_count(DENSE_SIEVE_CAP, k)) is np.uint32
+        # degree 8 is the lowest that needs int64 below the cap
+        assert _row_dtype(_max_divisor_count(39_916_799, 8)) is np.uint32
+        assert _row_dtype(_max_divisor_count(39_916_800, 8)) is np.int64
 
     def test_cap_error_is_usage_error_and_value_error(self, gauss):
         with pytest.raises(DenseSieveCapExceeded) as info:

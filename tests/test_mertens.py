@@ -14,8 +14,10 @@ from nfmertens.mertens import (
     mertens_table,
     prime_power_sum,
     prime_power_sum_bound,
+    prime_power_sums,
 )
-from nfmertens.splitting import prime_ideals_up_to, theta_K
+from nfmertens.splitting import prime_ideals_up_to, rational_primes, theta_K
+from nfmertens.verify import PAINFUL_ALPHAS, PAINFUL_XS
 
 
 def one_row(field, x, mc=None):
@@ -175,6 +177,22 @@ class TestPrimePowerSum:
     def test_bound_holds(self, alpha):
         for x in (100.0, 1000.0, 10000.0, 100000.0):
             assert prime_power_sum(x, alpha) < prime_power_sum_bound(x, alpha)
+
+
+    @pytest.mark.parametrize("alpha", PAINFUL_ALPHAS)
+    def test_grid_is_bit_identical_to_one_sum_per_point(self, alpha):
+        # the per-point sum as a generator over a fresh sieve at each x
+        xs = (2.0, 2.5, 7.0, *PAINFUL_XS)
+        direct = [math.fsum(math.log(p) / p ** alpha if alpha else math.log(p)
+                            for p in rational_primes(x).tolist()) for x in xs]
+        assert prime_power_sums(xs, alpha) == direct
+        assert [prime_power_sum(x, alpha) for x in xs] == direct
+
+    def test_grid_rejects_bad_input(self):
+        for xs, alpha in (([], 1.0), ([1.5, 10.0], 1.0), ([10.0], -0.5),
+                          ([100.0, 10.0], 1.0)):
+            with pytest.raises(ValueError):
+                prime_power_sums(xs, alpha)
 
 
 class TestThetaConstants:

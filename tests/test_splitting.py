@@ -16,6 +16,9 @@ from nfmertens.idealcount import DENSE_SIEVE_CAP, ideal_count_sieve
 from nfmertens.polyfield import (
     IntPoly,
     _distinct_degree_parts,
+    _pmod,
+    _pmul,
+    _ppowmod,
     _squarefree_parts,
     poly_discriminant,
 )
@@ -29,12 +32,17 @@ from nfmertens.splitting import (
 )
 from nfmertens.splitting import (
     _INITIAL_PATTERNS,
+    _euler_square,
+    _fold,
+    _fold_table,
     _frobenius_pairs,
     _ideal_records,
     _pattern_mod_p,
+    _product,
     _records_up_to,
     _splitting_table,
     _tabulate,
+    _xpow,
     field_context,
 )
 
@@ -193,6 +201,106 @@ class TestBatchedFrobenius:
         codes = _frobenius_pairs(coeffs, disc, np.array(primes, dtype=np.int64))
         assert [_INITIAL_PATTERNS[len(low)][c] for c in codes.tolist()] \
             == [exact_pattern(coeffs, p) for p in primes]
+
+
+def reduced(coeffs, f, p):
+    """The integer polynomial coeffs mod (f, p) in Python ints, padded to
+    deg f coefficients."""
+    r = _pmod(tuple(c % p for c in coeffs), f, p)
+    return list(r) + [0] * (len(f) - 1 - len(r))
+
+
+def columns(rows):
+    """Each column of a 2-d array as a list of Python ints."""
+    return [list(col) for col in zip(*np.asarray(rows).tolist())]
+
+
+class TestDelayedReduction:
+    """The unreduced sums of the Frobenius kernel at the top prime, every
+    input at its largest value p - 1, against Python-int arithmetic."""
+
+    P = TOP_PRIME
+
+    def inputs(self, d, width=3):
+        # neg[t] = -f_t = p - 1 for every t: f = x^d + ... + x + 1 mod p
+        p = self.P
+        primes = np.full(width, p, dtype=np.int64)
+        neg = np.full((d, width), p - 1, dtype=np.int64)
+        f = (1,) * (d + 1)
+        return primes, neg, f
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_fold_table(self, d):
+        primes, neg, f = self.inputs(d)
+        xk = _fold_table(neg, primes)
+        for k in range(d):
+            expected = reduced((0,) * (d + k) + (1,), f, self.P)
+            assert columns(xk[k]) == [expected] * len(primes), k
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_square_and_fold(self, d):
+        p = self.P
+        primes, neg, f = self.inputs(d)
+        r = np.full((d, len(primes)), p - 1, dtype=np.int64)
+        s = _product(r, r)
+        # coefficient k of the square sums min(k + 1, 2d - 1 - k) products
+        exact = [0] * (2 * d)
+        for i in range(d):
+            for j in range(d):
+                exact[i + j] += (p - 1) ** 2
+        assert max(exact) == d * (p - 1) ** 2 < 2 ** 63
+        assert columns(s) == [exact] * len(primes)
+        # the square, and the square shifted up one place (times x)
+        for t in (exact, [0] + exact[:-1]):
+            got = _fold(np.array([t] * len(primes), dtype=np.int64).T,
+                        _fold_table(neg, primes), primes)
+            assert columns(got) == [reduced(t, f, p)] * len(primes)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_fold_at_its_bound(self, d):
+        # every unreduced coefficient at the most a square or product sums,
+        # d (p - 1)^2; each low coefficient then gains d products more
+        p = self.P
+        primes, neg, f = self.inputs(d)
+        t = [d * (p - 1) ** 2] * (2 * d)
+        assert 2 * d * (p - 1) ** 2 < 8 * 10 ** 16 < 2 ** 63
+        got = _fold(np.array([t] * len(primes), dtype=np.int64).T,
+                    _fold_table(neg, primes), primes)
+        assert columns(got) == [reduced(t, f, p)] * len(primes)
+
+    def test_quartic_product(self):
+        p = self.P
+        primes, neg, f = self.inputs(4)
+        a = np.full((4, len(primes)), p - 1, dtype=np.int64)
+        b = a.copy()
+        b[:, 1] = [p - 1, 0, p - 2, 1]
+        got = columns(_fold(_product(a, b), _fold_table(neg, primes), primes))
+        for col, bcol in zip(got, columns(b)):
+            assert col == reduced(_pmul((p - 1,) * 4, tuple(bcol), p), f, p)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_xpow(self, d):
+        p = self.P
+        primes, neg, f = self.inputs(d, width=4)
+        e = np.array([p, p - 1, (p - 1) // 2, 1], dtype=np.int64)
+        got = columns(_xpow(e, _fold_table(neg, primes), primes))
+        assert got == [reduced(_ppowmod((0, 1), k, f, p), f, p) for k in e.tolist()]
+
+    def test_euler_square_at_top_prime(self):
+        p = self.P
+        primes = np.full(4, p, dtype=np.int64)
+        a = np.array([p - 1, 1, 2, 3], dtype=np.int64)
+        assert _euler_square(a, primes).tolist() == \
+            [kronecker(v, p) == 1 for v in a.tolist()]
+
+    def test_empty_block(self, corpus):
+        empty = np.empty(0, dtype=np.int64)
+        assert _euler_square(empty, empty).tolist() == []
+        for name in BATCHED_FIELDS:
+            field = corpus[name]
+            codes = _frobenius_pairs(field.defining_poly.coeffs,
+                                     poly_discriminant(field.defining_poly), empty)
+            assert codes.tolist() == [], name
 
 
 def kronecker_pattern(disc, p):
