@@ -4,17 +4,19 @@ bounds, and the full verification suite.
 Exit codes separate defect signals from usage problems: 0 means success with
 every asserted check passing, 1 means a theorem inequality failed (a defect
 worth breaking a build over), 2 means bad input or field errors. Reports are
-written atomically (temp file + rename), embed the tool version, a SHA-256 of
-the field descriptor, and the full config echo, and contain no timestamps:
-reruns with identical config produce byte-identical files.
+written atomically: streamed into a temp file that is renamed over the report
+only when complete, and removed if anything fails first. They embed the tool
+version, a SHA-256 of the field descriptor, and the full config echo, and
+contain no timestamps: reruns with identical config produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -22,6 +24,8 @@ import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -36,17 +40,20 @@ from .errors import MissingClassData, NfMertensError, UnknownStructureFlags
 from .field import FieldDescriptor, kappa_exact, load_field
 from .idealcount import (
     DENSE_SIEVE_CAP,
-    ideal_count_sieve,
+    _dense_row,
     kappa_estimate,
     summatory_grid,
 )
 from .mertens import geometric_grid, mertens_constant, mertens_table
-from .splitting import prime_ideals_up_to
+from .splitting import _records_up_to
 from .verify import verify_all
 
 TOOL_NAME = "nfmertens"
 
 COMMANDS = ("sieve", "mertens", "constants", "residue", "verify")
+
+# rows of a sieve dump converted and written at a time
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,36 +143,76 @@ def _meta(config: RunConfig, descriptor_bytes: bytes) -> dict:
     }
 
 
-def _write_atomic(path: str, data: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+def _write_csv(fh, meta: dict, header: list[str], blocks) -> None:
+    for key in ("tool", "version", "field_sha256"):
+        fh.write(f"# {key}: {meta[key]}\n")
+    for key, value in sorted(meta["config"].items()):
+        fh.write(f"# config_{key}: {value}\n")
+    for key in sorted(meta):
+        if key not in ("tool", "version", "field_sha256", "config"):
+            fh.write(f"# {key}: {meta[key]}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for block in blocks:
+        writer.writerows(block)
 
 
-def _emit(config: RunConfig, meta: dict, header: list[str],
-          rows: list[list], out_path: str) -> None:
-    if config.fmt == "csv":
-        buf = io.StringIO()
-        for key in ("tool", "version", "field_sha256"):
-            buf.write(f"# {key}: {meta[key]}\n")
-        for key, value in sorted(meta["config"].items()):
-            buf.write(f"# config_{key}: {value}\n")
-        for key in sorted(meta):
-            if key not in ("tool", "version", "field_sha256", "config"):
-                buf.write(f"# {key}: {meta[key]}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_f15(v) if not isinstance(v, str) else v
-                             for v in row])
-        _write_atomic(out_path, buf.getvalue())
-    else:
-        payload = [dict(zip(header, [v if isinstance(v, (str, int, type(None)))
-                                     else _f15(v) for v in row]))
-                   for row in rows]
-        _write_atomic(out_path, json.dumps({"meta": meta, "data": payload},
-                                           indent=2) + "\n")
+def _json_cell(v) -> str:
+    # json.dumps writes an int as its repr; the int-only dumps save the call
+    return repr(v) if type(v) is int else json.dumps(v)
+
+
+def _write_json(fh, meta: dict, header: list[str], blocks) -> None:
+    """The bytes of json.dumps({"meta": meta, "data": rows}, indent=2), with
+    each row dict laid out as that indent=2 dump lays it out."""
+    # the document with empty data ends in "[]\n}"
+    fh.write(json.dumps({"meta": meta, "data": []}, indent=2)[:-3])
+    item = "\n    {" + ",".join(
+        f"\n      {json.dumps(key).replace('%', '%%')}: %s" for key in header) \
+        + "\n    }"
+    sep = ""
+    for block in blocks:
+        text = ",".join(item % tuple(map(_json_cell, row)) for row in block)
+        if text:
+            fh.write(sep + text)
+            sep = ","
+    fh.write("\n  ]\n}\n" if sep else "]\n}\n")
+
+
+def _emit(config: RunConfig, meta: dict, header: list[str], blocks,
+          out_path: str) -> None:
+    """Write the report to out_path atomically, streaming blocks (iterables
+    of rows) into a temp file that is renamed over out_path only once every
+    block is written. Cells must already be final: str, int or None (see
+    _cells). If a block or the write raises, the temp file is removed and
+    an existing out_path is left as it was."""
+    write = _write_csv if config.fmt == "csv" else _write_json
+    tmp = out_path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            write(fh, meta, header, blocks)
+        os.replace(tmp, out_path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _cells(config: RunConfig, rows) -> list[list]:
+    """rows as one block of final cells: CSV formats every non-str cell with
+    _f15, JSON every cell that is not a str, an int or None."""
+    keep = str if config.fmt == "csv" else (str, int, type(None))
+    return [[v if isinstance(v, keep) else _f15(v) for v in row] for row in rows]
+
+
+def _count_blocks(row, x: int):
+    """The rows (n, row[n]) for 1 <= n <= x, _BLOCK at a time; row is the
+    narrow numpy I(n) row or the Python-int list."""
+    for a in range(1, x + 1, _BLOCK):
+        part = row[a:min(a + _BLOCK, x + 1)]
+        if isinstance(part, np.ndarray):
+            part = part.tolist()
+        yield zip(range(a, a + len(part)), part)
 
 
 def _residue_for(field: FieldDescriptor, config: RunConfig):
@@ -177,21 +224,23 @@ def _residue_for(field: FieldDescriptor, config: RunConfig):
 
 def _cmd_sieve(field, config, meta, out_path):
     what = config.sieve_what
+    # counts and ideals hold only ints, which both formats write as they are
     if what == "counts":
-        counts = ideal_count_sieve(field, int(config.x_max))
-        rows = [[n, int(c)] for n, c in enumerate(counts, start=1)]
-        _emit(config, meta, ["n", "ideal_count"], rows, out_path)
+        x = int(config.x_max)
+        _emit(config, meta, ["n", "ideal_count"],
+              _count_blocks(_dense_row(field, x), x), out_path)
     elif what == "ideals":
-        recs = prime_ideals_up_to(field, config.x_max)
-        rows = [[r.p, r.f, r.norm] for r in recs]
-        _emit(config, meta, ["p", "f", "norm"], rows, out_path)
+        recs = _records_up_to(field, config.x_max)  # (norm, p, f) rows
+        blocks = (recs[a:a + _BLOCK, [1, 2, 0]].tolist()
+                  for a in range(0, len(recs), _BLOCK))
+        _emit(config, meta, ["p", "f", "norm"], blocks, out_path)
     elif what == "summatory":
         kappa = _residue_for(field, config)
         meta["kappa_provenance"] = kappa.provenance
         rows = [[p.x, p.value, kappa.value * p.x, p.sunley_envelope]
                 for p in summatory_grid(field, config.grid)]
-        _emit(config, meta,
-              ["x", "ideal_count_sum", "kappa_x", "envelope"], rows, out_path)
+        _emit(config, meta, ["x", "ideal_count_sum", "kappa_x", "envelope"],
+              [_cells(config, rows)], out_path)
     else:
         raise NfMertensError(f"unknown sieve table {what!r}")
     return 0
@@ -213,7 +262,7 @@ def _cmd_mertens(field, config, meta, out_path):
                      r.product, r.C_K, r.E_K_bound, ups])
     _emit(config, meta,
           ["x", "sum_logN_over_N", "A_K", "sum_recip", "B_K", "product",
-           "C_K", "E_K_bound", "upsilon_K"], rows, out_path)
+           "C_K", "E_K_bound", "upsilon_K"], [_cells(config, rows)], out_path)
     return 0
 
 
@@ -243,7 +292,7 @@ def _cmd_constants(field, config, meta, out_path):
             ["upsilon_log", ups.natural_log],
             ["upsilon", ups.render()],
         ]
-    _emit(config, meta, ["constant", "value"], rows, out_path)
+    _emit(config, meta, ["constant", "value"], [_cells(config, rows)], out_path)
     return 0
 
 
@@ -269,7 +318,8 @@ def _cmd_residue(field, config, meta, out_path):
             rows.append(["stark_lower", stark.value, stark.case_label])
         except UnknownStructureFlags:
             rows.append(["stark_lower", None, "unavailable: structure flags unknown"])
-    _emit(config, meta, ["quantity", "value", "note"], rows, out_path)
+    _emit(config, meta, ["quantity", "value", "note"], [_cells(config, rows)],
+          out_path)
     return 0
 
 
@@ -293,7 +343,7 @@ def _cmd_verify(field, config, meta, out_path):
     rows = [[c.name, c.x, c.quantity, c.bound, c.log_slack,
              "pass" if c.passed else "FAIL"] for c in report.checks]
     _emit(config, meta, ["check", "x", "quantity", "bound", "log_slack", "pass"],
-          rows, out_path)
+          [_cells(config, rows)], out_path)
     failures = report.failures
     for c in failures:
         print(f"FAIL {c.name} x={c.x} quantity={_f15(c.quantity)} "

@@ -126,25 +126,29 @@ def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,
     return tuple(rows)
 
 
-def prime_power_sums(xs, alpha: float) -> list[float]:
-    """Brute-force sum of log(p)/p^alpha over rational primes p <= x for each
-    x of the ascending xs, from one sieve up to xs[-1] and one list of terms."""
-    xs = list(xs)
-    if not xs or xs[0] < 2 or alpha < 0:
+def prime_power_grid(xs, alphas) -> list[list[float]]:
+    """Brute-force sums of log(p)/p^alpha over rational primes p <= x, one
+    list over the ascending xs per alpha, from one sieve up to xs[-1] and one
+    list of log(p) shared by every alpha."""
+    xs, alphas = list(xs), list(alphas)
+    if not xs or xs[0] < 2 or any(a < 0 for a in alphas):
         raise ValueError("prime_power_sum requires x >= 2 and alpha >= 0")
     if any(b < a for a, b in zip(xs, xs[1:])):
-        raise ValueError("prime_power_sums requires ascending xs")
+        raise ValueError("prime_power_grid requires ascending xs")
     primes = rational_primes(xs[-1]).tolist()
-    if alpha == 0:
-        terms = [math.log(p) for p in primes]
-    else:
-        terms = [math.log(p) / p ** alpha for p in primes]
-    return [fsum(terms[:bisect_right(primes, x)]) for x in xs]
+    logs = [math.log(p) for p in primes]
+    cuts = [bisect_right(primes, x) for x in xs]
+    out = []
+    for alpha in alphas:
+        terms = logs if alpha == 0 else \
+            [lp / p ** alpha for lp, p in zip(logs, primes)]
+        out.append([fsum(terms[:cut]) for cut in cuts])
+    return out
 
 
 def prime_power_sum(x: float, alpha: float) -> float:
     """Brute-force sum of log(p)/p^alpha over rational primes p <= x."""
-    [value] = prime_power_sums([x], alpha)
+    [[value]] = prime_power_grid([x], [alpha])
     return value
 
 

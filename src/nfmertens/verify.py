@@ -44,8 +44,8 @@ from .mertens import (
     EULER_GAMMA,
     mertens_constant,
     mertens_table,
+    prime_power_grid,
     prime_power_sum_bound,
-    prime_power_sums,
     theta_Q_bound_constant,
 )
 from .splitting import rational_primes
@@ -140,8 +140,9 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
                               quantity=float(mismatches), bound=1.0,
                               log_slack=math.inf if mismatches == 0 else -math.inf,
                               passed=mismatches == 0))
-    for alpha in PAINFUL_ALPHAS:
-        for x, value in zip(PAINFUL_XS, prime_power_sums(PAINFUL_XS, alpha)):
+    for alpha, values in zip(PAINFUL_ALPHAS,
+                             prime_power_grid(PAINFUL_XS, PAINFUL_ALPHAS)):
+        for x, value in zip(PAINFUL_XS, values):
             checks.append(_ratio_check(
                 f"prime_power_sum_alpha_{alpha:g}", x,
                 value, prime_power_sum_bound(x, alpha)))

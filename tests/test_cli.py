@@ -1,19 +1,25 @@
 import csv
+import io
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nfmertens import idealcount
-from nfmertens.cli import _f15, main, parse_grid
+from nfmertens import cli, idealcount
+from nfmertens.cli import RunConfig, _f15, _meta, main, parse_grid
 from nfmertens.errors import NfMertensError
 from nfmertens.field import kappa_exact, load_field
-from nfmertens.idealcount import summatory
+from nfmertens.idealcount import ideal_count_sieve, summatory
 from nfmertens.mertens import geometric_grid
+from nfmertens.splitting import prime_ideals_up_to
 
 FIELDS = Path(__file__).resolve().parent.parent / "fields"
 GAUSS = str(FIELDS / "gaussian.field")
 GOLDEN = str(FIELDS / "golden.field")
+CYCLO5 = str(FIELDS / "cyclotomic5.field")
 CBRT2 = str(FIELDS / "cbrt2.field")
 NONMONO = str(FIELDS / "non-monogenic-cubic.field")
 # Q(sqrt 13) without class data, so kappa is estimated by sieving to x_max;
@@ -214,6 +220,176 @@ class TestSieveCommand:
                      "--out", str(out)])
         assert code == 2
         assert "cap" in capsys.readouterr().err
+
+
+def in_memory_report(config, header, rows):
+    """The report as the all-in-memory formatter wrote it: every row built
+    first, every cell formatted, the whole file in one string."""
+    meta = _meta(config, Path(config.field_path).read_bytes())
+    if config.fmt == "csv":
+        buf = io.StringIO()
+        for key in ("tool", "version", "field_sha256"):
+            buf.write(f"# {key}: {meta[key]}\n")
+        for key, value in sorted(meta["config"].items()):
+            buf.write(f"# config_{key}: {value}\n")
+        for key in sorted(meta):
+            if key not in ("tool", "version", "field_sha256", "config"):
+                buf.write(f"# {key}: {meta[key]}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_f15(v) if not isinstance(v, str) else v
+                             for v in row])
+        return buf.getvalue()
+    payload = [dict(zip(header, [v if isinstance(v, (str, int, type(None)))
+                                 else _f15(v) for v in row]))
+               for row in rows]
+    return json.dumps({"meta": meta, "data": payload}, indent=2) + "\n"
+
+
+class TestStreamedDumps:
+    """The counts and ideals dumps are written block by block from the
+    arrays; they must match the in-memory formatter byte for byte, with the
+    block edges falling inside the data."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK", 7)
+
+    def dump(self, tmp_path, monkeypatch, path, what, x, fmt):
+        """Run the dump and return (its bytes, the in-memory report, the
+        dense row the dump read or None)."""
+        rows_read = []
+        dense_row = cli._dense_row
+        monkeypatch.setattr(cli, "_dense_row", lambda f, n: rows_read.append(
+            dense_row(f, n)) or rows_read[-1])
+        out = tmp_path / f"{what}.{fmt}"
+        assert main(["sieve", "--field", path, "--what", what, "--xmax", str(x),
+                     "--format", fmt, "--out", str(out)]) == 0
+        config = RunConfig(field_path=path, command="sieve", x_max=float(x),
+                           grid=tuple(g for g in geometric_grid(4, 24) if g <= x),
+                           out=str(out), fmt=fmt, sieve_what=what)
+        field = load_field(Path(path).read_text())
+        if what == "counts":
+            header = ["n", "ideal_count"]
+            rows = [[n, int(c)] for n, c in
+                    enumerate(ideal_count_sieve(field, int(x)), start=1)]
+        else:
+            header = ["p", "f", "norm"]
+            rows = [[r.p, r.f, r.norm] for r in prime_ideals_up_to(field, x)]
+        expected = in_memory_report(config, header, rows)
+        return out.read_text(), expected, rows_read[0] if rows_read else None
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("what", ["counts", "ideals"])
+    def test_gaussian_uint16_row(self, tmp_path, monkeypatch, what, fmt):
+        got, expected, row = self.dump(tmp_path, monkeypatch, GAUSS, what, 1000, fmt)
+        assert got == expected
+        if what == "counts":
+            assert row.dtype == np.uint16
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cyclotomic5_uint32_row(self, tmp_path, monkeypatch, fmt):
+        # d_4 first reaches 2^16 at 302,400, so the row there is uint32
+        got, expected, row = self.dump(tmp_path, monkeypatch, CYCLO5, "counts",
+                                       302_400, fmt)
+        assert row.dtype == np.uint32
+        assert got == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_python_int_row(self, tmp_path, monkeypatch, fmt):
+        # force the arbitrary-precision row, as past the int64 guard
+        monkeypatch.setattr(idealcount, "_row_dtype", lambda bound: None)
+        got, expected, row = self.dump(tmp_path, monkeypatch, GAUSS, "counts",
+                                       500, fmt)
+        assert isinstance(row, list)
+        assert got == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_ideals_dump(self, tmp_path, monkeypatch, fmt):
+        # 2 and 3 are inert in Q(sqrt 5): no prime ideal has norm <= 3
+        got, expected, _ = self.dump(tmp_path, monkeypatch, GOLDEN, "ideals", 3, fmt)
+        assert got == expected
+        if fmt == "json":
+            assert json.loads(got)["data"] == []
+            assert got.endswith('"data": []\n}\n')
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cells_of_every_kind(self, tmp_path, fmt):
+        # the float-bearing reports' cells, and strings the row template
+        # must escape
+        header = ["name", "%s", 'quote"d', "x"]
+        rows = [['a "b"\n%s, c', None, 3, 1.5], ["\u00e9", True, -7, math.nan],
+                ["", False, 2 ** 70, -math.inf]]
+        out = tmp_path / f"r.{fmt}"
+        config = RunConfig(field_path=GAUSS, command="verify", out=str(out),
+                           fmt=fmt)
+        meta = _meta(config, Path(GAUSS).read_bytes())
+        cli._emit(config, meta, header, iter([cli._cells(config, rows[:2]), [],
+                                              cli._cells(config, rows[2:])]),
+                  str(out))
+        assert out.read_text() == in_memory_report(config, header, rows)
+
+    @pytest.mark.parametrize("what, x, n_rows", [
+        ("counts", 63, 63), ("counts", 64, 64), ("ideals", 41, 14),
+        ("ideals", 49, 15)])
+    def test_blocks_end_at_the_row_end(self, tmp_path, monkeypatch, what, x,
+                                       n_rows):
+        # 7k rows fill the last block; 7k + 1 leave one row for a block of
+        # its own
+        got, expected, _ = self.dump(tmp_path, monkeypatch, GAUSS, what, x, "json")
+        assert len(json.loads(got)["data"]) == n_rows
+        assert got == expected
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failing_row_stream_keeps_the_old_report(self, tmp_path, monkeypatch,
+                                                     fmt):
+        out = tmp_path / f"counts.{fmt}"
+        out.write_text("the previous report\n")
+        count_blocks = cli._count_blocks
+
+        def failing(row, x):
+            blocks = count_blocks(row, x)
+            yield next(blocks)
+            yield next(blocks)
+            raise RuntimeError("row stream failed")
+
+        monkeypatch.setattr(cli, "_BLOCK", 7)
+        monkeypatch.setattr(cli, "_count_blocks", failing)
+        with pytest.raises(RuntimeError, match="row stream failed"):
+            main(["sieve", "--field", GAUSS, "--what", "counts", "--xmax", "100",
+                  "--format", fmt, "--out", str(out)])
+        assert out.read_text() == "the previous report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [out.name]
+
+    def test_failing_write_leaves_no_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "counts.csv"
+
+        def failing(fh, meta, header, blocks):
+            fh.write("# partial\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_csv", failing)
+        with pytest.raises(OSError, match="disk full"):
+            main(["sieve", "--field", GAUSS, "--what", "counts", "--xmax", "100",
+                  "--out", str(out)])
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_counts_dump_memory(tmp_path):
+    # the dump holds the narrow row and one block, not a list of rows or the
+    # whole report: 1.9 MB at 2e5, against 30.9 MB when it was built in memory
+    out = tmp_path / "counts.csv"
+    tracemalloc.start()
+    try:
+        assert main(["sieve", "--what", "counts", "--xmax", "2e5", "--field", GAUSS,
+                     "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 class TestConstantsCommand:

@@ -12,9 +12,9 @@ from nfmertens.mertens import (
     geometric_grid,
     mertens_constant,
     mertens_table,
+    prime_power_grid,
     prime_power_sum,
     prime_power_sum_bound,
-    prime_power_sums,
 )
 from nfmertens.splitting import prime_ideals_up_to, rational_primes, theta_K
 from nfmertens.verify import PAINFUL_ALPHAS, PAINFUL_XS
@@ -185,14 +185,19 @@ class TestPrimePowerSum:
         xs = (2.0, 2.5, 7.0, *PAINFUL_XS)
         direct = [math.fsum(math.log(p) / p ** alpha if alpha else math.log(p)
                             for p in rational_primes(x).tolist()) for x in xs]
-        assert prime_power_sums(xs, alpha) == direct
+        assert prime_power_grid(xs, [alpha]) == [direct]
         assert [prime_power_sum(x, alpha) for x in xs] == direct
+        # the shared path: one sieve and one log(p) list for every alpha, as
+        # verify_all takes it
+        shared = prime_power_grid(xs, PAINFUL_ALPHAS)
+        assert shared[PAINFUL_ALPHAS.index(alpha)] == direct
+        assert prime_power_grid(xs, (alpha, 0.0, alpha))[::2] == [direct, direct]
 
     def test_grid_rejects_bad_input(self):
-        for xs, alpha in (([], 1.0), ([1.5, 10.0], 1.0), ([10.0], -0.5),
-                          ([100.0, 10.0], 1.0)):
+        for xs, alphas in (([], [1.0]), ([1.5, 10.0], [1.0]), ([10.0], [-0.5]),
+                           ([10.0], [1.0, -0.5]), ([100.0, 10.0], [1.0])):
             with pytest.raises(ValueError):
-                prime_power_sums(xs, alpha)
+                prime_power_grid(xs, alphas)
 
 
 class TestThetaConstants:
