@@ -54,20 +54,8 @@ class LogMagnitude:
 
     natural_log: float
 
-    @staticmethod
-    def from_value(value: float) -> "LogMagnitude":
-        if value <= 0:
-            raise ValueError("LogMagnitude requires a positive value")
-        return LogMagnitude(math.log(value))
-
     def __add__(self, other: "LogMagnitude") -> "LogMagnitude":
         return LogMagnitude(log_sum_exp((self.natural_log, other.natural_log)))
-
-    def scale(self, factor: float) -> "LogMagnitude":
-        """Multiply by a positive linear-domain factor."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return LogMagnitude(self.natural_log + math.log(factor))
 
     @property
     def value(self) -> float:
@@ -78,12 +66,6 @@ class LogMagnitude:
         if self.natural_log < 700:
             return format(math.exp(self.natural_log), ".15g")
         return f"exp({format(self.natural_log, '.15g')})"
-
-    def __lt__(self, other: "LogMagnitude") -> bool:
-        return self.natural_log < other.natural_log
-
-    def __le__(self, other: "LogMagnitude") -> bool:
-        return self.natural_log <= other.natural_log
 
 
 @dataclass(frozen=True)

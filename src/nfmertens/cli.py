@@ -87,6 +87,16 @@ class RunConfig:
                     f"sieve --what {self.sieve_what} needs x_max >= {low}")
         if self.command in ("mertens", "verify") and not self.grid:
             raise NfMertensError("grid is empty: no grid point lies in [2, x_max]")
+        # the Mertens constant and table sieve prime ideals up to these
+        if self.command in ("mertens", "constants", "verify") and not (
+                10 <= self.truncation_x <= DENSE_SIEVE_CAP):
+            raise NfMertensError(
+                f"truncation_x {self.truncation_x:g} must lie within "
+                f"[10, {DENSE_SIEVE_CAP:g}]")
+        if self.command == "mertens" and self.grid[-1] > DENSE_SIEVE_CAP:
+            raise NfMertensError(
+                f"grid top {self.grid[-1]:g} exceeds the dense-sieve cap "
+                f"{DENSE_SIEVE_CAP:g}")
         if list(self.grid) != sorted(set(self.grid)):
             raise NfMertensError("grid must be strictly ascending")
         if self.grid and (self.grid[0] < 2 or self.grid[-1] > self.x_max):
@@ -205,13 +215,11 @@ def _cells(config: RunConfig, rows) -> list[list]:
     return [[v if isinstance(v, keep) else _f15(v) for v in row] for row in rows]
 
 
-def _count_blocks(row, x: int):
-    """The rows (n, row[n]) for 1 <= n <= x, _BLOCK at a time; row is the
-    narrow numpy I(n) row or the Python-int list."""
+def _count_blocks(row: np.ndarray, x: int):
+    """The rows (n, row[n]) for 1 <= n <= x of the I(n) row, _BLOCK at a
+    time."""
     for a in range(1, x + 1, _BLOCK):
-        part = row[a:min(a + _BLOCK, x + 1)]
-        if isinstance(part, np.ndarray):
-            part = part.tolist()
+        part = row[a:min(a + _BLOCK, x + 1)].tolist()
         yield zip(range(a, a + len(part)), part)
 
 

@@ -10,8 +10,8 @@ count of every power p^k <= N at the multiples of p^k with cofactor prime to
 p. A prime P > sqrt(N) has P^2 > N, so only the number c1(P) of ideals of
 norm P matters, and every multiple m*P <= N has a cofactor m < P; one
 vectorised step per cofactor m scales row[m*P] by c1(P) for all such P at
-once. The Python-int row, the fallback and the test oracle, goes prime power
-by prime power.
+once. The Python-int list row, kept as the passes' test oracle, goes prime
+power by prime power.
 
 The numpy row's dtype comes from an a-priori bound: each local count at p^k
 is at most C(k + deg - 1, deg - 1), so every partial product is at most
@@ -19,12 +19,14 @@ d_deg(n), the deg-fold divisor function, whose maximum below x is computed
 exactly. The row takes the narrowest of uint16, uint32 and int64 that holds
 that maximum; at the 1e8 cap that is uint16 for quadratics and cubics (at
 most 58,320) and uint32 up to degree 7. When the maximum reaches 2^62 the
-sieve escalates to arbitrary-precision Python integers. The dense row is
-capped at x = 1e8 and kept in the field's context; ideal_count_sieve hands
-callers int64 whatever the row's dtype.
+same two passes run on an object array of arbitrary-precision Python
+integers. The dense row is capped at x = 1e8 and kept in the field's
+context; ideal_count_sieve hands callers int64 for every narrow dtype and
+an object array past the guard.
 
 Sums over the row take one ascending pass over a grid of cutoffs (row_sums,
-row_log_sums); the single-point functions are one-point grids.
+row_log_sums, the latter rounded by splitting.grid_fsums); the single-point
+functions are one-point grids.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from math import fsum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .splitting import (
     _records_up_to,
     _splitting_table,
     field_context,
+    grid_fsums,
 )
 
 DENSE_SIEVE_CAP = 10 ** 8
@@ -112,12 +115,12 @@ def _local_factors(primes: np.ndarray, codes: np.ndarray, patterns,
 
 def _row_dtype(bound: int):
     """The narrowest of uint16, uint32 and int64 that holds every value in
-    [0, bound], or None when the int64 guard (bound < 2^62) fails and only
-    Python ints are safe."""
+    [0, bound], or object (Python ints) when the int64 guard (bound < 2^62)
+    fails."""
     for dtype in (np.uint16, np.uint32):
         if bound <= np.iinfo(dtype).max:
             return dtype
-    return np.int64 if bound < 2 ** 62 else None
+    return np.int64 if bound < 2 ** 62 else object
 
 
 def _dense_row_numpy(field: FieldDescriptor, n_max: int,
@@ -160,6 +163,8 @@ def _dense_row_numpy(field: FieldDescriptor, n_max: int,
 
 
 def _dense_row_python(field: FieldDescriptor, n_max: int) -> list[int]:
+    """The row prime power by prime power in Python ints: the test oracle of
+    _dense_row_numpy."""
     row = [1] * (n_max + 1)
     row[0] = 0
     for p, q, c in _local_factors(*_splitting_table(field, n_max), n_max):
@@ -169,7 +174,7 @@ def _dense_row_python(field: FieldDescriptor, n_max: int) -> list[int]:
     return row
 
 
-def _dense_row(field: FieldDescriptor, n_max: int) -> Union[np.ndarray, list[int]]:
+def _dense_row(field: FieldDescriptor, n_max: int) -> np.ndarray:
     """Row r with r[n] = I(n) for 0 <= n <= n_max, possibly longer; kept in
     the field's context."""
     if n_max > DENSE_SIEVE_CAP:
@@ -178,65 +183,50 @@ def _dense_row(field: FieldDescriptor, n_max: int) -> Union[np.ndarray, list[int
     ctx = field_context(field)
     if ctx.row is None or len(ctx.row) <= n_max:
         ctx.row = None  # free the shorter row before building the longer one
-        dtype = _row_dtype(_max_divisor_count(n_max, field.degree))
-        if dtype is not None:
-            ctx.row = _dense_row_numpy(field, n_max, dtype)
-        else:
-            ctx.row = _dense_row_python(field, n_max)
+        ctx.row = _dense_row_numpy(
+            field, n_max, _row_dtype(_max_divisor_count(n_max, field.degree)))
     return ctx.row
 
 
-def _row_chunks(row: Union[np.ndarray, list[int]], lo: int, hi: int):
-    """(start, row[start:end]) over [lo, hi) in chunks of at most _CHUNK
-    entries. The Python-int row comes as object arrays, so integer sums stay
-    exact and float conversion is per entry, as for the int64 row."""
-    for a in range(lo, hi, _CHUNK):
-        chunk = row[a:min(a + _CHUNK, hi)]
-        yield a, np.array(chunk, dtype=object) if isinstance(row, list) else chunk
+def _segments(grid, start: int):
+    """(lo, hi) for each x of the ascending grid: the indices lo <= n < hi
+    with n <= x not covered by an earlier point, from start on."""
+    for x in grid:
+        cut = max(start, math.floor(x) + 1)
+        yield start, cut
+        start = cut
 
 
-def row_sums(row: Union[np.ndarray, list[int]], grid) -> list[int]:
+def row_sums(row: np.ndarray, grid) -> list[int]:
     """Sum of row[n] over n <= x for each x of the ascending grid, in one
     pass of exact per-segment sums."""
     out = []
     total = 0
-    start = 0
-    for x in grid:
-        cut = math.floor(x) + 1
-        total += sum(int(c.sum()) for _, c in _row_chunks(row, start, cut))
-        start = max(start, cut)
+    for lo, hi in _segments(grid, 0):
+        # numpy sums a narrow row in (u)int64, so each _CHUNK entries become
+        # one Python int; an object row sums Python ints throughout
+        total += sum(int(row[a:min(a + _CHUNK, hi)].sum())
+                     for a in range(lo, hi, _CHUNK))
         out.append(total)
     return out
 
 
-def _log_terms(row: Union[np.ndarray, list[int]], lo: int, hi: int):
+def _log_terms(row: np.ndarray, lo: int, hi: int):
     """The float64 terms row[n] log(n) for lo <= n < hi, as lists of at most
     _SLICE Python floats."""
-    for a, c in _row_chunks(row, lo, hi):
-        for s in range(0, len(c), _SLICE):
-            part = c[s:s + _SLICE]
-            yield (part.astype(np.float64) * np.log(
-                np.arange(a + s, a + s + len(part), dtype=np.float64))).tolist()
+    for a in range(lo, hi, _SLICE):
+        part = row[a:min(a + _SLICE, hi)]
+        yield (part.astype(np.float64) * np.log(
+            np.arange(a, a + len(part), dtype=np.float64))).tolist()
 
 
-def row_log_sums(row: Union[np.ndarray, list[int]], grid) -> list[float]:
+def row_log_sums(row: np.ndarray, grid) -> list[float]:
     """Sum of row[n] log(n) over 2 <= n <= x for each x of the ascending
-    grid, in one pass.
-
-    Each segment between grid points is one fsum of its float64 terms, fed
-    _SLICE terms at a time (fsum rounds exactly whatever the slicing), and
-    the value at x is the fsum of the segment sums.
-    """
-    out = []
-    seg_sums = []
-    start = 2
-    for x in grid:
-        cut = math.floor(x) + 1
-        if cut > start:
-            seg_sums.append(fsum(chain.from_iterable(_log_terms(row, start, cut))))
-            start = cut
-        out.append(fsum(seg_sums))
-    return out
+    grid, in one grid_fsums pass whose segments are fed to fsum _SLICE
+    float64 terms at a time (fsum rounds exactly whatever the slicing)."""
+    [values] = grid_fsums(_segments(grid, 2), lambda seg: chain.from_iterable(
+        _log_terms(row, *seg)))
+    return values
 
 
 def ideal_count_sieve(field: FieldDescriptor, x: int) -> np.ndarray:
@@ -245,10 +235,8 @@ def ideal_count_sieve(field: FieldDescriptor, x: int) -> np.ndarray:
         raise ValueError("x must be >= 1")
     n = int(x)
     row = _dense_row(field, n)
-    if isinstance(row, list):
-        return np.array(row[1:n + 1], dtype=object)
-    # int64 whatever the row's dtype, so a caller's arithmetic cannot wrap
-    return row[1:n + 1].astype(np.int64)
+    # int64 for every narrow dtype, so a caller's arithmetic cannot wrap
+    return row[1:n + 1].astype(np.promote_types(row.dtype, np.int64))
 
 
 def _sunley_envelope(field: FieldDescriptor, x: float) -> Optional[float]:

@@ -12,7 +12,8 @@ Fitting the reciprocal sum would give no such tail control, so the series
 route is the only one used.
 
 All accumulations run over ideals in ascending norm with exact (Shewchuk)
-summation, so 15-digit report values are reproducible across platforms.
+summation, the grid sums through splitting.grid_fsums, so 15-digit report
+values are reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import EmptyProduct, MissingResidue
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
-from .splitting import _records_up_to, rational_primes
+from .splitting import _records_up_to, grid_fsums, rational_primes
 
 # Euler-Mascheroni constant, 40 decimal digits
 EULER_GAMMA_STR = "0.5772156649015328606065120900824024310422"
@@ -93,23 +94,15 @@ def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,
         raise MissingResidue("mertens_table requires a positive residue")
     norms = _records_up_to(field, grid[-1])[:, 0]
     cuts = np.searchsorted(norms, [math.floor(x) for x in grid], "right").tolist()
+    if cuts[0] == 0:
+        raise EmptyProduct(f"no prime ideal has norm <= {grid[0]}")
+    sums = grid_fsums((norms[a:b].tolist() for a, b in zip([0] + cuts, cuts)),
+                      lambda seg: (math.log(n) / n for n in seg),
+                      lambda seg: (1.0 / n for n in seg),
+                      lambda seg: (math.log1p(-1.0 / n) for n in seg))
     rows = []
-    seg_lnn = []
-    seg_rec = []
-    seg_l1p = []
-    start = 0
     e_gamma = math.exp(EULER_GAMMA)
-    for x, cut in zip(grid, cuts):
-        chunk = norms[start:cut].tolist()
-        seg_lnn.append(fsum(math.log(n) / n for n in chunk))
-        seg_rec.append(fsum(1.0 / n for n in chunk))
-        seg_l1p.append(fsum(math.log1p(-1.0 / n) for n in chunk))
-        start = cut
-        sum_lnn = fsum(seg_lnn)
-        sum_rec = fsum(seg_rec)
-        sum_l1p = fsum(seg_l1p)
-        if cut == 0:
-            raise EmptyProduct(f"no prime ideal has norm <= {x}")
+    for x, sum_lnn, sum_rec, sum_l1p in zip(grid, *sums):
         product = math.exp(sum_l1p)
         b_term = sum_rec - math.log(math.log(x)) - mconst.M_K
         c_term = kappa.value * math.log(x) * e_gamma * product - 1.0

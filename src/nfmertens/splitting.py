@@ -35,6 +35,8 @@ grown as larger cutoffs are asked for and freed with the descriptor; equal
 descriptors do not share one. Log-norm sums are accumulated
 with exact (Shewchuk) summation, keeping 12+ significant digits over
 millions of terms and making results independent of segmentation.
+grid_fsums holds the rounding policy of every float sum over a grid of
+cutoffs: the value at a grid point is the fsum of the per-segment fsums.
 """
 
 from __future__ import annotations
@@ -367,7 +369,8 @@ class FieldContext:
         self.records = np.empty((0, 3), dtype=np.int64)  # rows (norm, p, f)
         self.records_xmax = 0
         # r[n] = I(n) for n < len(r): a uint16, uint32 or int64 array, the
-        # narrowest that holds the row's bound, or a list of Python ints
+        # narrowest that holds the row's bound, or an object array of
+        # Python ints past the int64 guard
         self.row = None
 
 
@@ -498,3 +501,22 @@ def theta_K(field: FieldDescriptor, x: float) -> float:
     if x < 2:
         return 0.0
     return fsum(map(math.log, _records_up_to(field, x)[:, 0].tolist()))
+
+
+def grid_fsums(segments, *terms) -> list[list[float]]:
+    """Running sums over an ascending grid, one list per term function.
+
+    segments yields, for each grid point in turn, the data between the
+    previous point and this one; each term maps a segment to an iterable of
+    floats (a chain of lists feeds fsum fastest). The value of a term at the
+    k-th point is the fsum of its segment fsums over the first k segments.
+    Each segment is made once and read by every term.
+    """
+    seg_sums = [[] for _ in terms]
+    out = [[] for _ in terms]
+    for segment in segments:
+        for term, sums, values in zip(terms, seg_sums, out):
+            sums.append(fsum(term(segment)))
+            values.append(fsum(sums))
+        del segment  # free it before the next one is made
+    return out

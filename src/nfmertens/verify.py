@@ -19,7 +19,7 @@ field-independent checks plus the third-quantity error bound.
 from __future__ import annotations
 
 import math
-from math import fsum
+from functools import cache
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .mertens import (
     prime_power_sum_bound,
     theta_Q_bound_constant,
 )
-from .splitting import rational_primes
+from .splitting import grid_fsums, rational_primes
 
 PAINFUL_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.2, 1.5, 2.0, 3.0)
 PAINFUL_XS = (100.0, 1000.0, 10000.0, 100000.0)
@@ -88,15 +88,36 @@ def _interval_check(name: str, x, quantity: float, lo: float,
 def _theta_values(grid) -> list[float]:
     primes = rational_primes(grid[-1])
     logs = np.log(primes.astype(np.float64))
-    out = []
-    seg_sums = []
-    start = 0
-    for x in grid:
-        cut = int(np.searchsorted(primes, math.floor(x), side="right"))
-        seg_sums.append(fsum(logs[start:cut].tolist()))
-        start = cut
-        out.append(fsum(seg_sums))
-    return out
+    cuts = np.searchsorted(primes, [math.floor(x) for x in grid], "right").tolist()
+    [values] = grid_fsums((logs[a:b].tolist() for a, b in zip([0] + cuts, cuts)),
+                          lambda seg: seg)
+    return values
+
+
+@cache
+def _field_independent_checks() -> tuple[CheckResult, ...]:
+    """The checks no field changes, built once per process: the a-constant
+    inequalities, the norm-power case table and the prime-power sums."""
+    checks = [a_constant_inequality(deg) for deg in range(1, 21)]
+    mismatches = 0
+    for j in range(1, 8):
+        for deg in range(2, 15):
+            case, _ = multipart_case(deg, j)
+            num, den = j * (deg - 1), deg + 1  # alpha vs 1, exactly
+            expected = "linear" if num < den else "log" if num == den else "decay"
+            if case != expected:
+                mismatches += 1
+    checks.append(CheckResult(name="norm_power_case_table", x=None,
+                              quantity=float(mismatches), bound=1.0,
+                              log_slack=math.inf if mismatches == 0 else -math.inf,
+                              passed=mismatches == 0))
+    for alpha, values in zip(PAINFUL_ALPHAS,
+                             prime_power_grid(PAINFUL_XS, PAINFUL_ALPHAS)):
+        for x, value in zip(PAINFUL_XS, values):
+            checks.append(_ratio_check(
+                f"prime_power_sum_alpha_{alpha:g}", x,
+                value, prime_power_sum_bound(x, alpha)))
+    return tuple(checks)
 
 
 def _log_abs(v: float) -> float:
@@ -123,29 +144,7 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
     except UnknownStructureFlags:
         stark = None
 
-    checks: list[CheckResult] = []
-
-    # field-independent constant checks
-    for deg in range(1, 21):
-        checks.append(a_constant_inequality(deg))
-    mismatches = 0
-    for j in range(1, 8):
-        for deg in range(2, 15):
-            case, _ = multipart_case(deg, j)
-            num, den = j * (deg - 1), deg + 1  # alpha vs 1, exactly
-            expected = "linear" if num < den else "log" if num == den else "decay"
-            if case != expected:
-                mismatches += 1
-    checks.append(CheckResult(name="norm_power_case_table", x=None,
-                              quantity=float(mismatches), bound=1.0,
-                              log_slack=math.inf if mismatches == 0 else -math.inf,
-                              passed=mismatches == 0))
-    for alpha, values in zip(PAINFUL_ALPHAS,
-                             prime_power_grid(PAINFUL_XS, PAINFUL_ALPHAS)):
-        for x, value in zip(PAINFUL_XS, values):
-            checks.append(_ratio_check(
-                f"prime_power_sum_alpha_{alpha:g}", x,
-                value, prime_power_sum_bound(x, alpha)))
+    checks = list(_field_independent_checks())
 
     # theta bound on the grid
     theta_c = theta_Q_bound_constant(theta_variant)

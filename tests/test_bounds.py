@@ -33,7 +33,7 @@ def big_lambda(n, absD):
 
 class TestLogMagnitude:
     def test_render_decimal(self):
-        assert LogMagnitude.from_value(2.0).render() == "2"
+        assert LogMagnitude(math.log(2.0)).render() == "2"
 
     def test_render_exp_form(self):
         assert LogMagnitude(900.0).render() == "exp(900)"
@@ -48,10 +48,6 @@ class TestLogMagnitude:
         got = (LogMagnitude(la) + LogMagnitude(lb)).natural_log
         expected = math.log(math.exp(la) + math.exp(lb))
         assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_scale(self):
-        assert LogMagnitude.from_value(3.0).scale(2.0).value \
-            == pytest.approx(6.0, rel=1e-14)
 
 
 class TestLambda:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nfmertens import cli, idealcount
+from nfmertens import cli, idealcount, splitting
 from nfmertens.cli import RunConfig, _f15, _meta, main, parse_grid
 from nfmertens.errors import NfMertensError
 from nfmertens.field import kappa_exact, load_field
@@ -299,10 +299,10 @@ class TestStreamedDumps:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_python_int_row(self, tmp_path, monkeypatch, fmt):
         # force the arbitrary-precision row, as past the int64 guard
-        monkeypatch.setattr(idealcount, "_row_dtype", lambda bound: None)
+        monkeypatch.setattr(idealcount, "_row_dtype", lambda bound: object)
         got, expected, row = self.dump(tmp_path, monkeypatch, GAUSS, "counts",
                                        500, fmt)
-        assert isinstance(row, list)
+        assert row.dtype == object
         assert got == expected
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -433,3 +433,35 @@ class TestErrors:
         args = [str(tmp_path / NO_CLASS) if a == NO_CLASS else a for a in args]
         assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--truncation-x", "5"],
+        ["verify", "--truncation-x", "nan"],
+        ["verify", "--truncation-x", "1e12"],
+        ["mertens", "--truncation-x", "1e12"],
+        ["constants", "--truncation-x", "1e12"],
+        ["mertens", "--truncation-x", "inf"],
+        ["mertens", "--xmax", "1e9", "--grid", "4:36"],
+    ], ids=["verify-5", "verify-nan", "verify-1e12", "mertens-1e12",
+            "constants-1e12", "mertens-inf", "mertens-grid-past-cap"])
+    def test_bad_truncation_exits_two_before_sieving(self, tmp_path, capsys,
+                                                     monkeypatch, args):
+        # every prime sieve starts in _simple_sieve
+        sieved = []
+        monkeypatch.setattr(splitting, "_simple_sieve",
+                            lambda limit: sieved.append(limit))
+        out = tmp_path / "r.csv"
+        assert main(args + ["--field", GAUSS, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sieved == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mertens", "constants", "verify"])
+    def test_truncation_bounds_are_inclusive(self, command):
+        for value in (10.0, float(idealcount.DENSE_SIEVE_CAP)):
+            RunConfig(field_path=GAUSS, command=command,
+                      truncation_x=value).validate()
+        for value in (9.999, idealcount.DENSE_SIEVE_CAP + 1.0):
+            with pytest.raises(NfMertensError, match="truncation_x"):
+                RunConfig(field_path=GAUSS, command=command,
+                          truncation_x=value).validate()

@@ -179,6 +179,17 @@ class TestCofactorPass:
             assert _dense_row_numpy(field, n_max).tolist() == \
                 _dense_row_python(field, n_max), name
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 3480, 3481, 3482, 3491, 10 ** 5])
+    def test_object_row_matches_python_row(self, corpus, n_max):
+        # the row past the int64 guard: the same passes over Python ints
+        for name, field in corpus.items():
+            if name == "non-monogenic-cubic":
+                continue
+            row = _dense_row_numpy(field, n_max, object)
+            assert row.dtype == object
+            assert all(type(v) is int for v in row[:20])
+            assert row.tolist() == _dense_row_python(field, n_max), name
+
 
 class TestRowDtypeBoundary:
     """cyclotomic5 crosses from a uint16 to a uint32 row at 302,400, the
@@ -222,7 +233,7 @@ class TestRowGuard:
     @pytest.mark.parametrize("bound, dtype", [
         (0, np.uint16), (2 ** 16 - 1, np.uint16), (2 ** 16, np.uint32),
         (2 ** 32 - 1, np.uint32), (2 ** 32, np.int64), (2 ** 62 - 1, np.int64),
-        (2 ** 62, None)])
+        (2 ** 62, object)])
     def test_dtype_at_bounds(self, bound, dtype):
         assert _row_dtype(bound) is dtype
 
@@ -237,6 +248,17 @@ class TestRowGuard:
         # degree 8 is the lowest that needs int64 below the cap
         assert _row_dtype(_max_divisor_count(39_916_799, 8)) is np.uint32
         assert _row_dtype(_max_divisor_count(39_916_800, 8)) is np.int64
+
+    def test_sieve_is_object_past_the_guard(self, gauss, monkeypatch):
+        int64_counts = ideal_count_sieve(gauss, 1000)
+        # a descriptor of its own, so the shared fixture keeps its narrow row
+        field = load_field("poly = [1, 0, 1]\n")
+        monkeypatch.setattr(idealcount, "_max_divisor_count", lambda x, k: 2 ** 62)
+        assert _dense_row(field, 1000).dtype == object
+        counts = ideal_count_sieve(field, 1000)
+        assert counts.dtype == object
+        assert all(type(v) is int for v in counts)
+        assert counts.tolist() == int64_counts.tolist()
 
     def test_cap_error_is_usage_error_and_value_error(self, gauss):
         with pytest.raises(DenseSieveCapExceeded) as info:
@@ -326,7 +348,7 @@ class TestGridSums:
     def test_python_int_row(self, corpus, name):
         field = corpus[name]
         grid = list(geometric_grid(4, 13)) + [3000.0]
-        row = _dense_row_python(field, 3000)
+        row = np.array(_dense_row_python(field, 3000), dtype=object)
         sums = row_sums(row, grid)
         assert all(type(v) is int for v in sums)
         assert sums == [sum(row[:math.floor(x) + 1]) for x in grid]
@@ -334,7 +356,7 @@ class TestGridSums:
         assert row_log_sums(row, grid) == segment_log_sums(row, grid)
 
     def test_python_ints_beyond_int64(self):
-        row = [0] + [2 ** 70 + n for n in range(1, 10000)]
+        row = np.array([0] + [2 ** 70 + n for n in range(1, 10000)], dtype=object)
         grid = [1.0, 4500.5, 9999.0]
         assert row_sums(row, grid) == [sum(row[:math.floor(x) + 1]) for x in grid]
 

@@ -24,6 +24,7 @@ from nfmertens.polyfield import (
 )
 from nfmertens.splitting import (
     FROBENIUS_P_MAX,
+    grid_fsums,
     kronecker,
     prime_ideals_up_to,
     rational_primes,
@@ -441,6 +442,46 @@ class TestThetaK:
                 if name == "non-monogenic-cubic":
                     continue
                 assert theta_K(field, x) <= field.degree * theta_q + 1e-9
+
+
+def fsum_of_segment_fsums(segments, term):
+    """The value at the k-th point: fsum of the first k segment fsums."""
+    seg_sums = [math.fsum(term(seg)) for seg in segments]
+    return [math.fsum(seg_sums[:k + 1]) for k in range(len(seg_sums))]
+
+
+class TestGridFsums:
+    finite = st.floats(allow_nan=False, allow_infinity=False,
+                       min_value=-1e300, max_value=1e300)
+
+    @given(st.lists(st.lists(finite, max_size=6), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, segments):
+        def square(seg):
+            return [v * 1e-160 * v * 1e-160 for v in seg]
+        got = grid_fsums(iter(segments), list, square)
+        assert got == [fsum_of_segment_fsums(segments, list),
+                       fsum_of_segment_fsums(segments, square)]
+
+    def test_empty_segments_and_repeated_cuts(self):
+        # cuts [0, 0, 3, 3, 3, 5]: empty segments before, between and after
+        # data, as grid points below the first term or with one floor give
+        values = [0.1, 1e16, -1e16, 0.2, 0.3]
+        cuts = [0, 0, 3, 3, 3, 5]
+        segments = [values[a:b] for a, b in zip([0] + cuts, cuts)]
+        [got] = grid_fsums(segments, lambda seg: seg)
+        assert got == fsum_of_segment_fsums(segments, lambda seg: seg)
+        assert got == [0.0, 0.0, 0.1, 0.1, 0.1, math.fsum(values)]
+
+    def test_segments_are_read_once(self):
+        made = []
+
+        def segments():
+            for seg in ([1.0], [2.0, 3.0]):
+                made.append(seg)
+                yield seg
+        assert grid_fsums(segments(), list, list, list) == [[1.0, 6.0]] * 3
+        assert len(made) == 2
 
 
 class TestFieldContext:

@@ -4,6 +4,7 @@ import pytest
 
 from nfmertens.field import Residue, kappa_exact
 from nfmertens.mertens import mertens_constant, mertens_table
+from nfmertens import verify
 from nfmertens.verify import verify_all
 
 
@@ -98,3 +99,25 @@ class TestVerifyAll:
         report = verify_all(bare, [10.0], kappa_exact(bare), truncation_x=1e4)
         assert report.stark_lower is None
         assert all(c.name != "residue_lower_stark" for c in report.checks)
+
+    def test_field_independent_checks_built_once(self, gauss, golden,
+                                                  monkeypatch):
+        calls = []
+        grid = verify.prime_power_grid
+        monkeypatch.setattr(verify, "prime_power_grid",
+                            lambda xs, alphas: calls.append(xs) or grid(xs, alphas))
+        verify._field_independent_checks.cache_clear()
+        try:
+            first = verify_all(gauss, [10.0, 100.0], kappa_exact(gauss),
+                               truncation_x=1e4)
+            second = verify_all(golden, [10.0, 100.0], kappa_exact(golden),
+                                truncation_x=1e4)
+        finally:
+            verify._field_independent_checks.cache_clear()
+        assert len(calls) == 1
+
+        def shared(report):
+            return [c for c in report.checks if c.name.startswith(
+                ("a_constant", "norm_power_case", "prime_power_sum_alpha_"))]
+        assert len(shared(first)) == 20 + 1 + 36
+        assert shared(first) == shared(second)
