@@ -20,6 +20,7 @@ from nfmertens import (
     zimmert_lower,
 )
 from nfmertens.errors import MissingClassData, UnknownStructureFlags
+from nfmertens.idealcount import DENSE_SIEVE_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +30,10 @@ def main() -> None:
     parser.add_argument("--truncation-x", type=float, default=1e6)
     parser.add_argument("--fields-dir", default=str(ROOT / "fields"))
     args = parser.parse_args()
+    # mertens_constant sieves prime ideals up to it; NaN fails both tests
+    if not 10 <= args.truncation_x <= DENSE_SIEVE_CAP:
+        parser.error(f"--truncation-x {args.truncation_x:g} must lie within "
+                     f"[10, {DENSE_SIEVE_CAP:g}]")
 
     header = (f"{'field':<22}{'deg':>4}{'disc':>7}{'kappa':>11}"
               f"{'zimmert':>10}{'loubout':>9}{'stark':>10}"

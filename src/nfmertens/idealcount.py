@@ -7,11 +7,12 @@ into an all-ones row in exact integers.
 
 The numpy row takes two passes. Each prime p <= sqrt(N) multiplies in the
 count of every power p^k <= N at the multiples of p^k with cofactor prime to
-p. A prime P > sqrt(N) has P^2 > N, so only the number c1(P) of ideals of
-norm P matters, and every multiple m*P <= N has a cofactor m < P; one
-vectorised step per cofactor m scales row[m*P] by c1(P) for all such P at
-once. The Python-int list row, kept as the passes' test oracle, goes prime
-power by prime power.
+p, in place on their strided view cut into runs of p less the last column.
+A prime P > sqrt(N) has P^2 > N, so only the number c1(P) of ideals of norm
+P matters, and every multiple m*P <= N has a cofactor m < P; one vectorised
+step per cofactor m scales row[m*P] by c1(P) for all such P at once. The
+Python-int list row, kept as the passes' test oracle, goes prime power by
+prime power.
 
 The numpy row's dtype comes from an a-priori bound: each local count at p^k
 is at most C(k + deg - 1, deg - 1), so every partial product is at most
@@ -25,8 +26,8 @@ context; ideal_count_sieve hands callers int64 for every narrow dtype and
 an object array past the guard.
 
 Sums over the row take one ascending pass over a grid of cutoffs (row_sums,
-row_log_sums, the latter rounded by splitting.grid_fsums); the single-point
-functions are one-point grids.
+row_log_sums, the latter rounded by splitting.grid_fsums over the nonzero
+I(n)); the single-point functions are one-point grids.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .splitting import (
 )
 
 DENSE_SIEVE_CAP = 10 ** 8
-_CHUNK = 1 << 22
+_CHUNK = 1 << 22  # row entries per step of the cofactor pass and of row_sums
 # float terms fed to fsum at a time: the list of Python floats stays
 # cache-sized instead of holding a whole chunk
 _SLICE = 1 << 16
@@ -131,17 +132,14 @@ def _dense_row_numpy(field: FieldDescriptor, n_max: int,
     row[0] = 0
     primes, codes, patterns = _splitting_table(field, n_max)
     split = np.searchsorted(primes, math.isqrt(n_max), "right")
-    # primes p <= sqrt(n_max): every power p^k <= n_max, at the multiples of
-    # p^k whose cofactor is prime to p
+    # primes p <= sqrt(n_max), each power q = p^k <= n_max: view[i] = row[q*(i+1)]
+    # has the cofactors i + 1 = 0 mod p in the last column of each run of p and
+    # none in the tail of < p (a strided 1-D view reshapes to a view, not a copy)
     for p, q, c in _local_factors(primes[:split], codes[:split], patterns, n_max):
-        m = n_max // q
         view = row[q:: q]
-        for lo in range(0, m, _CHUNK):
-            hi = min(lo + _CHUNK, m)
-            # view[i] = row[q * (i + 1)]: drop the cofactors i + 1 = 0 mod p
-            sel = np.ones(hi - lo, dtype=bool)
-            sel[(-(lo + 1)) % p:: p] = False
-            view[lo:hi][sel] *= c
+        full = len(view) - len(view) % p
+        view[:full].reshape(-1, p)[:, :-1] *= c
+        view[full:] *= c
     # primes P > sqrt(n_max): P^2 > n_max, and each multiple m*P <= n_max has
     # a cofactor m < P prime to P, so its local factor is c1[P], the number of
     # ideals of norm P; one pass per cofactor m over all P <= n_max // m
@@ -212,18 +210,20 @@ def row_sums(row: np.ndarray, grid) -> list[int]:
 
 
 def _log_terms(row: np.ndarray, lo: int, hi: int):
-    """The float64 terms row[n] log(n) for lo <= n < hi, as lists of at most
-    _SLICE Python floats."""
+    """The float64 terms row[n] log(n) for lo <= n < hi with row[n] != 0, as
+    lists of at most _SLICE Python floats."""
     for a in range(lo, hi, _SLICE):
         part = row[a:min(a + _SLICE, hi)]
-        yield (part.astype(np.float64) * np.log(
-            np.arange(a, a + len(part), dtype=np.float64))).tolist()
+        nz = np.flatnonzero(part)
+        yield (part[nz].astype(np.float64)
+               * np.log((nz + a).astype(np.float64))).tolist()
 
 
 def row_log_sums(row: np.ndarray, grid) -> list[float]:
     """Sum of row[n] log(n) over 2 <= n <= x for each x of the ascending
     grid, in one grid_fsums pass whose segments are fed to fsum _SLICE
-    float64 terms at a time (fsum rounds exactly whatever the slicing)."""
+    float64 terms at a time (fsum rounds exactly whatever the slicing, and the
+    terms of zero I(n), +0.0, are left out)."""
     [values] = grid_fsums(_segments(grid, 2), lambda seg: chain.from_iterable(
         _log_terms(row, *seg)))
     return values

@@ -85,13 +85,16 @@ def _interval_check(name: str, x, quantity: float, lo: float,
                        log_slack=slack, passed=lo <= quantity <= hi)
 
 
-def _theta_values(grid) -> list[float]:
+@cache
+def _theta_values(grid: tuple[float, ...]) -> tuple[float, ...]:
+    """theta(x) at each x of the grid, from one sieve per grid per process:
+    no field changes it."""
     primes = rational_primes(grid[-1])
     logs = np.log(primes.astype(np.float64))
     cuts = np.searchsorted(primes, [math.floor(x) for x in grid], "right").tolist()
     [values] = grid_fsums((logs[a:b].tolist() for a, b in zip([0] + cuts, cuts)),
                           lambda seg: seg)
-    return values
+    return tuple(values)
 
 
 @cache
@@ -148,7 +151,7 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
 
     # theta bound on the grid
     theta_c = theta_Q_bound_constant(theta_variant)
-    for x, theta in zip(grid, _theta_values(grid)):
+    for x, theta in zip(grid, _theta_values(tuple(grid))):
         checks.append(_ratio_check(f"chebyshev_theta_{theta_variant}", x,
                                    theta, theta_c * x))
 

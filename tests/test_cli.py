@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -465,3 +468,20 @@ class TestErrors:
             with pytest.raises(NfMertensError, match="truncation_x"):
                 RunConfig(field_path=GAUSS, command=command,
                           truncation_x=value).validate()
+
+
+class TestConstantsTableScript:
+    SCRIPT = FIELDS.parent / "scripts" / "constants_table.py"
+
+    @pytest.mark.parametrize("value", ["1e12", "nan", "5"])
+    def test_bad_truncation_exits_two_before_loading(self, tmp_path, value):
+        # a descriptor that fails to load: exit 2 shows none was read
+        (tmp_path / "broken.field").write_text("poly = [\n")
+        env = dict(os.environ, PYTHONPATH=str(FIELDS.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--truncation-x", value,
+             "--fields-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "--truncation-x" in done.stderr
+        assert done.stdout == ""

@@ -191,6 +191,41 @@ class TestCofactorPass:
             assert row.tolist() == _dense_row_python(field, n_max), name
 
 
+STRIDED_FIELDS = ["gaussian", "cbrt2", "cyclotomic5", "sqrt-163"]
+
+
+class TestStridedPass:
+    """The in-place strided pass over the small primes against the Python-int
+    row: view = row[q::q] is cut into runs of p and a tail of fewer than p."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(idealcount, "_CHUNK", 1001)
+
+    @staticmethod
+    def check(corpus, n_max):
+        for name in STRIDED_FIELDS:
+            field = corpus[name]
+            natural = _row_dtype(_max_divisor_count(n_max, field.degree))
+            expected = _dense_row_python(field, n_max)
+            for dtype in (natural, object):
+                assert _dense_row_numpy(field, n_max, dtype).tolist() == expected, \
+                    (name, n_max, dtype)
+
+    # len(view) = n_max // q is p - 1 (< p, no full run), p (one run, no
+    # tail) and p again at n_max = q*p + 1; q = 2, 4, 9, 49 is run with c != 1
+    # by cyclotomic5 (2, 4, 9, 49), sqrt-163 (2) and cbrt2 (49)
+    @pytest.mark.parametrize("n_max", [q * p + d for q, p in ((2, 2), (4, 2), (9, 3), (49, 7))
+                                       for d in (-1, 0, 1)])
+    def test_run_and_tail_edges(self, corpus, n_max):
+        self.check(corpus, n_max)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_max=st.integers(min_value=0, max_value=20000))
+    def test_matches_python_row(self, corpus, n_max):
+        self.check(corpus, n_max)
+
+
 class TestRowDtypeBoundary:
     """cyclotomic5 crosses from a uint16 to a uint32 row at 302,400, the
     first x with d_4(x) >= 2^16; the Python-int row is the oracle."""
@@ -362,6 +397,54 @@ class TestGridSums:
 
     def test_points_below_one_sum_to_zero(self, gauss):
         assert row_sums(_dense_row(gauss, 10), [0.0, 0.5, 10.0]) == [0, 0, 9]
+
+
+def all_terms_log_sum(row, x):
+    """T(x) as the fsum of every float64 term I(n) log n, 2 <= n <= x, zero
+    terms included."""
+    x = math.floor(x)
+    return math.fsum((row[2:x + 1].astype(np.float64)
+                      * np.log(np.arange(2, x + 1.0))).tolist())
+
+
+class TestNonzeroLogTerms:
+    """row_log_sums feeds fsum the terms of the nonzero I(n) only; the zero
+    terms are +0.0, so the exact sums cannot change."""
+
+    @pytest.fixture(autouse=True)
+    def small_slices(self, monkeypatch):
+        monkeypatch.setattr(idealcount, "_SLICE", 1031)
+
+    def test_corpus_at_1e5_against_all_terms(self, corpus):
+        # a one-point grid is one fsum over all its terms; a longer grid
+        # rounds each segment first (grid_fsums), as TestGridSums checks
+        points = [2.0, 3.0] + list(geometric_grid(4, 20))
+        for name, field in corpus.items():
+            if name == "non-monogenic-cubic":
+                continue
+            row = _dense_row(field, 10 ** 5)
+            for x in points:
+                assert row_log_sums(row, [x]) == [all_terms_log_sum(row, x)], \
+                    (name, x)
+
+    def test_gathered_logs_equal_full_logs(self, corpus):
+        # np.log of the gathered n (the nonzero I(n)) against np.log of the
+        # whole arange slice, for every 2 <= n <= 1e6: each mask and its
+        # complement together gather every n once, in slices of _SLICE as
+        # row_log_sums takes them
+        n_max = 10 ** 6
+        rng = np.random.default_rng(0)
+        masks = [_dense_row(corpus[name], n_max) != 0
+                 for name in ("gaussian", "cyclotomic5")]
+        masks.append(rng.random(n_max + 1) < 0.5)
+        step = idealcount._SLICE
+        for a in range(2, n_max + 1, step):
+            full = np.log(np.arange(a, min(a + step, n_max + 1), dtype=np.float64))
+            for mask in masks:
+                for keep in (mask[a:a + step], ~mask[a:a + step]):
+                    nz = np.flatnonzero(keep)
+                    got = np.log((nz + a).astype(np.float64))
+                    assert np.array_equal(got, full[nz]), a
 
 
 class TestKappaEstimate:

@@ -80,6 +80,12 @@ class TestMertensConstant:
         with pytest.raises(MissingResidue):
             mertens_constant(gauss, 100, None)
 
+    @pytest.mark.parametrize("truncation_x", [5, 1e8 + 1, 1e12, math.inf, math.nan])
+    def test_truncation_out_of_range(self, gauss, truncation_x):
+        # it sieves prime ideals up to truncation_x: 1e12 would never end
+        with pytest.raises(ValueError, match="truncation_x"):
+            mertens_constant(gauss, truncation_x, kappa_exact(gauss))
+
 
 class TestMertensSecond:
     def test_rationals_at_ten(self, rationals):

@@ -121,3 +121,21 @@ class TestVerifyAll:
                 ("a_constant", "norm_power_case", "prime_power_sum_alpha_"))]
         assert len(shared(first)) == 20 + 1 + 36
         assert shared(first) == shared(second)
+
+    def test_theta_sieved_once_per_grid(self, gauss, golden, monkeypatch):
+        calls = []
+        primes = verify.rational_primes
+        monkeypatch.setattr(verify, "rational_primes",
+                            lambda x: calls.append(x) or primes(x))
+        verify._theta_values.cache_clear()
+        try:
+            reports = [verify_all(field, [10.0, 100.0, 1000.0], kappa_exact(field),
+                                  truncation_x=1e4) for field in (gauss, golden)]
+        finally:
+            verify._theta_values.cache_clear()
+        assert calls == [1000.0]
+
+        def theta(report):
+            return [c for c in report.checks if c.name == "chebyshev_theta_classic"]
+        assert len(theta(reports[0])) == 3
+        assert theta(reports[0]) == theta(reports[1])
