@@ -9,18 +9,9 @@ Usage:
 import argparse
 from pathlib import Path
 
-from nfmertens import (
-    kappa_exact,
-    lambda_K,
-    load_field,
-    louboutin_upper,
-    mertens_constant,
-    stark_lower,
-    upsilon_K,
-    zimmert_lower,
-)
-from nfmertens.errors import MissingClassData, UnknownStructureFlags
-from nfmertens.idealcount import DENSE_SIEVE_CAP
+from nfmertens import field_constants, kappa_exact, load_field, mertens_constant
+from nfmertens.errors import CutoffOutOfRange, MissingClassData
+from nfmertens.idealcount import check_cutoff
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,10 +21,11 @@ def main() -> None:
     parser.add_argument("--truncation-x", type=float, default=1e6)
     parser.add_argument("--fields-dir", default=str(ROOT / "fields"))
     args = parser.parse_args()
-    # mertens_constant sieves prime ideals up to it; NaN fails both tests
-    if not 10 <= args.truncation_x <= DENSE_SIEVE_CAP:
-        parser.error(f"--truncation-x {args.truncation_x:g} must lie within "
-                     f"[10, {DENSE_SIEVE_CAP:g}]")
+    # mertens_constant sieves prime ideals up to it; fail before any load
+    try:
+        check_cutoff("--truncation-x", args.truncation_x, 10)
+    except CutoffOutOfRange as exc:
+        parser.error(str(exc))
 
     header = (f"{'field':<22}{'deg':>4}{'disc':>7}{'kappa':>11}"
               f"{'zimmert':>10}{'loubout':>9}{'stark':>10}"
@@ -50,15 +42,13 @@ def main() -> None:
                   f"{'-':>11}  (no class data)")
             continue
         mc = mertens_constant(field, args.truncation_x, kappa)
-        if field.degree >= 2:
-            zim = f"{zimmert_lower(field.abs_discriminant):>10.6f}"
-            lou = f"{louboutin_upper(field.degree, field.abs_discriminant):>9.4f}"
-            lam = f"{lambda_K(field.degree, field.abs_discriminant).natural_log:>9.3f}"
-            ups = f"{upsilon_K(field.degree, field.abs_discriminant, kappa).natural_log:>9.3f}"
-            try:
-                stk = f"{stark_lower(field).value:>10.2e}"
-            except UnknownStructureFlags:
-                stk = f"{'?':>10}"
+        c = field_constants(field, kappa)
+        if c.lambda_K is not None:
+            zim = f"{c.zimmert_lower:>10.6f}"
+            lou = f"{c.louboutin_upper:>9.4f}"
+            lam = f"{c.lambda_K.natural_log:>9.3f}"
+            ups = f"{c.upsilon_K.natural_log:>9.3f}"
+            stk = f"{c.stark_lower.value:>10.2e}" if c.stark_lower else f"{'?':>10}"
         else:
             zim = lou = lam = ups = f"{'-':>9}"
             stk = f"{'-':>10}"

@@ -5,8 +5,10 @@ __version__ = "0.3.0"
 from .bounds import (
     BoundsReport,
     CheckResult,
+    FieldConstants,
     LogMagnitude,
     StarkBound,
+    field_constants,
     lambda_K,
     louboutin_upper,
     stark_lower,
@@ -57,14 +59,15 @@ from .splitting import (
 from .verify import verify_all
 
 __all__ = [
-    "BoundsReport", "CheckResult", "ClassData", "FieldDescriptor", "IntPoly",
-    "LogMagnitude", "MertensConstant", "MertensRow", "PrimeIdealRecord",
-    "Residue", "SplittingType", "StarkBound", "StructureFlags",
-    "SummatoryPoint", "dedekind_index_test", "descriptor_text", "factor_mod_p",
-    "geometric_grid", "ideal_count_sieve", "kappa_estimate", "kappa_exact",
-    "kronecker", "lambda_K", "load_field", "louboutin_upper",
-    "mertens_constant", "mertens_table", "poly_discriminant",
-    "prime_ideals_up_to", "prime_power_sum", "rational_primes",
-    "splitting_type", "stark_lower", "summatory", "sunley_constants", "t_K",
-    "theta_K", "upsilon_K", "verify_all", "xi_K", "zimmert_lower",
+    "BoundsReport", "CheckResult", "ClassData", "FieldConstants",
+    "FieldDescriptor", "IntPoly", "LogMagnitude", "MertensConstant",
+    "MertensRow", "PrimeIdealRecord", "Residue", "SplittingType",
+    "StarkBound", "StructureFlags", "SummatoryPoint", "dedekind_index_test",
+    "descriptor_text", "factor_mod_p", "field_constants", "geometric_grid",
+    "ideal_count_sieve", "kappa_estimate", "kappa_exact", "kronecker",
+    "lambda_K", "load_field", "louboutin_upper", "mertens_constant",
+    "mertens_table", "poly_discriminant", "prime_ideals_up_to",
+    "prime_power_sum", "rational_primes", "splitting_type", "stark_lower",
+    "summatory", "sunley_constants", "t_K", "theta_K", "upsilon_K",
+    "verify_all", "xi_K", "zimmert_lower",
 ]

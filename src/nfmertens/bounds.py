@@ -87,7 +87,9 @@ class StarkBound:
 
 
 @dataclass(frozen=True)
-class BoundsReport:
+class FieldConstants:
+    """A field's explicit constants; see field_constants."""
+
     lambda_K: Optional[LogMagnitude]
     upsilon_K: Optional[LogMagnitude]
     louboutin_upper: Optional[float]
@@ -96,6 +98,10 @@ class BoundsReport:
     a1: LogMagnitude
     a3: LogMagnitude
     a7: LogMagnitude
+
+
+@dataclass(frozen=True)
+class BoundsReport(FieldConstants):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -226,6 +232,25 @@ def stark_lower(field: FieldDescriptor) -> StarkBound:
             value = alt
             label = case + "-no-quadratic-subfield"
     return StarkBound(value=value, case_label=f"{label}; {STARK_CAVEAT}")
+
+
+def field_constants(field: FieldDescriptor,
+                    kappa: Optional[Residue]) -> FieldConstants:
+    """Lambda_K, Upsilon_K (None without a residue), the Louboutin, Zimmert
+    and Stark residue bounds (Stark None when the structure flags select no
+    case) and a1, a3, a7. Below degree 2 only a1, a3, a7 exist; the rest are
+    None."""
+    n, absD = field.degree, field.abs_discriminant
+    a1, a3, a7 = sunley_constants(n)
+    if n < 2:
+        return FieldConstants(None, None, None, None, None, a1, a3, a7)
+    try:
+        stark = stark_lower(field)
+    except UnknownStructureFlags:
+        stark = None
+    ups = upsilon_K(n, absD, kappa) if kappa is not None else None
+    return FieldConstants(lambda_K(n, absD), ups, louboutin_upper(n, absD),
+                          zimmert_lower(absD), stark, a1, a3, a7)
 
 
 def multipart_case(n: int, j: int) -> tuple[str, float]:

@@ -28,22 +28,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    lambda_K,
-    louboutin_upper,
-    stark_lower,
-    sunley_constants,
-    upsilon_K,
-    zimmert_lower,
-)
-from .errors import MissingClassData, NfMertensError, UnknownStructureFlags
+from .bounds import field_constants
+from .errors import MissingClassData, NfMertensError
 from .field import FieldDescriptor, kappa_exact, load_field
-from .idealcount import (
-    DENSE_SIEVE_CAP,
-    _dense_row,
-    kappa_estimate,
-    summatory_grid,
-)
+from .idealcount import _dense_row, check_cutoff, kappa_estimate, summatory_grid
 from .mertens import geometric_grid, mertens_constant, mertens_table
 from .splitting import _records_up_to
 from .verify import verify_all
@@ -74,33 +62,20 @@ class RunConfig:
             raise NfMertensError(f"unknown command {self.command!r}")
         if self.fmt not in ("csv", "json"):
             raise NfMertensError("format must be csv or json")
-        # residue estimates kappa by sieving to x_max unless --exact
-        sieved = self.command in ("sieve", "verify") \
-            or (self.command == "residue" and not self.exact_residue)
-        if sieved and self.x_max > DENSE_SIEVE_CAP:
-            raise NfMertensError(
-                f"x_max {self.x_max:g} exceeds the dense-sieve cap {DENSE_SIEVE_CAP:g}")
-        if self.command == "sieve" and self.sieve_what in ("counts", "ideals"):
-            low = 1 if self.sieve_what == "counts" else 2
-            if self.x_max < low:
-                raise NfMertensError(
-                    f"sieve --what {self.sieve_what} needs x_max >= {low}")
+        # every command may sieve to x_max, where kappa is estimated for a
+        # field without class data; the ideals dump starts at norm 2
+        ideals = self.command == "sieve" and self.sieve_what == "ideals"
+        check_cutoff("x_max", self.x_max, 2 if ideals else 1)
         if self.command in ("mertens", "verify") and not self.grid:
             raise NfMertensError("grid is empty: no grid point lies in [2, x_max]")
         # the Mertens constant and table sieve prime ideals up to these
-        if self.command in ("mertens", "constants", "verify") and not (
-                10 <= self.truncation_x <= DENSE_SIEVE_CAP):
-            raise NfMertensError(
-                f"truncation_x {self.truncation_x:g} must lie within "
-                f"[10, {DENSE_SIEVE_CAP:g}]")
-        if self.command == "mertens" and self.grid[-1] > DENSE_SIEVE_CAP:
-            raise NfMertensError(
-                f"grid top {self.grid[-1]:g} exceeds the dense-sieve cap "
-                f"{DENSE_SIEVE_CAP:g}")
+        if self.command in ("mertens", "constants", "verify"):
+            check_cutoff("truncation_x", self.truncation_x, 10)
+        # before the order test, whose set of floats orders a NaN by its id
+        for x in self.grid:
+            check_cutoff("grid point", x, 2, self.x_max)
         if list(self.grid) != sorted(set(self.grid)):
             raise NfMertensError("grid must be strictly ascending")
-        if self.grid and (self.grid[0] < 2 or self.grid[-1] > self.x_max):
-            raise NfMertensError("grid must lie within [2, x_max]")
 
 
 def _f15(v) -> str:
@@ -223,11 +198,15 @@ def _count_blocks(row: np.ndarray, x: int):
         yield zip(range(a, a + len(part)), part)
 
 
-def _residue_for(field: FieldDescriptor, config: RunConfig):
-    """Exact residue when class data exists, otherwise an estimate."""
+def _residue_for(field: FieldDescriptor, config: RunConfig, meta: dict):
+    """Exact residue when class data exists, otherwise an estimate; its
+    provenance goes into meta."""
     if field.class_data is not None:
-        return kappa_exact(field)
-    return kappa_estimate(field, max(config.x_max, 100.0))
+        kappa = kappa_exact(field)
+    else:
+        kappa = kappa_estimate(field, max(config.x_max, 100.0))
+    meta["kappa_provenance"] = kappa.provenance
+    return kappa
 
 
 def _cmd_sieve(field, config, meta, out_path):
@@ -243,8 +222,7 @@ def _cmd_sieve(field, config, meta, out_path):
                   for a in range(0, len(recs), _BLOCK))
         _emit(config, meta, ["p", "f", "norm"], blocks, out_path)
     elif what == "summatory":
-        kappa = _residue_for(field, config)
-        meta["kappa_provenance"] = kappa.provenance
+        kappa = _residue_for(field, config, meta)
         rows = [[p.x, p.value, kappa.value * p.x, p.sunley_envelope]
                 for p in summatory_grid(field, config.grid)]
         _emit(config, meta, ["x", "ideal_count_sum", "kappa_x", "envelope"],
@@ -255,15 +233,13 @@ def _cmd_sieve(field, config, meta, out_path):
 
 
 def _cmd_mertens(field, config, meta, out_path):
-    kappa = _residue_for(field, config)
+    kappa = _residue_for(field, config, meta)
     mconst = mertens_constant(field, config.truncation_x, kappa)
-    meta["kappa_provenance"] = kappa.provenance
     meta["mertens_constant"] = _f15(mconst.M_K)
     meta["mertens_constant_tail"] = _f15(mconst.tail_halfwidth)
     meta["approximate"] = mconst.approximate
-    ups = None
-    if field.degree >= 2:
-        ups = upsilon_K(field.degree, field.abs_discriminant, kappa).value
+    ups = field_constants(field, kappa).upsilon_K
+    ups = ups.value if ups is not None else None
     rows = []
     for r in mertens_table(field, config.grid, mconst, kappa):
         rows.append([r.x, r.sum_logN_over_N, r.A_K, r.sum_recip, r.B_K,
@@ -275,30 +251,26 @@ def _cmd_mertens(field, config, meta, out_path):
 
 
 def _cmd_constants(field, config, meta, out_path):
-    kappa = _residue_for(field, config)
+    kappa = _residue_for(field, config, meta)
     mconst = mertens_constant(field, config.truncation_x, kappa)
-    meta["kappa_provenance"] = kappa.provenance
-    n = field.degree
-    a1, a3, a7 = sunley_constants(n)
+    c = field_constants(field, kappa)
     rows = [
-        ["degree", n],
+        ["degree", field.degree],
         ["abs_discriminant", field.abs_discriminant],
         ["kappa", kappa.value],
         ["mertens_constant", mconst.M_K],
         ["mertens_constant_tail", mconst.tail_halfwidth],
         ["truncation_x", mconst.truncation_x],
-        ["a1_log", a1.natural_log],
-        ["a3_log", a3.natural_log],
-        ["a7_log", a7.natural_log],
+        ["a1_log", c.a1.natural_log],
+        ["a3_log", c.a3.natural_log],
+        ["a7_log", c.a7.natural_log],
     ]
-    if n >= 2:
-        lam = lambda_K(n, field.abs_discriminant)
-        ups = upsilon_K(n, field.abs_discriminant, kappa)
+    if c.lambda_K is not None:
         rows += [
-            ["lambda_log", lam.natural_log],
-            ["lambda", lam.render()],
-            ["upsilon_log", ups.natural_log],
-            ["upsilon", ups.render()],
+            ["lambda_log", c.lambda_K.natural_log],
+            ["lambda", c.lambda_K.render()],
+            ["upsilon_log", c.upsilon_K.natural_log],
+            ["upsilon", c.upsilon_K.render()],
         ]
     _emit(config, meta, ["constant", "value"], [_cells(config, rows)], out_path)
     return 0
@@ -317,23 +289,20 @@ def _cmd_residue(field, config, meta, out_path):
         est = kappa_estimate(field, max(config.x_max, 100.0))
         rows.append(["kappa_estimate", est.value, est.provenance])
         rows.append(["kappa_estimate_halfwidth", est.halfwidth, ""])
-    if field.degree >= 2:
-        rows.append(["zimmert_lower", zimmert_lower(field.abs_discriminant), ""])
-        rows.append(["louboutin_upper",
-                     louboutin_upper(field.degree, field.abs_discriminant), ""])
-        try:
-            stark = stark_lower(field)
-            rows.append(["stark_lower", stark.value, stark.case_label])
-        except UnknownStructureFlags:
-            rows.append(["stark_lower", None, "unavailable: structure flags unknown"])
+    c = field_constants(field, None)
+    if c.zimmert_lower is not None:
+        rows.append(["zimmert_lower", c.zimmert_lower, ""])
+        rows.append(["louboutin_upper", c.louboutin_upper, ""])
+        stark = c.stark_lower
+        rows.append(["stark_lower", stark.value, stark.case_label] if stark
+                    else ["stark_lower", None, "unavailable: structure flags unknown"])
     _emit(config, meta, ["quantity", "value", "note"], [_cells(config, rows)],
           out_path)
     return 0
 
 
 def _cmd_verify(field, config, meta, out_path):
-    kappa = _residue_for(field, config)
-    meta["kappa_provenance"] = kappa.provenance
+    kappa = _residue_for(field, config, meta)
     report = verify_all(field, config.grid, kappa,
                         theta_variant=config.theta_variant,
                         truncation_x=config.truncation_x)

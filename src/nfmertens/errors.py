@@ -54,6 +54,10 @@ class DenseSieveCapExceeded(NfMertensError, ValueError):
     as it was before it became a usage error."""
 
 
+class CutoffOutOfRange(NfMertensError, ValueError):
+    """A cutoff x lies outside its allowed range, or is NaN."""
+
+
 class IndexPrimeUnsupported(NfMertensError):
     """Splitting at a prime dividing the index cannot be read from the
     defining polynomial."""

@@ -10,9 +10,7 @@ count of every power p^k <= N at the multiples of p^k with cofactor prime to
 p, in place on their strided view cut into runs of p less the last column.
 A prime P > sqrt(N) has P^2 > N, so only the number c1(P) of ideals of norm
 P matters, and every multiple m*P <= N has a cofactor m < P; one vectorised
-step per cofactor m scales row[m*P] by c1(P) for all such P at once. The
-Python-int list row, kept as the passes' test oracle, goes prime power by
-prime power.
+step per cofactor m scales row[m*P] by c1(P) for all such P at once.
 
 The numpy row's dtype comes from an a-priori bound: each local count at p^k
 is at most C(k + deg - 1, deg - 1), so every partial product is at most
@@ -40,8 +38,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import lambda_K
-from .errors import DenseSieveCapExceeded
+from .bounds import LogMagnitude, lambda_K
+from .errors import CutoffOutOfRange, DenseSieveCapExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
 from .splitting import (
     _records_up_to,
@@ -55,6 +53,16 @@ _CHUNK = 1 << 22  # row entries per step of the cofactor pass and of row_sums
 # float terms fed to fsum at a time: the list of Python floats stays
 # cache-sized instead of holding a whole chunk
 _SLICE = 1 << 16
+
+
+def check_cutoff(name: str, x: float, lo: float,
+                 hi: float = DENSE_SIEVE_CAP) -> None:
+    """Raise CutoffOutOfRange unless lo <= x <= hi, so NaN fails; hi
+    defaults to the dense-sieve cap, beyond which nothing is sieved."""
+    if not lo <= x <= hi:
+        cap = ", the dense-sieve cap" if hi == DENSE_SIEVE_CAP else ""
+        raise CutoffOutOfRange(f"{name} {x:g} must lie within "
+                               f"[{lo:g}, {hi:g}]{cap}")
 
 
 @dataclass(frozen=True)
@@ -160,18 +168,6 @@ def _dense_row_numpy(field: FieldDescriptor, n_max: int,
     return row
 
 
-def _dense_row_python(field: FieldDescriptor, n_max: int) -> list[int]:
-    """The row prime power by prime power in Python ints: the test oracle of
-    _dense_row_numpy."""
-    row = [1] * (n_max + 1)
-    row[0] = 0
-    for p, q, c in _local_factors(*_splitting_table(field, n_max), n_max):
-        for t in range(1, n_max // q + 1):
-            if t % p:
-                row[q * t] *= c
-    return row
-
-
 def _dense_row(field: FieldDescriptor, n_max: int) -> np.ndarray:
     """Row r with r[n] = I(n) for 0 <= n <= n_max, possibly longer; kept in
     the field's context."""
@@ -246,9 +242,8 @@ def _sunley_envelope(field: FieldDescriptor, x: float) -> Optional[float]:
     if x <= 0:
         return 0.0
     n = field.degree
-    log_env = lambda_K(n, field.abs_discriminant).natural_log \
-        + (1 - 2 / (n + 1)) * math.log(x)
-    return math.exp(log_env) if log_env < 700 else math.inf
+    return LogMagnitude(lambda_K(n, field.abs_discriminant).natural_log
+                        + (1 - 2 / (n + 1)) * math.log(x)).value
 
 
 def summatory_grid(field: FieldDescriptor, grid) -> list[SummatoryPoint]:
@@ -283,9 +278,8 @@ def kappa_estimate(field: FieldDescriptor, x: float) -> Residue:
     point = summatory(field, x)
     if field.degree >= 2:
         n = field.degree
-        log_hw = lambda_K(n, field.abs_discriminant).natural_log \
-            - (2 / (n + 1)) * math.log(x)
-        halfwidth = math.exp(log_hw) if log_hw < 700 else math.inf
+        halfwidth = LogMagnitude(lambda_K(n, field.abs_discriminant).natural_log
+                                 - (2 / (n + 1)) * math.log(x)).value
     else:
         halfwidth = 1.0 / x
     return Residue(value=point.value / x, provenance=PROVENANCE_ESTIMATED,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EmptyProduct, MissingResidue
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
-from .idealcount import DENSE_SIEVE_CAP
+from .idealcount import check_cutoff
 from .splitting import _records_up_to, grid_fsums, rational_primes
 
 # Euler-Mascheroni constant, 40 decimal digits
@@ -70,9 +70,7 @@ def geometric_grid(k_min: int = 4, k_max: int = 28) -> tuple[float, ...]:
 def mertens_constant(field: FieldDescriptor, truncation_x: float,
                      kappa: Residue) -> MertensConstant:
     """Mertens constant from the truncated series, with a rigorous tail."""
-    if not 10 <= truncation_x <= DENSE_SIEVE_CAP:
-        raise ValueError(f"mertens_constant requires 10 <= truncation_x <= "
-                         f"{DENSE_SIEVE_CAP:g}, got {truncation_x:g}")
+    check_cutoff("truncation_x", truncation_x, 10)
     if kappa is None or kappa.value <= 0:
         raise MissingResidue("mertens_constant requires a positive residue")
     series = fsum(1.0 / norm + math.log1p(-1.0 / norm)

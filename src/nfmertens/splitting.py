@@ -35,8 +35,9 @@ grown as larger cutoffs are asked for and freed with the descriptor; equal
 descriptors do not share one. Log-norm sums are accumulated
 with exact (Shewchuk) summation, keeping 12+ significant digits over
 millions of terms and making results independent of segmentation.
-grid_fsums holds the rounding policy of every float sum over a grid of
-cutoffs: the value at a grid point is the fsum of the per-segment fsums.
+grid_fsums holds the rounding policy of the Mertens, I(n) log n and theta
+grid sums: the value at a grid point is the fsum of the per-segment fsums
+(mertens.prime_power_grid takes one fsum per prefix instead).
 """
 
 from __future__ import annotations

@@ -26,18 +26,13 @@ import numpy as np
 from .bounds import (
     BoundsReport,
     CheckResult,
+    LogMagnitude,
     a_constant_inequality,
-    lambda_K,
+    field_constants,
     log_sum_exp,
-    louboutin_upper,
     multipart_case,
-    stark_lower,
-    sunley_constants,
-    upsilon_K,
     xi_K,
-    zimmert_lower,
 )
-from .errors import UnknownStructureFlags
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
 from .idealcount import _dense_row, legendre_chebyshev_rhs, row_log_sums, row_sums
 from .mertens import (
@@ -70,9 +65,9 @@ def _ratio_check(name: str, x, quantity: float, bound: float) -> CheckResult:
 
 def _log_ratio_check(name: str, x, log_quantity: float,
                      log_bound: float) -> CheckResult:
-    quantity = math.exp(log_quantity) if log_quantity < 700 else math.inf
-    bound = math.exp(log_bound) if log_bound < 700 else math.inf
-    return CheckResult(name=name, x=x, quantity=quantity, bound=bound,
+    return CheckResult(name=name, x=x,
+                       quantity=LogMagnitude(log_quantity).value,
+                       bound=LogMagnitude(log_bound).value,
                        log_slack=log_bound - log_quantity,
                        passed=log_quantity <= log_bound)
 
@@ -137,15 +132,8 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
     n = field.degree
     absD = field.abs_discriminant
     exact = kappa is not None and kappa.provenance == PROVENANCE_EXACT
-
-    lam = lambda_K(n, absD) if n >= 2 else None
-    ups = upsilon_K(n, absD, kappa) if n >= 2 and kappa is not None else None
-    loub = louboutin_upper(n, absD) if n >= 2 else None
-    zimm = zimmert_lower(absD) if n >= 2 else None
-    try:
-        stark = stark_lower(field) if n >= 2 else None
-    except UnknownStructureFlags:
-        stark = None
+    consts = field_constants(field, kappa)
+    lam, ups = consts.lambda_K, consts.upsilon_K
 
     checks = list(_field_independent_checks())
 
@@ -158,12 +146,12 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
     # residue bound ordering
     if n >= 2 and exact:
         checks.append(_ratio_check("residue_lower_zimmert", None,
-                                   zimm, kappa.value))
+                                   consts.zimmert_lower, kappa.value))
         checks.append(_ratio_check("residue_upper_louboutin", None,
-                                   kappa.value, loub))
-        if stark is not None:
+                                   kappa.value, consts.louboutin_upper))
+        if consts.stark_lower is not None:
             checks.append(_ratio_check("residue_lower_stark", None,
-                                       stark.value, kappa.value))
+                                       consts.stark_lower.value, kappa.value))
 
     mconst = None
     if kappa is not None and kappa.value > 0:
@@ -222,8 +210,5 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
                     _log_abs(tval - kappa.value * x * row.sum_logN_over_N),
                     second_log))
 
-    a1, a3, a7 = sunley_constants(n)
-    ordered = tuple(sorted(checks, key=lambda c: c.passed))
-    return BoundsReport(lambda_K=lam, upsilon_K=ups, louboutin_upper=loub,
-                        zimmert_lower=zimm, stark_lower=stark,
-                        a1=a1, a3=a3, a7=a7, checks=ordered)
+    return BoundsReport(**vars(consts),
+                        checks=tuple(sorted(checks, key=lambda c: c.passed)))

@@ -13,7 +13,7 @@ import pytest
 
 from nfmertens import cli, idealcount, splitting
 from nfmertens.cli import RunConfig, _f15, _meta, main, parse_grid
-from nfmertens.errors import NfMertensError
+from nfmertens.errors import CutoffOutOfRange, NfMertensError
 from nfmertens.field import kappa_exact, load_field
 from nfmertens.idealcount import ideal_count_sieve, summatory
 from nfmertens.mertens import geometric_grid
@@ -29,6 +29,16 @@ NONMONO = str(FIELDS / "non-monogenic-cubic.field")
 # the tests that use it write it to their tmp_path
 NO_CLASS = "no-class-data.field"
 NO_CLASS_TEXT = "poly = [-1, 3, 1]\n"
+FLAG_KEYS = ("normal_over_q", "normal_tower", "quadratic_subfield")
+CLASS_KEYS = ("class_number", "regulator", "roots_of_unity")
+WITH_CLASS_DATA = [p.stem for p in sorted(FIELDS.glob("*.field"))
+                   if "class_number" in p.read_text()]
+
+
+def without_keys(path, keys) -> str:
+    """The descriptor at path with the lines of the given keys left out."""
+    return "".join(line for line in Path(path).read_text().splitlines(True)
+                   if line.partition("=")[0].strip() not in keys)
 
 
 def read_csv(path):
@@ -428,9 +438,19 @@ class TestErrors:
         ["mertens", "--field", NO_CLASS, "--xmax", "2e8"],
         ["constants", "--field", NO_CLASS, "--xmax", "2e8"],
         ["sieve", "--field", NO_CLASS, "--what", "summatory", "--xmax", "2e8"],
+        # NaN fails every comparison, so only a check spelled lo <= x <= hi
+        # rejects it
+        ["sieve", "--field", GAUSS, "--what", "counts", "--xmax", "nan"],
+        ["residue", "--field", GAUSS, "--xmax", "nan"],
+        ["verify", "--field", GAUSS, "--grid", "100,nan"],
+        ["mertens", "--field", GAUSS, "--grid", "100,nan"],
+        ["sieve", "--field", GAUSS, "--what", "summatory", "--grid", "100,nan"],
+        ["constants", "--field", GAUSS, "--xmax", "nan"],
     ], ids=["verify-empty-grid", "mertens-empty-grid", "residue-past-cap",
             "sieve-counts-below-one", "mertens-past-cap", "constants-past-cap",
-            "sieve-summatory-past-cap"])
+            "sieve-summatory-past-cap", "sieve-counts-nan", "residue-nan",
+            "verify-grid-nan", "mertens-grid-nan", "sieve-summatory-grid-nan",
+            "constants-nan"])
     def test_usage_error_exits_two(self, tmp_path, capsys, args):
         (tmp_path / NO_CLASS).write_text(NO_CLASS_TEXT)
         args = [str(tmp_path / NO_CLASS) if a == NO_CLASS else a for a in args]
@@ -459,6 +479,14 @@ class TestErrors:
         assert sieved == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", [(100.0, math.nan), (math.nan, 100.0),
+                                      (10.0, math.nan, 1000.0)])
+    @pytest.mark.parametrize("command", ["sieve", "mertens", "verify"])
+    def test_nan_grid_point_is_out_of_range(self, command, grid):
+        # wherever the NaN sits, and whatever order a set gives it
+        with pytest.raises(CutoffOutOfRange, match="grid point nan"):
+            RunConfig(field_path=GAUSS, command=command, grid=grid).validate()
+
     @pytest.mark.parametrize("command", ["mertens", "constants", "verify"])
     def test_truncation_bounds_are_inclusive(self, command):
         for value in (10.0, float(idealcount.DENSE_SIEVE_CAP)):
@@ -468,6 +496,79 @@ class TestErrors:
             with pytest.raises(NfMertensError, match="truncation_x"):
                 RunConfig(field_path=GAUSS, command=command,
                           truncation_x=value).validate()
+
+
+class TestUnknownStructureFlags:
+    """cbrt2 without its Galois flags selects no Stark case, with and without
+    class data: each report says so, and no check uses the bound."""
+
+    @pytest.fixture(params=["class-data", "no-class-data"])
+    def flagless(self, request, tmp_path):
+        keys = FLAG_KEYS + (CLASS_KEYS if request.param == "no-class-data" else ())
+        path = tmp_path / "cbrt2-noflags.field"
+        path.write_text(without_keys(CBRT2, keys))
+        return str(path)
+
+    def test_residue_writes_the_unavailable_row(self, tmp_path, flagless):
+        out = tmp_path / "residue.csv"
+        assert main(["residue", "--field", flagless, "--xmax", "1000",
+                     "--out", str(out)]) == 0
+        rows = {r[0]: r[1:] for r in read_csv(out)[2]}
+        assert rows["stark_lower"] == ["", "unavailable: structure flags unknown"]
+        assert rows["zimmert_lower"][0] and rows["louboutin_upper"][0]
+
+    def test_verify_has_no_stark_row(self, tmp_path, flagless):
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--field", flagless, "--xmax", "1000",
+                     "--truncation-x", "1000", "--out", str(out)]) == 0
+        meta, _, rows = read_csv(out)
+        assert meta["stark_lower"] == ""
+        assert meta["zimmert_lower"] != ""
+        assert all(r[0] != "residue_lower_stark" for r in rows)
+
+    def test_constants_table_prints_a_question_mark(self, tmp_path):
+        (tmp_path / "cbrt2-noflags.field").write_text(
+            without_keys(CBRT2, FLAG_KEYS))
+        (tmp_path / "cbrt2-noflags-noclass.field").write_text(
+            without_keys(CBRT2, FLAG_KEYS + CLASS_KEYS))
+        env = dict(os.environ, PYTHONPATH=str(FIELDS.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, str(TestConstantsTableScript.SCRIPT),
+             "--truncation-x", "1000", "--fields-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        lines = {line.split()[0]: line.split()
+                 for line in done.stdout.splitlines()[2:]}
+        # field, deg, disc, kappa, zimmert, loubout, stark, ...
+        assert lines["cbrt2-noflags"][6] == "?"
+        assert lines["cbrt2-noflags"][3] != "-"
+        assert lines["cbrt2-noflags-noclass"][3:] == ["-", "(no", "class", "data)"]
+
+
+class TestCommandsAgree:
+    """verify, constants and residue take their constants from one place:
+    the values verify echoes in its meta are the cells the others report."""
+
+    @pytest.mark.parametrize("name", WITH_CLASS_DATA)
+    def test_verify_meta_matches_constants_and_residue(self, tmp_path, name):
+        args = ["--field", str(FIELDS / f"{name}.field"), "--xmax", "1000",
+                "--truncation-x", "1000"]
+        reports = {}
+        for command in ("verify", "constants", "residue"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, *args, "--out", str(out)]) == 0
+            reports[command] = read_csv(out)
+        meta = reports["verify"][0]
+        constants = {r[0]: r[1] for r in reports["constants"][2]}
+        residue = {r[0]: r[1] for r in reports["residue"][2]}
+        for key in ("lambda_log", "upsilon_log", "a1_log", "a3_log", "a7_log"):
+            assert meta[key] == constants.get(key, ""), key
+        for key in ("zimmert_lower", "louboutin_upper", "stark_lower"):
+            assert meta[key] == residue.get(key, ""), key
+        # every corpus field past degree 1 has flags that select a case
+        degree = int(constants["degree"])
+        assert (meta["stark_lower"] != "") == (degree >= 2)
+        assert (meta["lambda_log"] != "") == (degree >= 2)
 
 
 class TestConstantsTableScript:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfmertens.errors import DenseSieveCapExceeded, NfMertensError
+from nfmertens.errors import CutoffOutOfRange, DenseSieveCapExceeded, NfMertensError
 from nfmertens.field import kappa_exact, load_field
 from nfmertens.idealcount import (
     DENSE_SIEVE_CAP,
+    check_cutoff,
     ideal_count_sieve,
     kappa_estimate,
     legendre_chebyshev_rhs,
@@ -22,12 +23,29 @@ from nfmertens.idealcount import (
     _counts_from_degrees,
     _dense_row,
     _dense_row_numpy,
-    _dense_row_python,
+    _local_factors,
     _max_divisor_count,
     _row_dtype,
 )
 from nfmertens.mertens import geometric_grid
-from nfmertens.splitting import field_context, kronecker, splitting_type
+from nfmertens.splitting import (
+    _splitting_table,
+    field_context,
+    kronecker,
+    splitting_type,
+)
+
+
+def _dense_row_python(field, n_max: int) -> list[int]:
+    """The I(n) row prime power by prime power in Python ints: the oracle of
+    _dense_row_numpy's two passes."""
+    row = [1] * (n_max + 1)
+    row[0] = 0
+    for p, q, c in _local_factors(*_splitting_table(field, n_max), n_max):
+        for t in range(1, n_max // q + 1):
+            if t % p:
+                row[q * t] *= c
+    return row
 
 
 def local_counts(field, p, m):
@@ -253,16 +271,12 @@ class TestRowGuard:
                            "signature = [1, 3]\ndiscriminant = -52706752\n")
         assert _max_divisor_count(DENSE_SIEVE_CAP, 2) ** 7 > 2 ** 62
         assert _max_divisor_count(DENSE_SIEVE_CAP, 7) == 1_483_241_760
-        built = []
         dtypes = []
         monkeypatch.setattr(idealcount, "_dense_row_numpy",
-                            lambda f, n, dtype: built.append("numpy")
-                            or dtypes.append(dtype) or np.zeros(1))
-        monkeypatch.setattr(idealcount, "_dense_row_python",
-                            lambda f, n: built.append("python") or [0])
+                            lambda f, n, dtype: dtypes.append(dtype)
+                            or np.zeros(1))
         _dense_row(field, DENSE_SIEVE_CAP)
-        assert built == ["numpy"]
-        # and in the narrowest dtype: 1,483,241,760 < 2^32
+        # one numpy row, in the narrowest dtype: 1,483,241,760 < 2^32
         assert dtypes == [np.uint32]
 
     @pytest.mark.parametrize("bound, dtype", [
@@ -300,6 +314,29 @@ class TestRowGuard:
             ideal_count_sieve(gauss, DENSE_SIEVE_CAP + 1)
         assert isinstance(info.value, NfMertensError)
         assert isinstance(info.value, ValueError)
+
+
+class TestCheckCutoff:
+    def test_endpoints_pass(self):
+        for x in (10.0, float(DENSE_SIEVE_CAP)):
+            check_cutoff("x", x, 10)
+        check_cutoff("x", 7.0, 2, 7.0)
+
+    # NaN fails every comparison, so it must fail the check too
+    @pytest.mark.parametrize("x", [9.999, DENSE_SIEVE_CAP + 1.0, math.inf,
+                                   -math.inf, math.nan])
+    def test_outside_or_nan_is_usage_error_and_value_error(self, x):
+        with pytest.raises(CutoffOutOfRange, match="^x ") as info:
+            check_cutoff("x", x, 10)
+        assert isinstance(info.value, NfMertensError)
+        assert isinstance(info.value, ValueError)
+
+    def test_message_names_the_cap_only_when_it_is_the_bound(self):
+        with pytest.raises(CutoffOutOfRange, match="dense-sieve cap"):
+            check_cutoff("x_max", 2e8, 1)
+        with pytest.raises(CutoffOutOfRange) as info:
+            check_cutoff("grid point", 20.0, 2, 10.0)
+        assert "cap" not in str(info.value)
 
 
 class TestSummatory:
