@@ -63,8 +63,8 @@ class LogMagnitude:
         return math.exp(self.natural_log) if self.natural_log < 700 else math.inf
 
     def render(self) -> str:
-        if self.natural_log < 700:
-            return format(math.exp(self.natural_log), ".15g")
+        if (value := self.value) != math.inf:
+            return format(value, ".15g")
         return f"exp({format(self.natural_log, '.15g')})"
 
 

@@ -31,9 +31,9 @@ from . import __version__
 from .bounds import field_constants
 from .errors import MissingClassData, NfMertensError
 from .field import FieldDescriptor, kappa_exact, load_field
-from .idealcount import _dense_row, check_cutoff, kappa_estimate, summatory_grid
+from .idealcount import _dense_row, kappa_estimate, summatory_grid
 from .mertens import geometric_grid, mertens_constant, mertens_table
-from .splitting import _records_up_to
+from .splitting import _records_up_to, check_cutoff, check_grid
 from .verify import verify_all
 
 TOOL_NAME = "nfmertens"
@@ -64,18 +64,14 @@ class RunConfig:
             raise NfMertensError("format must be csv or json")
         # every command may sieve to x_max, where kappa is estimated for a
         # field without class data; the ideals dump starts at norm 2
-        ideals = self.command == "sieve" and self.sieve_what == "ideals"
-        check_cutoff("x_max", self.x_max, 2 if ideals else 1)
-        if self.command in ("mertens", "verify") and not self.grid:
-            raise NfMertensError("grid is empty: no grid point lies in [2, x_max]")
+        sieve = self.sieve_what if self.command == "sieve" else None
+        check_cutoff("x_max", self.x_max, 2 if sieve == "ideals" else 1)
         # the Mertens constant and table sieve prime ideals up to these
         if self.command in ("mertens", "constants", "verify"):
             check_cutoff("truncation_x", self.truncation_x, 10)
-        # before the order test, whose set of floats orders a NaN by its id
-        for x in self.grid:
-            check_cutoff("grid point", x, 2, self.x_max)
-        if list(self.grid) != sorted(set(self.grid)):
-            raise NfMertensError("grid must be strictly ascending")
+        # the grid commands need a point; the rest refuse a bad grid too
+        if self.grid or sieve == "summatory" or self.command in ("mertens", "verify"):
+            check_grid(self.grid, 2, self.x_max)
 
 
 def _f15(v) -> str:

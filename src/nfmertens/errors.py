@@ -49,13 +49,13 @@ class EmptyProduct(NfMertensError):
     """No prime ideal of norm <= x exists, so the product is empty."""
 
 
-class DenseSieveCapExceeded(NfMertensError, ValueError):
-    """The dense I(n) row was asked for beyond its cap; also a ValueError,
-    as it was before it became a usage error."""
-
-
 class CutoffOutOfRange(NfMertensError, ValueError):
-    """A cutoff x lies outside its allowed range, or is NaN."""
+    """A cutoff x is NaN or out of range, or a grid of cutoffs is empty or
+    not strictly ascending; also a ValueError, as before it was a usage error."""
+
+
+class DenseSieveCapExceeded(CutoffOutOfRange):
+    """A cutoff passes the dense-sieve cap, beyond which nothing is sieved."""
 
 
 class IndexPrimeUnsupported(NfMertensError):

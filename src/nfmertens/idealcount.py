@@ -19,9 +19,10 @@ exactly. The row takes the narrowest of uint16, uint32 and int64 that holds
 that maximum; at the 1e8 cap that is uint16 for quadratics and cubics (at
 most 58,320) and uint32 up to degree 7. When the maximum reaches 2^62 the
 same two passes run on an object array of arbitrary-precision Python
-integers. The dense row is capped at x = 1e8 and kept in the field's
-context; ideal_count_sieve hands callers int64 for every narrow dtype and
-an object array past the guard.
+integers. The dense row is kept in the field's context; ideal_count_sieve
+hands callers int64 for every narrow dtype and an object array past the
+guard. Every cutoff and grid passes splitting.check_cutoff or check_grid
+before any sieve starts.
 
 Sums over the row take one ascending pass over a grid of cutoffs (row_sums,
 row_log_sums, the latter rounded by splitting.grid_fsums over the nonzero
@@ -39,30 +40,21 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import LogMagnitude, lambda_K
-from .errors import CutoffOutOfRange, DenseSieveCapExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
-from .splitting import (
+from .splitting import (  # DENSE_SIEVE_CAP and check_cutoff are re-exported
+    DENSE_SIEVE_CAP,
     _records_up_to,
     _splitting_table,
+    check_cutoff,
+    check_grid,
     field_context,
     grid_fsums,
 )
 
-DENSE_SIEVE_CAP = 10 ** 8
 _CHUNK = 1 << 22  # row entries per step of the cofactor pass and of row_sums
 # float terms fed to fsum at a time: the list of Python floats stays
 # cache-sized instead of holding a whole chunk
 _SLICE = 1 << 16
-
-
-def check_cutoff(name: str, x: float, lo: float,
-                 hi: float = DENSE_SIEVE_CAP) -> None:
-    """Raise CutoffOutOfRange unless lo <= x <= hi, so NaN fails; hi
-    defaults to the dense-sieve cap, beyond which nothing is sieved."""
-    if not lo <= x <= hi:
-        cap = ", the dense-sieve cap" if hi == DENSE_SIEVE_CAP else ""
-        raise CutoffOutOfRange(f"{name} {x:g} must lie within "
-                               f"[{lo:g}, {hi:g}]{cap}")
 
 
 @dataclass(frozen=True)
@@ -171,9 +163,7 @@ def _dense_row_numpy(field: FieldDescriptor, n_max: int,
 def _dense_row(field: FieldDescriptor, n_max: int) -> np.ndarray:
     """Row r with r[n] = I(n) for 0 <= n <= n_max, possibly longer; kept in
     the field's context."""
-    if n_max > DENSE_SIEVE_CAP:
-        raise DenseSieveCapExceeded(
-            f"x = {n_max} exceeds the dense-sieve cap {DENSE_SIEVE_CAP}")
+    check_cutoff("x", n_max, 0)
     ctx = field_context(field)
     if ctx.row is None or len(ctx.row) <= n_max:
         ctx.row = None  # free the shorter row before building the longer one
@@ -227,8 +217,7 @@ def row_log_sums(row: np.ndarray, grid) -> list[float]:
 
 def ideal_count_sieve(field: FieldDescriptor, x: int) -> np.ndarray:
     """I(1), ..., I(x) as exact integers."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
+    check_cutoff("x", x, 1)
     n = int(x)
     row = _dense_row(field, n)
     # int64 for every narrow dtype, so a caller's arithmetic cannot wrap
@@ -249,10 +238,7 @@ def _sunley_envelope(field: FieldDescriptor, x: float) -> Optional[float]:
 def summatory_grid(field: FieldDescriptor, grid) -> list[SummatoryPoint]:
     """summatory at each x of the ascending grid, from one row built at the
     top point and one pass over it."""
-    if not grid:
-        return []
-    if grid[0] < 0:
-        raise ValueError("x must be >= 0")
+    grid = check_grid(grid, 0)
     values = row_sums(_dense_row(field, math.floor(grid[-1])), grid)
     return [SummatoryPoint(x=x, value=v, sunley_envelope=_sunley_envelope(field, x))
             for x, v in zip(grid, values)]
@@ -266,15 +252,13 @@ def summatory(field: FieldDescriptor, x: float) -> SummatoryPoint:
 
 def t_K(field: FieldDescriptor, x: float) -> float:
     """Sum of I(n) log(n) for n <= x, compensated."""
-    if x < 2:
-        raise ValueError("t_K requires x >= 2")
+    check_cutoff("x", x, 2)
     return row_log_sums(_dense_row(field, math.floor(x)), [x])[0]
 
 
 def kappa_estimate(field: FieldDescriptor, x: float) -> Residue:
     """Residue estimate I_sum(x)/x with its rigorous half-width."""
-    if x < 100:
-        raise ValueError("kappa_estimate requires x >= 100")
+    check_cutoff("x", x, 100)
     point = summatory(field, x)
     if field.degree >= 2:
         n = field.degree
@@ -291,8 +275,7 @@ def legendre_chebyshev_rhs(field: FieldDescriptor, x: float) -> float:
 
     Exactly equals t_K(x); used as the identity's independent route.
     """
-    if x < 2:
-        raise ValueError("requires x >= 2")
+    check_cutoff("x", x, 2)
     n_max = math.floor(x)
     # each ideal's exponent reads Isum at the points floor(x / norm^j)
     reads = []

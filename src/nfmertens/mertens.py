@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import EmptyProduct, MissingResidue
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
-from .idealcount import check_cutoff
-from .splitting import _records_up_to, grid_fsums, rational_primes
+from .splitting import (_records_up_to, check_cutoff, check_grid, grid_fsums,
+                         rational_primes)
 
 # Euler-Mascheroni constant, 40 decimal digits
 EULER_GAMMA_STR = "0.5772156649015328606065120900824024310422"
@@ -38,6 +38,7 @@ EULER_GAMMA = float(EULER_GAMMA_STR)
 # sharpened record value (selectable, never mixed into other constants)
 THETA_CLASSIC = 1.01624
 THETA_BROADBENT = 1 + 1.93378e-8
+THETA_PRINTED = 1.1  # of the printed prime-power sum bound
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,7 @@ def mertens_constant(field: FieldDescriptor, truncation_x: float,
 def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,
                   kappa: Residue) -> tuple[MertensRow, ...]:
     """All grid rows from a single ascending pass over the ideal stream."""
-    grid = [float(x) for x in grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 2:
-        raise ValueError("grid must be ascending with min >= 2")
+    grid = check_grid(grid)
     if kappa is None or kappa.value <= 0:
         raise MissingResidue("mertens_table requires a positive residue")
     norms = _records_up_to(field, grid[-1])[:, 0]
@@ -123,11 +122,9 @@ def prime_power_grid(xs, alphas) -> list[list[float]]:
     """Brute-force sums of log(p)/p^alpha over rational primes p <= x, one
     list over the ascending xs per alpha, from one sieve up to xs[-1] and one
     list of log(p) shared by every alpha."""
-    xs, alphas = list(xs), list(alphas)
-    if not xs or xs[0] < 2 or any(a < 0 for a in alphas):
-        raise ValueError("prime_power_sum requires x >= 2 and alpha >= 0")
-    if any(b < a for a, b in zip(xs, xs[1:])):
-        raise ValueError("prime_power_grid requires ascending xs")
+    xs, alphas = check_grid(xs), list(alphas)
+    if any(a < 0 for a in alphas):
+        raise ValueError("prime_power_sum requires alpha >= 0")
     primes = rational_primes(xs[-1]).tolist()
     logs = [math.log(p) for p in primes]
     cuts = [bisect_right(primes, x) for x in xs]
@@ -145,18 +142,17 @@ def prime_power_sum(x: float, alpha: float) -> float:
     return value
 
 
-def prime_power_sum_bound(x: float, alpha: float,
-                          theta_constant: float = 1.1) -> float:
+def prime_power_sum_bound(x: float, alpha: float) -> float:
     """Case-matched explicit bound for prime_power_sum.
 
-    The 1.1 prefactor is the rounded-up Chebyshev theta constant used in the
-    printed bound; it is kept verbatim regardless of the theta toggle.
+    The THETA_PRINTED prefactor is the rounded-up Chebyshev theta constant
+    used in the printed bound; it is kept verbatim whatever the theta toggle.
     """
     if alpha == 1:
         return math.log(x)
     if alpha < 1:
-        return theta_constant / (1 - alpha) * x ** (1 - alpha)
-    return theta_constant * alpha / ((alpha - 1) * 2 ** (alpha - 1))
+        return THETA_PRINTED / (1 - alpha) * x ** (1 - alpha)
+    return THETA_PRINTED * alpha / ((alpha - 1) * 2 ** (alpha - 1))
 
 
 def theta_Q_bound_constant(variant: str) -> float:

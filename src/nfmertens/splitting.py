@@ -38,6 +38,8 @@ millions of terms and making results independent of segmentation.
 grid_fsums holds the rounding policy of the Mertens, I(n) log n and theta
 grid sums: the value at a grid point is the fsum of the per-segment fsums
 (mertens.prime_power_grid takes one fsum per prefix instead).
+check_cutoff and check_grid hold the one range rule of a cutoff and of a grid
+of cutoffs; every sieve applies it before it starts.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from math import fsum
 
 import numpy as np
 
-from .errors import CompositeModulus, IndexPrimeUnsupported, InvariantViolation
+from .errors import (CompositeModulus, CutoffOutOfRange, DenseSieveCapExceeded,
+                     IndexPrimeUnsupported, InvariantViolation)
 from .field import FieldDescriptor
 from .polyfield import (
     _dedekind_from_parts,
@@ -60,6 +63,7 @@ from .polyfield import (
 )
 
 SIEVE_SEGMENT = 1 << 20
+DENSE_SIEVE_CAP = 10 ** 8  # no sieve of primes, prime ideals or I(n) goes past it
 
 # Primes per batched Frobenius block: the kernel's rows of this length are
 # 64 KB each, so a squaring's working set of a few dozen rows stays in a
@@ -79,6 +83,17 @@ FROBENIUS_P_MAX = 10 ** 8
 _DIGIT_BITS = 24
 
 
+def check_cutoff(name: str, x: float, lo: float,
+                 hi: float = DENSE_SIEVE_CAP) -> None:
+    """Raise CutoffOutOfRange unless lo <= x <= hi, so NaN fails; past hi
+    when it is the dense-sieve cap, the default, raise DenseSieveCapExceeded."""
+    if not lo <= x <= hi:
+        cap = hi == DENSE_SIEVE_CAP
+        raise (DenseSieveCapExceeded if cap and x > hi else CutoffOutOfRange)(
+            f"{name} {x:g} must lie within [{lo:g}, {hi:g}]"
+            + (", the dense-sieve cap" if cap else ""))
+
+
 def _simple_sieve(limit: int) -> np.ndarray:
     if limit < 2:
         return np.empty(0, dtype=np.int64)
@@ -94,6 +109,7 @@ def rational_primes(x: float) -> np.ndarray:
     """Ascending array of all primes <= x, sieved in fixed-size segments."""
     if x < 2:
         return np.empty(0, dtype=np.int64)
+    check_cutoff("x", x, 2)
     n = math.floor(x)
     if n < 4:
         return _simple_sieve(n)
@@ -475,6 +491,7 @@ def _ideal_records(primes: np.ndarray, codes: np.ndarray, patterns: list,
 def _records_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
     """(norm, p, f) rows, one per prime ideal of norm <= x, sorted by
     (norm, p): a (k, 3) int64 array kept in the field's context."""
+    check_cutoff("x", x, 0)
     xi = math.floor(x)
     ctx = field_context(field)
     if xi > ctx.records_xmax:
@@ -489,19 +506,28 @@ def prime_ideals_up_to(field: FieldDescriptor, x: float) -> tuple[PrimeIdealReco
     A splitting pair (e, f) contributes one record per distinct ideal, so a
     split rational prime appears as many times as it has ideals above it.
     """
-    if x < 2:
-        raise ValueError("prime_ideals_up_to requires x >= 2")
+    check_cutoff("x", x, 2)
     return tuple(PrimeIdealRecord(p=p, f=f, norm=norm)
                  for norm, p, f in _records_up_to(field, x).tolist())
 
 
 def theta_K(field: FieldDescriptor, x: float) -> float:
-    """Sum of log(norm) over prime ideals of norm <= x."""
-    if x < 0:
-        raise ValueError("theta_K requires x >= 0")
-    if x < 2:
-        return 0.0
+    """Sum of log(norm) over prime ideals of norm <= x; 0.0 for x < 2."""
+    check_cutoff("x", x, 0)  # no prime ideal has norm < 2
     return fsum(map(math.log, _records_up_to(field, x)[:, 0].tolist()))
+
+
+def check_grid(grid, lo: float = 2, hi: float = DENSE_SIEVE_CAP) -> list[float]:
+    """The grid as a list of floats; raises CutoffOutOfRange unless every
+    point passes check_cutoff in [lo, hi] and the points, at least one, are
+    strictly ascending."""
+    grid = [float(x) for x in grid]
+    for x in grid:
+        check_cutoff("grid point", x, lo, hi)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise CutoffOutOfRange(f"grid must be nonempty and strictly ascending "
+                               f"in [{lo:g}, {hi:g}]")
+    return grid
 
 
 def grid_fsums(segments, *terms) -> list[list[float]]:

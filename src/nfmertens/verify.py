@@ -43,7 +43,7 @@ from .mertens import (
     prime_power_sum_bound,
     theta_Q_bound_constant,
 )
-from .splitting import grid_fsums, rational_primes
+from .splitting import check_grid, grid_fsums, rational_primes
 
 PAINFUL_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.2, 1.5, 2.0, 3.0)
 PAINFUL_XS = (100.0, 1000.0, 10000.0, 100000.0)
@@ -126,9 +126,7 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
                theta_variant: str = "classic",
                truncation_x: float = 1e6) -> BoundsReport:
     """Evaluate all constants for the field and run every check on the grid."""
-    grid = [float(x) for x in grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 2:
-        raise ValueError("grid must be nonempty, ascending, with min >= 2")
+    grid = check_grid(grid)
     n = field.degree
     absD = field.abs_discriminant
     exact = kappa is not None and kappa.provenance == PROVENANCE_EXACT

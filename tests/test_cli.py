@@ -432,6 +432,7 @@ class TestErrors:
     @pytest.mark.parametrize("args", [
         ["verify", "--field", GAUSS, "--xmax", "5"],  # default grid cut to empty
         ["mertens", "--field", GAUSS, "--xmax", "5"],
+        ["sieve", "--field", GAUSS, "--what", "summatory", "--xmax", "5"],
         ["residue", "--field", CBRT2, "--xmax", "2e8"],  # estimate past the cap
         ["sieve", "--field", GAUSS, "--what", "counts", "--xmax", "0.5"],
         # kappa estimated past the cap
@@ -446,7 +447,8 @@ class TestErrors:
         ["mertens", "--field", GAUSS, "--grid", "100,nan"],
         ["sieve", "--field", GAUSS, "--what", "summatory", "--grid", "100,nan"],
         ["constants", "--field", GAUSS, "--xmax", "nan"],
-    ], ids=["verify-empty-grid", "mertens-empty-grid", "residue-past-cap",
+    ], ids=["verify-empty-grid", "mertens-empty-grid",
+            "sieve-summatory-empty-grid", "residue-past-cap",
             "sieve-counts-below-one", "mertens-past-cap", "constants-past-cap",
             "sieve-summatory-past-cap", "sieve-counts-nan", "residue-nan",
             "verify-grid-nan", "mertens-grid-nan", "sieve-summatory-grid-nan",

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,9 +11,28 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sympy import kronecker_symbol
 
 from nfmertens import splitting
-from nfmertens.errors import CompositeModulus, IndexPrimeUnsupported
-from nfmertens.field import descriptor_text, load_field
-from nfmertens.idealcount import DENSE_SIEVE_CAP, ideal_count_sieve
+from nfmertens.errors import (
+    CompositeModulus,
+    CutoffOutOfRange,
+    DenseSieveCapExceeded,
+    IndexPrimeUnsupported,
+)
+from nfmertens.field import descriptor_text, kappa_exact, load_field
+from nfmertens.idealcount import (
+    DENSE_SIEVE_CAP,
+    ideal_count_sieve,
+    kappa_estimate,
+    legendre_chebyshev_rhs,
+    summatory,
+    summatory_grid,
+    t_K,
+)
+from nfmertens.mertens import (
+    MertensConstant,
+    mertens_table,
+    prime_power_grid,
+    prime_power_sum,
+)
 from nfmertens.polyfield import (
     IntPoly,
     _distinct_degree_parts,
@@ -24,6 +44,7 @@ from nfmertens.polyfield import (
 )
 from nfmertens.splitting import (
     FROBENIUS_P_MAX,
+    check_grid,
     grid_fsums,
     kronecker,
     prime_ideals_up_to,
@@ -46,7 +67,9 @@ from nfmertens.splitting import (
     _xpow,
     field_context,
 )
+from nfmertens.verify import verify_all
 
+GAUSS_PATH = Path(__file__).resolve().parent.parent / "fields" / "gaussian.field"
 BATCHED_FIELDS = ("cbrt2", "cyclic-cubic-49", "cyclotomic5")
 TOP_PRIME = 99_999_989  # the largest prime below the dense-sieve cap
 
@@ -80,6 +103,14 @@ class TestRationalPrimes:
 
     def test_non_integer_cutoff(self):
         assert rational_primes(7.9).tolist() == [2, 3, 5, 7]
+
+    def test_minus_infinity_is_empty(self):
+        assert rational_primes(-math.inf).tolist() == []
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, DENSE_SIEVE_CAP + 1.0])
+    def test_nan_and_past_the_cap_raise(self, x):
+        with pytest.raises(CutoffOutOfRange):
+            rational_primes(x)
 
 
 class TestKronecker:
@@ -510,3 +541,72 @@ class TestFieldContext:
         assert "context" not in repr(used)
         assert field_context(used) is field_context(used) is used.context
         assert field_context(fresh) is not field_context(used)
+
+
+class TestCheckGrid:
+    def test_returns_floats_and_takes_its_endpoints(self):
+        assert check_grid([2, 10]) == [2.0, 10.0]
+        assert all(type(x) is float for x in check_grid((2, 10)))
+        assert check_grid([0.0, 5.0], 0, 5.0) == [0.0, 5.0]
+        assert check_grid([float(DENSE_SIEVE_CAP)]) == [1e8]
+
+    @pytest.mark.parametrize("grid, match", [
+        ([], "nonempty"), ([100.0, 10.0], "ascending"), ([10.0, 10.0], "ascending"),
+        ([1.5, 10.0], "grid point 1.5"), ([10.0, math.nan], "grid point nan"),
+        ([10.0, 200.0], "grid point 200")])
+    def test_bad_grid_is_out_of_range(self, grid, match):
+        with pytest.raises(CutoffOutOfRange, match=match):
+            check_grid(grid, 2, 100.0)
+
+    def test_point_past_the_cap_is_the_cap_error(self):
+        with pytest.raises(DenseSieveCapExceeded):
+            check_grid([10.0, DENSE_SIEVE_CAP + 1.0])
+        # past a caller's own bound below the cap, it is the plain error
+        with pytest.raises(CutoffOutOfRange) as info:
+            check_grid([10.0, 20.0], 2, 10.0)
+        assert type(info.value) is CutoffOutOfRange
+
+
+BAD_CUTOFFS = [math.nan, math.inf, -math.inf, 1e12]
+# summatory_grid once summed a descending grid up to its first point only:
+# [9, 9] for gaussian at [1000, 10], though 787 ideals have norm <= 1000
+BAD_GRIDS = [[], [1000.0, 10.0], [10.0, 10.0], [math.nan], [10.0, math.nan],
+             [10.0, math.inf], [-math.inf, 10.0], [10.0, 1e12]]
+MCONST = MertensConstant(M_K=0.0, tail_halfwidth=0.0, truncation_x=1e4)
+SCALAR_ENTRY_POINTS = {
+    "theta_K": theta_K,
+    "prime_ideals_up_to": prime_ideals_up_to,
+    "prime_power_sum": lambda field, x: prime_power_sum(x, 1.0),
+    "ideal_count_sieve": ideal_count_sieve,
+    "summatory": summatory,
+    "t_K": t_K,
+    "kappa_estimate": kappa_estimate,
+    "legendre_chebyshev_rhs": legendre_chebyshev_rhs,
+}
+GRID_ENTRY_POINTS = {
+    "summatory_grid": summatory_grid,
+    "mertens_table": lambda field, grid: mertens_table(
+        field, grid, MCONST, kappa_exact(field)),
+    "verify_all": lambda field, grid: verify_all(
+        field, grid, kappa_exact(field), truncation_x=1e4),
+    "prime_power_grid": lambda field, grid: prime_power_grid(grid, [1.0]),
+}
+RANGE_CASES = [pytest.param(call, x, id=f"{name}-{x}")
+               for name, call in SCALAR_ENTRY_POINTS.items() for x in BAD_CUTOFFS] \
+    + [pytest.param(call, grid, id=f"{name}-{grid}")
+       for name, call in GRID_ENTRY_POINTS.items() for grid in BAD_GRIDS]
+
+
+@pytest.mark.parametrize("call, arg", RANGE_CASES)
+def test_out_of_range_raises_before_any_sieve(monkeypatch, call, arg):
+    # a descriptor of its own, with nothing cached, and every prime sieve
+    # starts in _simple_sieve
+    field = load_field(GAUSS_PATH.read_text())
+    sieved = []
+    monkeypatch.setattr(splitting, "_simple_sieve",
+                        lambda limit: sieved.append(limit))
+    with pytest.raises(CutoffOutOfRange) as info:
+        call(field, arg)
+    assert isinstance(info.value, ValueError)
+    assert sieved == []
+    assert field.context is None or field.context.table_xmax == 0
