@@ -2,9 +2,11 @@
 """Run the full verification suite over every bundled field descriptor.
 
 Writes one check-table CSV per field into the output directory and prints a
-one-line summary per field. Exit status 1 if any check failed anywhere.
-Fields that cannot be processed (e.g. the bundled index-prime fixture) are
-reported and skipped without failing the run.
+one-line summary per field. Exit status 1 if any check failed anywhere. The
+options are checked before the first field: a usage error exits 2 and writes
+no report. Only a field with an index prime (the bundled non-monogenic-cubic)
+is reported and skipped without failing the run; any other field error is
+reported and makes the run exit 2.
 
 Usage:
     python scripts/run_corpus_verify.py [--out-dir out] [--xmax 1e6]
@@ -13,44 +15,43 @@ Usage:
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from nfmertens.cli import RunConfig, parse_grid, run
-from nfmertens.errors import NfMertensError
+from nfmertens.cli import FLAGS, config_from_flags, run
+from nfmertens.errors import IndexPrimeUnsupported, NfMertensError
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     argument_default=argparse.SUPPRESS)
     parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--xmax", type=float, default=1e6)
-    parser.add_argument("--grid", default="4:24")
-    parser.add_argument("--theta-constant", default="classic",
-                        choices=("classic", "broadbent"))
+    for flag in ("--xmax", "--grid", "--theta-constant"):
+        parser.add_argument(flag, **FLAGS[flag])
     parser.add_argument("--fields-dir", default=str(ROOT / "fields"))
-    args = parser.parse_args()
+    flags = vars(parser.parse_args())
+    out_dir, fields_dir = Path(flags.pop("out_dir")), Path(flags.pop("fields_dir"))
+    try:
+        base = config_from_flags(dict(flags, field_path="", command="verify"))
+        base.validate()
+    except NfMertensError as exc:
+        parser.error(str(exc))
 
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = tuple(x for x in parse_grid(args.grid) if x <= args.xmax)
-
     worst = 0
-    for field_path in sorted(Path(args.fields_dir).glob("*.field")):
+    for field_path in sorted(fields_dir.glob("*.field")):
         out_path = out_dir / f"verify_{field_path.stem}.csv"
-        config = RunConfig(
-            field_path=str(field_path),
-            command="verify",
-            x_max=args.xmax,
-            grid=grid,
-            out=str(out_path),
-            theta_variant=args.theta_constant,
-        )
+        config = replace(base, field_path=str(field_path), out=str(out_path))
         try:
             code = run(config)
-        except NfMertensError as exc:
+        except IndexPrimeUnsupported as exc:
             print(f"{field_path.stem}: skipped ({exc})")
             continue
+        except NfMertensError as exc:
+            print(f"{field_path.stem}: error ({exc})")
+            code = 2
         worst = max(worst, code)
     return worst
 

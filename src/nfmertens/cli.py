@@ -18,7 +18,6 @@ import contextlib
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields as dc_fields
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import field_constants
-from .errors import MissingClassData, NfMertensError
+from .errors import MissingClassData, NfMertensError, SchemaError
 from .field import FieldDescriptor, kappa_exact, load_field
 from .idealcount import _dense_row, kappa_estimate, summatory_grid
 from .mertens import geometric_grid, mertens_constant, mertens_table
@@ -38,18 +37,18 @@ from .verify import verify_all
 
 TOOL_NAME = "nfmertens"
 
-COMMANDS = ("sieve", "mertens", "constants", "residue", "verify")
-
 # rows of a sieve dump converted and written at a time
 _BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's options and their defaults; validate() holds their rules."""
     field_path: str
     command: str
     x_max: float = 1e6
-    grid: tuple[float, ...] = geometric_grid(4, 24)
+    # None: 10^(k/4), k = 4..24, up to x_max; a given grid is kept as given
+    grid: Optional[tuple[float, ...]] = None
     out: Optional[str] = None
     fmt: str = "csv"
     theta_variant: str = "classic"
@@ -57,8 +56,13 @@ class RunConfig:
     sieve_what: str = "counts"
     exact_residue: bool = False
 
+    def __post_init__(self):
+        if self.grid is None:
+            object.__setattr__(self, "grid", tuple(
+                x for x in geometric_grid(4, 24) if x <= self.x_max))
+
     def validate(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise NfMertensError(f"unknown command {self.command!r}")
         if self.fmt not in ("csv", "json"):
             raise NfMertensError("format must be csv or json")
@@ -81,13 +85,7 @@ def _f15(v) -> str:
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if v != v:  # NaN
-        return "nan"
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return format(v, ".15g")
+    return format(v, ".15g")  # also "nan", "inf" and "-inf"
 
 
 def parse_grid(spec: str) -> tuple[float, ...]:
@@ -302,14 +300,11 @@ def _cmd_verify(field, config, meta, out_path):
     report = verify_all(field, config.grid, kappa,
                         theta_variant=config.theta_variant,
                         truncation_x=config.truncation_x)
-    meta["lambda_log"] = _f15(report.lambda_K.natural_log) \
-        if report.lambda_K else ""
-    meta["upsilon_log"] = _f15(report.upsilon_K.natural_log) \
-        if report.upsilon_K else ""
+    meta["lambda_log"] = _f15(report.lambda_K and report.lambda_K.natural_log)
+    meta["upsilon_log"] = _f15(report.upsilon_K and report.upsilon_K.natural_log)
     meta["zimmert_lower"] = _f15(report.zimmert_lower)
     meta["louboutin_upper"] = _f15(report.louboutin_upper)
-    meta["stark_lower"] = _f15(report.stark_lower.value) \
-        if report.stark_lower else ""
+    meta["stark_lower"] = _f15(report.stark_lower and report.stark_lower.value)
     meta["a1_log"] = _f15(report.a1.natural_log)
     meta["a3_log"] = _f15(report.a3.natural_log)
     meta["a7_log"] = _f15(report.a7.natural_log)
@@ -329,19 +324,55 @@ def _cmd_verify(field, config, meta, out_path):
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     config.validate()
-    descriptor_bytes = Path(config.field_path).read_bytes()
-    field = load_field(descriptor_bytes.decode("utf-8"))
+    # an unreadable descriptor is bad input; a failed report write is not
+    try:
+        descriptor_bytes = Path(config.field_path).read_bytes()
+        field = load_field(descriptor_bytes.decode("utf-8"))
+    except OSError as exc:
+        raise NfMertensError(f"cannot read the descriptor: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{config.field_path}: not UTF-8 ({exc})") from exc
     meta = _meta(config, descriptor_bytes)
     stem = Path(config.field_path).stem
     out_path = config.out or f"{config.command}_{stem}.{config.fmt}"
-    handler = {
-        "sieve": _cmd_sieve,
-        "mertens": _cmd_mertens,
-        "constants": _cmd_constants,
-        "residue": _cmd_residue,
-        "verify": _cmd_verify,
-    }[config.command]
-    return handler(field, config, meta, out_path)
+    return _COMMANDS[config.command][0](field, config, meta, out_path)
+
+
+# command -> (handler, help line, the flags past COMMON_FLAGS it reads)
+_COMMANDS = {
+    "sieve": (_cmd_sieve, "dump ideal counts, prime ideals, or the summatory "
+              "table", ("--what", "--grid")),
+    "mertens": (_cmd_mertens, "Mertens quantities and error terms over the grid",
+                ("--grid", "--truncation-x")),
+    "constants": (_cmd_constants, "explicit constants", ("--truncation-x",)),
+    "residue": (_cmd_residue, "residue value and bounds", ("--exact",)),
+    "verify": (_cmd_verify, "run every inequality check; exit 1 on any failure",
+               ("--grid", "--theta-constant", "--truncation-x")),
+}
+
+# add_argument keywords of every flag; each dest is a RunConfig field, and a
+# flag not given is left out of the namespace, so RunConfig's default holds
+FLAGS = {
+    "--field": dict(dest="field_path", required=True, metavar="PATH",
+                    help="field descriptor path"),
+    "--xmax": dict(dest="x_max", type=float, metavar="X"),
+    "--format": dict(dest="fmt", choices=("csv", "json")),
+    "--out": dict(dest="out", metavar="PATH"),
+    "--grid": dict(dest="grid", metavar="SPEC", help="'a:b' for 10^(k/4), "
+                   "k=a..b, or x1,x2,...; by default 4:24 up to --xmax"),
+    "--theta-constant": dict(dest="theta_variant", choices=("classic", "broadbent")),
+    "--truncation-x": dict(dest="truncation_x", type=float, metavar="X"),
+    "--what": dict(dest="sieve_what", choices=("counts", "ideals", "summatory")),
+    "--exact": dict(dest="exact_residue", action="store_true"),
+}
+COMMON_FLAGS = ("--field", "--xmax", "--format", "--out")
+
+
+def config_from_flags(flags: dict) -> RunConfig:
+    """The RunConfig of flags parsed by FLAGS, a given --grid spec parsed."""
+    if "grid" in flags:
+        flags = dict(flags, grid=parse_grid(flags["grid"]))
+    return RunConfig(**flags)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -350,55 +381,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Mertens sums over prime ideals, ideal counts, and "
                     "explicit residue bounds for a number field.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, info in (
-        ("sieve", "dump ideal counts, prime ideals, or the summatory table"),
-        ("mertens", "Mertens quantities and error terms over the grid"),
-        ("constants", "explicit constants for the field"),
-        ("residue", "residue value and bounds"),
-        ("verify", "run every inequality check; exit 1 on any failure"),
-    ):
-        p = sub.add_parser(name, help=info)
-        p.add_argument("--field", required=True, help="field descriptor path")
-        p.add_argument("--xmax", type=float, default=1e6)
-        p.add_argument("--grid", default="4:24",
-                       help="'a:b' for 10^(k/4), k=a..b, or x1,x2,...")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None)
-        p.add_argument("--theta-constant", choices=("classic", "broadbent"),
-                       default="classic")
-        p.add_argument("--truncation-x", type=float, default=1e6)
-        if name == "sieve":
-            p.add_argument("--what", choices=("counts", "ideals", "summatory"),
-                           default="counts")
-        if name == "residue":
-            p.add_argument("--exact", action="store_true")
+    for name, (_, info, extra) in _COMMANDS.items():
+        p = sub.add_parser(name, help=info, argument_default=argparse.SUPPRESS)
+        for flag in COMMON_FLAGS + extra:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        grid = parse_grid(args.grid)
-        if args.grid == "4:24":
-            # default grid tracks x_max; explicit grids are validated as given
-            grid = tuple(x for x in grid if x <= args.xmax)
-        config = RunConfig(
-            field_path=args.field,
-            command=args.command,
-            x_max=args.xmax,
-            grid=grid,
-            out=args.out,
-            fmt=args.format,
-            theta_variant=args.theta_constant,
-            truncation_x=args.truncation_x,
-            sieve_what=getattr(args, "what", "counts"),
-            exact_residue=getattr(args, "exact", False),
-        )
-        return run(config)
-    except NfMertensError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        return run(config_from_flags(vars(args)))
+    except (NfMertensError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,6 +45,7 @@ of cutoffs; every sieve applies it before it starts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import product
 from math import fsum
@@ -89,8 +90,10 @@ def check_cutoff(name: str, x: float, lo: float,
     when it is the dense-sieve cap, the default, raise DenseSieveCapExceeded."""
     if not lo <= x <= hi:
         cap = hi == DENSE_SIEVE_CAP
+        huge = isinstance(x, int) and abs(x) > sys.float_info.max  # no :g form
         raise (DenseSieveCapExceeded if cap and x > hi else CutoffOutOfRange)(
-            f"{name} {x:g} must lie within [{lo:g}, {hi:g}]"
+            f"{name} {'past float range' if huge else f'{x:g}'} must lie "
+            f"within [{lo:g}, {hi:g}]"
             + (", the dense-sieve cap" if cap else ""))
 
 
@@ -521,9 +524,10 @@ def check_grid(grid, lo: float = 2, hi: float = DENSE_SIEVE_CAP) -> list[float]:
     """The grid as a list of floats; raises CutoffOutOfRange unless every
     point passes check_cutoff in [lo, hi] and the points, at least one, are
     strictly ascending."""
-    grid = [float(x) for x in grid]
+    grid = list(grid)
     for x in grid:
         check_cutoff("grid point", x, lo, hi)
+    grid = [float(x) for x in grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise CutoffOutOfRange(f"grid must be nonempty and strictly ascending "
                                f"in [{lo:g}, {hi:g}]")

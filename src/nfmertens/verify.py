@@ -163,10 +163,11 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
 
     if mconst is not None:
         rows = mertens_table(field, grid, mconst, kappa)
-        counts = _dense_row(field, math.floor(grid[-1]))
-        isums = row_sums(counts, grid)
-        tvals = row_log_sums(counts, grid)
-        for row, isum, tval in zip(rows, isums, tvals):
+        sums = [(None, None)] * len(grid)
+        if exact:  # only the checks of an exact kappa read the I(n), T(x) sums
+            counts = _dense_row(field, math.floor(grid[-1]))
+            sums = zip(row_sums(counts, grid), row_log_sums(counts, grid))
+        for row, (isum, tval) in zip(rows, sums):
             x = row.x
             if ups is not None:
                 checks.append(_log_ratio_check(

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -29,6 +30,9 @@ NONMONO = str(FIELDS / "non-monogenic-cubic.field")
 # the tests that use it write it to their tmp_path
 NO_CLASS = "no-class-data.field"
 NO_CLASS_TEXT = "poly = [-1, 3, 1]\n"
+# gaussian with a Latin-1 byte in a comment
+NOT_UTF8 = "not-utf8.field"
+NOT_UTF8_BYTES = b"poly = [1, 0, 1]\n# Gau\xdf\n"
 FLAG_KEYS = ("normal_over_q", "normal_tower", "quadratic_subfield")
 CLASS_KEYS = ("class_number", "regulator", "roots_of_unity")
 WITH_CLASS_DATA = [p.stem for p in sorted(FIELDS.glob("*.field"))
@@ -72,6 +76,77 @@ class TestParseGrid:
     def test_bad_spec(self):
         with pytest.raises(NfMertensError):
             parse_grid("a:b")
+
+
+class TestFlags:
+    """Each command takes only the flags its handler reads; a flag not given
+    keeps RunConfig's default."""
+
+    def test_each_command_takes_the_flags_it_reads(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: sorted(o for a in p._actions for o in a.option_strings
+                              if o not in ("-h", "--help"))
+                 for name, p in sub.choices.items()}
+        common = ["--field", "--format", "--out", "--xmax"]
+        assert flags == {
+            "sieve": sorted(common + ["--grid", "--what"]),
+            "mertens": sorted(common + ["--grid", "--truncation-x"]),
+            "constants": sorted(common + ["--truncation-x"]),
+            "residue": sorted(common + ["--exact"]),
+            "verify": sorted(common + ["--grid", "--theta-constant",
+                                       "--truncation-x"]),
+        }
+        assert sum(map(len, flags.values())) == 29
+
+    @pytest.mark.parametrize("args", [
+        ["sieve", "--theta-constant", "broadbent"],
+        ["sieve", "--truncation-x", "5"],
+        ["mertens", "--theta-constant", "broadbent"],
+        ["constants", "--grid", "4:8"],
+        ["constants", "--theta-constant", "broadbent"],
+        ["residue", "--grid", "4:8"],
+        ["residue", "--theta-constant", "broadbent"],
+        ["residue", "--truncation-x", "1000"],
+    ], ids=lambda args: " ".join(args[:2]))
+    def test_unread_flag_exits_two(self, tmp_path, capsys, args):
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as info:
+            main(args + ["--field", GAUSS, "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: " + " ".join(args[1:]) \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["4:24", "4:23"])
+    def test_given_grid_past_xmax_exits_two(self, tmp_path, capsys, spec):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--field", GAUSS, "--grid", spec, "--xmax", "1e4",
+                     "--out", str(out)]) == 2
+        assert "grid point" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_grid_ends_at_xmax(self, tmp_path):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--field", GAUSS, "--xmax", "1e4",
+                     "--truncation-x", "1000", "--out", str(out)]) == 0
+        meta, _, rows = read_csv(out)
+        grid = [_f15(x) for x in geometric_grid(4, 16)]
+        assert meta["config_grid"] == str(grid)
+        assert max(float(r[1]) for r in rows if r[0] == "third_mertens_error") \
+            == 1e4
+
+    def test_run_config_default_grid_follows_x_max(self):
+        config = RunConfig(GAUSS, "verify", x_max=1e4)
+        config.validate()
+        assert config.grid == geometric_grid(4, 16)
+        assert config.grid[-1] == 1e4
+        assert RunConfig(GAUSS, "verify").grid == geometric_grid(4, 24)
+        # a given grid is kept as given, and checked as given
+        given = RunConfig(GAUSS, "verify", x_max=1e4, grid=geometric_grid(4, 24))
+        assert given.grid == geometric_grid(4, 24)
+        with pytest.raises(CutoffOutOfRange, match="grid point"):
+            given.validate()
 
 
 class TestVerifyCommand:
@@ -447,15 +522,20 @@ class TestErrors:
         ["mertens", "--field", GAUSS, "--grid", "100,nan"],
         ["sieve", "--field", GAUSS, "--what", "summatory", "--grid", "100,nan"],
         ["constants", "--field", GAUSS, "--xmax", "nan"],
+        # a descriptor that cannot be read or decoded
+        ["verify", "--field", str(FIELDS)],
+        ["verify", "--field", NOT_UTF8],
     ], ids=["verify-empty-grid", "mertens-empty-grid",
             "sieve-summatory-empty-grid", "residue-past-cap",
             "sieve-counts-below-one", "mertens-past-cap", "constants-past-cap",
             "sieve-summatory-past-cap", "sieve-counts-nan", "residue-nan",
             "verify-grid-nan", "mertens-grid-nan", "sieve-summatory-grid-nan",
-            "constants-nan"])
+            "constants-nan", "field-is-a-directory", "field-not-utf8"])
     def test_usage_error_exits_two(self, tmp_path, capsys, args):
         (tmp_path / NO_CLASS).write_text(NO_CLASS_TEXT)
-        args = [str(tmp_path / NO_CLASS) if a == NO_CLASS else a for a in args]
+        (tmp_path / NOT_UTF8).write_bytes(NOT_UTF8_BYTES)
+        args = [str(tmp_path / a) if a in (NO_CLASS, NOT_UTF8) else a
+                for a in args]
         assert main(args + ["--out", str(tmp_path / "r.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -553,12 +633,14 @@ class TestCommandsAgree:
 
     @pytest.mark.parametrize("name", WITH_CLASS_DATA)
     def test_verify_meta_matches_constants_and_residue(self, tmp_path, name):
-        args = ["--field", str(FIELDS / f"{name}.field"), "--xmax", "1000",
-                "--truncation-x", "1000"]
+        args = ["--field", str(FIELDS / f"{name}.field"), "--xmax", "1000"]
+        # residue reads no truncation point, so it takes no --truncation-x
+        extra = {"verify": ["--truncation-x", "1000"],
+                 "constants": ["--truncation-x", "1000"], "residue": []}
         reports = {}
         for command in ("verify", "constants", "residue"):
             out = tmp_path / f"{command}.csv"
-            assert main([command, *args, "--out", str(out)]) == 0
+            assert main([command, *args, *extra[command], "--out", str(out)]) == 0
             reports[command] = read_csv(out)
         meta = reports["verify"][0]
         constants = {r[0]: r[1] for r in reports["constants"][2]}
@@ -588,3 +670,52 @@ class TestConstantsTableScript:
         assert done.returncode == 2, done.stderr
         assert "--truncation-x" in done.stderr
         assert done.stdout == ""
+
+
+class TestCorpusScript:
+    SCRIPT = FIELDS.parent / "scripts" / "run_corpus_verify.py"
+    SKIP_LINE = ("non-monogenic-cubic: skipped (prime 2 divides the index; "
+                 "splitting cannot be read from the defining polynomial)")
+
+    def run_script(self, tmp_path, names, *args, extra=None):
+        """Run the script over copies of the named corpus descriptors (and
+        extra {name: text} ones); returns the finished process and the
+        output directory."""
+        fields_dir, out_dir = tmp_path / "fields", tmp_path / "out"
+        fields_dir.mkdir()
+        for name in names:
+            (fields_dir / f"{name}.field").write_text(
+                (FIELDS / f"{name}.field").read_text())
+        for name, text in (extra or {}).items():
+            (fields_dir / f"{name}.field").write_text(text)
+        env = dict(os.environ, PYTHONPATH=str(FIELDS.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--fields-dir", str(fields_dir),
+             "--out-dir", str(out_dir), *args],
+            capture_output=True, text=True, env=env, timeout=120)
+        return done, out_dir
+
+    @pytest.mark.parametrize("args", [["--xmax", "1e9"], ["--xmax", "nan"],
+                                      ["--grid", "100,10"]],
+                             ids=["xmax-past-cap", "xmax-nan", "grid-descending"])
+    def test_usage_error_exits_two_before_any_field(self, tmp_path, args):
+        done, out_dir = self.run_script(tmp_path, ["gaussian"], *args)
+        assert done.returncode == 2, done.stderr
+        assert "error: " in done.stderr
+        assert done.stdout == ""
+        assert not out_dir.exists()
+
+    def test_field_error_is_reported_and_exits_two(self, tmp_path):
+        done, out_dir = self.run_script(tmp_path, ["gaussian"], "--xmax", "1000",
+                                        extra={"broken": "poly = [\n"})
+        assert done.returncode == 2, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0].startswith("broken: error (")
+        assert lines[1].endswith(f"checks passed; report: {out_dir}/verify_gaussian.csv")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["verify_gaussian.csv"]
+
+    def test_index_prime_field_is_skipped(self, tmp_path):
+        done, _ = self.run_script(tmp_path, ["gaussian", "non-monogenic-cubic"],
+                                  "--xmax", "1000")
+        assert done.returncode == 0, done.stderr
+        assert self.SKIP_LINE in done.stdout.splitlines()

@@ -567,11 +567,13 @@ class TestCheckGrid:
         assert type(info.value) is CutoffOutOfRange
 
 
-BAD_CUTOFFS = [math.nan, math.inf, -math.inf, 1e12]
+# an int past float range, which float() and a :g format cannot take
+HUGE = 10 ** 400
+BAD_CUTOFFS = [math.nan, math.inf, -math.inf, 1e12, HUGE]
 # summatory_grid once summed a descending grid up to its first point only:
 # [9, 9] for gaussian at [1000, 10], though 787 ideals have norm <= 1000
 BAD_GRIDS = [[], [1000.0, 10.0], [10.0, 10.0], [math.nan], [10.0, math.nan],
-             [10.0, math.inf], [-math.inf, 10.0], [10.0, 1e12]]
+             [10.0, math.inf], [-math.inf, 10.0], [10.0, 1e12], [10.0, HUGE]]
 MCONST = MertensConstant(M_K=0.0, tail_halfwidth=0.0, truncation_x=1e4)
 SCALAR_ENTRY_POINTS = {
     "theta_K": theta_K,
@@ -591,9 +593,15 @@ GRID_ENTRY_POINTS = {
         field, grid, kappa_exact(field), truncation_x=1e4),
     "prime_power_grid": lambda field, grid: prime_power_grid(grid, [1.0]),
 }
-RANGE_CASES = [pytest.param(call, x, id=f"{name}-{x}")
+
+
+def _case_id(name, arg) -> str:
+    return f"{name}-{arg}".replace(str(HUGE), "10**400")
+
+
+RANGE_CASES = [pytest.param(call, x, id=_case_id(name, x))
                for name, call in SCALAR_ENTRY_POINTS.items() for x in BAD_CUTOFFS] \
-    + [pytest.param(call, grid, id=f"{name}-{grid}")
+    + [pytest.param(call, grid, id=_case_id(name, grid))
        for name, call in GRID_ENTRY_POINTS.items() for grid in BAD_GRIDS]
 
 

@@ -139,3 +139,19 @@ class TestVerifyAll:
             return [c for c in report.checks if c.name == "chebyshev_theta_classic"]
         assert len(theta(reports[0])) == 3
         assert theta(reports[0]) == theta(reports[1])
+
+    def test_estimated_kappa_sums_no_row(self, monkeypatch):
+        # only the checks of an exact kappa read the I(n) and T(x) sums
+        from nfmertens.field import load_field
+        from nfmertens.idealcount import kappa_estimate
+        calls = []
+        for name in ("row_sums", "row_log_sums"):
+            monkeypatch.setattr(verify, name,
+                                lambda *args, name=name: calls.append(name))
+        bare = load_field("poly = [1, 0, 1]\n")
+        report = verify_all(bare, [10.0, 100.0], kappa_estimate(bare, 100.0),
+                            truncation_x=1e4)
+        assert calls == []
+        names = {c.name for c in report.checks}
+        assert "first_mertens_error" in names
+        assert "ideal_count_envelope" not in names
