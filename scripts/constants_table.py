@@ -2,21 +2,26 @@
 """Print a comparison table of residues, bounds, and Mertens constants for
 every bundled field: the kind of table one pins above a desk.
 
+A descriptor that cannot be read or loaded is reported on its own line and
+the table goes on; the run then exits 2.
+
 Usage:
     python scripts/constants_table.py [--truncation-x 1e6]
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from nfmertens import field_constants, kappa_exact, load_field, mertens_constant
-from nfmertens.errors import CutoffOutOfRange, MissingClassData
+from nfmertens import field_constants, kappa_exact, mertens_constant
+from nfmertens.cli import read_field
+from nfmertens.errors import CutoffOutOfRange, MissingClassData, NfMertensError
 from nfmertens.idealcount import check_cutoff
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--truncation-x", type=float, default=1e6)
     parser.add_argument("--fields-dir", default=str(ROOT / "fields"))
@@ -32,9 +37,15 @@ def main() -> None:
               f"{'M_K':>11}{'log Lam':>9}{'log Ups':>9}")
     print(header)
     print("-" * len(header))
+    code = 0
     for path in sorted(Path(args.fields_dir).glob("*.field")):
-        field = load_field(path.read_text())
         name = path.stem
+        try:
+            field = read_field(str(path))[1]
+        except NfMertensError as exc:
+            print(f"{name}: error ({exc})")
+            code = 2
+            continue
         try:
             kappa = kappa_exact(field)
         except MissingClassData:
@@ -54,7 +65,8 @@ def main() -> None:
             stk = f"{'-':>10}"
         print(f"{name:<22}{field.degree:>4}{field.discriminant:>7}"
               f"{kappa.value:>11.7f}{zim}{lou}{stk}{mc.M_K:>11.7f}{lam}{ups}")
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

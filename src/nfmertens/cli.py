@@ -37,7 +37,11 @@ from .verify import verify_all
 
 TOOL_NAME = "nfmertens"
 
-# rows of a sieve dump converted and written at a time
+# rows of a sieve dump formatted and written at a time: the counts and ideals
+# dumps hand each block over as int columns, which introws.int_rows turns
+# into text in a few numpy passes over the whole block, with no Python call
+# per row. The writers import introws only when such a block comes, so no
+# other command compiles it
 _BLOCK = 1 << 16
 
 
@@ -64,8 +68,11 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in _COMMANDS:
             raise NfMertensError(f"unknown command {self.command!r}")
-        if self.fmt not in ("csv", "json"):
-            raise NfMertensError("format must be csv or json")
+        # the choices of --format, --theta-constant and --what
+        for flag, spec in FLAGS.items():
+            choices = spec.get("choices")
+            if choices and getattr(self, spec["dest"]) not in choices:
+                raise NfMertensError(f"{flag} must be one of {', '.join(choices)}")
         # every command may sieve to x_max, where kappa is estimated for a
         # field without class data; the ideals dump starts at norm 2
         sieve = self.sieve_what if self.command == "sieve" else None
@@ -132,13 +139,14 @@ def _write_csv(fh, meta: dict, header: list[str], blocks) -> None:
             fh.write(f"# {key}: {meta[key]}\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
+    # ints need no quoting: the columns go out as they stand
+    seps = ["", *[","] * (len(header) - 1), "\n"]
     for block in blocks:
-        writer.writerows(block)
-
-
-def _json_cell(v) -> str:
-    # json.dumps writes an int as its repr; the int-only dumps save the call
-    return repr(v) if type(v) is int else json.dumps(v)
+        if isinstance(block, tuple):
+            from .introws import int_rows  # see _BLOCK
+            fh.write(int_rows(block, seps))
+        else:
+            writer.writerows(block)
 
 
 def _write_json(fh, meta: dict, header: list[str], blocks) -> None:
@@ -146,25 +154,32 @@ def _write_json(fh, meta: dict, header: list[str], blocks) -> None:
     each row dict laid out as that indent=2 dump lays it out."""
     # the document with empty data ends in "[]\n}"
     fh.write(json.dumps({"meta": meta, "data": []}, indent=2)[:-3])
-    item = "\n    {" + ",".join(
-        f"\n      {json.dumps(key).replace('%', '%%')}: %s" for key in header) \
-        + "\n    }"
-    sep = ""
+    # the text around the values of one row, with the "," before every row;
+    # the first row of the report goes out without it
+    keys = [f"\n      {json.dumps(key)}: " for key in header]
+    seps = [",\n    {" + keys[0], *("," + key for key in keys[1:]), "\n    }"]
+    item = "%s".join(s.replace("%", "%%") for s in seps)
+    first = True
     for block in blocks:
-        text = ",".join(item % tuple(map(_json_cell, row)) for row in block)
+        if isinstance(block, tuple):
+            from .introws import int_rows  # see _BLOCK
+            text = int_rows(block, seps)
+        else:
+            text = "".join(item % tuple(map(json.dumps, row)) for row in block)
         if text:
-            fh.write(sep + text)
-            sep = ","
-    fh.write("\n  ]\n}\n" if sep else "]\n}\n")
+            fh.write(text[1:] if first else text)
+            first = False
+    fh.write("]\n}\n" if first else "\n  ]\n}\n")
 
 
 def _emit(config: RunConfig, meta: dict, header: list[str], blocks,
           out_path: str) -> None:
-    """Write the report to out_path atomically, streaming blocks (iterables
-    of rows) into a temp file that is renamed over out_path only once every
-    block is written. Cells must already be final: str, int or None (see
-    _cells). If a block or the write raises, the temp file is removed and
-    an existing out_path is left as it was."""
+    """Write the report to out_path atomically, streaming blocks into a temp
+    file that is renamed over out_path only once every block is written. A
+    block is a list of rows of final cells: str, int or None (see _cells);
+    or a tuple of int columns, one per header name (see introws.int_rows).
+    If a block or the write raises, the temp file is removed and an
+    existing out_path is left as it was."""
     write = _write_csv if config.fmt == "csv" else _write_json
     tmp = out_path + ".tmp"
     try:
@@ -185,11 +200,11 @@ def _cells(config: RunConfig, rows) -> list[list]:
 
 
 def _count_blocks(row: np.ndarray, x: int):
-    """The rows (n, row[n]) for 1 <= n <= x of the I(n) row, _BLOCK at a
-    time."""
+    """The columns (n, row[n]) for 1 <= n <= x of the I(n) row, _BLOCK rows
+    at a time."""
     for a in range(1, x + 1, _BLOCK):
-        part = row[a:min(a + _BLOCK, x + 1)].tolist()
-        yield zip(range(a, a + len(part)), part)
+        b = min(a + _BLOCK, x + 1)
+        yield np.arange(a, b), row[a:b]
 
 
 def _residue_for(field: FieldDescriptor, config: RunConfig, meta: dict):
@@ -205,24 +220,23 @@ def _residue_for(field: FieldDescriptor, config: RunConfig, meta: dict):
 
 def _cmd_sieve(field, config, meta, out_path):
     what = config.sieve_what
-    # counts and ideals hold only ints, which both formats write as they are
+    # counts and ideals hold only ints: they go out as blocks of int columns
     if what == "counts":
         x = int(config.x_max)
         _emit(config, meta, ["n", "ideal_count"],
               _count_blocks(_dense_row(field, x), x), out_path)
     elif what == "ideals":
         recs = _records_up_to(field, config.x_max)  # (norm, p, f) rows
-        blocks = (recs[a:a + _BLOCK, [1, 2, 0]].tolist()
+        p, f, norm = recs[:, 1], recs[:, 2], recs[:, 0]
+        blocks = ((p[a:a + _BLOCK], f[a:a + _BLOCK], norm[a:a + _BLOCK])
                   for a in range(0, len(recs), _BLOCK))
         _emit(config, meta, ["p", "f", "norm"], blocks, out_path)
-    elif what == "summatory":
+    else:  # summatory
         kappa = _residue_for(field, config, meta)
         rows = [[p.x, p.value, kappa.value * p.x, p.sunley_envelope]
                 for p in summatory_grid(field, config.grid)]
         _emit(config, meta, ["x", "ideal_count_sum", "kappa_x", "envelope"],
               [_cells(config, rows)], out_path)
-    else:
-        raise NfMertensError(f"unknown sieve table {what!r}")
     return 0
 
 
@@ -321,17 +335,22 @@ def _cmd_verify(field, config, meta, out_path):
     return 1 if failures else 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    config.validate()
-    # an unreadable descriptor is bad input; a failed report write is not
+def read_field(path: str) -> tuple[bytes, FieldDescriptor]:
+    """The descriptor's bytes and its field. An unreadable or non-UTF-8
+    descriptor is bad input, as a malformed one is: NfMertensError."""
     try:
-        descriptor_bytes = Path(config.field_path).read_bytes()
-        field = load_field(descriptor_bytes.decode("utf-8"))
+        descriptor_bytes = Path(path).read_bytes()
+        return descriptor_bytes, load_field(descriptor_bytes.decode("utf-8"))
     except OSError as exc:
         raise NfMertensError(f"cannot read the descriptor: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{config.field_path}: not UTF-8 ({exc})") from exc
+        raise SchemaError(f"{path}: not UTF-8 ({exc})") from exc
+
+
+def run(config: RunConfig) -> int:
+    """Execute one command; returns the process exit code."""
+    config.validate()
+    descriptor_bytes, field = read_field(config.field_path)
     meta = _meta(config, descriptor_bytes)
     stem = Path(config.field_path).stem
     out_path = config.out or f"{config.command}_{stem}.{config.fmt}"

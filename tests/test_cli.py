@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfmertens import cli, idealcount, splitting
 from nfmertens.cli import RunConfig, _f15, _meta, main, parse_grid
 from nfmertens.errors import CutoffOutOfRange, NfMertensError
 from nfmertens.field import kappa_exact, load_field
 from nfmertens.idealcount import ideal_count_sieve, summatory
+from nfmertens.introws import int_rows
 from nfmertens.mertens import geometric_grid
 from nfmertens.splitting import prime_ideals_up_to
 
@@ -430,6 +432,67 @@ class TestStreamedDumps:
         assert got == expected
 
 
+def json_seps(header):
+    """The separators of the row template the JSON dump had when each row
+    went through item % tuple(...), with the "," that goes before a row."""
+    item = "\n    {" + ",".join(f"\n      {json.dumps(key)}: %s"
+                                 for key in header) + "\n    }"
+    return ("," + item).split("%s")
+
+
+class TestIntRows:
+    """int_rows against the per-row formatting it replaced."""
+
+    @staticmethod
+    def check(cols):
+        rows = list(zip(*[c.tolist() for c in cols]))
+        csv_seps = ["", *[","] * (len(cols) - 1), "\n"]
+        assert int_rows(cols, csv_seps) == "".join(
+            ",".join(map(str, row)) + "\n" for row in rows)
+        seps = json_seps(["p", "f", "norm"][:len(cols)])
+        item = "%s".join(seps)
+        assert int_rows(cols, seps) == "".join(
+            item % tuple(row) for row in rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda width: st.lists(
+        st.tuples(*[st.one_of(st.integers(0, 2 ** 63 - 1),
+                              st.integers(0, 10 ** 6),
+                              st.integers(0, 18).map(lambda e: 10 ** e - 1))
+                    ] * width), max_size=40)))
+    def test_random_int64_columns(self, rows):
+        width = len(rows[0]) if rows else 2
+        cols = tuple(np.array([r[j] for r in rows], dtype=np.int64)
+                     for j in range(width))
+        self.check(cols)
+
+    def test_every_digit_count(self):
+        values = [0, 9, 2 ** 63 - 1]
+        for e in range(1, 19):
+            values += [10 ** e - 1, 10 ** e, 10 ** e + 1]
+        col = np.array(values, dtype=np.int64)
+        assert int_rows((col,), ["", "\n"]) == "".join(
+            f"{v}\n" for v in values)
+        self.check((col, col[::-1].copy()))
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.int64])
+    def test_narrow_dtypes(self, dtype):
+        top = np.iinfo(dtype).max
+        col = np.array([top, 0, 1, 10 ** (len(str(top)) - 1), top - 1], dtype=dtype)
+        self.check((np.arange(1, 6), col))
+
+    def test_empty_block(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert int_rows((empty, empty), ["", ",", "\n"]) == ""
+        assert int_rows((empty.astype(object),), ["", "\n"]) == ""
+
+    def test_object_column_past_int64(self):
+        values = [2 ** 63, 2 ** 64 - 1, 2 ** 64, 10 ** 30 + 7, 0, 5,
+                  10 ** 20, 2 ** 63 - 1]
+        col = np.array(values, dtype=object)
+        self.check((np.arange(len(values)), col))
+
+
 class TestAtomicWrite:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failing_row_stream_keeps_the_old_report(self, tmp_path, monkeypatch,
@@ -579,6 +642,21 @@ class TestErrors:
                 RunConfig(field_path=GAUSS, command=command,
                           truncation_x=value).validate()
 
+    @pytest.mark.parametrize("command, option, flag", [
+        ("verify", {"theta_variant": "bogus"}, "--theta-constant"),
+        ("sieve", {"sieve_what": "bogus"}, "--what"),
+        ("residue", {"fmt": "xml"}, "--format"),
+    ])
+    def test_bad_choice_raises_before_reading(self, monkeypatch, command,
+                                              option, flag):
+        # the choices of FLAGS hold for a RunConfig built without the parser;
+        # nothing is read, so nothing is sieved
+        read = []
+        monkeypatch.setattr(cli, "read_field", lambda path: read.append(path))
+        with pytest.raises(NfMertensError, match=f"^{flag} must be one of "):
+            cli.run(RunConfig(GAUSS, command, x_max=1e4, **option))
+        assert read == []
+
 
 class TestUnknownStructureFlags:
     """cbrt2 without its Galois flags selects no Stark case, with and without
@@ -670,6 +748,27 @@ class TestConstantsTableScript:
         assert done.returncode == 2, done.stderr
         assert "--truncation-x" in done.stderr
         assert done.stdout == ""
+
+    def test_unreadable_descriptors_are_reported_and_exit_two(self, tmp_path):
+        # a directory, a Latin-1 descriptor and a malformed one each get an
+        # error line; the fields after them are still tabulated
+        (tmp_path / "odd.field").mkdir()
+        (tmp_path / "latin.field").write_bytes(NOT_UTF8_BYTES)
+        (tmp_path / "broken.field").write_text("poly = [\n")
+        (tmp_path / "gaussian.field").write_text(Path(GAUSS).read_text())
+        env = dict(os.environ, PYTHONPATH=str(FIELDS.parent / "src"))
+        done = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--truncation-x", "1000",
+             "--fields-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == ""
+        lines = done.stdout.splitlines()[2:]
+        assert [line.split()[0] for line in lines] == [
+            "broken:", "gaussian", "latin:", "odd:"]
+        assert lines[0].startswith("broken: error (poly")
+        assert lines[2].startswith("latin: error (") and "not UTF-8" in lines[2]
+        assert lines[3].startswith("odd: error (cannot read the descriptor: ")
 
 
 class TestCorpusScript:
