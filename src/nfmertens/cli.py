@@ -129,6 +129,17 @@ def _meta(config: RunConfig, descriptor_bytes: bytes) -> dict:
     }
 
 
+def _write(fh, text) -> None:
+    """Write text, a str or UTF-8 bytes, to the text file fh. Bytes go to
+    its binary buffer once the text layer is flushed, so a block of int_rows
+    text is held once, with no str copy and no re-encoding."""
+    if isinstance(text, str):
+        fh.write(text)
+    else:
+        fh.flush()
+        fh.buffer.write(text)
+
+
 def _write_csv(fh, meta: dict, header: list[str], blocks) -> None:
     for key in ("tool", "version", "field_sha256"):
         fh.write(f"# {key}: {meta[key]}\n")
@@ -144,7 +155,7 @@ def _write_csv(fh, meta: dict, header: list[str], blocks) -> None:
     for block in blocks:
         if isinstance(block, tuple):
             from .introws import int_rows  # see _BLOCK
-            fh.write(int_rows(block, seps))
+            _write(fh, int_rows(block, seps))
         else:
             writer.writerows(block)
 
@@ -163,11 +174,11 @@ def _write_json(fh, meta: dict, header: list[str], blocks) -> None:
     for block in blocks:
         if isinstance(block, tuple):
             from .introws import int_rows  # see _BLOCK
-            text = int_rows(block, seps)
+            text = memoryview(int_rows(block, seps))
         else:
             text = "".join(item % tuple(map(json.dumps, row)) for row in block)
         if text:
-            fh.write(text[1:] if first else text)
+            _write(fh, text[1:] if first else text)
             first = False
     fh.write("]\n}\n" if first else "\n  ]\n}\n")
 

@@ -24,16 +24,18 @@ hands callers int64 for every narrow dtype and an object array past the
 guard. Every cutoff and grid passes splitting.check_cutoff or check_grid
 before any sieve starts.
 
-Sums over the row take one ascending pass over a grid of cutoffs (row_sums,
-row_log_sums, the latter rounded by splitting.grid_fsums over the nonzero
-I(n)); the single-point functions are one-point grids.
+Sums over the row take one ascending pass over a grid of cutoffs; the
+single-point functions are one-point grids. row_sums adds exact integers.
+row_log_sums takes the float64 terms I(n) log n of the nonzero I(n), with
+np.log, in numpy blocks of at most splitting._SLICE, and splitting.grid_fsums
+sums each segment exactly (splitting.exact_sum, one Python int per block)
+and rounds it once, as fsum would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from math import fsum
 from typing import Optional, Sequence
 
@@ -52,9 +54,6 @@ from .splitting import (  # DENSE_SIEVE_CAP and check_cutoff are re-exported
 )
 
 _CHUNK = 1 << 22  # row entries per step of the cofactor pass and of row_sums
-# float terms fed to fsum at a time: the list of Python floats stays
-# cache-sized instead of holding a whole chunk
-_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -195,23 +194,17 @@ def row_sums(row: np.ndarray, grid) -> list[int]:
     return out
 
 
-def _log_terms(row: np.ndarray, lo: int, hi: int):
-    """The float64 terms row[n] log(n) for lo <= n < hi with row[n] != 0, as
-    lists of at most _SLICE Python floats."""
-    for a in range(lo, hi, _SLICE):
-        part = row[a:min(a + _SLICE, hi)]
-        nz = np.flatnonzero(part)
-        yield (part[nz].astype(np.float64)
-               * np.log((nz + a).astype(np.float64))).tolist()
-
-
 def row_log_sums(row: np.ndarray, grid) -> list[float]:
     """Sum of row[n] log(n) over 2 <= n <= x for each x of the ascending
-    grid, in one grid_fsums pass whose segments are fed to fsum _SLICE
-    float64 terms at a time (fsum rounds exactly whatever the slicing, and the
-    terms of zero I(n), +0.0, are left out)."""
-    [values] = grid_fsums(_segments(grid, 2), lambda seg: chain.from_iterable(
-        _log_terms(row, *seg)))
+    grid, in one grid_fsums pass over blocks of the row (the terms of zero
+    I(n), +0.0, are left out; the exact sums cannot change)."""
+
+    def terms(a, b):
+        part = row[a:b]
+        nz = np.flatnonzero(part)
+        return part[nz].astype(np.float64) * np.log((nz + a).astype(np.float64)),
+
+    [values] = grid_fsums(_segments(grid, 2), terms)
     return values
 
 

@@ -1,10 +1,11 @@
 """Text of blocks of non-negative int columns, formatted whole in numpy.
 
-int_rows gives the bytes csv.writer or the row template of the JSON dump
-give row by row, with no Python call per row: the digits come four at a
-time from a lookup table, each row is laid out in uint32 words with NUL as
-padding, and the NULs are then deleted. The counts and ideals dumps import
-this module alone, so the other commands neither compile nor hold it.
+int_rows gives the UTF-8 bytes of the text csv.writer or the row template
+of the JSON dump give row by row, with no Python call per row: the digits
+come four at a time from a lookup table, each row is laid out in uint32
+words with NUL as padding, and the NULs are then deleted. The counts and
+ideals dumps import this module alone, so the other commands neither
+compile nor hold it.
 """
 
 from __future__ import annotations
@@ -55,15 +56,15 @@ def _word_padded(sep: str) -> bytes:
     return raw + bytes(-len(raw) % 4)
 
 
-def int_rows(cols, seps) -> str:
-    """The text seps[0] c0 seps[1] c1 ... seps[-1] of every row of the equal
-    length int columns cols (see _digit_words), rows concatenated. Each row
-    is laid out in whole uint32 words, each separator NUL-padded to a word
+def int_rows(cols, seps) -> bytearray:
+    """The UTF-8 text seps[0] c0 seps[1] c1 ... seps[-1] of every row of the
+    equal length int columns cols (see _digit_words), rows concatenated. Each
+    row is laid out in whole uint32 words, each separator NUL-padded to a word
     boundary, then every NUL byte is deleted; seps hold no NUL (csv and
     json.dumps text holds none)."""
     k = len(cols[0])
     if not k:
-        return ""
+        return bytearray()
     # the bytes of one row with its digit words NUL, and those words' columns
     row, digits = b"", []
     for sep, col in zip(seps, cols):
@@ -77,4 +78,4 @@ def int_rows(cols, seps) -> str:
     for j, words in digits:
         out[:, j] = words
     # a bytearray deletes the NULs into a copy without a bytes copy first
-    return text.translate(None, b"\0").decode()
+    return text.translate(None, b"\0")

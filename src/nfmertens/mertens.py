@@ -11,9 +11,15 @@ truncated at a cutoff X with the rigorous tail bound degree/(ceil(X) - 1).
 Fitting the reciprocal sum would give no such tail control, so the series
 route is the only one used.
 
-All accumulations run over ideals in ascending norm with exact (Shewchuk)
-summation, the grid sums through splitting.grid_fsums, so 15-digit report
-values are reproducible across platforms.
+The series are summed exactly and rounded once per grid segment, through
+splitting.grid_fsums, so a sum does not depend on the order of its terms.
+Each term is what Python's float arithmetic gives for it: log(N)/N, 1/N and
+log1p(-1/N) with math.log and math.log1p, called once per distinct norm, and
+the division, negation and addition done in numpy, which rounds them as
+Python does. math.log and math.log1p are the C library's, so a report's last
+digit follows that library; the I(n) log n and theta sums of idealcount and
+verify take np.log, whose last bit follows the SIMD loop numpy dispatches to
+on the machine (AVX512F, AVX2 or baseline).
 """
 
 from __future__ import annotations
@@ -68,14 +74,34 @@ def geometric_grid(k_min: int = 4, k_max: int = 28) -> tuple[float, ...]:
     return tuple(10 ** (k / 4) for k in range(k_min, k_max + 1))
 
 
+def _distinct(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, at): the distinct values of the ascending int64 block norms as
+    float64, and the index in n of each entry of norms."""
+    new = np.empty(len(norms), dtype=bool)
+    new[:1] = True
+    np.not_equal(norms[1:], norms[:-1], out=new[1:])
+    return norms[new].astype(np.float64), np.cumsum(new) - 1
+
+
+def _floats(fn, values: np.ndarray) -> np.ndarray:
+    """fn, a math function, at each float64 of values."""
+    return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
+
+
 def mertens_constant(field: FieldDescriptor, truncation_x: float,
                      kappa: Residue) -> MertensConstant:
     """Mertens constant from the truncated series, with a rigorous tail."""
     check_cutoff("truncation_x", truncation_x, 10)
     if kappa is None or kappa.value <= 0:
         raise MissingResidue("mertens_constant requires a positive residue")
-    series = fsum(1.0 / norm + math.log1p(-1.0 / norm)
-                  for norm in _records_up_to(field, truncation_x)[:, 0].tolist())
+    norms = _records_up_to(field, truncation_x)[:, 0]
+
+    def terms(a, b):
+        n, at = _distinct(norms[a:b])
+        recip = 1.0 / n
+        return (recip + _floats(math.log1p, -recip))[at],
+
+    [[series]] = grid_fsums([(0, len(norms))], terms)
     tail = field.degree / (math.ceil(truncation_x) - 1)
     return MertensConstant(
         M_K=EULER_GAMMA + math.log(kappa.value) + series,
@@ -95,10 +121,14 @@ def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,
     cuts = np.searchsorted(norms, [math.floor(x) for x in grid], "right").tolist()
     if cuts[0] == 0:
         raise EmptyProduct(f"no prime ideal has norm <= {grid[0]}")
-    sums = grid_fsums((norms[a:b].tolist() for a, b in zip([0] + cuts, cuts)),
-                      lambda seg: (math.log(n) / n for n in seg),
-                      lambda seg: (1.0 / n for n in seg),
-                      lambda seg: (math.log1p(-1.0 / n) for n in seg))
+
+    def terms(a, b):
+        n, at = _distinct(norms[a:b])
+        recip = 1.0 / n
+        return ((_floats(math.log, n) / n)[at], recip[at],
+                _floats(math.log1p, -recip)[at])
+
+    sums = grid_fsums(zip([0] + cuts, cuts), terms, 3)
     rows = []
     e_gamma = math.exp(EULER_GAMMA)
     for x, sum_lnn, sum_rec, sum_l1p in zip(grid, *sums):

@@ -32,12 +32,19 @@ code per prime, and the few distinct patterns the codes index), the
 prime-ideal stream as a (k, 3) int64 array of (norm, p, f) rows ordered by
 (norm, p), and the dense I(n) row. Each descriptor holds its own context,
 grown as larger cutoffs are asked for and freed with the descriptor; equal
-descriptors do not share one. Log-norm sums are accumulated
-with exact (Shewchuk) summation, keeping 12+ significant digits over
-millions of terms and making results independent of segmentation.
+descriptors do not share one.
 grid_fsums holds the rounding policy of the Mertens, I(n) log n and theta
-grid sums: the value at a grid point is the fsum of the per-segment fsums
-(mertens.prime_power_grid takes one fsum per prefix instead).
+grid sums: the value at a grid point is the fsum of the segment sums before
+it, and each segment sum is its float64 terms summed exactly and rounded
+once to nearest, ties to even, the value fsum gives
+(mertens.prime_power_grid takes one fsum per prefix instead). The segments
+are summed in numpy blocks of at most _SLICE terms by exact_sum, a small
+superaccumulator (Neal, "Fast exact summation using small and large
+superaccumulators", arXiv:1505.05571, 2015): np.frexp splits each term into
+its 53-bit mantissa and exponent, the mantissa's two halves are summed per
+exponent in float64 buckets that cannot round, and the buckets are joined
+into one Python int at a fixed scale. So a sum does not depend on the order
+of its terms or on where the blocks end.
 check_cutoff and check_grid hold the one range rule of a cutoff and of a grid
 of cutoffs; every sieve applies it before it starts.
 """
@@ -534,20 +541,69 @@ def check_grid(grid, lo: float = 2, hi: float = DENSE_SIEVE_CAP) -> list[float]:
     return grid
 
 
-def grid_fsums(segments, *terms) -> list[list[float]]:
-    """Running sums over an ascending grid, one list per term function.
+# Terms summed at a time by exact_sum. Each term enters its exponent's
+# bucket as two mantissa halves below 2^26 and 2^27 units in magnitude, and a
+# bucket sums them in float64 exactly while terms per block x 2^27 < 2^53:
+# blocks of fewer than _EXACT_TERMS = 2^26 terms. 2^16 keeps a block's
+# temporaries cache-sized.
+_SLICE = 1 << 16
+_EXACT_TERMS = 1 << 26
+# exact_sum counts units of 2^-1126: the last mantissa bit at frexp's least
+# exponent, -1073 (the subnormal 2^-1074 is 0.5 * 2^-1073)
+_SCALE = 1126
 
-    segments yields, for each grid point in turn, the data between the
-    previous point and this one; each term maps a segment to an iterable of
-    floats (a chain of lists feeds fsum fastest). The value of a term at the
-    k-th point is the fsum of its segment fsums over the first k segments.
-    Each segment is made once and read by every term.
+
+def exact_sum(terms: np.ndarray) -> int:
+    """The sum of the float64 terms times 2^_SCALE, exactly, as an int;
+    int / 2**_SCALE rounds it to the float fsum(terms) gives.
+
+    Raises InvariantViolation for a non-finite term, or for _EXACT_TERMS or
+    more terms, past which the buckets could round.
     """
-    seg_sums = [[] for _ in terms]
-    out = [[] for _ in terms]
-    for segment in segments:
-        for term, sums, values in zip(terms, seg_sums, out):
-            sums.append(fsum(term(segment)))
+    if len(terms) >= _EXACT_TERMS:
+        raise InvariantViolation(f"{len(terms)} terms in one exact block")
+    if not len(terms):
+        return 0
+    mant, exp = np.frexp(terms)
+    # mant 2^26 = hi + frac, hi an integer in [-2^26, 2^26) and frac a
+    # multiple of 2^-27 in [0, 1): a term is (hi 2^27 + frac 2^27) 2^(exp - 53)
+    hi = np.floor(np.multiply(mant, 1 << 26, out=mant))
+    frac = np.subtract(mant, hi, out=mant)
+    low = int(exp.min())
+    index = exp - low
+    hi_sums = np.bincount(index, hi)
+    frac_sums = np.bincount(index, frac) * (1 << 27)
+    # an infinite or NaN term has a NaN frac (inf - inf), so its bucket's too
+    if not np.isfinite(frac_sums).all():
+        raise InvariantViolation("a non-finite term in an exact sum")
+    total = 0
+    shift = low - 53 + _SCALE  # of the bucket of exponent low
+    for h, f in zip(hi_sums.tolist(), frac_sums.tolist()):
+        if h or f:
+            total += ((int(h) << 27) + int(f)) << shift
+        shift += 1
+    return total
+
+
+def grid_fsums(segments, terms, count: int = 1) -> list[list[float]]:
+    """Running sums of count series over an ascending grid, one list each.
+
+    segments yields, for each grid point in turn, the index range (lo, hi)
+    after the previous point's; terms(a, b) gives, for lo <= a < b <= hi and
+    b - a <= _SLICE, the float64 terms at the indices a..b-1 as count arrays,
+    one per series. A segment's sum is exact_sum over its blocks rounded once,
+    which is fsum of its terms, and the value of a series at the k-th point is
+    the fsum of its first k segment sums. Each block is made once and read by
+    every series.
+    """
+    seg_sums = [[] for _ in range(count)]
+    out = [[] for _ in range(count)]
+    for lo, hi in segments:
+        totals = [0] * count
+        for a in range(lo, hi, _SLICE):
+            for i, block in enumerate(terms(a, min(a + _SLICE, hi))):
+                totals[i] += exact_sum(block)
+        for total, sums, values in zip(totals, seg_sums, out):
+            sums.append(total / (1 << _SCALE))
             values.append(fsum(sums))
-        del segment  # free it before the next one is made
     return out

@@ -85,10 +85,9 @@ def _theta_values(grid: tuple[float, ...]) -> tuple[float, ...]:
     """theta(x) at each x of the grid, from one sieve per grid per process:
     no field changes it."""
     primes = rational_primes(grid[-1])
-    logs = np.log(primes.astype(np.float64))
     cuts = np.searchsorted(primes, [math.floor(x) for x in grid], "right").tolist()
-    [values] = grid_fsums((logs[a:b].tolist() for a, b in zip([0] + cuts, cuts)),
-                          lambda seg: seg)
+    [values] = grid_fsums(zip([0] + cuts, cuts), lambda a, b: (
+        np.log(primes[a:b].astype(np.float64)),))
     return tuple(values)
 
 

@@ -1,0 +1,131 @@
+"""The grid sums as they were taken before the numpy blocks: every term a
+Python float (math.log and math.log1p per ideal, .tolist() slices of np.log),
+fed to math.fsum by generators, one fsum per segment. It is the oracle of
+mertens_constant, mertens_table, row_log_sums and verify._theta_values, which
+must give the same floats bit for bit.
+
+Run as a script, it compares the four for one field up to one cutoff and
+exits 1 on any difference:
+
+    PYTHONPATH=src python tests/fsum_oracle.py fields/gaussian.field 1e7
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from itertools import chain
+from math import fsum
+from pathlib import Path
+from unittest.mock import patch
+
+import numpy as np
+
+from nfmertens import mertens, splitting
+from nfmertens.field import PROVENANCE_EXACT, FieldDescriptor, Residue, load_field
+from nfmertens.idealcount import _dense_row, _segments, row_log_sums
+from nfmertens.mertens import geometric_grid, mertens_constant, mertens_table
+from nfmertens.splitting import _records_up_to, rational_primes
+from nfmertens.verify import _theta_values
+
+
+def fsum_grid(segments, *terms) -> list[list[float]]:
+    """Running sums over an ascending grid, one list per term function:
+    each term maps a segment to an iterable of floats, and the value at the
+    k-th point is the fsum of the first k segment fsums."""
+    seg_sums = [[] for _ in terms]
+    out = [[] for _ in terms]
+    for segment in segments:
+        for term, sums, values in zip(terms, seg_sums, out):
+            sums.append(fsum(term(segment)))
+            values.append(fsum(sums))
+    return out
+
+
+def mertens_series(field: FieldDescriptor, truncation_x: float) -> float:
+    """The sum of 1/N + log1p(-1/N) over prime ideals of norm N <= truncation_x."""
+    return fsum(1.0 / norm + math.log1p(-1.0 / norm)
+                for norm in _records_up_to(field, truncation_x)[:, 0].tolist())
+
+
+def mertens_sums(field: FieldDescriptor, grid) -> list[list[float]]:
+    """The sums of log(N)/N, 1/N and log1p(-1/N) at each grid point."""
+    norms = _records_up_to(field, grid[-1])[:, 0]
+    cuts = np.searchsorted(norms, [math.floor(x) for x in grid], "right").tolist()
+    return fsum_grid((norms[a:b].tolist() for a, b in zip([0] + cuts, cuts)),
+                     lambda seg: (math.log(n) / n for n in seg),
+                     lambda seg: (1.0 / n for n in seg),
+                     lambda seg: (math.log1p(-1.0 / n) for n in seg))
+
+
+def log_sums(row: np.ndarray, grid) -> list[float]:
+    """T(x) at each grid point from the terms I(n) log n of the nonzero
+    I(n), np.log taken in the blocks row_log_sums takes."""
+    step = splitting._SLICE
+
+    def terms(segment):
+        lo, hi = segment
+        for a in range(lo, hi, step):
+            part = row[a:min(a + step, hi)]
+            nz = np.flatnonzero(part)
+            yield (part[nz].astype(np.float64)
+                   * np.log((nz + a).astype(np.float64))).tolist()
+
+    [values] = fsum_grid(_segments(grid, 2),
+                         lambda seg: chain.from_iterable(terms(seg)))
+    return values
+
+
+def theta_values(grid) -> list[float]:
+    """theta(x) at each grid point, np.log taken over all the primes at once."""
+    primes = rational_primes(grid[-1])
+    logs = np.log(primes.astype(np.float64))
+    cuts = np.searchsorted(primes, [math.floor(x) for x in grid], "right").tolist()
+    [values] = fsum_grid((logs[a:b].tolist() for a, b in zip([0] + cuts, cuts)),
+                         lambda seg: seg)
+    return values
+
+
+def mismatches(field: FieldDescriptor, grid, truncation_x: float) -> list[str]:
+    """Where the four grid sums differ from the oracle's, one message each;
+    empty when every float agrees."""
+    grid = [float(x) for x in grid]
+    found = []
+    # with gamma = 0 and kappa = 1, M_K = 0.0 + 0.0 + series is the series
+    kappa = Residue(value=1.0, provenance=PROVENANCE_EXACT)
+    with patch.object(mertens, "EULER_GAMMA", 0.0):
+        mconst = mertens_constant(field, truncation_x, kappa)
+    expected = mertens_series(field, truncation_x)
+    if mconst.M_K != expected:
+        found.append(f"mertens_constant: series {mconst.M_K!r} != {expected!r}")
+    rows = mertens_table(field, grid, mconst, kappa)
+    for row, lnn, rec, l1p in zip(rows, *mertens_sums(field, grid)):
+        got = (row.sum_logN_over_N, row.sum_recip, row.product)
+        if got != (lnn, rec, math.exp(l1p)):
+            found.append(f"mertens_table at {row.x:g}: {got!r} != "
+                         f"{(lnn, rec, math.exp(l1p))!r}")
+    row = _dense_row(field, math.floor(grid[-1]))
+    got, want = row_log_sums(row, grid), log_sums(row, grid)
+    if got != want:
+        found.append(f"row_log_sums: {got!r} != {want!r}")
+    got, want = list(_theta_values.__wrapped__(tuple(grid))), theta_values(grid)
+    if got != want:
+        found.append(f"_theta_values: {got!r} != {want!r}")
+    return found
+
+
+def main(argv) -> int:
+    path, x = argv[0], float(argv[1])
+    field = load_field(Path(path).read_text())
+    grid = [g for g in geometric_grid(4, 32) if g <= x]
+    found = mismatches(field, grid, min(x, 1e6))
+    for line in found:
+        print(line)
+    print(f"{Path(path).stem} up to {x:g}: "
+          + ("grid sums differ from the fsum oracle" if found
+             else f"{len(grid)} grid points agree with the fsum oracle"))
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -337,6 +337,20 @@ def in_memory_report(config, header, rows):
     return json.dumps({"meta": meta, "data": payload}, indent=2) + "\n"
 
 
+def assert_same_report(got: str, expected: str) -> None:
+    """got == expected. A difference fails with the lengths and the first
+    differing line, never a diff of the whole multi-MB reports."""
+    if got == expected:
+        return
+    got_lines, lines = got.splitlines(True), expected.splitlines(True)
+    at = next((i for i, pair in enumerate(zip(got_lines, lines))
+               if pair[0] != pair[1]), None)
+    where = (f"line {at + 1}: {got_lines[at]!r} != {lines[at]!r}"
+             if at is not None else "one report is a prefix of the other")
+    pytest.fail(f"reports differ: {len(got)} != {len(expected)} characters; "
+                f"{where}", pytrace=False)
+
+
 class TestStreamedDumps:
     """The counts and ideals dumps are written block by block from the
     arrays; they must match the in-memory formatter byte for byte, with the
@@ -374,7 +388,7 @@ class TestStreamedDumps:
     @pytest.mark.parametrize("what", ["counts", "ideals"])
     def test_gaussian_uint16_row(self, tmp_path, monkeypatch, what, fmt):
         got, expected, row = self.dump(tmp_path, monkeypatch, GAUSS, what, 1000, fmt)
-        assert got == expected
+        assert_same_report(got, expected)
         if what == "counts":
             assert row.dtype == np.uint16
 
@@ -384,7 +398,7 @@ class TestStreamedDumps:
         got, expected, row = self.dump(tmp_path, monkeypatch, CYCLO5, "counts",
                                        302_400, fmt)
         assert row.dtype == np.uint32
-        assert got == expected
+        assert_same_report(got, expected)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_python_int_row(self, tmp_path, monkeypatch, fmt):
@@ -393,13 +407,13 @@ class TestStreamedDumps:
         got, expected, row = self.dump(tmp_path, monkeypatch, GAUSS, "counts",
                                        500, fmt)
         assert row.dtype == object
-        assert got == expected
+        assert_same_report(got, expected)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_ideals_dump(self, tmp_path, monkeypatch, fmt):
         # 2 and 3 are inert in Q(sqrt 5): no prime ideal has norm <= 3
         got, expected, _ = self.dump(tmp_path, monkeypatch, GOLDEN, "ideals", 3, fmt)
-        assert got == expected
+        assert_same_report(got, expected)
         if fmt == "json":
             assert json.loads(got)["data"] == []
             assert got.endswith('"data": []\n}\n')
@@ -418,7 +432,7 @@ class TestStreamedDumps:
         cli._emit(config, meta, header, iter([cli._cells(config, rows[:2]), [],
                                               cli._cells(config, rows[2:])]),
                   str(out))
-        assert out.read_text() == in_memory_report(config, header, rows)
+        assert_same_report(out.read_text(), in_memory_report(config, header, rows))
 
     @pytest.mark.parametrize("what, x, n_rows", [
         ("counts", 63, 63), ("counts", 64, 64), ("ideals", 41, 14),
@@ -429,7 +443,7 @@ class TestStreamedDumps:
         # its own
         got, expected, _ = self.dump(tmp_path, monkeypatch, GAUSS, what, x, "json")
         assert len(json.loads(got)["data"]) == n_rows
-        assert got == expected
+        assert_same_report(got, expected)
 
 
 def json_seps(header):
@@ -447,11 +461,11 @@ class TestIntRows:
     def check(cols):
         rows = list(zip(*[c.tolist() for c in cols]))
         csv_seps = ["", *[","] * (len(cols) - 1), "\n"]
-        assert int_rows(cols, csv_seps) == "".join(
+        assert int_rows(cols, csv_seps).decode() == "".join(
             ",".join(map(str, row)) + "\n" for row in rows)
         seps = json_seps(["p", "f", "norm"][:len(cols)])
         item = "%s".join(seps)
-        assert int_rows(cols, seps) == "".join(
+        assert int_rows(cols, seps).decode() == "".join(
             item % tuple(row) for row in rows)
 
     @settings(max_examples=200, deadline=None)
@@ -471,7 +485,7 @@ class TestIntRows:
         for e in range(1, 19):
             values += [10 ** e - 1, 10 ** e, 10 ** e + 1]
         col = np.array(values, dtype=np.int64)
-        assert int_rows((col,), ["", "\n"]) == "".join(
+        assert int_rows((col,), ["", "\n"]).decode() == "".join(
             f"{v}\n" for v in values)
         self.check((col, col[::-1].copy()))
 
@@ -483,8 +497,8 @@ class TestIntRows:
 
     def test_empty_block(self):
         empty = np.zeros(0, dtype=np.int64)
-        assert int_rows((empty, empty), ["", ",", "\n"]) == ""
-        assert int_rows((empty.astype(object),), ["", "\n"]) == ""
+        assert int_rows((empty, empty), ["", ",", "\n"]) == b""
+        assert int_rows((empty.astype(object),), ["", "\n"]) == b""
 
     def test_object_column_past_int64(self):
         values = [2 ** 63, 2 ** 64 - 1, 2 ** 64, 10 ** 30 + 7, 0, 5,

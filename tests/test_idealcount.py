@@ -18,7 +18,7 @@ from nfmertens.idealcount import (
     summatory,
     t_K,
 )
-from nfmertens import idealcount
+from nfmertens import idealcount, splitting
 from nfmertens.idealcount import (
     _counts_from_degrees,
     _dense_row,
@@ -400,10 +400,10 @@ def segment_log_sums(row, grid):
 class TestGridSums:
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
-        # odd chunk and slice lengths put chunk edges and the slice edges of
+        # odd chunk and slice lengths put chunk edges and the block edges of
         # the log sums inside and between segments
         monkeypatch.setattr(idealcount, "_CHUNK", 4099)
-        monkeypatch.setattr(idealcount, "_SLICE", 1031)
+        monkeypatch.setattr(splitting, "_SLICE", 1031)
 
     def test_corpus_at_1e5(self, corpus):
         grid = geometric_grid(4, 20)
@@ -445,12 +445,12 @@ def all_terms_log_sum(row, x):
 
 
 class TestNonzeroLogTerms:
-    """row_log_sums feeds fsum the terms of the nonzero I(n) only; the zero
+    """row_log_sums sums the terms of the nonzero I(n) only; the zero
     terms are +0.0, so the exact sums cannot change."""
 
     @pytest.fixture(autouse=True)
     def small_slices(self, monkeypatch):
-        monkeypatch.setattr(idealcount, "_SLICE", 1031)
+        monkeypatch.setattr(splitting, "_SLICE", 1031)
 
     def test_corpus_at_1e5_against_all_terms(self, corpus):
         # a one-point grid is one fsum over all its terms; a longer grid
@@ -474,7 +474,7 @@ class TestNonzeroLogTerms:
         masks = [_dense_row(corpus[name], n_max) != 0
                  for name in ("gaussian", "cyclotomic5")]
         masks.append(rng.random(n_max + 1) < 0.5)
-        step = idealcount._SLICE
+        step = splitting._SLICE
         for a in range(2, n_max + 1, step):
             full = np.log(np.arange(a, min(a + step, n_max + 1), dtype=np.float64))
             for mask in masks:

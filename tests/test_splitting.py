@@ -1,8 +1,11 @@
 import gc
 import math
 import weakref
+from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from nfmertens.errors import (
     CutoffOutOfRange,
     DenseSieveCapExceeded,
     IndexPrimeUnsupported,
+    InvariantViolation,
 )
 from nfmertens.field import descriptor_text, kappa_exact, load_field
 from nfmertens.idealcount import (
@@ -45,6 +49,7 @@ from nfmertens.polyfield import (
 from nfmertens.splitting import (
     FROBENIUS_P_MAX,
     check_grid,
+    exact_sum,
     grid_fsums,
     kronecker,
     prime_ideals_up_to,
@@ -481,38 +486,134 @@ def fsum_of_segment_fsums(segments, term):
     return [math.fsum(seg_sums[:k + 1]) for k in range(len(seg_sums))]
 
 
+def index_ranges(segments):
+    """The values of the segments as one float64 array, and each segment's
+    (lo, hi) range of indices in it."""
+    cuts = list(accumulate(map(len, segments)))
+    values = np.array([v for seg in segments for v in seg], dtype=np.float64)
+    return values, list(zip([0] + cuts, cuts))
+
+
 class TestGridFsums:
     finite = st.floats(allow_nan=False, allow_infinity=False,
                        min_value=-1e300, max_value=1e300)
 
-    @given(st.lists(st.lists(finite, max_size=6), max_size=8))
+    @given(st.lists(st.lists(finite, max_size=6), max_size=8), st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
-    def test_matches_oracle(self, segments):
+    def test_matches_oracle(self, segments, block):
+        # (v 1e-160)^2 is finite for |v| <= 1e300, and subnormal or 0 for
+        # small v; a non-finite term raises (TestExactSum)
         def square(seg):
-            return [v * 1e-160 * v * 1e-160 for v in seg]
-        got = grid_fsums(iter(segments), list, square)
+            return [(v * 1e-160) * (v * 1e-160) for v in seg]
+        values, ranges = index_ranges(segments)
+        # blocks of 1 to 4 terms end inside and at the ends of segments
+        with patch.object(splitting, "_SLICE", block):
+            got = grid_fsums(iter(ranges), lambda a, b: (
+                values[a:b], (values[a:b] * 1e-160) ** 2), 2)
         assert got == [fsum_of_segment_fsums(segments, list),
                        fsum_of_segment_fsums(segments, square)]
 
     def test_empty_segments_and_repeated_cuts(self):
         # cuts [0, 0, 3, 3, 3, 5]: empty segments before, between and after
         # data, as grid points below the first term or with one floor give
-        values = [0.1, 1e16, -1e16, 0.2, 0.3]
+        values = np.array([0.1, 1e16, -1e16, 0.2, 0.3])
         cuts = [0, 0, 3, 3, 3, 5]
-        segments = [values[a:b] for a, b in zip([0] + cuts, cuts)]
-        [got] = grid_fsums(segments, lambda seg: seg)
-        assert got == fsum_of_segment_fsums(segments, lambda seg: seg)
+        [got] = grid_fsums(zip([0] + cuts, cuts), lambda a, b: (values[a:b],))
+        segments = [values[a:b].tolist() for a, b in zip([0] + cuts, cuts)]
+        assert got == fsum_of_segment_fsums(segments, list)
         assert got == [0.0, 0.0, 0.1, 0.1, 0.1, math.fsum(values)]
 
     def test_segments_are_read_once(self):
+        # each block is made once, and every series reads it
         made = []
+        values = np.array([1.0, 2.0, 3.0])
 
-        def segments():
-            for seg in ([1.0], [2.0, 3.0]):
-                made.append(seg)
-                yield seg
-        assert grid_fsums(segments(), list, list, list) == [[1.0, 6.0]] * 3
-        assert len(made) == 2
+        def terms(a, b):
+            made.append((a, b))
+            return values[a:b], values[a:b], values[a:b]
+        assert grid_fsums([(0, 1), (1, 3)], terms, 3) == [[1.0, 6.0]] * 3
+        assert made == [(0, 1), (1, 3)]
+
+
+def scaled(terms) -> int:
+    """The exact sum of the float terms times 2^_SCALE, in Fractions."""
+    total = sum(map(Fraction, terms), Fraction(0)) * 2 ** splitting._SCALE
+    assert total.denominator == 1
+    return total.numerator
+
+
+class TestExactSum:
+    """exact_sum is the exact sum, and rounding it by int / 2**_SCALE gives
+    math.fsum bit for bit."""
+
+    @staticmethod
+    def check(terms):
+        got = exact_sum(np.array(terms, dtype=np.float64))
+        assert got == scaled(terms)
+        try:
+            expected = math.fsum(terms)
+        except OverflowError:  # fsum's partials overflowed, or the sum does
+            return
+        assert (got / (1 << splitting._SCALE)).hex() == expected.hex()
+
+    # every finite float64: both signs, subnormals, 0.0 and -0.0, and the
+    # extreme exponents
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    @settings(max_examples=500, deadline=None)
+    @example([])
+    @example([5e-324])
+    @example([-0.0])
+    @example([1.7976931348623157e308, -1.7976931348623157e308, 5e-324])
+    def test_any_floats(self, terms):
+        self.check(terms)
+
+    @given(st.lists(st.floats(min_value=-1e-300, max_value=1e-300), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_subnormal_range(self, terms):
+        self.check(terms)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                              min_value=-1e300, max_value=1e300), max_size=20),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_cancellation_to_zero(self, terms, rnd):
+        both = terms + [-t for t in terms]
+        rnd.shuffle(both)
+        assert exact_sum(np.array(both, dtype=np.float64)) == 0
+        self.check(both)
+        self.check(both + [1e-300])
+
+    def test_empty_and_one_term(self):
+        assert exact_sum(np.zeros(0)) == 0
+        for t in (1.0, -3.5, 5e-324, 1.7976931348623157e308, 0.1):
+            assert exact_sum(np.array([t])) / (1 << splitting._SCALE) == t
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(InvariantViolation):
+            exact_sum(np.array([1.0, bad, -2.5]))
+        with pytest.raises(InvariantViolation):
+            grid_fsums([(0, 2)], lambda a, b: (np.array([0.5, bad])[a:b],))
+
+    def test_block_at_the_bound(self):
+        # a bucket sums mantissa halves below 2^26 and 2^27 units exactly
+        # while terms x 2^27 < 2^53; grid_fsums' blocks hold at most _SLICE
+        assert splitting._SLICE * 2 ** 27 < 2 ** 53
+        assert splitting._EXACT_TERMS * 2 ** 27 == 2 ** 53
+        # every mantissa bit set, both halves at their largest, one exponent
+        top = math.nextafter(1.0, 0.0)
+        for sign in (1.0, -1.0):
+            terms = np.full(splitting._SLICE, sign * top)
+            assert exact_sum(terms) == scaled([sign * top]) * splitting._SLICE
+            assert exact_sum(terms) / (1 << splitting._SCALE) == \
+                math.fsum(terms.tolist())
+        # below the guard the worst bucket sums are integers float64 holds
+        worst = (splitting._EXACT_TERMS - 1) * (2 ** 27 - 1)
+        assert worst < 2 ** 53 and float(worst) == worst
+        # the guard: 2^26 terms are refused before any is read (a broadcast
+        # view, no memory)
+        with pytest.raises(InvariantViolation):
+            exact_sum(np.broadcast_to(1.0, (splitting._EXACT_TERMS,)))
 
 
 class TestFieldContext:
