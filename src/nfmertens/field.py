@@ -10,6 +10,14 @@ Quadratic fields need only the polynomial: the fundamental discriminant and
 signature are derived. Degree >= 3 requires explicit discriminant and
 signature, cross-checked against the polynomial discriminant (the quotient
 must be a perfect square).
+
+An abelian field may carry a cyclotomic certificate: a conductor m and a root
+alpha of the defining polynomial written in the powers of zeta_m (the keys
+conductor and cyclotomic_root), or none when the polynomial is Phi_m itself,
+which is recognised. load_field proves the root and computes the subgroup H of
+(Z/m)^x fixing it, whose index is the degree; the certificate then proves the
+polynomial irreducible, fixes which structure flags may be stated, and gives
+the splitting of every prime not dividing m (splitting.py).
 """
 
 from __future__ import annotations
@@ -50,7 +58,15 @@ _KEYS = (
     "normal_over_q",
     "normal_tower",
     "quadratic_subfield",
+    "conductor",
+    "cyclotomic_root",
 )
+
+# Largest conductor a descriptor may name. Certifying a root takes up to
+# m phi(m) products of Python ints: about 0.2 s at 2^10.
+CONDUCTOR_MAX = 1 << 10
+# is_prime is exact below this bound, so the certificate's prime q stays under it
+_PRIME_PROOF_MAX = 3 * 10 ** 24
 
 
 @dataclass(frozen=True)
@@ -76,6 +92,23 @@ class StructureFlags:
 
 
 @dataclass(frozen=True)
+class CyclotomicCertificate:
+    """A proof that K = Q(alpha) lies in Q(zeta_m), m the conductor, with
+    alpha = sum(root[k] zeta_m^k) a root of the defining polynomial.
+
+    subgroup is H = {a in (Z/m)^x : sigma_a(alpha) = alpha}, sigma_a sending
+    zeta_m to zeta_m^a, so Gal(K/Q) = (Z/m)^x / H has order the degree. A
+    prime p not dividing m is unramified in K, and each prime ideal over p
+    has residue degree the order of p in (Z/m)^x / H (Washington,
+    Introduction to Cyclotomic Fields, GTM 83, ch. 2-3).
+    """
+
+    conductor: int
+    root: tuple[int, ...]
+    subgroup: frozenset[int]
+
+
+@dataclass(frozen=True)
 class FieldDescriptor:
     defining_poly: IntPoly
     degree: int
@@ -83,6 +116,7 @@ class FieldDescriptor:
     discriminant: int
     class_data: Optional[ClassData]
     flags: StructureFlags
+    cyclotomic: Optional[CyclotomicCertificate] = None
     # the splitting.FieldContext of this descriptor, set on first use by
     # field_context()
     context: Optional[FieldContext] = dataclass_field(
@@ -104,7 +138,7 @@ class Residue:
 
 def _parse_scalar(key: str, raw: str):
     raw = raw.strip()
-    if key in ("poly", "signature"):
+    if key in ("poly", "signature", "cyclotomic_root"):
         if not (raw.startswith("[") and raw.endswith("]")):
             raise SchemaError(f"{key}: expected an integer list like [a0, a1, ...]")
         body = raw[1:-1].strip()
@@ -112,7 +146,8 @@ def _parse_scalar(key: str, raw: str):
             return [int(t.strip()) for t in body.split(",")] if body else []
         except ValueError as exc:
             raise SchemaError(f"{key}: non-integer entry in list") from exc
-    if key in ("degree", "discriminant", "class_number", "roots_of_unity"):
+    if key in ("degree", "discriminant", "class_number", "roots_of_unity",
+               "conductor"):
         try:
             return int(raw)
         except ValueError as exc:
@@ -225,6 +260,117 @@ def _check_irreducible(poly: IntPoly) -> None:
         p += 1
 
 
+def _totient(m: int) -> int:
+    result, rest, f = m, m, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            result -= result // f
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    return result - result // rest if rest > 1 else result
+
+
+def _root_subgroup(poly: IntPoly, m: int,
+                   root: tuple[int, ...]) -> Optional[frozenset[int]]:
+    """H = {a in (Z/m)^x : sigma_a(alpha) = alpha} for alpha = sum(root[k]
+    zeta_m^k) when poly(alpha) = 0 in Z[zeta_m], else None.
+
+    Both tests are exact. Take a prime q = 1 mod m and w of order m mod q.
+    For each a in (Z/m)^x, zeta_m -> w^a maps Z[zeta_m] onto F_q, and the
+    kernels are the phi(m) distinct primes over q. A beta that every map sends
+    to 0 is divisible by q, so beta = 0 or |N(beta)| >= q^phi(m). Every
+    embedding of beta is at most L1(beta), the sum of |c| over its
+    coefficients c in the powers of zeta_m, so |N(beta)| <= L1(beta)^phi(m).
+    Thus q > L1(beta) makes "every map sends beta to 0" prove beta = 0. Here
+    beta is poly(alpha), with L1 <= sum(|f_i| L^i) for L = L1(alpha), or
+    sigma_a(alpha) - alpha, with L1 <= 2L.
+    """
+    size = sum(map(abs, root))
+    bound = max(sum(abs(c) * size ** i for i, c in enumerate(poly.coeffs)), 2 * size)
+    q = m * (bound // m + 1) + 1
+    while not is_prime(q):
+        q += m
+    if q >= _PRIME_PROOF_MAX:
+        raise SchemaError("cyclotomic_root is too large to certify")
+    prime_factors = [p for p in range(2, m + 1) if m % p == 0 and is_prime(p)]
+    g = 2
+    while True:
+        w = pow(g, (q - 1) // m, q)
+        if all(pow(w, m // p, q) != 1 for p in prime_factors):
+            break
+        g += 1
+    powers = [1] * m
+    for t in range(1, m):
+        powers[t] = powers[t - 1] * w % q
+    units = [a for a in range(m) if math.gcd(a, m) == 1]
+    terms = [(k, c) for k, c in enumerate(root) if c]
+    value = {a: sum(c * powers[a * k % m] for k, c in terms) % q for a in units}
+    for v in value.values():
+        r = 0
+        for c in reversed(poly.coeffs):
+            r = (r * v + c) % q
+        if r:
+            return None
+    return frozenset(a for a in units
+                     if all(value[a * b % m] == value[b] for b in units))
+
+
+def _certificate(poly: IntPoly, values: dict) -> Optional[CyclotomicCertificate]:
+    """The cyclotomic certificate the descriptor's keys name, checked, or
+    the one of Phi_m when poly is Phi_m; None for neither."""
+    n = poly.degree
+    if "conductor" in values or "cyclotomic_root" in values:
+        if "conductor" not in values or "cyclotomic_root" not in values:
+            raise SchemaError("conductor and cyclotomic_root must be supplied together")
+        m, root = values["conductor"], tuple(values["cyclotomic_root"])
+        if not 1 <= m <= CONDUCTOR_MAX:
+            raise SchemaError(f"conductor {m} must lie within [1, {CONDUCTOR_MAX}]")
+        if len(root) != m:
+            raise SchemaError(f"cyclotomic_root has {len(root)} coefficients; "
+                              f"conductor {m} needs one per power of zeta_{m}")
+        subgroup = _root_subgroup(poly, m, root)
+        if subgroup is None:
+            raise InvariantViolation(
+                f"cyclotomic_root is not a root of the defining polynomial in "
+                f"Q(zeta_{m})")
+        index = _totient(m) // len(subgroup)
+        if index != n:
+            raise ReducibleDefiningPolynomial(
+                f"cyclotomic_root has {index} conjugates, not the degree {n}; "
+                "it is a root of a proper factor of the polynomial")
+        return CyclotomicCertificate(m, root, subgroup)
+    # Phi_m (m >= 2) is palindromic with constant term 1, has degree phi(m),
+    # and phi(m) >= sqrt(m / 2); a monic f of degree phi(m) with f(zeta_m) = 0
+    # is Phi_m. Past CONDUCTOR_MAX no certificate is made, keyed or not.
+    if n < 2 or poly.coeffs[0] != 1 or poly.coeffs != poly.coeffs[::-1]:
+        return None
+    for m in range(3, min(2 * n * n, CONDUCTOR_MAX) + 1):
+        if _totient(m) == n:
+            root = (0, 1) + (0,) * (m - 2)
+            subgroup = _root_subgroup(poly, m, root)
+            if subgroup is not None:
+                return CyclotomicCertificate(m, root, subgroup)
+    return None
+
+
+def _check_certified_flags(n: int, values: dict) -> None:
+    """Reject structure flags the Galois group (Z/m)^x / H contradicts: it is
+    abelian, so K is normal over Q, and it has a subgroup of index 2, so K a
+    quadratic subfield, iff its order n is even."""
+    for key in ("normal_over_q", "normal_tower"):
+        if values.get(key) is False:
+            raise InvariantViolation(
+                f"{key} = false contradicts the cyclotomic certificate: a "
+                "subfield of Q(zeta_m) is abelian, so normal over Q")
+    stated = values.get("quadratic_subfield")
+    if stated is not None and stated != (n % 2 == 0):
+        raise InvariantViolation(
+            f"quadratic_subfield = {'true' if stated else 'false'} contradicts "
+            f"the cyclotomic certificate: the Galois group has order {n}, and "
+            "a quadratic subfield exists iff that order is even")
+
+
 def load_field(descriptor_text: str) -> FieldDescriptor:
     """Parse and validate a field descriptor document."""
     values = _parse_descriptor(descriptor_text)
@@ -237,7 +383,11 @@ def load_field(descriptor_text: str) -> FieldDescriptor:
     if "degree" in values and values["degree"] != n:
         raise InvariantViolation(
             f"declared degree {values['degree']} != polynomial degree {n}")
-    if n >= 2:
+    # [(Z/m)^x : H] = n conjugates of a root of f prove f irreducible
+    certificate = _certificate(poly, values)
+    if certificate is not None:
+        _check_certified_flags(n, values)
+    elif n >= 2:
         _check_irreducible(poly)
 
     disc_poly = poly_discriminant(poly)
@@ -312,6 +462,7 @@ def load_field(descriptor_text: str) -> FieldDescriptor:
         discriminant=discriminant,
         class_data=class_data,
         flags=flags,
+        cyclotomic=certificate,
     )
 
 
@@ -334,6 +485,10 @@ def descriptor_text(field: FieldDescriptor) -> str:
     ):
         if value is not None:
             lines.append(f"{key} = {'true' if value else 'false'}")
+    if field.cyclotomic is not None:
+        lines.append(f"conductor = {field.cyclotomic.conductor}")
+        lines.append(f"cyclotomic_root = "
+                     f"[{', '.join(str(c) for c in field.cyclotomic.root)}]")
     return "\n".join(lines) + "\n"
 
 

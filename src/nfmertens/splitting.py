@@ -4,12 +4,22 @@ For each rational prime p the splitting type is the multiset of
 (ramification index, inertia degree) pairs of the prime ideals over p; the
 pairs always satisfy sum(e_i * f_i) = degree.
 
-Quadratic, cubic and quartic fields classify a whole range of primes in
-batched numpy passes over int64 columns, one column per prime, in blocks of
-FROBENIUS_BLOCK primes. A quadratic field reads the character (D / p) of its
-fundamental discriminant D at every odd p <= 1e8 not dividing D by Euler's
-criterion, D^((p-1)/2) mod p, a plain square-and-multiply per column. A cubic
-or quartic field computes x^p mod f (and for quartics x^(p^2) mod f) at every
+An abelian field reads its splitting from p mod m, one residue-class table
+per field, looked up in blocks of FROBENIUS_BLOCK primes. A quadratic field
+with |D| <= CLASS_TABLE_MAX tabulates the Kronecker character (D / r) for
+r < |D|, a character mod |D| for a fundamental discriminant D, so the one
+table gives split, inert and ramified at every prime, 2 and p | D included.
+A field of degree >= 3 with a cyclotomic certificate (field.py: f = Phi_m,
+or the conductor and cyclotomic_root keys) of conductor m <= CLASS_TABLE_MAX
+tabulates the order of each class in (Z/m)^x / H, the residue degree of the
+primes in it; primes dividing m * disc(f) keep the exact pipeline below.
+
+The other fields of degree 2 to 4 classify a whole range of primes in
+batched numpy passes over int64 columns, one column per prime, in the same
+blocks. A quadratic field past the table cap reads (D / p) at every odd
+p <= 1e8 not dividing D by Euler's criterion, D^((p-1)/2) mod p, a plain
+square-and-multiply per column. A cubic or quartic field without a
+certificate computes x^p mod f (and for quartics x^(p^2) mod f) at every
 odd p <= 1e8 not dividing disc(f), and Stickelberger's theorem,
 (disc f / p) = (-1)^(n - r) for the number r of irreducible factors of f mod
 p, settles what those powers leave open; no gcd is taken. The powers of x use
@@ -19,12 +29,14 @@ unreduced, shifts the square up one place where the bit is set, and reduces
 only while folding degrees d..2d-1 back through a per-block table of x^k mod
 f, 2d reductions per bit; FROBENIUS_P_MAX states the int64 bound. D and
 disc(f), which can exceed int64, are reduced mod p digit by digit. The
-primes dividing 2D of a quadratic field take the scalar Kronecker symbol.
-The prime 2 and primes dividing disc(f) of a cubic or quartic field, every
-field of degree >= 5, and single-prime queries past the table take the exact
-pipeline: the defining polynomial factored mod p, guarded by the Dedekind
-index criterion, so a prime dividing the index is a hard error, never a
-guess. The scalar routes are also the batched passes' test oracles.
+primes dividing 2D of such a quadratic field take the scalar Kronecker
+symbol. The prime 2 and primes dividing disc(f) of a cubic or quartic field,
+every non-abelian field of degree >= 5, and single-prime queries past the
+table take the exact pipeline: the defining polynomial factored mod p,
+guarded by the Dedekind index criterion, so a prime dividing the index is a
+hard error, never a guess. The exact pipeline runs before any table or
+batched pass. The scalar routes are also the batched passes' test oracles,
+and the Euler and Frobenius passes the tables'.
 
 What is computed for a field lives in one FieldContext, reached through
 field_context(): the splitting table as numpy arrays (the primes, a small
@@ -87,6 +99,13 @@ FROBENIUS_BLOCK = 1 << 13
 # and the per-block fold table take one product plus one addend below p,
 # under 1e16 + 1e8.
 FROBENIUS_P_MAX = 10 ** 8
+
+# Largest modulus m of a residue-class table: a quadratic field's |D|, or a
+# certified abelian field's conductor. A quadratic's table takes one
+# kronecker call, about 1.6 us, per class: 0.1 s at 2^16, what the batched
+# Euler pass costs (about 0.35 us a prime) over the 3e5 primes below 4.3e6.
+# Past it Euler's pass stays the quadratic route.
+CLASS_TABLE_MAX = 1 << 16
 
 _DIGIT_BITS = 24
 
@@ -381,8 +400,8 @@ class FieldContext:
     discriminant, the splitting table, the prime-ideal stream and the dense
     I(n) row (built by idealcount)."""
 
-    __slots__ = ("disc_poly", "primes", "codes", "patterns", "table_xmax",
-                 "records", "records_xmax", "row", "__weakref__")
+    __slots__ = ("disc_poly", "primes", "codes", "patterns", "classes",
+                 "table_xmax", "records", "records_xmax", "row", "__weakref__")
 
     def __init__(self, field: FieldDescriptor):
         self.disc_poly = poly_discriminant(field.defining_poly)
@@ -392,6 +411,8 @@ class FieldContext:
         self.codes = np.empty(0, dtype=np.uint8)
         self.patterns: list[tuple[tuple[int, int], ...]] = \
             list(_INITIAL_PATTERNS.get(field.degree, ()))
+        # code of the primes in each residue class mod m, or None
+        self.classes = _class_codes(field, self.patterns)
         self.table_xmax = 0
         self.records = np.empty((0, 3), dtype=np.int64)  # rows (norm, p, f)
         self.records_xmax = 0
@@ -399,6 +420,44 @@ class FieldContext:
         # narrowest that holds the row's bound, or an object array of
         # Python ints past the int64 guard
         self.row = None
+
+
+_CHARACTER_PATTERNS = {1: (_ONE, _ONE), -1: ((1, 2),), 0: ((2, 1),)}
+
+
+def _class_codes(field: FieldDescriptor, patterns: list) -> np.ndarray | None:
+    """Code in patterns of the splitting of the primes p = r mod m, for each
+    class r < m, when the field reads its splitting from p mod m (patterns
+    gains the ones it lacks); None when it does not.
+
+    A quadratic field with |D| <= CLASS_TABLE_MAX reads the Kronecker
+    character, m = |D|. A field of degree >= 3 with a cyclotomic certificate
+    of conductor m <= CLASS_TABLE_MAX gives the class of each r prime to m the
+    pattern of n / f ideals of residue degree f, the order of r in
+    (Z/m)^x / H; the other classes hold -1, since p | m is not read here.
+    """
+    n, cert = field.degree, field.cyclotomic
+    if n == 2 and field.abs_discriminant <= CLASS_TABLE_MAX:
+        pairs = [_CHARACTER_PATTERNS[kronecker(field.discriminant, r)]
+                 for r in range(field.abs_discriminant)]
+    elif n >= 3 and cert is not None and cert.conductor <= CLASS_TABLE_MAX:
+        m = cert.conductor
+        pairs = [None] * m
+        for r in range(m):
+            if math.gcd(r, m) == 1:
+                f, power = 1, r
+                while power not in cert.subgroup:
+                    f, power = f + 1, power * r % m
+                pairs[r] = ((1, f),) * (n // f)
+    else:
+        return None
+    code = {None: -1}
+    for pattern in pairs:
+        if pattern not in code:
+            if pattern not in patterns:
+                patterns.append(pattern)
+            code[pattern] = patterns.index(pattern)
+    return np.array([code[pattern] for pattern in pairs], dtype=np.int64)
 
 
 def field_context(field: FieldDescriptor) -> FieldContext:
@@ -420,17 +479,29 @@ def _tabulate(field: FieldDescriptor, ctx: FieldContext,
               primes: np.ndarray) -> np.ndarray:
     """Code in ctx.patterns of the splitting pattern of each prime in primes.
 
-    Quadratics take Euler's criterion and cubics and quartics the Frobenius
-    pass, both in blocks of FROBENIUS_BLOCK primes; the rest, and every prime
-    of a field of degree >= 5, take _pairs_for one prime at a time.
+    A field with a residue-class table (ctx.classes) reads table[p % m]; a
+    quadratic's table covers every prime, a certified abelian field's every
+    p not dividing m * disc(f). Otherwise quadratics take Euler's criterion
+    and cubics and quartics the Frobenius pass. Lookups and passes run in
+    blocks of FROBENIUS_BLOCK primes, so no temporary spans the whole range.
+    The primes none of these cover, and every prime of a field of degree
+    >= 5 without a table, take _pairs_for one prime at a time, before any
+    block.
     """
     n = field.degree
     codes = np.zeros(len(primes), dtype=np.int64)
     if n == 1 or not len(primes):
         return codes
-    disc = field.discriminant if n == 2 else ctx.disc_poly
     starts = range(0, len(primes), FROBENIUS_BLOCK)
-    if n <= 4:
+    if ctx.classes is not None:
+        m = len(ctx.classes)
+        # a quadratic's table covers every prime, a certified field's the
+        # primes not dividing m disc(f)
+        excluded = 1 if n == 2 else m * ctx.disc_poly
+        sel = np.concatenate([_int_mod(excluded, primes[lo:lo + FROBENIUS_BLOCK]) != 0
+                              for lo in starts])
+    elif n <= 4:
+        disc = field.discriminant if n == 2 else ctx.disc_poly
         sel = np.concatenate([_batchable(primes[lo:lo + FROBENIUS_BLOCK], disc)
                               for lo in starts])
     else:
@@ -447,7 +518,9 @@ def _tabulate(field: FieldDescriptor, ctx: FieldContext,
         if not block_sel.any():
             continue
         block = primes[lo:lo + FROBENIUS_BLOCK][block_sel]
-        if n == 2:  # code 0 split, 1 inert
+        if ctx.classes is not None:
+            batch = ctx.classes[block % m]
+        elif n == 2:  # code 0 split, 1 inert
             batch = ~_euler_square(_int_mod(disc, block), block)
         else:
             batch = _frobenius_pairs(field.defining_poly.coeffs, disc, block)
@@ -544,9 +617,9 @@ def check_grid(grid, lo: float = 2, hi: float = DENSE_SIEVE_CAP) -> list[float]:
 # Terms summed at a time by exact_sum. Each term enters its exponent's
 # bucket as two mantissa halves below 2^26 and 2^27 units in magnitude, and a
 # bucket sums them in float64 exactly while terms per block x 2^27 < 2^53:
-# blocks of fewer than _EXACT_TERMS = 2^26 terms. 2^16 keeps a block's
-# temporaries cache-sized.
-_SLICE = 1 << 16
+# blocks of fewer than _EXACT_TERMS = 2^26 terms. 2^14 keeps a block's
+# temporaries (128 KB each) in a core's L2 cache.
+_SLICE = 1 << 14
 _EXACT_TERMS = 1 << 26
 # exact_sum counts units of 2^-1126: the last mantissa bit at frexp's least
 # exponent, -1073 (the subnormal 2^-1074 is 0.5 * 2^-1073)
@@ -568,7 +641,8 @@ def exact_sum(terms: np.ndarray) -> int:
     # mant 2^26 = hi + frac, hi an integer in [-2^26, 2^26) and frac a
     # multiple of 2^-27 in [0, 1): a term is (hi 2^27 + frac 2^27) 2^(exp - 53)
     hi = np.floor(np.multiply(mant, 1 << 26, out=mant))
-    frac = np.subtract(mant, hi, out=mant)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, caught below
+        frac = np.subtract(mant, hi, out=mant)
     low = int(exp.min())
     index = exp - low
     hi_sums = np.bincount(index, hi)

@@ -832,3 +832,29 @@ class TestCorpusScript:
                                   "--xmax", "1000")
         assert done.returncode == 0, done.stderr
         assert self.SKIP_LINE in done.stdout.splitlines()
+
+
+CYCLIC_CUBIC_TEXT = (FIELDS / "cyclic-cubic-49.field").read_text()
+PHI7_TEXT = "poly = [1, 1, 1, 1, 1, 1, 1]\nsignature = [0, 3]\ndiscriminant = -16807\n"
+
+
+class TestCyclotomicCertificateRefusals:
+    @pytest.mark.parametrize("text, message", [
+        (CYCLIC_CUBIC_TEXT + "conductor = 7\ncyclotomic_root = [0, 1, 0, 0, 0, 0, 0]\n",
+         "cyclotomic_root is not a root of the defining polynomial in Q(zeta_7)"),
+        (CYCLIC_CUBIC_TEXT + "conductor = 9\ncyclotomic_root = [0, 1, 0, 0, 0, 0, 1]\n",
+         "cyclotomic_root has 7 coefficients; conductor 9 needs one per power"),
+        # Gal(Q(zeta_7)/Q) has order 6, so Q(zeta_7) has a quadratic subfield
+        (PHI7_TEXT + "quadratic_subfield = false\n",
+         "quadratic_subfield = false contradicts the cyclotomic certificate: "
+         "the Galois group has order 6")],
+        ids=["wrong-root", "wrong-conductor", "phi7-without-quadratic-subfield"])
+    def test_exits_two_with_its_message(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.field"
+        path.write_text(text)
+        out = tmp_path / "report.csv"
+        code = main(["verify", "--field", str(path), "--xmax", "1000",
+                     "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
 
+from nfmertens import field as field_module
 from nfmertens.errors import (
     InvariantViolation,
     MissingClassData,
@@ -9,11 +11,13 @@ from nfmertens.errors import (
     SchemaError,
 )
 from nfmertens.field import (
+    CONDUCTOR_MAX,
     descriptor_text,
     fundamental_discriminant,
     kappa_exact,
     load_field,
 )
+from nfmertens.polyfield import IntPoly, poly_discriminant
 
 GAUSS = """
 poly = [1, 0, 1]
@@ -47,7 +51,7 @@ class TestLoadField:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(SchemaError, match="unknown key"):
-            load_field("poly = [1, 0, 1]\nconductor = 4\n")
+            load_field("poly = [1, 0, 1]\nclass_group = 1\n")
 
     def test_missing_poly_rejected(self):
         with pytest.raises(SchemaError, match="poly"):
@@ -122,10 +126,83 @@ class TestLoadField:
         assert fd.degree == 2
 
 
+CYCLIC_CUBIC = (Path(__file__).resolve().parent.parent / "fields"
+                / "cyclic-cubic-49.field").read_text()
+# alpha = zeta_7 + zeta_7^-1, a root of x^3 + x^2 - 2x - 1
+KEYS_7 = "conductor = 7\ncyclotomic_root = [0, 1, 0, 0, 0, 0, 1]\n"
+
+
+class TestCyclotomicCertificate:
+    def test_keyed_cyclic_cubic(self):
+        cert = load_field(CYCLIC_CUBIC + KEYS_7).cyclotomic
+        assert cert.conductor == 7 and cert.root == (0, 1, 0, 0, 0, 0, 1)
+        assert cert.subgroup == {1, 6}
+        assert load_field(CYCLIC_CUBIC).cyclotomic is None
+
+    @pytest.mark.parametrize("coeffs, m", [
+        ([1, 0, 1], 4), ([1, 1, 1], 3), ([1, -1, 1], 6), ([1, 1, 1, 1, 1], 5),
+        ([1, 0, 0, 0, 1], 8), ([1, -1, 1, -1, 1], 10), ([1, 0, -1, 0, 1], 12)])
+    def test_phi_m_is_recognised(self, coeffs, m):
+        # Z[zeta_m] is the ring of integers, so D = disc(Phi_m)
+        invariants = "" if len(coeffs) < 4 else (
+            f"signature = [0, 2]\n"
+            f"discriminant = {poly_discriminant(IntPoly.of(coeffs))}\n")
+        cert = load_field(f"poly = {coeffs}\n" + invariants).cyclotomic
+        assert cert.conductor == m and cert.subgroup == {1}
+        assert cert.root == (0, 1) + (0,) * (m - 2)
+
+    def test_certificate_replaces_the_witness_loop(self, monkeypatch):
+        called = []
+        monkeypatch.setattr(field_module, "_check_irreducible", called.append)
+        load_field(CYCLIC_CUBIC + KEYS_7)
+        load_field("poly = [1, 1, 1, 1, 1]\nsignature = [0, 2]\ndiscriminant = 125\n")
+        assert called == []
+        load_field(CYCLIC_CUBIC)
+        assert len(called) == 1
+
+    def test_root_of_a_factor_is_reducible(self):
+        # (x^2 + 1)(x^2 + 2) vanishes at zeta_4, which has 2 conjugates
+        with pytest.raises(ReducibleDefiningPolynomial, match="2 conjugates"):
+            load_field("poly = [2, 0, 3, 0, 1]\nsignature = [0, 2]\n"
+                       "discriminant = 32\nconductor = 4\n"
+                       "cyclotomic_root = [0, 1, 0, 0]\n")
+
+    @pytest.mark.parametrize("keys, match", [
+        ("conductor = 7\n", "together"),
+        ("cyclotomic_root = [0, 1, 0, 0, 0, 0, 1]\n", "together"),
+        ("conductor = 0\ncyclotomic_root = []\n", "within"),
+        (f"conductor = {CONDUCTOR_MAX + 1}\ncyclotomic_root = [0, 1]\n", "within"),
+        ("conductor = 7\ncyclotomic_root = [0, 1000000000000000000000000, "
+         "0, 0, 0, 0, 1]\n", "too large")])
+    def test_malformed_keys(self, keys, match):
+        with pytest.raises(SchemaError, match=match):
+            load_field(CYCLIC_CUBIC + keys)
+
+    @pytest.mark.parametrize("flag", ["normal_over_q", "normal_tower"])
+    def test_not_normal_contradicts(self, flag):
+        text = CYCLIC_CUBIC.replace(f"{flag} = true", f"{flag} = false")
+        with pytest.raises(InvariantViolation, match=f"{flag} = false contradicts"):
+            load_field(text + KEYS_7)
+
+    def test_quadratic_subfield_must_match_the_order(self):
+        text = CYCLIC_CUBIC.replace("quadratic_subfield = false", "quadratic_subfield = true")
+        with pytest.raises(InvariantViolation, match="order 3"):
+            load_field(text + KEYS_7)
+        with pytest.raises(InvariantViolation, match="order 2"):
+            load_field("poly = [1, 0, 1]\nquadratic_subfield = false\n")
+
+
 class TestRoundTrip:
     def test_corpus_round_trip(self, corpus):
         for name, fd in corpus.items():
             assert load_field(descriptor_text(fd)) == fd, name
+
+    def test_certificate_keys_round_trip(self):
+        fd = load_field(CYCLIC_CUBIC + KEYS_7)
+        text = descriptor_text(fd)
+        assert text.endswith(KEYS_7)
+        assert load_field(text) == fd
+        assert load_field(text).cyclotomic == fd.cyclotomic
 
 
 class TestKappaExact:

@@ -47,6 +47,7 @@ from nfmertens.polyfield import (
     poly_discriminant,
 )
 from nfmertens.splitting import (
+    CLASS_TABLE_MAX,
     FROBENIUS_P_MAX,
     check_grid,
     exact_sum,
@@ -59,6 +60,7 @@ from nfmertens.splitting import (
 )
 from nfmertens.splitting import (
     _INITIAL_PATTERNS,
+    _class_codes,
     _euler_square,
     _fold,
     _fold_table,
@@ -73,6 +75,7 @@ from nfmertens.splitting import (
     field_context,
 )
 from nfmertens.verify import verify_all
+from splitting_oracle import kernel_patterns, table_patterns
 
 GAUSS_PATH = Path(__file__).resolve().parent.parent / "fields" / "gaussian.field"
 BATCHED_FIELDS = ("cbrt2", "cyclic-cubic-49", "cyclotomic5")
@@ -348,18 +351,24 @@ def kronecker_pattern(disc, p):
 
 def tabulate_quadratic(disc, primes):
     """The table's patterns for primes in the quadratic field of discriminant
-    disc, without a descriptor or a context."""
-    ctx = SimpleNamespace(patterns=list(_INITIAL_PATTERNS[2]))
-    codes = _tabulate(SimpleNamespace(degree=2, discriminant=disc), ctx,
-                      np.array(primes, dtype=np.int64))
+    disc, without a descriptor or a context: the residue-class table for
+    |disc| <= CLASS_TABLE_MAX, Euler's criterion past it."""
+    field = SimpleNamespace(degree=2, discriminant=disc, abs_discriminant=abs(disc),
+                            cyclotomic=None)
+    patterns = list(_INITIAL_PATTERNS[2])
+    ctx = SimpleNamespace(patterns=patterns, classes=_class_codes(field, patterns))
+    assert (ctx.classes is None) == (abs(disc) > CLASS_TABLE_MAX)
+    codes = _tabulate(field, ctx, np.array(primes, dtype=np.int64))
     return [ctx.patterns[c] for c in codes.tolist()]
 
 
 class TestBatchedQuadratic:
     def test_character_matches_kronecker_to_1e5(self, corpus):
+        # through the residue-class table: every prime, 2 and p | D included
         quadratics = [f for f in corpus.values() if f.degree == 2]
         assert len(quadratics) == 7
         for field in quadratics:
+            assert field_context(field).classes is not None
             primes, codes, patterns = _splitting_table(field, 10 ** 5)
             assert len(primes) == 9592
             for p, code in zip(primes.tolist(), codes.tolist()):
@@ -388,6 +397,121 @@ class TestBatchedQuadratic:
         # 2 and the factors of m take the scalar route
         primes = sorted({2, *factors, *primes})
         assert tabulate_quadratic(disc, primes) == [kronecker_pattern(disc, p) for p in primes]
+
+
+def cyclotomic_field(m):
+    """Q(zeta_m) defined by Phi_m with no certificate keys; Z[zeta_m] is its
+    ring of integers, so its discriminant is that of Phi_m."""
+    coeffs = [int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(m)).all_coeffs())]
+    n = len(coeffs) - 1
+    invariants = (f"signature = [0, {n // 2}]\n"
+                  f"discriminant = {poly_discriminant(IntPoly.of(coeffs))}\n")
+    return load_field(f"poly = {coeffs}\n" + (invariants if n >= 3 else ""))
+
+
+def gauss_period_field(m, subgroup):
+    """The real subfield of Q(zeta_m) fixed by subgroup, which holds -1,
+    defined by the minimal polynomial of its Gauss period, the sum of
+    zeta_m^h over h in subgroup, and certified by that root. The stated
+    discriminant is the polynomial's, which is all the splitting reads."""
+    units = [a for a in range(m) if math.gcd(a, m) == 1]
+    cosets = {frozenset(a * h % m for h in subgroup) for a in units}
+    periods = [sum(math.cos(2 * math.pi * h / m) for h in coset) for coset in cosets]
+    coeffs = [round(c) for c in reversed(np.poly(periods))]
+    root = [int(k in subgroup) for k in range(m)]
+    field = load_field(
+        f"poly = {coeffs}\nsignature = [{len(cosets)}, 0]\n"
+        f"discriminant = {poly_discriminant(IntPoly.of(coeffs))}\n"
+        f"conductor = {m}\ncyclotomic_root = {root}\n")
+    assert field.cyclotomic.subgroup == frozenset(subgroup)
+    return field
+
+
+# every real subfield of degree 3 or 4 of conductor m <= 40, by the subgroup
+# of (Z/m)^x fixing it
+REAL_SUBFIELDS = [
+    (7, {1, 6}), (9, {1, 8}), (13, {1, 5, 8, 12}), (19, {1, 7, 8, 11, 12, 18}),
+    (31, {1, 2, 4, 8, 15, 16, 23, 27, 29, 30}),
+    (37, {1, 6, 8, 10, 11, 14, 23, 26, 27, 29, 31, 36}),
+    (15, {1, 14}), (16, {1, 15}), (17, {1, 4, 13, 16}), (20, {1, 19}),
+    (24, {1, 23}), (35, {1, 11, 16, 19, 24, 34}), (39, {1, 16, 17, 22, 23, 38}),
+    (40, {1, 9, 31, 39}), (40, {1, 11, 29, 39}),
+]
+
+
+def assert_table_matches_pipeline(field, x):
+    """The residue-class table's pattern equals _pattern_mod_p at every prime
+    <= x that is not an index prime."""
+    expected = {}
+    for p in rational_primes(x).tolist():
+        try:
+            expected[p] = _pattern_mod_p(field, p)
+        except IndexPrimeUnsupported:
+            pass
+    kept = np.array(list(expected), dtype=np.int64)
+    assert table_patterns(field, kept) == list(expected.values())
+
+
+class TestResidueClassTable:
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 8, 10, 12])
+    def test_cyclotomic_matches_pipeline_to_1e5(self, m):
+        field = cyclotomic_field(m)
+        assert field.cyclotomic.conductor == m
+        assert field.cyclotomic.subgroup == {1}
+        assert_table_matches_pipeline(field, 10 ** 5)
+
+    @pytest.mark.parametrize("m, subgroup", REAL_SUBFIELDS,
+                             ids=[f"{m}-{sorted(h)[1]}" for m, h in REAL_SUBFIELDS])
+    def test_real_subfield_matches_pipeline_to_1e5(self, m, subgroup):
+        assert_table_matches_pipeline(gauss_period_field(m, subgroup), 10 ** 5)
+
+    def test_degree_five_and_six_match_pipeline_to_1e4(self):
+        # Q(zeta_11)^+ by its key and Q(zeta_7) by Phi_7: no batched kernel
+        # exists, so every prime took the exact pipeline before the table
+        for field in (gauss_period_field(11, {1, 10}), cyclotomic_field(7)):
+            assert field.degree in (5, 6)
+            assert_table_matches_pipeline(field, 10 ** 4)
+
+    def test_abelian_corpus_matches_kernels_to_1e5(self, corpus):
+        keyed = load_field((GAUSS_PATH.parent / "cyclic-cubic-49.field").read_text()
+                           + "conductor = 7\ncyclotomic_root = [0, 1, 0, 0, 0, 0, 1]\n")
+        primes = rational_primes(10 ** 5)
+        fields = [f for f in corpus.values() if f.degree == 2] \
+            + [corpus["cyclotomic5"], keyed]
+        for field in fields:
+            assert table_patterns(field, primes) == kernel_patterns(field, primes)
+
+    def test_euler_past_the_table_cap(self, monkeypatch):
+        # with the cap at 5 the quadratics of |D| <= 5 keep their table and
+        # the rest take Euler's criterion; both routes read kronecker(D, p)
+        monkeypatch.setattr(splitting, "CLASS_TABLE_MAX", 5)
+        primes = rational_primes(10 ** 5).tolist()
+        routes = set()
+        for text in (path.read_text() for path in sorted(GAUSS_PATH.parent.glob("*.field"))):
+            field = load_field(text)  # a fresh context under the patched cap
+            if field.degree != 2:
+                continue
+            tabled = field_context(field).classes is not None
+            assert tabled == (field.abs_discriminant <= 5)
+            routes.add(tabled)
+            _, codes, patterns = _splitting_table(field, 10 ** 5)
+            assert [patterns[c] for c in codes.tolist()] \
+                == [kronecker_pattern(field.discriminant, p) for p in primes]
+        assert routes == {True, False}
+
+    def test_index_primes_keep_the_exact_pipeline(self):
+        # beta = 2 (zeta_7 + zeta_7^-1) is a root of x^3 + 2x^2 - 8x - 8, of
+        # discriminant 2^6 49: 2 divides the index of Z[beta], and the exact
+        # pipeline raises there before any table lookup
+        field = load_field("poly = [-8, -8, 2, 1]\nsignature = [3, 0]\n"
+                           "discriminant = 49\nconductor = 7\n"
+                           "cyclotomic_root = [0, 2, 0, 0, 0, 0, 2]\n")
+        ctx = field_context(field)
+        assert ctx.classes is not None
+        with pytest.raises(IndexPrimeUnsupported) as err:
+            _splitting_table(field, 1000)
+        assert err.value.p == 2
+        assert ctx.table_xmax == 0 and len(ctx.codes) == 0
 
 
 class TestRecordArray:
@@ -588,6 +712,7 @@ class TestExactSum:
         for t in (1.0, -3.5, 5e-324, 1.7976931348623157e308, 0.1):
             assert exact_sum(np.array([t])) / (1 << splitting._SCALE) == t
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_raises(self, bad):
         with pytest.raises(InvariantViolation):
