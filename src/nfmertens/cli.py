@@ -32,7 +32,7 @@ from .errors import MissingClassData, NfMertensError, SchemaError
 from .field import FieldDescriptor, kappa_exact, load_field
 from .idealcount import _dense_row, kappa_estimate, summatory_grid
 from .mertens import geometric_grid, mertens_constant, mertens_table
-from .splitting import _records_up_to, check_cutoff, check_grid
+from .splitting import _ideal_columns_up_to, check_cutoff, check_grid
 from .verify import verify_all
 
 TOOL_NAME = "nfmertens"
@@ -237,10 +237,9 @@ def _cmd_sieve(field, config, meta, out_path):
         _emit(config, meta, ["n", "ideal_count"],
               _count_blocks(_dense_row(field, x), x), out_path)
     elif what == "ideals":
-        recs = _records_up_to(field, config.x_max)  # (norm, p, f) rows
-        p, f, norm = recs[:, 1], recs[:, 2], recs[:, 0]
+        norm, p, f = _ideal_columns_up_to(field, config.x_max)
         blocks = ((p[a:a + _BLOCK], f[a:a + _BLOCK], norm[a:a + _BLOCK])
-                  for a in range(0, len(recs), _BLOCK))
+                  for a in range(0, len(norm), _BLOCK))
         _emit(config, meta, ["p", "f", "norm"], blocks, out_path)
     else:  # summatory
         kappa = _residue_for(field, config, meta)

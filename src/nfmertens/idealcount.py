@@ -45,7 +45,7 @@ from .bounds import LogMagnitude, lambda_K
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
 from .splitting import (  # DENSE_SIEVE_CAP and check_cutoff are re-exported
     DENSE_SIEVE_CAP,
-    _records_up_to,
+    _norms_up_to,
     _splitting_table,
     check_cutoff,
     check_grid,
@@ -272,7 +272,7 @@ def legendre_chebyshev_rhs(field: FieldDescriptor, x: float) -> float:
     n_max = math.floor(x)
     # each ideal's exponent reads Isum at the points floor(x / norm^j)
     reads = []
-    for norm in _records_up_to(field, x)[:, 0].tolist():
+    for norm in _norms_up_to(field, x).tolist():
         points = []
         q = norm
         while q <= n_max:

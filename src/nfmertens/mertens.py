@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EmptyProduct, MissingResidue
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
-from .splitting import (_records_up_to, check_cutoff, check_grid, grid_fsums,
+from .splitting import (_norms_up_to, check_cutoff, check_grid, grid_fsums,
                          rational_primes)
 
 # Euler-Mascheroni constant, 40 decimal digits
@@ -94,7 +94,7 @@ def mertens_constant(field: FieldDescriptor, truncation_x: float,
     check_cutoff("truncation_x", truncation_x, 10)
     if kappa is None or kappa.value <= 0:
         raise MissingResidue("mertens_constant requires a positive residue")
-    norms = _records_up_to(field, truncation_x)[:, 0]
+    norms = _norms_up_to(field, truncation_x)
 
     def terms(a, b):
         n, at = _distinct(norms[a:b])
@@ -117,7 +117,7 @@ def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,
     grid = check_grid(grid)
     if kappa is None or kappa.value <= 0:
         raise MissingResidue("mertens_table requires a positive residue")
-    norms = _records_up_to(field, grid[-1])[:, 0]
+    norms = _norms_up_to(field, grid[-1])
     cuts = np.searchsorted(norms, [math.floor(x) for x in grid], "right").tolist()
     if cuts[0] == 0:
         raise EmptyProduct(f"no prime ideal has norm <= {grid[0]}")

@@ -16,47 +16,43 @@ primes in it; primes dividing m * disc(f) keep the exact pipeline below.
 
 The other fields of degree 2 to 4 classify a whole range of primes in
 batched numpy passes over int64 columns, one column per prime, in the same
-blocks. A quadratic field past the table cap reads (D / p) at every odd
-p <= 1e8 not dividing D by Euler's criterion, D^((p-1)/2) mod p, a plain
-square-and-multiply per column. A cubic or quartic field without a
-certificate computes x^p mod f (and for quartics x^(p^2) mod f) at every
-odd p <= 1e8 not dividing disc(f), and Stickelberger's theorem,
+blocks: a quadratic field past the table cap by Euler's criterion,
+D^((p-1)/2) mod p; a cubic or quartic field without a certificate by x^p mod
+f (and for quartics x^(p^2) mod f), with Stickelberger's theorem,
 (disc f / p) = (-1)^(n - r) for the number r of irreducible factors of f mod
-p, settles what those powers leave open; no gcd is taken. The powers of x use
-delayed modular reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008):
-each exponent bit sums the products of every coefficient of the square
-unreduced, shifts the square up one place where the bit is set, and reduces
-only while folding degrees d..2d-1 back through a per-block table of x^k mod
-f, 2d reductions per bit; FROBENIUS_P_MAX states the int64 bound. D and
-disc(f), which can exceed int64, are reduced mod p digit by digit. The
-primes dividing 2D of such a quadratic field take the scalar Kronecker
-symbol. The prime 2 and primes dividing disc(f) of a cubic or quartic field,
-every non-abelian field of degree >= 5, and single-prime queries past the
-table take the exact pipeline: the defining polynomial factored mod p,
-guarded by the Dedekind index criterion, so a prime dividing the index is a
-hard error, never a guess. The exact pipeline runs before any table or
-batched pass. The scalar routes are also the batched passes' test oracles,
-and the Euler and Frobenius passes the tables'.
+p, settling what those powers leave open; no gcd is taken. The powers of x
+use delayed modular reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008):
+each exponent bit sums the products of the square unreduced and reduces only
+while folding degrees d..2d-1 back through a per-block table of x^k mod f;
+FROBENIUS_P_MAX states the int64 bound. D and disc(f), which can exceed
+int64, are reduced mod p digit by digit. The primes dividing 2D of such a
+quadratic field take the scalar Kronecker symbol. The prime 2 and primes
+dividing disc(f) of a cubic or quartic field, every non-abelian field of
+degree >= 5, and single-prime queries past the table take the exact
+pipeline: the defining polynomial factored mod p, guarded by the Dedekind
+index criterion, so a prime dividing the index is a hard error, never a
+guess. The exact pipeline runs before any table or batched pass. The scalar
+routes are also the batched passes' test oracles, and the Euler and
+Frobenius passes the tables'.
 
 What is computed for a field lives in one FieldContext, reached through
 field_context(): the splitting table as numpy arrays (the primes, a small
 code per prime, and the few distinct patterns the codes index), the
-prime-ideal stream as a (k, 3) int64 array of (norm, p, f) rows ordered by
-(norm, p), and the dense I(n) row. Each descriptor holds its own context,
-grown as larger cutoffs are asked for and freed with the descriptor; equal
-descriptors do not share one.
+prime-ideal stream as one ascending int64 column of norms, and the dense I(n)
+row. The stream is the table's primes, each repeated by its number of
+degree-1 ideals, with the few norms p^f, f >= 2, merged in; the ideals dump
+takes its (norm, p, f) columns from the same merge and keeps none. Each
+descriptor holds its own context, grown as larger cutoffs are asked for and
+freed with the descriptor; equal descriptors do not share one. The prime
+sieve is shared by every field: the process keeps its largest, read-only.
 grid_fsums holds the rounding policy of the Mertens, I(n) log n and theta
 grid sums: the value at a grid point is the fsum of the segment sums before
 it, and each segment sum is its float64 terms summed exactly and rounded
-once to nearest, ties to even, the value fsum gives
-(mertens.prime_power_grid takes one fsum per prefix instead). The segments
-are summed in numpy blocks of at most _SLICE terms by exact_sum, a small
+once, the value fsum gives (mertens.prime_power_grid takes one fsum per
+prefix instead). exact_sum sums blocks of at most _SLICE terms in a small
 superaccumulator (Neal, "Fast exact summation using small and large
-superaccumulators", arXiv:1505.05571, 2015): np.frexp splits each term into
-its 53-bit mantissa and exponent, the mantissa's two halves are summed per
-exponent in float64 buckets that cannot round, and the buckets are joined
-into one Python int at a fixed scale. So a sum does not depend on the order
-of its terms or on where the blocks end.
+superaccumulators", arXiv:1505.05571, 2015), so a sum depends neither on the
+order of its terms nor on where the blocks end.
 check_cutoff and check_grid hold the one range rule of a cutoff and of a grid
 of cutoffs; every sieve applies it before it starts.
 """
@@ -134,12 +130,14 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def rational_primes(x: float) -> np.ndarray:
-    """Ascending array of all primes <= x, sieved in fixed-size segments."""
-    if x < 2:
-        return np.empty(0, dtype=np.int64)
-    check_cutoff("x", x, 2)
-    n = math.floor(x)
+# The largest sieve made in this process, read-only, and its cutoff
+_sieved = np.empty(0, dtype=np.int64)
+_sieved.flags.writeable = False
+_sieved_to = 1
+
+
+def _sieve(n: int) -> np.ndarray:
+    """Ascending array of all primes <= n, n >= 2, sieved in fixed-size segments."""
     if n < 4:
         return _simple_sieve(n)
     base = _simple_sieve(math.isqrt(n))
@@ -156,6 +154,25 @@ def rational_primes(x: float) -> np.ndarray:
         chunks.append((np.flatnonzero(flags) + lo).astype(np.int64))
         lo = hi
     return np.concatenate(chunks)
+
+
+def rational_primes(x: float) -> np.ndarray:
+    """Ascending array of all primes <= x, read-only.
+
+    The process keeps the largest sieve it has made and returns a prefix view
+    of it for every cutoff up to that one; it sieves again only past it. So
+    the array is shared: writing to it raises ValueError, and a caller that
+    needs to write takes a copy.
+    """
+    global _sieved, _sieved_to
+    if x < 2:
+        return _sieved[:0]
+    check_cutoff("x", x, 2)
+    n = math.floor(x)
+    if n > _sieved_to:
+        _sieved, _sieved_to = _sieve(n), n
+        _sieved.flags.writeable = False
+    return _sieved[:np.searchsorted(_sieved, n, "right")]
 
 
 def kronecker(a: int, n: int) -> int:
@@ -397,11 +414,11 @@ def splitting_type(field: FieldDescriptor, p: int) -> SplittingType:
 
 class FieldContext:
     """Everything computed for one field, grown on demand: the polynomial
-    discriminant, the splitting table, the prime-ideal stream and the dense
-    I(n) row (built by idealcount)."""
+    discriminant, the splitting table, the prime-ideal stream as a column of
+    norms and the dense I(n) row (built by idealcount)."""
 
     __slots__ = ("disc_poly", "primes", "codes", "patterns", "classes",
-                 "table_xmax", "records", "records_xmax", "row", "__weakref__")
+                 "table_xmax", "norms", "norms_xmax", "row", "__weakref__")
 
     def __init__(self, field: FieldDescriptor):
         self.disc_poly = poly_discriminant(field.defining_poly)
@@ -414,8 +431,9 @@ class FieldContext:
         # code of the primes in each residue class mod m, or None
         self.classes = _class_codes(field, self.patterns)
         self.table_xmax = 0
-        self.records = np.empty((0, 3), dtype=np.int64)  # rows (norm, p, f)
-        self.records_xmax = 0
+        # the norm of every prime ideal of norm <= norms_xmax, ascending
+        self.norms = np.empty(0, dtype=np.int64)
+        self.norms_xmax = 0
         # r[n] = I(n) for n < len(r): a uint16, uint32 or int64 array, the
         # narrowest that holds the row's bound, or an object array of
         # Python ints past the int64 guard
@@ -553,34 +571,69 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
-def _ideal_records(primes: np.ndarray, codes: np.ndarray, patterns: list,
-                   xi: int) -> np.ndarray:
-    """(norm, p, f) rows, one per prime ideal of norm <= xi, sorted by
-    (norm, p), from the splitting table of every prime <= xi."""
-    parts = [np.empty((0, 3), dtype=np.int64)]
-    for f in sorted({f for pairs in patterns for _, f in pairs}):
-        per_prime = np.array([sum(g == f for _, g in pairs) for pairs in patterns])
+def _ideal_columns(primes: np.ndarray, codes: np.ndarray, patterns: list,
+                   xi: int, p_and_f: bool = False) -> np.ndarray:
+    """The int64 columns norm, or with p_and_f norm, p and f, as the rows of
+    one array, one entry per prime ideal of norm <= xi sorted by (norm, p),
+    from the splitting table of the primes.
+
+    The degree-1 norms are the primes repeated by their number of degree-1
+    ideals, already in order; the few norms p^f with f >= 2 go in place by
+    searchsorted. A norm p^f fixes p and f, so no two merged entries tie.
+    """
+    # a prime has at most len(pairs) ideals of any degree
+    narrow = np.min_scalar_type(max(map(len, patterns), default=1))
+
+    def per_prime(f, k):  # number of ideals of degree f over each of k primes
+        return np.array([sum(g == f for _, g in pairs) for pairs in patterns],
+                        narrow)[codes[:k]]
+    high = [np.empty((4, 0), dtype=np.int64)]  # rows norm, p, f, count
+    for f in sorted({f for pairs in patterns for _, f in pairs} - {1}):
         # only primes p <= xi^(1/f) are raised to the power f, so each int64
         # norm p^f <= xi, the end of a sieved prime table, far below 2^63
         k = np.searchsorted(primes, _iroot(xi, f), "right")
-        p = np.repeat(primes[:k], per_prime[codes[:k]])
-        parts.append(np.column_stack((p ** f, p, np.full_like(p, f))))
-    records = np.concatenate(parts)
-    # each part is sorted by norm, and a norm p^f fixes p and f, so a stable
-    # sort merges the runs
-    return records[np.argsort(records[:, 0], kind="stable")]
+        count = per_prime(f, k)
+        p = primes[:k][count > 0]
+        high.append(np.stack((p ** f, p, np.full_like(p, f), count[count > 0])))
+    high = np.concatenate(high, axis=1)
+    high = high[:, np.argsort(high[0])]
+    k = np.searchsorted(primes, xi, "right")
+    # where the norms p^f land among the k + len(high) merged entries
+    at = np.searchsorted(primes[:k], high[0]) + np.arange(high.shape[1])
+    low = np.ones(k + len(at), dtype=bool)
+    low[at] = False
+    merged = np.empty((3 if p_and_f else 1, len(low)), dtype=np.int64)
+    merged[:, at], merged[:, low] = high[:len(merged)], primes[:k]
+    merged[2:, low] = 1  # f of the degree-1 entries, when asked for
+    counts = np.empty(len(low), dtype=narrow)
+    counts[at], counts[low] = high[3], per_prime(1, k)
+    return np.repeat(merged, counts, axis=1)
+
+
+def _norms_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
+    """The norm of every prime ideal of norm <= x, ascending: an int64 column
+    kept in the field's context."""
+    check_cutoff("x", x, 0)
+    xi = math.floor(x)
+    ctx = field_context(field)
+    if xi > ctx.norms_xmax:
+        [ctx.norms] = _ideal_columns(*_splitting_table(field, xi), xi)
+        ctx.norms_xmax = xi
+    return ctx.norms[:np.searchsorted(ctx.norms, xi, "right")]
+
+
+def _ideal_columns_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
+    """The int64 columns norm, p and f as the rows of one array, one entry per
+    prime ideal of norm <= x sorted by (norm, p); built on each call, not kept."""
+    check_cutoff("x", x, 0)
+    xi = math.floor(x)
+    return _ideal_columns(*_splitting_table(field, xi), xi, p_and_f=True)
 
 
 def _records_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
     """(norm, p, f) rows, one per prime ideal of norm <= x, sorted by
-    (norm, p): a (k, 3) int64 array kept in the field's context."""
-    check_cutoff("x", x, 0)
-    xi = math.floor(x)
-    ctx = field_context(field)
-    if xi > ctx.records_xmax:
-        ctx.records = _ideal_records(*_splitting_table(field, xi), xi)
-        ctx.records_xmax = xi
-    return ctx.records[:np.searchsorted(ctx.records[:, 0], xi, "right")]
+    (norm, p): a (k, 3) int64 array, built on each call, not kept."""
+    return np.column_stack(_ideal_columns_up_to(field, x))
 
 
 def prime_ideals_up_to(field: FieldDescriptor, x: float) -> tuple[PrimeIdealRecord, ...]:
@@ -597,7 +650,7 @@ def prime_ideals_up_to(field: FieldDescriptor, x: float) -> tuple[PrimeIdealReco
 def theta_K(field: FieldDescriptor, x: float) -> float:
     """Sum of log(norm) over prime ideals of norm <= x; 0.0 for x < 2."""
     check_cutoff("x", x, 0)  # no prime ideal has norm < 2
-    return fsum(map(math.log, _records_up_to(field, x)[:, 0].tolist()))
+    return fsum(map(math.log, _norms_up_to(field, x).tolist()))
 
 
 def check_grid(grid, lo: float = 2, hi: float = DENSE_SIEVE_CAP) -> list[float]:

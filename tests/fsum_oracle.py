@@ -25,7 +25,7 @@ from nfmertens import mertens, splitting
 from nfmertens.field import PROVENANCE_EXACT, FieldDescriptor, Residue, load_field
 from nfmertens.idealcount import _dense_row, _segments, row_log_sums
 from nfmertens.mertens import geometric_grid, mertens_constant, mertens_table
-from nfmertens.splitting import _records_up_to, rational_primes
+from nfmertens.splitting import _norms_up_to, rational_primes
 from nfmertens.verify import _theta_values
 
 
@@ -45,12 +45,12 @@ def fsum_grid(segments, *terms) -> list[list[float]]:
 def mertens_series(field: FieldDescriptor, truncation_x: float) -> float:
     """The sum of 1/N + log1p(-1/N) over prime ideals of norm N <= truncation_x."""
     return fsum(1.0 / norm + math.log1p(-1.0 / norm)
-                for norm in _records_up_to(field, truncation_x)[:, 0].tolist())
+                for norm in _norms_up_to(field, truncation_x).tolist())
 
 
 def mertens_sums(field: FieldDescriptor, grid) -> list[list[float]]:
     """The sums of log(N)/N, 1/N and log1p(-1/N) at each grid point."""
-    norms = _records_up_to(field, grid[-1])[:, 0]
+    norms = _norms_up_to(field, grid[-1])
     cuts = np.searchsorted(norms, [math.floor(x) for x in grid], "right").tolist()
     return fsum_grid((norms[a:b].tolist() for a, b in zip([0] + cuts, cuts)),
                      lambda seg: (math.log(n) / n for n in seg),

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -13,7 +14,7 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 from sympy import kronecker_symbol
 
-from nfmertens import splitting
+from nfmertens import splitting, verify
 from nfmertens.errors import (
     CompositeModulus,
     CutoffOutOfRange,
@@ -65,7 +66,9 @@ from nfmertens.splitting import (
     _fold,
     _fold_table,
     _frobenius_pairs,
-    _ideal_records,
+    _ideal_columns,
+    _ideal_columns_up_to,
+    _norms_up_to,
     _pattern_mod_p,
     _product,
     _records_up_to,
@@ -119,6 +122,61 @@ class TestRationalPrimes:
     def test_nan_and_past_the_cap_raise(self, x):
         with pytest.raises(CutoffOutOfRange):
             rational_primes(x)
+
+
+@pytest.fixture
+def sieves(monkeypatch):
+    """The cutoffs sieved from here on, starting from no sieve at all."""
+    calls = []
+    sieve = splitting._sieve
+    monkeypatch.setattr(splitting, "_sieve", lambda n: calls.append(n) or sieve(n))
+    monkeypatch.setattr(splitting, "_sieved", rational_primes(0))
+    monkeypatch.setattr(splitting, "_sieved_to", 1)
+    return calls
+
+
+class TestSharedSieve:
+    def test_one_sieve_for_verify_all_on_two_fields(self, sieves, monkeypatch):
+        verify._field_independent_checks()  # built once per process
+        monkeypatch.setattr(splitting, "_sieved", rational_primes(0))
+        monkeypatch.setattr(splitting, "_sieved_to", 1)
+        sieves.clear()
+        verify._theta_values.cache_clear()
+        try:
+            for name in ("gaussian", "cbrt2"):
+                field = load_field((GAUSS_PATH.parent / f"{name}.field").read_text())
+                report = verify_all(field, [10.0, 1000.0, 1e5], kappa_exact(field),
+                                    truncation_x=1e5)
+                assert report.failures == (), name
+        finally:
+            verify._theta_values.cache_clear()
+        # theta, the splitting tables and the I(n) rows share it
+        assert sieves == [10 ** 5]
+
+    def test_larger_cutoff_sieves_once_more(self, sieves):
+        rational_primes(1e4)
+        rational_primes(5000.5)
+        rational_primes(1e4)
+        assert sieves == [10 ** 4]
+        assert len(rational_primes(2e4)) == 2262
+        rational_primes(1e4)
+        assert sieves == [10 ** 4, 2 * 10 ** 4]
+
+    def test_prefixes_match_naive_after_a_sieve_to_1e5(self, sieves):
+        full = rational_primes(10 ** 5)
+        naive = naive_primes(2000)
+        for n in range(2001):
+            prefix = rational_primes(n)
+            assert prefix.tolist() == naive[:bisect_right(naive, n)], n
+            assert prefix.base is full.base
+        assert sieves == [10 ** 5]
+
+    @pytest.mark.parametrize("x", [0, 10, 1e5])
+    def test_read_only(self, sieves, x):
+        primes = rational_primes(x)
+        with pytest.raises(ValueError):
+            primes[:1] = 4
+        assert not rational_primes(1e5).flags.writeable
 
 
 class TestKronecker:
@@ -514,6 +572,21 @@ class TestResidueClassTable:
         assert ctx.table_xmax == 0 and len(ctx.codes) == 0
 
 
+def _ideal_records(primes, codes, patterns, xi):
+    """(norm, p, f) rows, one per prime ideal of norm <= xi, sorted by
+    (norm, p): the construction the merged columns replaced, kept as their
+    oracle. Each degree f gives a run sorted by norm, and a stable argsort
+    merges the runs."""
+    parts = [np.empty((0, 3), dtype=np.int64)]
+    for f in sorted({f for pairs in patterns for _, f in pairs}):
+        per_prime = np.array([sum(g == f for _, g in pairs) for pairs in patterns])
+        k = np.searchsorted(primes, splitting._iroot(xi, f), "right")
+        p = np.repeat(primes[:k], per_prime[codes[:k]])
+        parts.append(np.column_stack((p ** f, p, np.full_like(p, f))))
+    records = np.concatenate(parts)
+    return records[np.argsort(records[:, 0], kind="stable")]
+
+
 class TestRecordArray:
     def test_matches_splitting_type_at_1e5(self, corpus):
         x = 10 ** 5
@@ -531,6 +604,24 @@ class TestRecordArray:
                 assert _records_up_to(field, y).tolist() == \
                     [r for r in expected if r[0] <= y], (name, y)
 
+    def test_columns_match_the_record_oracle(self, corpus):
+        # the merged norm column verify reads and the dump's three columns
+        # equal the rows of the old (k, 3) construction, prefixes included
+        for name, field in corpus.items():
+            if name == "non-monogenic-cubic":
+                continue
+            for xi in (10 ** 5, 961, 997, 1000):
+                oracle = _ideal_records(*_splitting_table(field, xi), xi)
+                norms = _norms_up_to(field, xi)
+                assert norms.dtype == np.int64 and norms.ndim == 1
+                assert norms.tolist() == oracle[:, 0].tolist(), (name, xi)
+                columns = _ideal_columns_up_to(field, xi)
+                assert [c.dtype for c in columns] == [np.dtype(np.int64)] * 3
+                assert np.column_stack(columns).tolist() == oracle.tolist(), \
+                    (name, xi)
+            # the prefixes were cut from the column kept at 1e5 or past it
+            assert field_context(field).norms_xmax >= 10 ** 5, name
+
     def test_prime_powers_near_the_cap(self):
         # int64 powers of primes near 1e8 wrap, 99,999,989^6 to a negative
         # number, so only p <= x^(1/f) may be raised to the power f
@@ -545,10 +636,14 @@ class TestRecordArray:
                        for _, f in patterns[c])
         in_range = [n for n, _, _ in every if n <= DENSE_SIEVE_CAP]
         assert max(in_range) > 10 ** 7
+        table = (np.array(primes, dtype=np.int64), np.array(codes), patterns)
         for xi in sorted({DENSE_SIEVE_CAP, *in_range, *(n - 1 for n in in_range)}):
-            records = _ideal_records(np.array(primes, dtype=np.int64),
-                                     np.array(codes), patterns, xi)
-            assert records.tolist() == [r for r in every if r[0] <= xi], xi
+            expected = [r for r in every if r[0] <= xi]
+            assert _ideal_records(*table, xi).tolist() == expected, xi
+            columns = _ideal_columns(*table, xi, p_and_f=True)
+            assert np.column_stack(columns).tolist() == expected, xi
+            [norms] = _ideal_columns(*table, xi)
+            assert norms.tolist() == [n for n, _, _ in expected], xi
 
 
 class TestPrimeIdeals:
@@ -746,10 +841,10 @@ class TestFieldContext:
 
     def test_freed_with_descriptor(self):
         field = load_field(self.TEXT)
-        prime_ideals_up_to(field, 1000)
+        theta_K(field, 1000)  # keeps the norm column
         ideal_count_sieve(field, 1000)
         ctx = weakref.ref(field_context(field))
-        assert len(ctx().records) and len(ctx().primes) and ctx().row is not None
+        assert len(ctx().norms) and len(ctx().primes) and ctx().row is not None
         del field
         gc.collect()
         assert ctx() is None

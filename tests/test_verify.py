@@ -1,11 +1,18 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from nfmertens.field import Residue, kappa_exact
-from nfmertens.mertens import mertens_constant, mertens_table
-from nfmertens import verify
+from nfmertens.errors import IndexPrimeUnsupported
+from nfmertens.field import Residue, kappa_exact, load_field
+from nfmertens.idealcount import kappa_estimate
+from nfmertens.mertens import geometric_grid, mertens_constant, mertens_table
+from nfmertens import splitting, verify
+from nfmertens.splitting import field_context
 from nfmertens.verify import verify_all
+
+FIELDS_DIR = Path(__file__).resolve().parent.parent / "fields"
 
 
 class TestVerifyAll:
@@ -155,3 +162,48 @@ class TestVerifyAll:
         names = {c.name for c in report.checks}
         assert "first_mertens_error" in names
         assert "ideal_count_envelope" not in names
+
+
+class TestMemory:
+    def test_verify_all_peak_at_1e6(self, monkeypatch):
+        # verify reads one int64 norm column, not (norm, p, f) rows with an
+        # argsort; with the sieve and theta made inside the measurement the
+        # peak is 4.7 MB, against 6.7 MB with the rows
+        gauss = load_field((FIELDS_DIR / "gaussian.field").read_text())
+        kappa = kappa_exact(gauss)
+        verify._field_independent_checks()  # built once per process
+        monkeypatch.setattr(splitting, "_sieved", splitting.rational_primes(0))
+        monkeypatch.setattr(splitting, "_sieved_to", 1)
+        verify._theta_values.cache_clear()
+        tracemalloc.start()
+        try:
+            report = verify_all(gauss, geometric_grid(4, 24), kappa)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            verify._theta_values.cache_clear()
+        assert report.failures == ()
+        assert peak < 5.5 * 2 ** 20
+
+    def test_no_record_rows_for_any_corpus_field(self, monkeypatch):
+        # verify reads the norm column alone: no (norm, p, f) rows, no p and
+        # f columns
+        calls = []
+        monkeypatch.setattr(splitting, "_records_up_to",
+                            lambda *args: calls.append(args))
+        columns = splitting._ideal_columns
+        monkeypatch.setattr(splitting, "_ideal_columns", lambda *args, **kw:
+                            calls.append(kw) if kw else columns(*args))
+        for path in sorted(FIELDS_DIR.glob("*.field")):
+            field = load_field(path.read_text())
+            try:
+                kappa = kappa_exact(field) if field.class_data is not None \
+                    else kappa_estimate(field, 1e4)
+                report = verify_all(field, [10.0, 100.0, 1000.0], kappa,
+                                    truncation_x=1e4)
+            except IndexPrimeUnsupported:
+                assert path.stem == "non-monogenic-cubic"
+                continue
+            assert report.failures == (), path.stem
+            assert len(field_context(field).norms), path.stem
+        assert calls == []
