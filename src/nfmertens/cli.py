@@ -30,7 +30,7 @@ from . import __version__
 from .bounds import field_constants
 from .errors import MissingClassData, NfMertensError, SchemaError
 from .field import FieldDescriptor, kappa_exact, load_field
-from .idealcount import _dense_row, kappa_estimate, summatory_grid
+from .idealcount import _row_blocks, kappa_estimate, summatory_grid
 from .mertens import geometric_grid, mertens_constant, mertens_table
 from .splitting import _ideal_columns_up_to, check_cutoff, check_grid
 from .verify import verify_all
@@ -210,12 +210,12 @@ def _cells(config: RunConfig, rows) -> list[list]:
     return [[v if isinstance(v, keep) else _f15(v) for v in row] for row in rows]
 
 
-def _count_blocks(row: np.ndarray, x: int):
-    """The columns (n, row[n]) for 1 <= n <= x of the I(n) row, _BLOCK rows
-    at a time."""
-    for a in range(1, x + 1, _BLOCK):
-        b = min(a + _BLOCK, x + 1)
-        yield np.arange(a, b), row[a:b]
+def _count_blocks(field: FieldDescriptor, x: int):
+    """The columns (n, I(n)) for 1 <= n <= x, _BLOCK rows at a time."""
+    for lo, block in _row_blocks(field, x):
+        for a in range(1 if lo == 0 else 0, len(block), _BLOCK):
+            rows = block[a:a + _BLOCK]
+            yield np.arange(lo + a, lo + a + len(rows)), rows
 
 
 def _residue_for(field: FieldDescriptor, config: RunConfig, meta: dict):
@@ -235,7 +235,7 @@ def _cmd_sieve(field, config, meta, out_path):
     if what == "counts":
         x = int(config.x_max)
         _emit(config, meta, ["n", "ideal_count"],
-              _count_blocks(_dense_row(field, x), x), out_path)
+              _count_blocks(field, x), out_path)
     elif what == "ideals":
         norm, p, f = _ideal_columns_up_to(field, config.x_max)
         blocks = ((p[a:a + _BLOCK], f[a:a + _BLOCK], norm[a:a + _BLOCK])

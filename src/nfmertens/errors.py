@@ -58,6 +58,10 @@ class DenseSieveCapExceeded(CutoffOutOfRange):
     """A cutoff passes the dense-sieve cap, beyond which nothing is sieved."""
 
 
+class DivisorBoundExceeded(CutoffOutOfRange):
+    """The I(n) row up to the cutoff could pass its int64 guard, 2^62."""
+
+
 class IndexPrimeUnsupported(NfMertensError):
     """Splitting at a prime dividing the index cannot be read from the
     defining polynomial."""

@@ -2,58 +2,45 @@
 
 I(n) counts integral ideals of norm exactly n. It is multiplicative, and at a
 prime p its local values are the coefficients of prod_i 1/(1 - t^{f_i}) over
-the inertia degrees above p. The dense sieve multiplies those local counts
-into an all-ones row in exact integers.
+the inertia degrees above p. The sieve is segmented (Bays & Hudson, BIT 17,
+1977): it multiplies those counts into all-ones blocks of 2 MB (_ROW_BLOCK
+entries of uint16), each built when a pass reaches it; no row is kept. A
+prime p <= sqrt(N) scales the multiples t p^k of a block, t prime to p, on
+their strided view cut into runs of p less the last column. A prime
+P > sqrt(N) counts only by c1(P), its ideals of norm P; searchsorted finds
+the P with m P in the block for every cofactor m at once, and no n has two
+such P.
 
-The numpy row takes two passes. Each prime p <= sqrt(N) multiplies in the
-count of every power p^k <= N at the multiples of p^k with cofactor prime to
-p, in place on their strided view cut into runs of p less the last column.
-A prime P > sqrt(N) has P^2 > N, so only the number c1(P) of ideals of norm
-P matters, and every multiple m*P <= N has a cofactor m < P; one vectorised
-step per cofactor m scales row[m*P] by c1(P) for all such P at once.
+Every partial product is at most d_deg(n), the deg-fold divisor function; the
+blocks take the narrowest dtype that holds its maximum (_row_dtype). Every
+cutoff and grid passes splitting.check_cutoff or check_grid before any sieve
+starts.
 
-The numpy row's dtype comes from an a-priori bound: each local count at p^k
-is at most C(k + deg - 1, deg - 1), so every partial product is at most
-d_deg(n), the deg-fold divisor function, whose maximum below x is computed
-exactly. The row takes the narrowest of uint16, uint32 and int64 that holds
-that maximum; at the 1e8 cap that is uint16 for quadratics and cubics (at
-most 58,320) and uint32 up to degree 7. When the maximum reaches 2^62 the
-same two passes run on an object array of arbitrary-precision Python
-integers. The dense row is kept in the field's context; ideal_count_sieve
-hands callers int64 for every narrow dtype and an object array past the
-guard. Every cutoff and grid passes splitting.check_cutoff or check_grid
-before any sieve starts.
-
-Sums over the row take one ascending pass over a grid of cutoffs; the
-single-point functions are one-point grids. row_sums adds exact integers.
-row_log_sums takes the float64 terms I(n) log n of the nonzero I(n), with
-np.log, in numpy blocks of at most splitting._SLICE, and splitting.grid_fsums
-sums each segment exactly (splitting.exact_sum, one Python int per block)
-and rounds it once, as fsum would.
+row_sums takes one ascending pass over the blocks for a grid of cutoffs (the
+single-point functions are one-point grids), exact, or rounded as fsum would
+(splitting.grid_fsums): no sum depends on where the blocks end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from math import fsum
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import LogMagnitude, lambda_K
+from .errors import DivisorBoundExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
 from .splitting import (  # DENSE_SIEVE_CAP and check_cutoff are re-exported
-    DENSE_SIEVE_CAP,
-    _norms_up_to,
-    _splitting_table,
-    check_cutoff,
-    check_grid,
-    field_context,
-    grid_fsums,
-)
+    DENSE_SIEVE_CAP, _norms_up_to, _splitting_table, check_cutoff, check_grid,
+    grid_fsums)
 
-_CHUNK = 1 << 22  # row entries per step of the cofactor pass and of row_sums
+_ROW_BLOCK = 1 << 20  # entries per block of uint16, 2 MB; wider blocks hold fewer
+_PAIRS = 1 << 15  # (m, P) pairs per step of a block's cofactor pass
+_RUN = 1 << 10  # a cofactor with this many P or more takes slices of its own
 
 
 @dataclass(frozen=True)
@@ -87,8 +74,7 @@ def _max_divisor_count(x: int, k: int) -> int:
             best = count
         if i == len(primes):
             return
-        p = primes[i]
-        power = p
+        p = power = primes[i]
         e = 1
         while power <= remaining and e <= max_exp:
             rec(i + 1, remaining // power, count * math.comb(e + k - 1, k - 1), e)
@@ -113,108 +99,119 @@ def _local_factors(primes: np.ndarray, codes: np.ndarray, patterns,
                 yield p, q, c
 
 
-def _row_dtype(bound: int):
-    """The narrowest of uint16, uint32 and int64 that holds every value in
-    [0, bound], or object (Python ints) when the int64 guard (bound < 2^62)
-    fails."""
-    for dtype in (np.uint16, np.uint32):
-        if bound <= np.iinfo(dtype).max:
+def _row_dtype(n_max: int, degree: int):
+    """The narrowest of uint16, uint32 and int64 that holds max d_degree(n),
+    n <= n_max: uint16 for quadratics and cubics at the 1e8 cap, uint32 up to
+    degree 7. Past the int64 guard, 2^62, it raises DivisorBoundExceeded, a
+    usage error: degree >= 29 near the cap."""
+    bound = _max_divisor_count(n_max, degree)
+    for dtype, top in ((np.uint16, 2 ** 16), (np.uint32, 2 ** 32), (np.int64, 2 ** 62)):
+        if bound < top:
             return dtype
-    return np.int64 if bound < 2 ** 62 else object
+    raise DivisorBoundExceeded(f"x {n_max} is too large for a degree-{degree} field: "
+                               "the I(n) row's bound d_deg(n) reaches 2^62")
 
 
-def _dense_row_numpy(field: FieldDescriptor, n_max: int,
-                     dtype=np.int64) -> np.ndarray:
-    """The row in dtype, which must hold every partial product of I(n) for
-    n <= n_max (the _max_divisor_count bound)."""
-    row = np.ones(n_max + 1, dtype=dtype)
-    row[0] = 0
+def _row_block(lo: int, hi: int, dtype, small, big_p, big_c) -> np.ndarray:
+    """block[i] = I(lo + i), lo <= lo + i < hi, from the small prime powers
+    (p, q, c) and the large primes big_p with counts big_c."""
+    block = np.ones(hi - lo, dtype=dtype)
+    block[:1] = lo != 0  # I(0) = 0
+    for p, q, c in small:
+        t = max(1, -(-lo // q))  # view[i] = block[(t + i) q - lo]
+        if t * q < hi:
+            view = block[t * q - lo:: q]
+            h = -t % p  # the cofactor t + h = 0 mod p; runs of p follow it
+            view[:h] *= c
+            rest = view[h + 1:]
+            full = len(rest) - len(rest) % p
+            if full:
+                rest[:full].reshape(-1, p)[:, :-1] *= c
+            rest[full:] *= c
+    if len(big_p) and hi > big_p[0]:
+        # big_p[a:a + runs] are the P with lo <= m P < hi: a long run is a
+        # slice, the short ones a ragged arange, about _PAIRS pairs a step
+        m = np.arange(1, (hi - 1) // int(big_p[0]) + 1, dtype=np.uint32)
+        a = np.searchsorted(big_p, (lo + m - 1) // m)
+        runs = np.searchsorted(big_p, (hi - 1) // m, "right") - a
+        k = int((runs >= _RUN).sum())
+        for j, (x, y) in enumerate(zip(a[:k].tolist(), (a + runs)[:k].tolist())):
+            for s in range(x, y, _PAIRS):
+                at = big_p[s:min(s + _PAIRS, y)] * np.int64(j + 1)  # intp: no cast
+                at -= lo
+                block[at] *= big_c[s:s + len(at)]
+        m, a, runs = m[k:], a[k:], runs[k:]
+        ends = np.cumsum(runs)
+        edges = np.searchsorted(ends, range(0, int(ends[-1:].sum()) + _PAIRS, _PAIRS),
+                                "right").tolist()
+        for j, i in zip(edges, edges[1:]):
+            if j < i:
+                pairs = np.repeat((a - ends + runs)[j:i], runs[j:i])
+                pairs += np.arange(ends[j] - runs[j], ends[i - 1])
+                # the values are partial products, bounded by _row_dtype
+                at = big_p[pairs].astype(np.int64)
+                at *= np.repeat(m[j:i], runs[j:i])
+                at -= lo
+                block[at] *= big_c[pairs]
+    return block
+
+
+def _row_blocks(field: FieldDescriptor, n_max: int):
+    """(lo, block), block[i] = I(lo + i), for 0 <= n <= n_max in ascending
+    blocks, each built when asked for; checks the cutoff and dtype at once."""
+    check_cutoff("x", n_max, 0)
+    dtype = _row_dtype(n_max, field.degree)
     primes, codes, patterns = _splitting_table(field, n_max)
     split = np.searchsorted(primes, math.isqrt(n_max), "right")
-    # primes p <= sqrt(n_max), each power q = p^k <= n_max: view[i] = row[q*(i+1)]
-    # has the cofactors i + 1 = 0 mod p in the last column of each run of p and
-    # none in the tail of < p (a strided 1-D view reshapes to a view, not a copy)
-    for p, q, c in _local_factors(primes[:split], codes[:split], patterns, n_max):
-        view = row[q:: q]
-        full = len(view) - len(view) % p
-        view[:full].reshape(-1, p)[:, :-1] *= c
-        view[full:] *= c
-    # primes P > sqrt(n_max): P^2 > n_max, and each multiple m*P <= n_max has
-    # a cofactor m < P prime to P, so its local factor is c1[P], the number of
-    # ideals of norm P; one pass per cofactor m over all P <= n_max // m
-    c1_by_pattern = np.array([sum(f == 1 for _, f in pairs) for pairs in patterns],
-                             dtype=dtype)
-    keep = (c1_by_pattern != 1)[codes[split:]]
-    big_p, big_c = primes[split:][keep], c1_by_pattern[codes[split:][keep]]
-    del primes, codes, keep
-    if len(big_p):
-        tops = np.searchsorted(big_p, n_max // np.arange(1, n_max // int(big_p[0]) + 1),
-                               "right").tolist()
-        for m, j in enumerate(tops, start=1):
-            for lo in range(0, j, _CHUNK):
-                hi = min(lo + _CHUNK, j)
-                # indices m*P <= n_max <= 1e8; the values are partial products
-                # of I(n), bounded by the d_deg guard in _dense_row
-                row[m * big_p[lo:hi]] *= big_c[lo:hi]
-    return row
+    small = list(_local_factors(primes[:split], codes[:split], patterns, n_max))
+    # P > sqrt(n_max) scales m P <= n_max by c1(P); uint32 holds m P <= 1e8
+    c1 = np.array([sum(f == 1 for _, f in pairs) for pairs in patterns], dtype)
+    keep = (c1 != 1)[codes[split:]]
+    big_p, big_c = primes[split:].astype(np.uint32)[keep], c1[codes[split:][keep]]
+    step = _ROW_BLOCK * 2 // np.dtype(dtype).itemsize
+    return ((lo, _row_block(lo, min(lo + step, n_max + 1), dtype, small, big_p, big_c))
+            for lo in range(0, n_max + 1, step))
 
 
-def _dense_row(field: FieldDescriptor, n_max: int) -> np.ndarray:
-    """Row r with r[n] = I(n) for 0 <= n <= n_max, possibly longer; kept in
-    the field's context."""
-    check_cutoff("x", n_max, 0)
-    ctx = field_context(field)
-    if ctx.row is None or len(ctx.row) <= n_max:
-        ctx.row = None  # free the shorter row before building the longer one
-        ctx.row = _dense_row_numpy(
-            field, n_max, _row_dtype(_max_divisor_count(n_max, field.degree)))
-    return ctx.row
+def row_sums(blocks, grid, logs: bool = True) -> tuple[list[int], list[float]]:
+    """(I-sums, T-sums) at each x of the ascending grid, the sums over n <= x
+    of I(n), exact, and of I(n) log n (none without logs), in one grid_fsums
+    pass over the blocks (lo, block) from lo = 0; T leaves out the terms of
+    zero I(n), +0.0."""
+    blocks, cuts = iter(blocks), [math.floor(x) + 1 for x in grid]
+    lo, block, isums, total = 0, (), [], 0
 
-
-def _segments(grid, start: int):
-    """(lo, hi) for each x of the ascending grid: the indices lo <= n < hi
-    with n <= x not covered by an earlier point, from start on."""
-    for x in grid:
-        cut = max(start, math.floor(x) + 1)
-        yield start, cut
-        start = cut
-
-
-def row_sums(row: np.ndarray, grid) -> list[int]:
-    """Sum of row[n] over n <= x for each x of the ascending grid, in one
-    pass of exact per-segment sums."""
-    out = []
-    total = 0
-    for lo, hi in _segments(grid, 0):
-        # numpy sums a narrow row in (u)int64, so each _CHUNK entries become
-        # one Python int; an object row sums Python ints throughout
-        total += sum(int(row[a:min(a + _CHUNK, hi)].sum())
-                     for a in range(lo, hi, _CHUNK))
-        out.append(total)
-    return out
-
-
-def row_log_sums(row: np.ndarray, grid) -> list[float]:
-    """Sum of row[n] log(n) over 2 <= n <= x for each x of the ascending
-    grid, in one grid_fsums pass over blocks of the row (the terms of zero
-    I(n), +0.0, are left out; the exact sums cannot change)."""
+    def segments():
+        for segment in zip([0] + cuts, cuts):
+            yield segment
+            isums.append(total)  # grid_fsums has read the whole segment
 
     def terms(a, b):
-        part = row[a:b]
-        nz = np.flatnonzero(part)
-        return part[nz].astype(np.float64) * np.log((nz + a).astype(np.float64)),
+        nonlocal lo, block, total
+        out = []
+        while a < b:
+            if a == lo + len(block):
+                block = part = None  # freed before the next is built
+                lo, block = next(blocks)
+            part = block[a - lo:b - lo]
+            # uint16 and uint32 sum exactly; int64 (< 2^62) in two halves
+            total += int(part.sum()) if part.dtype != np.int64 else \
+                (int((part >> 31).sum()) << 31) + int((part & 2 ** 31 - 1).sum())
+            if logs:
+                nz = np.flatnonzero(part)
+                n = (nz + a).astype(np.float64)
+                out.append(part[nz].astype(np.float64) * np.log(n))
+            a += len(part)
+        return (out[0] if len(out) == 1 else np.concatenate(out),) if logs else ()
 
-    [values] = grid_fsums(_segments(grid, 2), terms)
-    return values
+    [tsums] = grid_fsums(segments(), terms, int(logs)) or [[]]
+    return isums, tsums
 
 
 def ideal_count_sieve(field: FieldDescriptor, x: int) -> np.ndarray:
-    """I(1), ..., I(x) as exact integers."""
+    """I(1), ..., I(x) in int64, so a caller's arithmetic cannot wrap."""
     check_cutoff("x", x, 1)
-    n = int(x)
-    row = _dense_row(field, n)
-    # int64 for every narrow dtype, so a caller's arithmetic cannot wrap
-    return row[1:n + 1].astype(np.promote_types(row.dtype, np.int64))
+    return np.concatenate([b for _, b in _row_blocks(field, int(x))])[1:].astype(np.int64)
 
 
 def _sunley_envelope(field: FieldDescriptor, x: float) -> Optional[float]:
@@ -229,10 +226,10 @@ def _sunley_envelope(field: FieldDescriptor, x: float) -> Optional[float]:
 
 
 def summatory_grid(field: FieldDescriptor, grid) -> list[SummatoryPoint]:
-    """summatory at each x of the ascending grid, from one row built at the
-    top point and one pass over it."""
+    """summatory at each x of the ascending grid, from one pass over the
+    row's blocks up to the top point."""
     grid = check_grid(grid, 0)
-    values = row_sums(_dense_row(field, math.floor(grid[-1])), grid)
+    values, _ = row_sums(_row_blocks(field, math.floor(grid[-1])), grid, logs=False)
     return [SummatoryPoint(x=x, value=v, sunley_envelope=_sunley_envelope(field, x))
             for x, v in zip(grid, values)]
 
@@ -246,7 +243,7 @@ def summatory(field: FieldDescriptor, x: float) -> SummatoryPoint:
 def t_K(field: FieldDescriptor, x: float) -> float:
     """Sum of I(n) log(n) for n <= x, compensated."""
     check_cutoff("x", x, 2)
-    return row_log_sums(_dense_row(field, math.floor(x)), [x])[0]
+    return row_sums(_row_blocks(field, math.floor(x)), [x])[1][0]
 
 
 def kappa_estimate(field: FieldDescriptor, x: float) -> Residue:
@@ -263,23 +260,24 @@ def kappa_estimate(field: FieldDescriptor, x: float) -> Residue:
                    halfwidth=halfwidth)
 
 
-def legendre_chebyshev_rhs(field: FieldDescriptor, x: float) -> float:
-    """log of prod over prime ideals of norm^(sum_j Isum(x / norm^j)).
+def legendre_chebyshev_grid(field: FieldDescriptor, grid) -> list[float]:
+    """log of prod over prime ideals of norm^(sum_j Isum(x / norm^j)) at each
+    x of the ascending grid, from one pass over the row's blocks. Exactly
+    t_K(x); the identity's independent route."""
+    tops = [math.floor(x) for x in check_grid(grid)]
+    norms = _norms_up_to(field, tops[-1]).tolist()
 
-    Exactly equals t_K(x); used as the identity's independent route.
-    """
-    check_cutoff("x", x, 2)
-    n_max = math.floor(x)
-    # each ideal's exponent reads Isum at the points floor(x / norm^j)
-    reads = []
-    for norm in _norms_up_to(field, x).tolist():
-        points = []
-        q = norm
-        while q <= n_max:
-            points.append(n_max // q)
-            q *= norm
-        reads.append((norm, points))
-    grid = sorted({t for _, points in reads for t in points})
-    isum = dict(zip(grid, row_sums(_dense_row(field, n_max), grid)))
-    exponents = ((norm, sum(isum[t] for t in points)) for norm, points in reads)
-    return fsum(e * math.log(norm) for norm, e in exponents if e)
+    def reads(n):  # at x, each ideal's exponent reads Isum at floor(x / norm^j)
+        return ((norm, takewhile(bool, (n // norm ** j for j in range(1, 64))))
+                for norm in norms if norm <= n)
+    points = sorted({t for n in tops for _, ts in reads(n) for t in ts})
+    isum = dict(zip(points, row_sums(_row_blocks(field, tops[-1]), points, logs=False)[0]))
+    return [fsum(e * math.log(norm) for norm, e in
+                 ((norm, sum(map(isum.get, ts))) for norm, ts in reads(n)) if e)
+            for n in tops]
+
+
+def legendre_chebyshev_rhs(field: FieldDescriptor, x: float) -> float:
+    """legendre_chebyshev_grid at the one point x."""
+    [value] = legendre_chebyshev_grid(field, [x])
+    return value

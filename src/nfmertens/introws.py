@@ -32,12 +32,11 @@ def _digit_table() -> np.ndarray:
 
 def _digit_words(col: np.ndarray) -> list[np.ndarray]:
     """The decimal text of each value of col (non-negative ints of any int
-    dtype, or Python ints in an object array) as columns of uint32 words,
-    most significant first: four digits a word, NUL before the first digit."""
+    dtype) as columns of uint32 words, most significant first: four digits a
+    word, NUL before the first digit."""
     table = _digit_table()
     top = int(col.max())
-    if col.dtype != object:
-        col = col.astype(np.uint32 if top < 2 ** 32 else np.uint64)
+    col = col.astype(np.uint32 if top < 2 ** 32 else np.uint64)
     words = []
     for g in range(-(-len(str(top)) // 4)):
         q = col // 10000

@@ -37,14 +37,14 @@ Frobenius passes the tables'.
 
 What is computed for a field lives in one FieldContext, reached through
 field_context(): the splitting table as numpy arrays (the primes, a small
-code per prime, and the few distinct patterns the codes index), the
-prime-ideal stream as one ascending int64 column of norms, and the dense I(n)
-row. The stream is the table's primes, each repeated by its number of
-degree-1 ideals, with the few norms p^f, f >= 2, merged in; the ideals dump
-takes its (norm, p, f) columns from the same merge and keeps none. Each
-descriptor holds its own context, grown as larger cutoffs are asked for and
-freed with the descriptor; equal descriptors do not share one. The prime
-sieve is shared by every field: the process keeps its largest, read-only.
+code per prime, and the few distinct patterns the codes index) and the
+prime-ideal stream as one ascending int64 column of norms; no I(n) row. The
+stream is the table's primes, each repeated by its number of degree-1
+ideals, with the few norms p^f, f >= 2, merged in; the ideals dump takes its
+(norm, p, f) columns from the same merge and keeps none. Each descriptor
+holds its own context, grown as larger cutoffs are asked for and freed with
+the descriptor; equal descriptors do not share one. The prime sieve is shared
+by every field: the process keeps its largest, read-only.
 grid_fsums holds the rounding policy of the Mertens, I(n) log n and theta
 grid sums: the value at a grid point is the fsum of the segment sums before
 it, and each segment sum is its float64 terms summed exactly and rounded
@@ -413,12 +413,13 @@ def splitting_type(field: FieldDescriptor, p: int) -> SplittingType:
 
 
 class FieldContext:
-    """Everything computed for one field, grown on demand: the polynomial
-    discriminant, the splitting table, the prime-ideal stream as a column of
-    norms and the dense I(n) row (built by idealcount)."""
+    """What is kept for one field, grown on demand: the polynomial
+    discriminant, the splitting table and the prime-ideal stream as a column
+    of norms. The I(n) row is not kept: idealcount builds it in blocks for
+    each pass over it, from the splitting table."""
 
     __slots__ = ("disc_poly", "primes", "codes", "patterns", "classes",
-                 "table_xmax", "norms", "norms_xmax", "row", "__weakref__")
+                 "table_xmax", "norms", "norms_xmax", "__weakref__")
 
     def __init__(self, field: FieldDescriptor):
         self.disc_poly = poly_discriminant(field.defining_poly)
@@ -434,10 +435,6 @@ class FieldContext:
         # the norm of every prime ideal of norm <= norms_xmax, ascending
         self.norms = np.empty(0, dtype=np.int64)
         self.norms_xmax = 0
-        # r[n] = I(n) for n < len(r): a uint16, uint32 or int64 array, the
-        # narrowest that holds the row's bound, or an object array of
-        # Python ints past the int64 guard
-        self.row = None
 
 
 _CHARACTER_PATTERNS = {1: (_ONE, _ONE), -1: ((1, 2),), 0: ((2, 1),)}

@@ -34,7 +34,7 @@ from .bounds import (
     xi_K,
 )
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
-from .idealcount import _dense_row, legendre_chebyshev_rhs, row_log_sums, row_sums
+from .idealcount import _row_blocks, _row_dtype, legendre_chebyshev_grid, row_sums
 from .mertens import (
     EULER_GAMMA,
     mertens_constant,
@@ -132,6 +132,8 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
     consts = field_constants(field, kappa)
     lam, ups = consts.lambda_K, consts.upsilon_K
 
+    if exact:  # the dtype guard of the I(n) row, before any sieve starts
+        _row_dtype(math.floor(grid[-1]), n)
     checks = list(_field_independent_checks())
 
     # theta bound on the grid
@@ -164,8 +166,9 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
         rows = mertens_table(field, grid, mconst, kappa)
         sums = [(None, None)] * len(grid)
         if exact:  # only the checks of an exact kappa read the I(n), T(x) sums
-            counts = _dense_row(field, math.floor(grid[-1]))
-            sums = zip(row_sums(counts, grid), row_log_sums(counts, grid))
+            sums = zip(*row_sums(_row_blocks(field, math.floor(grid[-1])), grid))
+            small = [x for x in grid if x <= LEGENDRE_LIMIT]  # one short pass
+            rhs_values = iter(small and legendre_chebyshev_grid(field, small))
         for row, (isum, tval) in zip(rows, sums):
             x = row.x
             if ups is not None:
@@ -183,8 +186,7 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
                 checks.append(_ratio_check("third_mertens_error", x,
                                            abs(row.C_K), c_bound))
                 if x <= LEGENDRE_LIMIT:
-                    rhs = legendre_chebyshev_rhs(field, x)
-                    rel = abs(tval - rhs) / max(abs(tval), 1.0)
+                    rel = abs(tval - next(rhs_values)) / max(abs(tval), 1.0)
                     checks.append(_ratio_check("legendre_chebyshev_identity",
                                                x, rel, LEGENDRE_TOLERANCE))
             if lam is not None and exact:

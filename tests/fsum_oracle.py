@@ -1,8 +1,8 @@
 """The grid sums as they were taken before the numpy blocks: every term a
 Python float (math.log and math.log1p per ideal, .tolist() slices of np.log),
 fed to math.fsum by generators, one fsum per segment. It is the oracle of
-mertens_constant, mertens_table, row_log_sums and verify._theta_values, which
-must give the same floats bit for bit.
+mertens_constant, mertens_table, the T-sums of idealcount.row_sums and
+verify._theta_values, which must give the same floats bit for bit.
 
 Run as a script, it compares the four for one field up to one cutoff and
 exits 1 on any difference:
@@ -23,7 +23,7 @@ import numpy as np
 
 from nfmertens import mertens, splitting
 from nfmertens.field import PROVENANCE_EXACT, FieldDescriptor, Residue, load_field
-from nfmertens.idealcount import _dense_row, _segments, row_log_sums
+from nfmertens.idealcount import _row_blocks, row_sums
 from nfmertens.mertens import geometric_grid, mertens_constant, mertens_table
 from nfmertens.splitting import _norms_up_to, rational_primes
 from nfmertens.verify import _theta_values
@@ -60,7 +60,7 @@ def mertens_sums(field: FieldDescriptor, grid) -> list[list[float]]:
 
 def log_sums(row: np.ndarray, grid) -> list[float]:
     """T(x) at each grid point from the terms I(n) log n of the nonzero
-    I(n), np.log taken in the blocks row_log_sums takes."""
+    I(n), 2 <= n <= x, of the full row, np.log taken in slices of _SLICE."""
     step = splitting._SLICE
 
     def terms(segment):
@@ -71,7 +71,8 @@ def log_sums(row: np.ndarray, grid) -> list[float]:
             yield (part[nz].astype(np.float64)
                    * np.log((nz + a).astype(np.float64))).tolist()
 
-    [values] = fsum_grid(_segments(grid, 2),
+    cuts = [max(2, math.floor(x) + 1) for x in grid]
+    [values] = fsum_grid(zip([2] + cuts, cuts),
                          lambda seg: chain.from_iterable(terms(seg)))
     return values
 
@@ -104,10 +105,11 @@ def mismatches(field: FieldDescriptor, grid, truncation_x: float) -> list[str]:
         if got != (lnn, rec, math.exp(l1p)):
             found.append(f"mertens_table at {row.x:g}: {got!r} != "
                          f"{(lnn, rec, math.exp(l1p))!r}")
-    row = _dense_row(field, math.floor(grid[-1]))
-    got, want = row_log_sums(row, grid), log_sums(row, grid)
+    row = np.concatenate([b for _, b in _row_blocks(field, math.floor(grid[-1]))])
+    got, want = row_sums(_row_blocks(field, math.floor(grid[-1])), grid)[1], \
+        log_sums(row, grid)
     if got != want:
-        found.append(f"row_log_sums: {got!r} != {want!r}")
+        found.append(f"row_sums: T {got!r} != {want!r}")
     got, want = list(_theta_values.__wrapped__(tuple(grid))), theta_values(grid)
     if got != want:
         found.append(f"_theta_values: {got!r} != {want!r}")

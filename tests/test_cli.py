@@ -287,10 +287,9 @@ class TestSieveCommand:
 
     def test_summatory_builds_row_once(self, tmp_path, monkeypatch):
         builds = []
-        build = idealcount._dense_row_numpy
-        monkeypatch.setattr(idealcount, "_dense_row_numpy",
-                            lambda field, n, dtype: builds.append(n)
-                            or build(field, n, dtype))
+        build = idealcount._row_blocks
+        monkeypatch.setattr(idealcount, "_row_blocks",
+                            lambda field, n: builds.append(n) or build(field, n))
         out = tmp_path / "summatory.csv"
         code = main(["sieve", "--field", GAUSS, "--what", "summatory",
                      "--xmax", "1e4", "--out", str(out)])
@@ -303,6 +302,25 @@ class TestSieveCommand:
         assert read_csv(out)[2] == [
             [_f15(p.x), str(p.value), _f15(kappa * p.x), _f15(p.sunley_envelope)]
             for p in points]
+
+    @pytest.mark.parametrize("command", [["verify"], ["sieve", "--what", "counts"]])
+    def test_divisor_guard_exits_2_before_any_sieve(self, tmp_path, capsys,
+                                                    monkeypatch, command):
+        # x^29 - 2 at the cap: max d_29(n) over n <= 1e8 reaches 2^62, past
+        # the int64 guard of the I(n) row
+        path = tmp_path / "deg29.field"
+        path.write_text("poly = [-2" + ", 0" * 28 + ", 1]\nsignature = [1, 14]\n"
+                        f"discriminant = {29 ** 29 * 2 ** 28}\n")
+
+        def no_sieve(n):
+            raise AssertionError("a sieve started")
+        monkeypatch.setattr(splitting, "_sieve", no_sieve)
+        out = tmp_path / "report.csv"
+        code = main([*command, "--field", str(path), "--xmax", "1e8",
+                     "--out", str(out)])
+        assert code == 2
+        assert "degree-29" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dense_cap_enforced(self, tmp_path, capsys):
         out = tmp_path / "counts.csv"
@@ -362,11 +380,11 @@ class TestStreamedDumps:
 
     def dump(self, tmp_path, monkeypatch, path, what, x, fmt):
         """Run the dump and return (its bytes, the in-memory report, the
-        dense row the dump read or None)."""
-        rows_read = []
-        dense_row = cli._dense_row
-        monkeypatch.setattr(cli, "_dense_row", lambda f, n: rows_read.append(
-            dense_row(f, n)) or rows_read[-1])
+        dtype of the row blocks the dump read or None)."""
+        dtypes = []
+        row_blocks = cli._row_blocks
+        monkeypatch.setattr(cli, "_row_blocks", lambda f, n: (
+            dtypes.append(block.dtype) or (lo, block) for lo, block in row_blocks(f, n)))
         out = tmp_path / f"{what}.{fmt}"
         assert main(["sieve", "--field", path, "--what", what, "--xmax", str(x),
                      "--format", fmt, "--out", str(out)]) == 0
@@ -382,31 +400,22 @@ class TestStreamedDumps:
             header = ["p", "f", "norm"]
             rows = [[r.p, r.f, r.norm] for r in prime_ideals_up_to(field, x)]
         expected = in_memory_report(config, header, rows)
-        return out.read_text(), expected, rows_read[0] if rows_read else None
+        return out.read_text(), expected, dtypes[0] if dtypes else None
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("what", ["counts", "ideals"])
     def test_gaussian_uint16_row(self, tmp_path, monkeypatch, what, fmt):
-        got, expected, row = self.dump(tmp_path, monkeypatch, GAUSS, what, 1000, fmt)
+        got, expected, dtype = self.dump(tmp_path, monkeypatch, GAUSS, what, 1000, fmt)
         assert_same_report(got, expected)
         if what == "counts":
-            assert row.dtype == np.uint16
+            assert dtype == np.uint16
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cyclotomic5_uint32_row(self, tmp_path, monkeypatch, fmt):
         # d_4 first reaches 2^16 at 302,400, so the row there is uint32
-        got, expected, row = self.dump(tmp_path, monkeypatch, CYCLO5, "counts",
-                                       302_400, fmt)
-        assert row.dtype == np.uint32
-        assert_same_report(got, expected)
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_python_int_row(self, tmp_path, monkeypatch, fmt):
-        # force the arbitrary-precision row, as past the int64 guard
-        monkeypatch.setattr(idealcount, "_row_dtype", lambda bound: object)
-        got, expected, row = self.dump(tmp_path, monkeypatch, GAUSS, "counts",
-                                       500, fmt)
-        assert row.dtype == object
+        got, expected, dtype = self.dump(tmp_path, monkeypatch, CYCLO5, "counts",
+                                         302_400, fmt)
+        assert dtype == np.uint32
         assert_same_report(got, expected)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -498,13 +507,6 @@ class TestIntRows:
     def test_empty_block(self):
         empty = np.zeros(0, dtype=np.int64)
         assert int_rows((empty, empty), ["", ",", "\n"]) == b""
-        assert int_rows((empty.astype(object),), ["", "\n"]) == b""
-
-    def test_object_column_past_int64(self):
-        values = [2 ** 63, 2 ** 64 - 1, 2 ** 64, 10 ** 30 + 7, 0, 5,
-                  10 ** 20, 2 ** 63 - 1]
-        col = np.array(values, dtype=object)
-        self.check((np.arange(len(values)), col))
 
 
 class TestAtomicWrite:

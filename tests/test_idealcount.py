@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfmertens.errors import CutoffOutOfRange, DenseSieveCapExceeded, NfMertensError
+from nfmertens.errors import (CutoffOutOfRange, DenseSieveCapExceeded,
+                              DivisorBoundExceeded, NfMertensError)
 from nfmertens.field import kappa_exact, load_field
 from nfmertens.idealcount import (
     DENSE_SIEVE_CAP,
     check_cutoff,
     ideal_count_sieve,
     kappa_estimate,
+    legendre_chebyshev_grid,
     legendre_chebyshev_rhs,
-    row_log_sums,
     row_sums,
     summatory,
     t_K,
@@ -21,16 +22,14 @@ from nfmertens.idealcount import (
 from nfmertens import idealcount, splitting
 from nfmertens.idealcount import (
     _counts_from_degrees,
-    _dense_row,
-    _dense_row_numpy,
     _local_factors,
     _max_divisor_count,
+    _row_blocks,
     _row_dtype,
 )
 from nfmertens.mertens import geometric_grid
 from nfmertens.splitting import (
     _splitting_table,
-    field_context,
     kronecker,
     splitting_type,
 )
@@ -38,7 +37,7 @@ from nfmertens.splitting import (
 
 def _dense_row_python(field, n_max: int) -> list[int]:
     """The I(n) row prime power by prime power in Python ints: the oracle of
-    _dense_row_numpy's two passes."""
+    the two passes of _row_blocks."""
     row = [1] * (n_max + 1)
     row[0] = 0
     for p, q, c in _local_factors(*_splitting_table(field, n_max), n_max):
@@ -46,6 +45,16 @@ def _dense_row_python(field, n_max: int) -> list[int]:
             if t % p:
                 row[q * t] *= c
     return row
+
+
+def full_row(field, n_max: int) -> np.ndarray:
+    """The row's blocks joined: r[n] = I(n) for 0 <= n <= n_max."""
+    return np.concatenate([block for _, block in _row_blocks(field, n_max)])
+
+
+def whole(row):
+    """The full row as one block, the oracle path of row_sums."""
+    return [(0, row)]
 
 
 def local_counts(field, p, m):
@@ -168,7 +177,7 @@ class TestSieve:
     def test_public_dtype_is_int64(self, corpus, name):
         # the row itself is narrow; a caller's arithmetic must not wrap
         counts = ideal_count_sieve(corpus[name], 1000)
-        assert _dense_row(corpus[name], 1000).dtype != np.int64
+        assert next(_row_blocks(corpus[name], 1000))[1].dtype != np.int64
         assert counts.dtype == np.int64
         assert (counts - 1).min() == -1
 
@@ -179,12 +188,16 @@ class TestSieve:
 
 
 class TestCofactorPass:
-    """The two-pass int64 row against the Python-int row, the oracle."""
+    """The blocks of the two-pass row against the Python-int row, the
+    oracle."""
 
     @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        # an odd chunk length puts chunk edges inside both passes
-        monkeypatch.setattr(idealcount, "_CHUNK", 1001)
+    def small_blocks(self, monkeypatch):
+        # an odd block length puts block edges inside both passes, and small
+        # steps put step edges inside the runs of P of one cofactor
+        monkeypatch.setattr(idealcount, "_ROW_BLOCK", 1001)
+        monkeypatch.setattr(idealcount, "_PAIRS", 7)
+        monkeypatch.setattr(idealcount, "_RUN", 5)
 
     # 59^2 = 3481 sits on the split between the passes; 3491 is prime, so
     # the largest prime's only multiple is itself; below 4 there is no small
@@ -194,19 +207,65 @@ class TestCofactorPass:
         for name, field in corpus.items():
             if name == "non-monogenic-cubic":
                 continue
-            assert _dense_row_numpy(field, n_max).tolist() == \
+            assert full_row(field, n_max).tolist() == \
                 _dense_row_python(field, n_max), name
 
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4, 3480, 3481, 3482, 3491, 10 ** 5])
-    def test_object_row_matches_python_row(self, corpus, n_max):
-        # the row past the int64 guard: the same passes over Python ints
+
+_PYTHON_ROWS = {}
+
+
+def python_row(field, n_max: int) -> list[int]:
+    """_dense_row_python, kept per field and cutoff for the tests that read
+    one row under several block lengths."""
+    key = (field.defining_poly, n_max)
+    if key not in _PYTHON_ROWS:
+        _PYTHON_ROWS[key] = _dense_row_python(field, n_max)
+    return _PYTHON_ROWS[key]
+
+
+class TestRowBlocks:
+    """The blocks at every edge, with the block length patched small: joined,
+    they are the Python-int row; the I- and T-sums over them, on grids with
+    points on, just before and just after the block edges, are the sums over
+    the full row taken as one block."""
+
+    @pytest.fixture(params=[1000, 1001, 4099], autouse=True)
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(idealcount, "_ROW_BLOCK", request.param)
+        return request.param
+
+    @staticmethod
+    def check_blocks(field, n_max, block):
+        blocks = list(_row_blocks(field, n_max))
+        # 2 bytes times _ROW_BLOCK a block: a uint32 block holds half as many
+        step = block * 2 // blocks[0][1].itemsize
+        assert [lo for lo, _ in blocks] == list(range(0, n_max + 1, step))
+        assert [len(b) for lo, b in blocks] == \
+            [min(step, n_max + 1 - lo) for lo, _ in blocks]
+        joined = np.concatenate([b for _, b in blocks])
+        assert joined.tolist() == python_row(field, n_max)
+        return joined.dtype
+
+    def test_corpus_to_3e4(self, corpus, block):
         for name, field in corpus.items():
-            if name == "non-monogenic-cubic":
-                continue
-            row = _dense_row_numpy(field, n_max, object)
-            assert row.dtype == object
-            assert all(type(v) is int for v in row[:20])
-            assert row.tolist() == _dense_row_python(field, n_max), name
+            if name != "non-monogenic-cubic":
+                self.check_blocks(field, 3 * 10 ** 4, block)
+
+    def test_uint32_blocks_past_302400(self, corpus, block):
+        # d_4 first reaches 2^16 at 302,400, so cyclotomic5's blocks are uint32
+        dtype = self.check_blocks(corpus["cyclotomic5"], 302_400 + block, block)
+        assert dtype == np.uint32
+
+    @pytest.mark.parametrize("name", ["rationals", "gaussian", "cbrt2", "cyclotomic5"])
+    def test_sums_at_block_edges(self, corpus, block, name, monkeypatch):
+        monkeypatch.setattr(splitting, "_SLICE", 257)
+        field = corpus[name]
+        n_max = 5 * block + 10
+        # x = k B - 1 ends a segment at the edge k B, x = k B one entry past it
+        grid = [float(k * block + d) for k in range(1, 6) for d in (-1, 0, 1)]
+        grid.append(float(n_max))
+        row = np.array(python_row(field, n_max), dtype=np.int64)
+        assert row_sums(_row_blocks(field, n_max), grid) == row_sums(whole(row), grid)
 
 
 STRIDED_FIELDS = ["gaussian", "cbrt2", "cyclotomic5", "sqrt-163"]
@@ -217,18 +276,15 @@ class TestStridedPass:
     row: view = row[q::q] is cut into runs of p and a tail of fewer than p."""
 
     @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(idealcount, "_CHUNK", 1001)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(idealcount, "_ROW_BLOCK", 1001)
 
     @staticmethod
     def check(corpus, n_max):
         for name in STRIDED_FIELDS:
             field = corpus[name]
-            natural = _row_dtype(_max_divisor_count(n_max, field.degree))
-            expected = _dense_row_python(field, n_max)
-            for dtype in (natural, object):
-                assert _dense_row_numpy(field, n_max, dtype).tolist() == expected, \
-                    (name, n_max, dtype)
+            assert full_row(field, n_max).tolist() == \
+                _dense_row_python(field, n_max), (name, n_max)
 
     # len(view) = n_max // q is p - 1 (< p, no full run), p (one run, no
     # tail) and p again at n_max = q*p + 1; q = 2, 4, 9, 49 is run with c != 1
@@ -249,16 +305,15 @@ class TestRowDtypeBoundary:
     first x with d_4(x) >= 2^16; the Python-int row is the oracle."""
 
     @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(idealcount, "_CHUNK", 1001)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(idealcount, "_ROW_BLOCK", 1001)
 
     def test_rows_either_side(self, corpus):
         field = corpus["cyclotomic5"]
         assert _max_divisor_count(302_399, 4) < 2 ** 16 <= _max_divisor_count(302_400, 4)
         python_row = _dense_row_python(field, 302_400)
         for n_max, dtype in ((302_399, np.uint16), (302_400, np.uint32)):
-            field_context(field).row = None
-            row = _dense_row(field, n_max)
+            row = full_row(field, n_max)
             assert row.dtype == dtype and len(row) == n_max + 1
             assert row.tolist() == python_row[:n_max + 1], n_max
 
@@ -271,43 +326,33 @@ class TestRowGuard:
                            "signature = [1, 3]\ndiscriminant = -52706752\n")
         assert _max_divisor_count(DENSE_SIEVE_CAP, 2) ** 7 > 2 ** 62
         assert _max_divisor_count(DENSE_SIEVE_CAP, 7) == 1_483_241_760
-        dtypes = []
-        monkeypatch.setattr(idealcount, "_dense_row_numpy",
-                            lambda f, n, dtype: dtypes.append(dtype)
-                            or np.zeros(1))
-        _dense_row(field, DENSE_SIEVE_CAP)
-        # one numpy row, in the narrowest dtype: 1,483,241,760 < 2^32
-        assert dtypes == [np.uint32]
+        # the narrowest dtype: 1,483,241,760 < 2^32
+        assert _row_dtype(DENSE_SIEVE_CAP, field.degree) is np.uint32
 
     @pytest.mark.parametrize("bound, dtype", [
         (0, np.uint16), (2 ** 16 - 1, np.uint16), (2 ** 16, np.uint32),
-        (2 ** 32 - 1, np.uint32), (2 ** 32, np.int64), (2 ** 62 - 1, np.int64),
-        (2 ** 62, object)])
-    def test_dtype_at_bounds(self, bound, dtype):
-        assert _row_dtype(bound) is dtype
+        (2 ** 32 - 1, np.uint32), (2 ** 32, np.int64), (2 ** 62 - 1, np.int64)])
+    def test_dtype_at_bounds(self, bound, dtype, monkeypatch):
+        monkeypatch.setattr(idealcount, "_max_divisor_count", lambda x, k: bound)
+        assert _row_dtype(1000, 2) is dtype
 
     def test_dtype_by_degree_at_the_cap(self, corpus):
         # quadratics and cubics fit uint16, no corpus field needs int64
         for name, field in corpus.items():
             expected = np.uint16 if field.degree <= 3 else np.uint32
-            assert _row_dtype(_max_divisor_count(DENSE_SIEVE_CAP, field.degree)) \
-                is expected, name
+            assert _row_dtype(DENSE_SIEVE_CAP, field.degree) is expected, name
         for k in range(4, 8):
-            assert _row_dtype(_max_divisor_count(DENSE_SIEVE_CAP, k)) is np.uint32
+            assert _row_dtype(DENSE_SIEVE_CAP, k) is np.uint32
         # degree 8 is the lowest that needs int64 below the cap
-        assert _row_dtype(_max_divisor_count(39_916_799, 8)) is np.uint32
-        assert _row_dtype(_max_divisor_count(39_916_800, 8)) is np.int64
+        assert _row_dtype(39_916_799, 8) is np.uint32
+        assert _row_dtype(39_916_800, 8) is np.int64
 
-    def test_sieve_is_object_past_the_guard(self, gauss, monkeypatch):
-        int64_counts = ideal_count_sieve(gauss, 1000)
-        # a descriptor of its own, so the shared fixture keeps its narrow row
-        field = load_field("poly = [1, 0, 1]\n")
-        monkeypatch.setattr(idealcount, "_max_divisor_count", lambda x, k: 2 ** 62)
-        assert _dense_row(field, 1000).dtype == object
-        counts = ideal_count_sieve(field, 1000)
-        assert counts.dtype == object
-        assert all(type(v) is int for v in counts)
-        assert counts.tolist() == int64_counts.tolist()
+    def test_guard_at_degree_29_near_the_cap(self):
+        # max d_28(n) over n <= 1e8 is below 2^62, max d_29(n) is not
+        assert _row_dtype(DENSE_SIEVE_CAP, 28) is np.int64
+        with pytest.raises(DivisorBoundExceeded, match="x 100000000 .* degree-29") as info:
+            _row_dtype(DENSE_SIEVE_CAP, 29)
+        assert isinstance(info.value, CutoffOutOfRange)
 
     def test_cap_error_is_usage_error_and_value_error(self, gauss):
         with pytest.raises(DenseSieveCapExceeded) as info:
@@ -399,10 +444,10 @@ def segment_log_sums(row, grid):
 
 class TestGridSums:
     @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        # odd chunk and slice lengths put chunk edges and the block edges of
+    def small_blocks(self, monkeypatch):
+        # odd block and slice lengths put block edges and the slice edges of
         # the log sums inside and between segments
-        monkeypatch.setattr(idealcount, "_CHUNK", 4099)
+        monkeypatch.setattr(idealcount, "_ROW_BLOCK", 4099)
         monkeypatch.setattr(splitting, "_SLICE", 1031)
 
     def test_corpus_at_1e5(self, corpus):
@@ -411,29 +456,32 @@ class TestGridSums:
             if name == "non-monogenic-cubic":
                 continue
             csum = np.cumsum(ideal_count_sieve(field, 10 ** 5))
-            row = _dense_row(field, 10 ** 5)
-            assert row_sums(row, grid) == \
-                [int(csum[math.floor(x) - 1]) for x in grid], name
-            assert row_log_sums(row, grid) == segment_log_sums(row, grid), name
+            row = full_row(field, 10 ** 5)
+            isums, tsums = row_sums(_row_blocks(field, 10 ** 5), grid)
+            assert isums == [int(csum[math.floor(x) - 1]) for x in grid], name
+            assert tsums == segment_log_sums(row, grid), name
 
     @pytest.mark.parametrize("name", ["gaussian", "cyclic-cubic-49", "cyclotomic5"])
     def test_python_int_row(self, corpus, name):
         field = corpus[name]
         grid = list(geometric_grid(4, 13)) + [3000.0]
         row = np.array(_dense_row_python(field, 3000), dtype=object)
-        sums = row_sums(row, grid)
-        assert all(type(v) is int for v in sums)
-        assert sums == [sum(row[:math.floor(x) + 1]) for x in grid]
-        assert sums == row_sums(_dense_row(field, 3000), grid)
-        assert row_log_sums(row, grid) == segment_log_sums(row, grid)
+        isums, tsums = row_sums(whole(row), grid)
+        assert all(type(v) is int for v in isums)
+        assert isums == [sum(row[:math.floor(x) + 1]) for x in grid]
+        assert (isums, tsums) == row_sums(_row_blocks(field, 3000), grid)
+        assert tsums == segment_log_sums(row, grid)
 
     def test_python_ints_beyond_int64(self):
-        row = np.array([0] + [2 ** 70 + n for n in range(1, 10000)], dtype=object)
+        # int64 entries just below the 2^62 guard: a slice's numpy sum would
+        # wrap, the I-sums are Python ints past int64
+        row = np.array([0] + [2 ** 62 - n for n in range(1, 10000)], dtype=np.int64)
         grid = [1.0, 4500.5, 9999.0]
-        assert row_sums(row, grid) == [sum(row[:math.floor(x) + 1]) for x in grid]
+        assert row_sums(whole(row), grid)[0] == \
+            [sum(row[:math.floor(x) + 1].tolist()) for x in grid]
 
     def test_points_below_one_sum_to_zero(self, gauss):
-        assert row_sums(_dense_row(gauss, 10), [0.0, 0.5, 10.0]) == [0, 0, 9]
+        assert row_sums(_row_blocks(gauss, 10), [0.0, 0.5, 10.0])[0] == [0, 0, 9]
 
 
 def all_terms_log_sum(row, x):
@@ -445,7 +493,7 @@ def all_terms_log_sum(row, x):
 
 
 class TestNonzeroLogTerms:
-    """row_log_sums sums the terms of the nonzero I(n) only; the zero
+    """row_sums sums the terms of the nonzero I(n) only; the zero
     terms are +0.0, so the exact sums cannot change."""
 
     @pytest.fixture(autouse=True)
@@ -459,19 +507,19 @@ class TestNonzeroLogTerms:
         for name, field in corpus.items():
             if name == "non-monogenic-cubic":
                 continue
-            row = _dense_row(field, 10 ** 5)
+            row = full_row(field, 10 ** 5)
             for x in points:
-                assert row_log_sums(row, [x]) == [all_terms_log_sum(row, x)], \
+                assert row_sums(whole(row), [x])[1] == [all_terms_log_sum(row, x)], \
                     (name, x)
 
     def test_gathered_logs_equal_full_logs(self, corpus):
         # np.log of the gathered n (the nonzero I(n)) against np.log of the
         # whole arange slice, for every 2 <= n <= 1e6: each mask and its
         # complement together gather every n once, in slices of _SLICE as
-        # row_log_sums takes them
+        # row_sums takes them
         n_max = 10 ** 6
         rng = np.random.default_rng(0)
-        masks = [_dense_row(corpus[name], n_max) != 0
+        masks = [full_row(corpus[name], n_max) != 0
                  for name in ("gaussian", "cyclotomic5")]
         masks.append(rng.random(n_max + 1) < 0.5)
         step = splitting._SLICE
@@ -508,6 +556,17 @@ class TestLegendreChebyshev:
             lhs = t_K(field, x)
             rhs = legendre_chebyshev_rhs(field, x)
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0), (name, x)
+
+    def test_grid_takes_one_pass(self, corpus, monkeypatch):
+        field = corpus["cbrt2"]
+        grid = [10.0, 100.0, 1000.0, 2000.0]
+        expected = [legendre_chebyshev_rhs(field, x) for x in grid]
+        calls = []
+        blocks = idealcount._row_blocks
+        monkeypatch.setattr(idealcount, "_row_blocks",
+                            lambda f, n: calls.append(n) or blocks(f, n))
+        assert legendre_chebyshev_grid(field, grid) == expected
+        assert calls == [2000]
 
 
 def test_max_divisor_count_brute():

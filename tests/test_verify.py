@@ -8,8 +8,8 @@ from nfmertens.errors import IndexPrimeUnsupported
 from nfmertens.field import Residue, kappa_exact, load_field
 from nfmertens.idealcount import kappa_estimate
 from nfmertens.mertens import geometric_grid, mertens_constant, mertens_table
-from nfmertens import splitting, verify
-from nfmertens.splitting import field_context
+from nfmertens import idealcount, splitting, verify
+from nfmertens.splitting import FieldContext, field_context
 from nfmertens.verify import verify_all
 
 FIELDS_DIR = Path(__file__).resolve().parent.parent / "fields"
@@ -152,7 +152,7 @@ class TestVerifyAll:
         from nfmertens.field import load_field
         from nfmertens.idealcount import kappa_estimate
         calls = []
-        for name in ("row_sums", "row_log_sums"):
+        for name in ("row_sums", "_row_blocks", "legendre_chebyshev_grid"):
             monkeypatch.setattr(verify, name,
                                 lambda *args, name=name: calls.append(name))
         bare = load_field("poly = [1, 0, 1]\n")
@@ -165,25 +165,40 @@ class TestVerifyAll:
 
 
 class TestMemory:
-    def test_verify_all_peak_at_1e6(self, monkeypatch):
-        # verify reads one int64 norm column, not (norm, p, f) rows with an
-        # argsort; with the sieve and theta made inside the measurement the
-        # peak is 4.7 MB, against 6.7 MB with the rows
-        gauss = load_field((FIELDS_DIR / "gaussian.field").read_text())
-        kappa = kappa_exact(gauss)
+    @staticmethod
+    def peak(monkeypatch, name: str) -> int:
+        """The tracemalloc peak of verify_all on the field at 1e6, with the
+        prime sieve and theta made inside the measurement."""
+        field = load_field((FIELDS_DIR / f"{name}.field").read_text())
+        kappa = kappa_exact(field)
         verify._field_independent_checks()  # built once per process
         monkeypatch.setattr(splitting, "_sieved", splitting.rational_primes(0))
         monkeypatch.setattr(splitting, "_sieved_to", 1)
         verify._theta_values.cache_clear()
         tracemalloc.start()
         try:
-            report = verify_all(gauss, geometric_grid(4, 24), kappa)
+            report = verify_all(field, geometric_grid(4, 24), kappa)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             verify._theta_values.cache_clear()
         assert report.failures == ()
-        assert peak < 5.5 * 2 ** 20
+        assert "row" not in FieldContext.__slots__
+        return peak
+
+    def test_verify_all_peak_at_1e6(self, monkeypatch):
+        # one norm column, no (norm, p, f) rows, and the I(n) row in blocks
+        # kept by no one: at 1e6 one 2 MB uint16 block holds the whole row,
+        # and the peak is 4.6 MB, against 4.7 MB with the row kept in the
+        # field's context and 6.7 MB with the rows as well
+        assert self.peak(monkeypatch, "gaussian") < 5.0 * 2 ** 20
+
+    def test_blocks_bound_the_peak(self, monkeypatch):
+        # cyclotomic5's uint32 row up to 1e6 takes 3.8 MB in one piece (its
+        # peak was 6.9 MB when the row was kept); in blocks of 128 KB the
+        # peak of the whole run is 2.6 MB
+        monkeypatch.setattr(idealcount, "_ROW_BLOCK", 1 << 16)
+        assert self.peak(monkeypatch, "cyclotomic5") < 3.0 * 2 ** 20
 
     def test_no_record_rows_for_any_corpus_field(self, monkeypatch):
         # verify reads the norm column alone: no (norm, p, f) rows, no p and
