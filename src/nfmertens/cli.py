@@ -18,6 +18,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields as dc_fields
@@ -31,8 +32,8 @@ from .bounds import field_constants
 from .errors import MissingClassData, NfMertensError, SchemaError
 from .field import FieldDescriptor, kappa_exact, load_field
 from .idealcount import _row_blocks, kappa_estimate, summatory_grid
-from .mertens import geometric_grid, mertens_constant, mertens_table
-from .splitting import _ideal_columns_up_to, check_cutoff, check_grid
+from .mertens import geometric_grid, mertens_constant, mertens_grid
+from .splitting import _ideal_stream, check_cutoff, check_grid
 from .verify import verify_all
 
 TOOL_NAME = "nfmertens"
@@ -237,9 +238,9 @@ def _cmd_sieve(field, config, meta, out_path):
         _emit(config, meta, ["n", "ideal_count"],
               _count_blocks(field, x), out_path)
     elif what == "ideals":
-        norm, p, f = _ideal_columns_up_to(field, config.x_max)
+        _, stream = _ideal_stream(field, [math.floor(config.x_max)], p_and_f=True)
         blocks = ((p[a:a + _BLOCK], f[a:a + _BLOCK], norm[a:a + _BLOCK])
-                  for a in range(0, len(norm), _BLOCK))
+                  for norm, p, f in stream for a in range(0, len(norm), _BLOCK))
         _emit(config, meta, ["p", "f", "norm"], blocks, out_path)
     else:  # summatory
         kappa = _residue_for(field, config, meta)
@@ -252,14 +253,14 @@ def _cmd_sieve(field, config, meta, out_path):
 
 def _cmd_mertens(field, config, meta, out_path):
     kappa = _residue_for(field, config, meta)
-    mconst = mertens_constant(field, config.truncation_x, kappa)
+    mconst, table = mertens_grid(field, config.grid, config.truncation_x, kappa)
     meta["mertens_constant"] = _f15(mconst.M_K)
     meta["mertens_constant_tail"] = _f15(mconst.tail_halfwidth)
     meta["approximate"] = mconst.approximate
     ups = field_constants(field, kappa).upsilon_K
     ups = ups.value if ups is not None else None
     rows = []
-    for r in mertens_table(field, config.grid, mconst, kappa):
+    for r in table:
         rows.append([r.x, r.sum_logN_over_N, r.A_K, r.sum_recip, r.B_K,
                      r.product, r.C_K, r.E_K_bound, ups])
     _emit(config, meta,

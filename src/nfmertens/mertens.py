@@ -11,8 +11,10 @@ truncated at a cutoff X with the rigorous tail bound degree/(ceil(X) - 1).
 Fitting the reciprocal sum would give no such tail control, so the series
 route is the only one used.
 
-The series are summed exactly and rounded once per grid segment, through
-splitting.grid_fsums, so a sum does not depend on the order of its terms.
+The four series, the three sums and the constant's, are summed in one pass
+over the prime-ideal stream (mertens_grid), exactly, and rounded once per
+grid segment and once for the constant, so no sum depends on the order of
+its terms.
 Each term is what Python's float arithmetic gives for it: log(N)/N, 1/N and
 log1p(-1/N) with math.log and math.log1p, called once per distinct norm, and
 the division, negation and addition done in numpy, which rounds them as
@@ -28,13 +30,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import fsum
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import EmptyProduct, MissingResidue
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
-from .splitting import (_norms_up_to, check_cutoff, check_grid, grid_fsums,
-                         rational_primes)
+from .splitting import (_ideal_stream, check_cutoff, check_grid, grid_exact_sums,
+                        rational_primes, running_fsums)
 
 # Euler-Mascheroni constant, 40 decimal digits
 EULER_GAMMA_STR = "0.5772156649015328606065120900824024310422"
@@ -88,47 +91,52 @@ def _floats(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
 
 
-def mertens_constant(field: FieldDescriptor, truncation_x: float,
-                     kappa: Residue) -> MertensConstant:
-    """Mertens constant from the truncated series, with a rigorous tail."""
-    check_cutoff("truncation_x", truncation_x, 10)
+def _mertens_pass(field: FieldDescriptor, grid: list[float], truncation_x: float,
+                  kappa: Residue, name: str) -> tuple[list[list[float]], float]:
+    """(sums, series): the running sums of log(N)/N, 1/N and log1p(-1/N) over
+    the prime ideals of norm N <= x at each x of the grid, and the sum of
+    1/N + log1p(-1/N) over N <= truncation_x, from one pass over the stream
+    cut at both. The pieces' exact sums are added per grid segment, and up to
+    truncation_x, and rounded once, as a pass of their own would; name is
+    the caller's, for MissingResidue."""
     if kappa is None or kappa.value <= 0:
-        raise MissingResidue("mertens_constant requires a positive residue")
-    norms = _norms_up_to(field, truncation_x)
-
-    def terms(a, b):
-        n, at = _distinct(norms[a:b])
-        recip = 1.0 / n
-        return (recip + _floats(math.log1p, -recip))[at],
-
-    [[series]] = grid_fsums([(0, len(norms))], terms)
-    tail = field.degree / (math.ceil(truncation_x) - 1)
-    return MertensConstant(
-        M_K=EULER_GAMMA + math.log(kappa.value) + series,
-        tail_halfwidth=tail,
-        truncation_x=truncation_x,
-        approximate=kappa.provenance != PROVENANCE_EXACT,
-    )
-
-
-def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,
-                  kappa: Residue) -> tuple[MertensRow, ...]:
-    """All grid rows from a single ascending pass over the ideal stream."""
-    grid = check_grid(grid)
-    if kappa is None or kappa.value <= 0:
-        raise MissingResidue("mertens_table requires a positive residue")
-    norms = _norms_up_to(field, grid[-1])
-    cuts = np.searchsorted(norms, [math.floor(x) for x in grid], "right").tolist()
-    if cuts[0] == 0:
+        raise MissingResidue(f"{name} requires a positive residue")
+    tops, top_t = [math.floor(x) for x in grid], math.floor(truncation_x)
+    cutoffs = sorted({*tops, top_t})
+    cuts, blocks = _ideal_stream(field, cutoffs)
+    if tops and cuts[cutoffs.index(tops[0])] == 0:
         raise EmptyProduct(f"no prime ideal has norm <= {grid[0]}")
+    ends = dict(zip(cutoffs, cuts))
+    table_end, series_end = ends[tops[-1]] if tops else 0, ends[top_t]
+    none = np.empty(0)
 
-    def terms(a, b):
-        n, at = _distinct(norms[a:b])
+    def terms(a, norms):  # a slice lies before or past each series' end
+        n, at = _distinct(norms)
         recip = 1.0 / n
-        return ((_floats(math.log, n) / n)[at], recip[at],
-                _floats(math.log1p, -recip)[at])
+        l1p = _floats(math.log1p, -recip)
+        table = ((_floats(math.log, n) / n)[at], recip[at], l1p[at]) \
+            if a < table_end else (none,) * 3
+        return (*table, (recip + l1p)[at] if a < series_end else none)
 
-    sums = grid_fsums(zip([0] + cuts, cuts), terms, 3)
+    *table, series = grid_exact_sums(zip([0] + cuts, cuts), map(itemgetter(0), blocks),
+                                     terms, 4)
+    pieces = [0] + [cutoffs.index(x) + 1 for x in tops]  # up to each point
+    sums = [running_fsums([sum(ints[i:j]) for i, j in zip(pieces, pieces[1:])])
+            for ints in table]
+    [value] = running_fsums([sum(series[:cutoffs.index(top_t) + 1])])
+    return sums, value
+
+
+def _constant(field: FieldDescriptor, truncation_x: float, kappa: Residue,
+              series: float) -> MertensConstant:
+    return MertensConstant(M_K=EULER_GAMMA + math.log(kappa.value) + series,
+                           tail_halfwidth=field.degree / (math.ceil(truncation_x) - 1),
+                           truncation_x=truncation_x,
+                           approximate=kappa.provenance != PROVENANCE_EXACT)
+
+
+def _rows(field: FieldDescriptor, grid: list[float], sums, mconst: MertensConstant,
+          kappa: Residue) -> tuple[MertensRow, ...]:
     rows = []
     e_gamma = math.exp(EULER_GAMMA)
     for x, sum_lnn, sum_rec, sum_l1p in zip(grid, *sums):
@@ -146,6 +154,33 @@ def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,
             E_K_bound=field.degree / (x - 1) + abs(b_term),
         ))
     return tuple(rows)
+
+
+def mertens_grid(field: FieldDescriptor, grid, truncation_x: float,
+                 kappa: Residue) -> tuple[MertensConstant, tuple[MertensRow, ...]]:
+    """mertens_constant(field, truncation_x, kappa) and the mertens_table rows
+    on the grid against it, from one pass over the ideal stream."""
+    grid = check_grid(grid)
+    check_cutoff("truncation_x", truncation_x, 10)
+    sums, series = _mertens_pass(field, grid, truncation_x, kappa, "mertens_grid")
+    mconst = _constant(field, truncation_x, kappa, series)
+    return mconst, _rows(field, grid, sums, mconst, kappa)
+
+
+def mertens_constant(field: FieldDescriptor, truncation_x: float,
+                     kappa: Residue) -> MertensConstant:
+    """Mertens constant from the truncated series, with a rigorous tail."""
+    check_cutoff("truncation_x", truncation_x, 10)
+    _, series = _mertens_pass(field, [], truncation_x, kappa, "mertens_constant")
+    return _constant(field, truncation_x, kappa, series)
+
+
+def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,
+                  kappa: Residue) -> tuple[MertensRow, ...]:
+    """All grid rows from a single ascending pass over the ideal stream."""
+    grid = check_grid(grid)
+    sums, _ = _mertens_pass(field, grid, 0, kappa, "mertens_table")
+    return _rows(field, grid, sums, mconst, kappa)
 
 
 def prime_power_grid(xs, alphas) -> list[list[float]]:

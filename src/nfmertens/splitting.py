@@ -37,22 +37,24 @@ Frobenius passes the tables'.
 
 What is computed for a field lives in one FieldContext, reached through
 field_context(): the splitting table as numpy arrays (the primes, a small
-code per prime, and the few distinct patterns the codes index) and the
-prime-ideal stream as one ascending int64 column of norms; no I(n) row. The
-stream is the table's primes, each repeated by its number of degree-1
-ideals, with the few norms p^f, f >= 2, merged in; the ideals dump takes its
-(norm, p, f) columns from the same merge and keeps none. Each descriptor
-holds its own context, grown as larger cutoffs are asked for and freed with
-the descriptor; equal descriptors do not share one. The prime sieve is shared
-by every field: the process keeps its largest, read-only.
+code per prime, and the few distinct patterns the codes index). Each
+descriptor holds its own context, grown as larger cutoffs are asked for and
+freed with the descriptor; equal descriptors do not share one. The prime
+sieve is shared by every field: the process keeps its largest, read-only.
+Nothing read from the table is kept: _ideal_stream yields the prime ideals
+in blocks of _PRIME_BLOCK primes, each sorted by (norm, p), and counts the
+ideals up to each cutoff from the table before a pass starts; idealcount
+builds the I(n) row in blocks the same way.
 grid_fsums holds the rounding policy of the Mertens, I(n) log n and theta
 grid sums: the value at a grid point is the fsum of the segment sums before
 it, and each segment sum is its float64 terms summed exactly and rounded
 once, the value fsum gives (mertens.prime_power_grid takes one fsum per
-prefix instead). exact_sum sums blocks of at most _SLICE terms in a small
-superaccumulator (Neal, "Fast exact summation using small and large
-superaccumulators", arXiv:1505.05571, 2015), so a sum depends neither on the
-order of its terms nor on where the blocks end.
+prefix instead); grid_exact_sums keeps each segment's sum exact, so one pass
+can serve two grids and round each one's segments once. exact_sum sums
+blocks of at most _SLICE terms in a small superaccumulator (Neal, "Fast
+exact summation using small and large superaccumulators", arXiv:1505.05571,
+2015), so a sum depends neither on the order of its terms nor on where the
+blocks end.
 check_cutoff and check_grid hold the one range rule of a cutoff and of a grid
 of cutoffs; every sieve applies it before it starts.
 """
@@ -62,7 +64,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import fsum
 
 import numpy as np
@@ -105,6 +107,10 @@ CLASS_TABLE_MAX = 1 << 16
 
 _DIGIT_BITS = 24
 
+# Primes per block of the prime-ideal stream: a block's int64 norms take at
+# most 8 bytes times the degree per prime, 512 KB for a quartic
+_PRIME_BLOCK = 1 << 14
+
 
 def check_cutoff(name: str, x: float, lo: float,
                  hi: float = DENSE_SIEVE_CAP) -> None:
@@ -136,24 +142,32 @@ _sieved.flags.writeable = False
 _sieved_to = 1
 
 
+def _prime_count_bound(n: int) -> int:
+    """At least pi(n), the number of primes <= n, for n >= 2: Rosser and
+    Schoenfeld's pi(x) < 1.25506 x / log x for x > 1 (Illinois J. Math. 6,
+    1962, (3.6)), plus one for the float's rounding; 6.8e6 at 1e8."""
+    return int(1.25506 * n / math.log(n)) + 1
+
+
 def _sieve(n: int) -> np.ndarray:
-    """Ascending array of all primes <= n, n >= 2, sieved in fixed-size segments."""
-    if n < 4:
-        return _simple_sieve(n)
-    base = _simple_sieve(math.isqrt(n))
-    chunks = [base]
-    lo = int(base[-1]) + 1
+    """Ascending array of all primes <= n, n >= 2, sieved in fixed-size
+    segments from 2, each writing its primes in place into one array sized
+    by _prime_count_bound, whose pages past the last prime are never written
+    and so take no memory."""
+    base = _simple_sieve(math.isqrt(n)).tolist()
+    primes = np.empty(_prime_count_bound(n), dtype=np.int64)
+    k, lo = 0, 2
     while lo <= n:
         hi = min(lo + SIEVE_SEGMENT, n + 1)
         flags = np.ones(hi - lo, dtype=bool)
         for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
+            start = max(p * p, -(-lo // p) * p)
             if start < hi:
                 flags[start - lo:: p] = False
-        chunks.append((np.flatnonzero(flags) + lo).astype(np.int64))
-        lo = hi
-    return np.concatenate(chunks)
+        found = np.flatnonzero(flags)
+        np.add(found, lo, out=primes[k:k + len(found)])
+        k, lo = k + len(found), hi
+    return primes[:k]
 
 
 def rational_primes(x: float) -> np.ndarray:
@@ -402,24 +416,27 @@ def _pairs_for(field: FieldDescriptor, p: int) -> tuple[tuple[int, int], ...]:
 
 
 def splitting_type(field: FieldDescriptor, p: int) -> SplittingType:
-    """Splitting of the rational prime p in the field."""
-    if not is_prime(p):
-        raise CompositeModulus(f"{p} is not prime")
+    """Splitting of the rational prime p in the field. Inside the splitting
+    table the table decides that p is prime; past it, is_prime does."""
     ctx = field_context(field)
-    if p > ctx.table_xmax:
+    if p <= ctx.table_xmax:
+        i = np.searchsorted(ctx.primes, p)
+        if i < len(ctx.primes) and ctx.primes[i] == p:
+            return SplittingType(p=p, pairs=ctx.patterns[ctx.codes[i]])
+    elif is_prime(p):
         return SplittingType(p=p, pairs=_pairs_for(field, p))
-    code = ctx.codes[np.searchsorted(ctx.primes, p)]
-    return SplittingType(p=p, pairs=ctx.patterns[code])
+    raise CompositeModulus(f"{p} is not prime")
 
 
 class FieldContext:
     """What is kept for one field, grown on demand: the polynomial
-    discriminant, the splitting table and the prime-ideal stream as a column
-    of norms. The I(n) row is not kept: idealcount builds it in blocks for
-    each pass over it, from the splitting table."""
+    discriminant and the splitting table. Nothing read from the table is
+    kept: the prime ideals come in blocks of primes (_ideal_stream) and the
+    I(n) row in blocks of n (idealcount._row_blocks), each built afresh for
+    the pass that reads it."""
 
     __slots__ = ("disc_poly", "primes", "codes", "patterns", "classes",
-                 "table_xmax", "norms", "norms_xmax", "__weakref__")
+                 "table_xmax", "__weakref__")
 
     def __init__(self, field: FieldDescriptor):
         self.disc_poly = poly_discriminant(field.defining_poly)
@@ -432,9 +449,6 @@ class FieldContext:
         # code of the primes in each residue class mod m, or None
         self.classes = _class_codes(field, self.patterns)
         self.table_xmax = 0
-        # the norm of every prime ideal of norm <= norms_xmax, ascending
-        self.norms = np.empty(0, dtype=np.int64)
-        self.norms_xmax = 0
 
 
 _CHARACTER_PATTERNS = {1: (_ONE, _ONE), -1: ((1, 2),), 0: ((2, 1),)}
@@ -469,10 +483,15 @@ def _class_codes(field: FieldDescriptor, patterns: list) -> np.ndarray | None:
     code = {None: -1}
     for pattern in pairs:
         if pattern not in code:
-            if pattern not in patterns:
-                patterns.append(pattern)
-            code[pattern] = patterns.index(pattern)
+            code[pattern] = _code(patterns, pattern)
     return np.array([code[pattern] for pattern in pairs], dtype=np.int64)
+
+
+def _code(patterns: list, pairs) -> int:
+    """The index of pairs in patterns, appended when it is not there."""
+    if pairs not in patterns:
+        patterns.append(pairs)
+    return patterns.index(pairs)
 
 
 def field_context(field: FieldDescriptor) -> FieldContext:
@@ -498,36 +517,34 @@ def _tabulate(field: FieldDescriptor, ctx: FieldContext,
     quadratic's table covers every prime, a certified abelian field's every
     p not dividing m * disc(f). Otherwise quadratics take Euler's criterion
     and cubics and quartics the Frobenius pass. Lookups and passes run in
-    blocks of FROBENIUS_BLOCK primes, so no temporary spans the whole range.
-    The primes none of these cover, and every prime of a field of degree
-    >= 5 without a table, take _pairs_for one prime at a time, before any
-    block.
+    blocks of FROBENIUS_BLOCK primes, so no temporary of theirs spans the
+    whole range, and write their codes in place into one array of the
+    narrowest dtype that holds them. The primes none of these cover, and
+    every prime of a field of degree >= 5 without a table, take _pairs_for
+    one prime at a time, before any block.
     """
     n = field.degree
-    codes = np.zeros(len(primes), dtype=np.int64)
     if n == 1 or not len(primes):
-        return codes
+        return np.zeros(len(primes), dtype=np.uint8)
     starts = range(0, len(primes), FROBENIUS_BLOCK)
+    sel = np.zeros(len(primes), dtype=bool)
     if ctx.classes is not None:
         m = len(ctx.classes)
         # a quadratic's table covers every prime, a certified field's the
         # primes not dividing m disc(f)
         excluded = 1 if n == 2 else m * ctx.disc_poly
-        sel = np.concatenate([_int_mod(excluded, primes[lo:lo + FROBENIUS_BLOCK]) != 0
-                              for lo in starts])
     elif n <= 4:
         disc = field.discriminant if n == 2 else ctx.disc_poly
-        sel = np.concatenate([_batchable(primes[lo:lo + FROBENIUS_BLOCK], disc)
-                              for lo in starts])
-    else:
-        sel = np.zeros(len(primes), dtype=bool)
+    for lo in starts if ctx.classes is not None or n <= 4 else ():
+        block = primes[lo:lo + FROBENIUS_BLOCK]
+        sel[lo:lo + FROBENIUS_BLOCK] = _batchable(block, disc) \
+            if ctx.classes is None else _int_mod(excluded, block) != 0
     # the exact pipeline runs first, so an index prime raises before any
-    # batched work
-    for i in np.flatnonzero(~sel).tolist():
-        pairs = _pairs_for(field, int(primes[i]))
-        if pairs not in ctx.patterns:
-            ctx.patterns.append(pairs)
-        codes[i] = ctx.patterns.index(pairs)
+    # batched work; the codes then take the narrowest dtype that holds them
+    rest = np.flatnonzero(~sel)
+    exact = [_code(ctx.patterns, _pairs_for(field, p)) for p in primes[rest].tolist()]
+    codes = np.zeros(len(primes), dtype=np.min_scalar_type(len(ctx.patterns) - 1))
+    codes[rest] = exact
     for lo in starts:
         block_sel = sel[lo:lo + FROBENIUS_BLOCK]
         if not block_sel.any():
@@ -551,8 +568,8 @@ def _splitting_table(field: FieldDescriptor,
     ctx = field_context(field)
     if n > ctx.table_xmax:
         primes = rational_primes(n)
-        codes = np.concatenate((ctx.codes, _tabulate(field, ctx, primes[len(ctx.primes):])))
-        ctx.codes = codes.astype(np.min_scalar_type(len(ctx.patterns) - 1))
+        codes = _tabulate(field, ctx, primes[len(ctx.primes):])
+        ctx.codes = np.concatenate((ctx.codes, codes)) if len(ctx.codes) else codes
         ctx.primes, ctx.table_xmax = primes, n
     k = np.searchsorted(ctx.primes, n, "right")
     return ctx.primes[:k], ctx.codes[:k], ctx.patterns
@@ -568,63 +585,65 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
-def _ideal_columns(primes: np.ndarray, codes: np.ndarray, patterns: list,
-                   xi: int, p_and_f: bool = False) -> np.ndarray:
-    """The int64 columns norm, or with p_and_f norm, p and f, as the rows of
-    one array, one entry per prime ideal of norm <= xi sorted by (norm, p),
-    from the splitting table of the primes.
+def _per_pattern(patterns: list, f: int, dtype) -> np.ndarray:
+    """The number of ideals of residue degree f in each pattern, as dtype."""
+    return np.array([sum(g == f for _, g in pairs) for pairs in patterns], dtype)
+
+
+def _ideal_stream(field: FieldDescriptor, cutoffs: list[int],
+                  p_and_f: bool = False):
+    """(cuts, blocks) for the ascending int cutoffs: cuts[i] is the number of
+    prime ideals of norm <= cutoffs[i], counted from the splitting table, and
+    blocks yields, for each block of _PRIME_BLOCK primes <= cutoffs[-1], the
+    int64 rows norm, or norm, p and f, one column per prime ideal of norm from
+    the block's first prime up to the next block's, sorted by (norm, p).
 
     The degree-1 norms are the primes repeated by their number of degree-1
-    ideals, already in order; the few norms p^f with f >= 2 go in place by
-    searchsorted. A norm p^f fixes p and f, so no two merged entries tie.
+    ideals, already in order. The few norms p^f, f >= 2, are listed once,
+    sorted, and each goes in its block by searchsorted; a norm p^f fixes p
+    and f, so no two entries tie.
     """
+    xi = cutoffs[-1]
+    primes, codes, patterns = _splitting_table(field, xi)
     # a prime has at most len(pairs) ideals of any degree
     narrow = np.min_scalar_type(max(map(len, patterns), default=1))
-
-    def per_prime(f, k):  # number of ideals of degree f over each of k primes
-        return np.array([sum(g == f for _, g in pairs) for pairs in patterns],
-                        narrow)[codes[:k]]
+    c1 = _per_pattern(patterns, 1, narrow)
     high = [np.empty((4, 0), dtype=np.int64)]  # rows norm, p, f, count
     for f in sorted({f for pairs in patterns for _, f in pairs} - {1}):
         # only primes p <= xi^(1/f) are raised to the power f, so each int64
         # norm p^f <= xi, the end of a sieved prime table, far below 2^63
         k = np.searchsorted(primes, _iroot(xi, f), "right")
-        count = per_prime(f, k)
+        count = _per_pattern(patterns, f, narrow)[codes[:k]]
         p = primes[:k][count > 0]
         high.append(np.stack((p ** f, p, np.full_like(p, f), count[count > 0])))
     high = np.concatenate(high, axis=1)
     high = high[:, np.argsort(high[0])]
-    k = np.searchsorted(primes, xi, "right")
-    # where the norms p^f land among the k + len(high) merged entries
-    at = np.searchsorted(primes[:k], high[0]) + np.arange(high.shape[1])
-    low = np.ones(k + len(at), dtype=bool)
-    low[at] = False
-    merged = np.empty((3 if p_and_f else 1, len(low)), dtype=np.int64)
-    merged[:, at], merged[:, low] = high[:len(merged)], primes[:k]
-    merged[2:, low] = 1  # f of the degree-1 entries, when asked for
-    counts = np.empty(len(low), dtype=narrow)
-    counts[at], counts[low] = high[3], per_prime(1, k)
-    return np.repeat(merged, counts, axis=1)
+    pos = np.searchsorted(primes, high[0])  # each p^f follows the pos-th prime
+    cuts, total = [], 0
+    ends = np.searchsorted(primes, cutoffs, "right").tolist()
+    for lo, hi, x in zip([0] + ends, ends, cutoffs):
+        for a in range(lo, hi, _PRIME_BLOCK):
+            total += int(c1[codes[a:min(a + _PRIME_BLOCK, hi)]].sum())
+        cuts.append(total + int(high[3, :np.searchsorted(high[0], x, "right")].sum()))
 
-
-def _norms_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
-    """The norm of every prime ideal of norm <= x, ascending: an int64 column
-    kept in the field's context."""
-    check_cutoff("x", x, 0)
-    xi = math.floor(x)
-    ctx = field_context(field)
-    if xi > ctx.norms_xmax:
-        [ctx.norms] = _ideal_columns(*_splitting_table(field, xi), xi)
-        ctx.norms_xmax = xi
-    return ctx.norms[:np.searchsorted(ctx.norms, xi, "right")]
+    def blocks():
+        for a in range(0, len(primes), _PRIME_BLOCK):
+            b = min(a + _PRIME_BLOCK, len(primes))
+            p = np.repeat(primes[a:b], c1[codes[a:b]])
+            i, j = np.searchsorted(pos, [a, b], "right")
+            h = np.repeat(high[:3, i:j], high[3, i:j], axis=1)  # the block's p^f
+            rows = np.stack((p, p, np.ones_like(p)) if p_and_f else (p,))
+            yield np.insert(rows, np.searchsorted(p, h[0]), h[:len(rows)], axis=1)
+    return cuts, blocks()
 
 
 def _ideal_columns_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
     """The int64 columns norm, p and f as the rows of one array, one entry per
-    prime ideal of norm <= x sorted by (norm, p); built on each call, not kept."""
+    prime ideal of norm <= x sorted by (norm, p): the stream's blocks joined,
+    on each call; nothing is kept."""
     check_cutoff("x", x, 0)
-    xi = math.floor(x)
-    return _ideal_columns(*_splitting_table(field, xi), xi, p_and_f=True)
+    _, blocks = _ideal_stream(field, [math.floor(x)], p_and_f=True)
+    return np.concatenate([np.empty((3, 0), dtype=np.int64), *blocks], axis=1)
 
 
 def _records_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
@@ -647,7 +666,8 @@ def prime_ideals_up_to(field: FieldDescriptor, x: float) -> tuple[PrimeIdealReco
 def theta_K(field: FieldDescriptor, x: float) -> float:
     """Sum of log(norm) over prime ideals of norm <= x; 0.0 for x < 2."""
     check_cutoff("x", x, 0)  # no prime ideal has norm < 2
-    return fsum(map(math.log, _norms_up_to(field, x).tolist()))
+    _, blocks = _ideal_stream(field, [math.floor(x)])
+    return fsum(map(math.log, chain.from_iterable(norm.tolist() for [norm] in blocks)))
 
 
 def check_grid(grid, lo: float = 2, hi: float = DENSE_SIEVE_CAP) -> list[float]:
@@ -709,25 +729,50 @@ def exact_sum(terms: np.ndarray) -> int:
     return total
 
 
-def grid_fsums(segments, terms, count: int = 1) -> list[list[float]]:
-    """Running sums of count series over an ascending grid, one list each.
+def grid_exact_sums(segments, blocks, terms, count: int = 1) -> list[list[int]]:
+    """The exact sums, as exact_sum's ints, of count series over each
+    segment in turn, one list per series.
 
-    segments yields, for each grid point in turn, the index range (lo, hi)
-    after the previous point's; terms(a, b) gives, for lo <= a < b <= hi and
-    b - a <= _SLICE, the float64 terms at the indices a..b-1 as count arrays,
-    one per series. A segment's sum is exact_sum over its blocks rounded once,
-    which is fsum of its terms, and the value of a series at the k-th point is
-    the fsum of its first k segment sums. Each block is made once and read by
-    every series.
+    blocks yields 1-d arrays whose entries, joined end to end, the index
+    ranges (lo, hi) of segments cover, each range starting where the last
+    ended. terms(a, values) gives the float64 terms of values, the entries
+    from index a on, at most _SLICE of them and all of one block, as arrays,
+    one per series, or fewer where the last series have none. Each block is
+    made when the pass reaches it and dropped before the next is made; each
+    slice is read by every series.
     """
-    seg_sums = [[] for _ in range(count)]
+    blocks, start, block = iter(blocks), 0, np.empty(0)
     out = [[] for _ in range(count)]
     for lo, hi in segments:
         totals = [0] * count
-        for a in range(lo, hi, _SLICE):
-            for i, block in enumerate(terms(a, min(a + _SLICE, hi))):
-                totals[i] += exact_sum(block)
-        for total, sums, values in zip(totals, seg_sums, out):
-            sums.append(total / (1 << _SCALE))
-            values.append(fsum(sums))
+        while lo < hi:
+            while lo == start + len(block):
+                start, block = start + len(block), None  # freed before the next is made
+                block = next(blocks)
+            b = min(lo + _SLICE, hi, start + len(block))
+            for i, part in enumerate(terms(lo, block[lo - start:b - start])):
+                totals[i] += exact_sum(part)
+            lo = b
+        for total, ints in zip(totals, out):
+            ints.append(total)
     return out
+
+
+def running_fsums(totals) -> list[float]:
+    """The k-th value is the fsum of the first k exact sums, each rounded
+    once: the value of a series at the k-th point of a grid."""
+    sums, values = [], []
+    for total in totals:
+        sums.append(total / (1 << _SCALE))
+        values.append(fsum(sums))
+    return values
+
+
+def grid_fsums(segments, blocks, terms, count: int = 1) -> list[list[float]]:
+    """Running sums of count series over an ascending grid, one list each:
+    segments yields, for each grid point in turn, the index range after the
+    previous point's (see grid_exact_sums). A segment's sum is exact_sum over
+    its slices rounded once, which is fsum of its terms, and the value of a
+    series at the k-th point is the fsum of its first k segment sums."""
+    return [running_fsums(ints)
+            for ints in grid_exact_sums(segments, blocks, terms, count)]

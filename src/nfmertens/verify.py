@@ -37,8 +37,7 @@ from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
 from .idealcount import _row_blocks, _row_dtype, legendre_chebyshev_grid, row_sums
 from .mertens import (
     EULER_GAMMA,
-    mertens_constant,
-    mertens_table,
+    mertens_grid,
     prime_power_grid,
     prime_power_sum_bound,
     theta_Q_bound_constant,
@@ -86,8 +85,8 @@ def _theta_values(grid: tuple[float, ...]) -> tuple[float, ...]:
     no field changes it."""
     primes = rational_primes(grid[-1])
     cuts = np.searchsorted(primes, [math.floor(x) for x in grid], "right").tolist()
-    [values] = grid_fsums(zip([0] + cuts, cuts), lambda a, b: (
-        np.log(primes[a:b].astype(np.float64)),))
+    [values] = grid_fsums(zip([0] + cuts, cuts), [primes], lambda a, p: (
+        np.log(p.astype(np.float64)),))
     return tuple(values)
 
 
@@ -152,18 +151,14 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
             checks.append(_ratio_check("residue_lower_stark", None,
                                        consts.stark_lower.value, kappa.value))
 
-    mconst = None
     if kappa is not None and kappa.value > 0:
-        mconst = mertens_constant(field, truncation_x, kappa)
+        mconst, rows = mertens_grid(field, grid, truncation_x, kappa)
         if exact:
             lo = EULER_GAMMA + math.log(kappa.value) - n
             hi = EULER_GAMMA + math.log(kappa.value)
             checks.append(_interval_check(
                 "mertens_constant_interval", None, mconst.M_K,
                 lo + mconst.tail_halfwidth, hi - mconst.tail_halfwidth))
-
-    if mconst is not None:
-        rows = mertens_table(field, grid, mconst, kappa)
         sums = [(None, None)] * len(grid)
         if exact:  # only the checks of an exact kappa read the I(n), T(x) sums
             sums = zip(*row_sums(_row_blocks(field, math.floor(grid[-1])), grid))

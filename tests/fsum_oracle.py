@@ -1,10 +1,12 @@
 """The grid sums as they were taken before the numpy blocks: every term a
 Python float (math.log and math.log1p per ideal, .tolist() slices of np.log),
 fed to math.fsum by generators, one fsum per segment. It is the oracle of
-mertens_constant, mertens_table, the T-sums of idealcount.row_sums and
-verify._theta_values, which must give the same floats bit for bit.
+mertens_constant, mertens_table, mertens_grid (the one pass of those two),
+the T-sums of idealcount.row_sums and verify._theta_values, which must give
+the same floats bit for bit. Its norms come from
+splitting_oracle.ideal_columns, not from the stream the library sums.
 
-Run as a script, it compares the four for one field up to one cutoff and
+Run as a script, it compares them for one field up to one cutoff and
 exits 1 on any difference:
 
     PYTHONPATH=src python tests/fsum_oracle.py fields/gaussian.field 1e7
@@ -24,9 +26,11 @@ import numpy as np
 from nfmertens import mertens, splitting
 from nfmertens.field import PROVENANCE_EXACT, FieldDescriptor, Residue, load_field
 from nfmertens.idealcount import _row_blocks, row_sums
-from nfmertens.mertens import geometric_grid, mertens_constant, mertens_table
-from nfmertens.splitting import _norms_up_to, rational_primes
+from nfmertens.mertens import (geometric_grid, mertens_constant, mertens_grid,
+                               mertens_table)
+from nfmertens.splitting import rational_primes
 from nfmertens.verify import _theta_values
+from splitting_oracle import oracle_norms
 
 
 def fsum_grid(segments, *terms) -> list[list[float]]:
@@ -45,12 +49,12 @@ def fsum_grid(segments, *terms) -> list[list[float]]:
 def mertens_series(field: FieldDescriptor, truncation_x: float) -> float:
     """The sum of 1/N + log1p(-1/N) over prime ideals of norm N <= truncation_x."""
     return fsum(1.0 / norm + math.log1p(-1.0 / norm)
-                for norm in _norms_up_to(field, truncation_x).tolist())
+                for norm in oracle_norms(field, truncation_x).tolist())
 
 
 def mertens_sums(field: FieldDescriptor, grid) -> list[list[float]]:
     """The sums of log(N)/N, 1/N and log1p(-1/N) at each grid point."""
-    norms = _norms_up_to(field, grid[-1])
+    norms = oracle_norms(field, grid[-1])
     cuts = np.searchsorted(norms, [math.floor(x) for x in grid], "right").tolist()
     return fsum_grid((norms[a:b].tolist() for a, b in zip([0] + cuts, cuts)),
                      lambda seg: (math.log(n) / n for n in seg),
@@ -88,7 +92,7 @@ def theta_values(grid) -> list[float]:
 
 
 def mismatches(field: FieldDescriptor, grid, truncation_x: float) -> list[str]:
-    """Where the four grid sums differ from the oracle's, one message each;
+    """Where the grid sums differ from the oracle's, one message each;
     empty when every float agrees."""
     grid = [float(x) for x in grid]
     found = []
@@ -105,6 +109,12 @@ def mismatches(field: FieldDescriptor, grid, truncation_x: float) -> list[str]:
         if got != (lnn, rec, math.exp(l1p)):
             found.append(f"mertens_table at {row.x:g}: {got!r} != "
                          f"{(lnn, rec, math.exp(l1p))!r}")
+    # the one pass of both, cut at the union of the grid and truncation_x
+    with patch.object(mertens, "EULER_GAMMA", 0.0):
+        both = mertens_grid(field, grid, truncation_x, kappa)
+        apart = mconst, mertens_table(field, grid, mconst, kappa)
+    if both != apart:
+        found.append("mertens_grid differs from mertens_constant and mertens_table")
     row = np.concatenate([b for _, b in _row_blocks(field, math.floor(grid[-1]))])
     got, want = row_sums(_row_blocks(field, math.floor(grid[-1])), grid)[1], \
         log_sums(row, grid)

@@ -5,6 +5,11 @@ pipeline for the rest. kernel_patterns runs splitting._tabulate with no
 residue-class table, so it takes the route every field took before the
 tables; it is the oracle of the table route.
 
+ideal_columns merges the prime ideals of a splitting table into whole
+columns at once, as the library did before it streamed them in blocks of
+primes; it is the oracle of splitting._ideal_stream and the source of the
+norms of fsum_oracle.
+
 Run as a script, it compares the two routes at every prime up to one cutoff
 for one field, which must have a table, and exits 1 on any difference:
 
@@ -13,6 +18,7 @@ for one field, which must have a table, and exits 1 on any difference:
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,8 +27,8 @@ import numpy as np
 
 from nfmertens.field import FieldDescriptor, load_field
 from nfmertens.polyfield import poly_discriminant
-from nfmertens.splitting import (_INITIAL_PATTERNS, FieldContext, _tabulate,
-                                 rational_primes)
+from nfmertens.splitting import (_INITIAL_PATTERNS, FieldContext, _iroot,
+                                 _splitting_table, _tabulate, rational_primes)
 
 
 def kernel_patterns(field: FieldDescriptor, primes: np.ndarray) -> list:
@@ -43,6 +49,52 @@ def table_patterns(field: FieldDescriptor, primes: np.ndarray) -> list:
         raise ValueError("the field has no residue-class table")
     codes = _tabulate(field, ctx, primes)
     return [ctx.patterns[c] for c in codes.tolist()]
+
+
+def ideal_columns(primes: np.ndarray, codes: np.ndarray, patterns: list,
+                  xi: int, p_and_f: bool = False) -> np.ndarray:
+    """The int64 columns norm, or with p_and_f norm, p and f, as the rows of
+    one array, one entry per prime ideal of norm <= xi sorted by (norm, p),
+    from the splitting table of the primes.
+
+    The degree-1 norms are the primes repeated by their number of degree-1
+    ideals, already in order; the few norms p^f with f >= 2 go in place by
+    searchsorted. A norm p^f fixes p and f, so no two merged entries tie.
+    """
+    # a prime has at most len(pairs) ideals of any degree
+    narrow = np.min_scalar_type(max(map(len, patterns), default=1))
+
+    def per_prime(f, k):  # number of ideals of degree f over each of k primes
+        return np.array([sum(g == f for _, g in pairs) for pairs in patterns],
+                        narrow)[codes[:k]]
+    high = [np.empty((4, 0), dtype=np.int64)]  # rows norm, p, f, count
+    for f in sorted({f for pairs in patterns for _, f in pairs} - {1}):
+        # only primes p <= xi^(1/f) are raised to the power f
+        k = np.searchsorted(primes, _iroot(xi, f), "right")
+        count = per_prime(f, k)
+        p = primes[:k][count > 0]
+        high.append(np.stack((p ** f, p, np.full_like(p, f), count[count > 0])))
+    high = np.concatenate(high, axis=1)
+    high = high[:, np.argsort(high[0])]
+    k = np.searchsorted(primes, xi, "right")
+    # where the norms p^f land among the k + len(high) merged entries
+    at = np.searchsorted(primes[:k], high[0]) + np.arange(high.shape[1])
+    low = np.ones(k + len(at), dtype=bool)
+    low[at] = False
+    merged = np.empty((3 if p_and_f else 1, len(low)), dtype=np.int64)
+    merged[:, at], merged[:, low] = high[:len(merged)], primes[:k]
+    merged[2:, low] = 1  # f of the degree-1 entries, when asked for
+    counts = np.empty(len(low), dtype=narrow)
+    counts[at], counts[low] = high[3], per_prime(1, k)
+    return np.repeat(merged, counts, axis=1)
+
+
+def oracle_norms(field: FieldDescriptor, x: float) -> np.ndarray:
+    """The norm of every prime ideal of norm <= x, ascending, by
+    ideal_columns from the field's splitting table."""
+    xi = math.floor(x)
+    [norms] = ideal_columns(*_splitting_table(field, xi), xi)
+    return norms
 
 
 def mismatches(field: FieldDescriptor, x: float) -> list[int]:

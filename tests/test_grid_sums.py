@@ -10,7 +10,7 @@ import pytest
 from fsum_oracle import mismatches
 from nfmertens import splitting
 from nfmertens.mertens import geometric_grid
-from nfmertens.splitting import _norms_up_to
+from splitting_oracle import oracle_norms
 
 BLOCK = 31
 GRID = geometric_grid(4, 20)
@@ -31,7 +31,7 @@ def test_corpus_at_1e5(corpus):
 def test_a_norm_straddles_a_block_edge(gauss):
     # the blocks of the Mertens sums start at each segment's start and every
     # BLOCK ideals after it; at some start the ideal before has the same norm
-    norms = _norms_up_to(gauss, GRID[-1])
+    norms = oracle_norms(gauss, GRID[-1])
     cuts = np.searchsorted(norms, [math.floor(x) for x in GRID], "right").tolist()
     starts = [a for lo, hi in zip([0] + cuts, cuts)
               for a in range(lo + BLOCK, hi, BLOCK)]

@@ -22,7 +22,7 @@ from nfmertens.errors import (
     IndexPrimeUnsupported,
     InvariantViolation,
 )
-from nfmertens.field import descriptor_text, kappa_exact, load_field
+from nfmertens.field import PROVENANCE_EXACT, Residue, descriptor_text, kappa_exact, load_field
 from nfmertens.idealcount import (
     DENSE_SIEVE_CAP,
     ideal_count_sieve,
@@ -33,7 +33,10 @@ from nfmertens.idealcount import (
     t_K,
 )
 from nfmertens.mertens import (
+    EULER_GAMMA,
     MertensConstant,
+    mertens_constant,
+    mertens_grid,
     mertens_table,
     prime_power_grid,
     prime_power_sum,
@@ -66,9 +69,8 @@ from nfmertens.splitting import (
     _fold,
     _fold_table,
     _frobenius_pairs,
-    _ideal_columns,
     _ideal_columns_up_to,
-    _norms_up_to,
+    _ideal_stream,
     _pattern_mod_p,
     _product,
     _records_up_to,
@@ -78,7 +80,8 @@ from nfmertens.splitting import (
     field_context,
 )
 from nfmertens.verify import verify_all
-from splitting_oracle import kernel_patterns, table_patterns
+from fsum_oracle import mertens_series, mertens_sums
+from splitting_oracle import ideal_columns, kernel_patterns, table_patterns
 
 GAUSS_PATH = Path(__file__).resolve().parent.parent / "fields" / "gaussian.field"
 BATCHED_FIELDS = ("cbrt2", "cyclic-cubic-49", "cyclotomic5")
@@ -107,8 +110,27 @@ class TestRationalPrimes:
     def test_count_at_1e6(self):
         assert len(rational_primes(10 ** 6)) == 78498
 
+    def test_sieve_matches_naive_to_3000(self):
+        # every cutoff, so each fills its array, sized by the bound, a
+        # different way; the bound holds at each
+        primes = naive_primes(3000)
+        for n in range(2, 3001):
+            expected = primes[:bisect_right(primes, n)]
+            assert splitting._sieve(n).tolist() == expected, n
+            assert splitting._prime_count_bound(n) >= len(expected), n
+
+    def test_sieve_counts_at_powers_of_ten(self):
+        # pi(10^k), k = 1..8; the sieve's array is sized by the
+        # Rosser-Schoenfeld bound, which must hold up to the cap
+        counts = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455]
+        for k, count in enumerate(counts[:7], start=1):
+            assert len(splitting._sieve(10 ** k)) == count, k
+        for k, count in enumerate(counts, start=1):
+            assert splitting._prime_count_bound(10 ** k) > count, k
+        assert DENSE_SIEVE_CAP == 10 ** 8
+
     @pytest.mark.parametrize("n", [2, 3, 4, 1000, (1 << 20) - 1, 1 << 20,
-                                   (1 << 20) + 1, (1 << 20) + 100])
+                                   (1 << 20) + 1, (1 << 20) + 2, (1 << 20) + 100])
     def test_matches_naive_sieve_at_segment_edges(self, n):
         assert rational_primes(n).tolist() == naive_primes(n)
 
@@ -199,6 +221,40 @@ class TestSplittingType:
     def test_composite_rejected(self, gauss):
         with pytest.raises(CompositeModulus):
             splitting_type(gauss, 9)
+
+    @pytest.mark.parametrize("name", ["cyclotomic5", "cbrt2"])
+    def test_table_decides_primality(self, name, monkeypatch):
+        # inside the table splitting_type reads the pattern and primality
+        # from it, with no is_prime call; past it is_prime decides
+        field = load_field((GAUSS_PATH.parent / f"{name}.field").read_text())
+        primes = naive_primes(10 ** 5)
+        _, codes, patterns = _splitting_table(field, 10 ** 5)
+        table = [patterns[c] for c in codes.tolist()]
+        assert table[:300] == [splitting._pairs_for(field, p) for p in primes[:300]]
+        with monkeypatch.context() as patched:
+            patched.setattr(splitting, "is_prime", lambda n: pytest.fail("is_prime"))
+            assert [splitting_type(field, p).pairs for p in primes] == table
+            for n in range(-2, 1001):
+                if n not in set(primes):
+                    with pytest.raises(CompositeModulus):
+                        splitting_type(field, n)
+        calls = []
+        monkeypatch.setattr(splitting, "is_prime",
+                            lambda n: calls.append(n) or sympy.isprime(n))
+        assert splitting_type(field, 100_003).pairs == \
+            splitting._pairs_for(field, 100_003)
+        with pytest.raises(CompositeModulus):
+            splitting_type(field, 100_001)
+        assert calls == [100_003, 100_001]
+
+    def test_composites_raise_without_a_table(self):
+        field = load_field(GAUSS_PATH.read_text())
+        primes = set(naive_primes(1000))
+        for n in range(-2, 1001):
+            if n not in primes:
+                with pytest.raises(CompositeModulus):
+                    splitting_type(field, n)
+        assert field_context(field).table_xmax == 0
 
     def test_index_prime_is_hard_error(self, corpus):
         with pytest.raises(IndexPrimeUnsupported) as err:
@@ -605,24 +661,25 @@ class TestRecordArray:
                     [r for r in expected if r[0] <= y], (name, y)
 
     def test_columns_match_the_record_oracle(self, corpus):
-        # the merged norm column verify reads and the dump's three columns
-        # equal the rows of the old (k, 3) construction, prefixes included
+        # the one-piece merge kept as the stream's oracle and the dump's
+        # three columns, joined from the stream, equal the rows of the old
+        # (k, 3) construction
         for name, field in corpus.items():
             if name == "non-monogenic-cubic":
                 continue
             for xi in (10 ** 5, 961, 997, 1000):
-                oracle = _ideal_records(*_splitting_table(field, xi), xi)
-                norms = _norms_up_to(field, xi)
-                assert norms.dtype == np.int64 and norms.ndim == 1
+                table = _splitting_table(field, xi)
+                oracle = _ideal_records(*table, xi)
+                [norms] = ideal_columns(*table, xi)
                 assert norms.tolist() == oracle[:, 0].tolist(), (name, xi)
+                assert np.column_stack(ideal_columns(*table, xi, p_and_f=True)) \
+                    .tolist() == oracle.tolist(), (name, xi)
                 columns = _ideal_columns_up_to(field, xi)
                 assert [c.dtype for c in columns] == [np.dtype(np.int64)] * 3
                 assert np.column_stack(columns).tolist() == oracle.tolist(), \
                     (name, xi)
-            # the prefixes were cut from the column kept at 1e5 or past it
-            assert field_context(field).norms_xmax >= 10 ** 5, name
 
-    def test_prime_powers_near_the_cap(self):
+    def test_prime_powers_near_the_cap(self, monkeypatch):
         # int64 powers of primes near 1e8 wrap, 99,999,989^6 to a negative
         # number, so only p <= x^(1/f) may be raised to the power f
         assert (np.array([TOP_PRIME]) ** 6)[0] < 0
@@ -636,14 +693,106 @@ class TestRecordArray:
                        for _, f in patterns[c])
         in_range = [n for n, _, _ in every if n <= DENSE_SIEVE_CAP]
         assert max(in_range) > 10 ** 7
-        table = (np.array(primes, dtype=np.int64), np.array(codes), patterns)
+        table = (np.array(primes, dtype=np.int64), np.array(codes, dtype=np.uint8),
+                 patterns)
+        # the stream reads this table, cut at its top, in blocks of 5 primes
+        monkeypatch.setattr(splitting, "_PRIME_BLOCK", 5)
+        monkeypatch.setattr(splitting, "_splitting_table", lambda field, n: (
+            table[0][:np.searchsorted(table[0], n, "right")],
+            table[1][:np.searchsorted(table[0], n, "right")], patterns))
         for xi in sorted({DENSE_SIEVE_CAP, *in_range, *(n - 1 for n in in_range)}):
             expected = [r for r in every if r[0] <= xi]
             assert _ideal_records(*table, xi).tolist() == expected, xi
-            columns = _ideal_columns(*table, xi, p_and_f=True)
+            columns = ideal_columns(*table, xi, p_and_f=True)
             assert np.column_stack(columns).tolist() == expected, xi
-            [norms] = _ideal_columns(*table, xi)
+            [norms] = ideal_columns(*table, xi)
             assert norms.tolist() == [n for n, _, _ in expected], xi
+            assert _records_up_to(None, xi).tolist() == expected, xi
+
+
+STREAM_X = 3000
+# Q(zeta_8): three primes in four have two ideals of norm p^2
+X4_PLUS_1 = "poly = [1, 0, 0, 0, 1]\ndiscriminant = 256\nsignature = [0, 2]\n"
+
+
+def _stream_fields(corpus):
+    fields = {name: field for name, field in corpus.items()
+              if name != "non-monogenic-cubic"}
+    return {**fields, "x^4+1": load_field(X4_PLUS_1)}
+
+
+def _joined(field, top, p_and_f=False):
+    _, blocks = _ideal_stream(field, [top], p_and_f)
+    return np.concatenate([np.empty((3 if p_and_f else 1, 0), dtype=np.int64),
+                           *blocks], axis=1)
+
+
+class TestIdealStream:
+    """The prime-ideal stream against the one-piece merge it replaced
+    (splitting_oracle.ideal_columns), with blocks of 1, 2, 7 and 1000 primes
+    and cutoffs on, just before and just after every norm p^f, f >= 2, and
+    every block edge."""
+
+    @pytest.fixture(params=[1, 2, 7, 1000], autouse=True)
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(splitting, "_PRIME_BLOCK", request.param)
+        return request.param
+
+    @staticmethod
+    def edges(field, block):
+        """The cutoffs next to every norm p^f, f >= 2, and every block edge,
+        up to STREAM_X."""
+        primes, _, _ = _splitting_table(field, STREAM_X)
+        norms, _, f = ideal_columns(*_splitting_table(field, STREAM_X), STREAM_X,
+                                    p_and_f=True)
+        marks = {*norms[f >= 2].tolist(), *primes[::block].tolist()}
+        return sorted({x + d for x in marks for d in (-1, 0, 1)} & set(range(STREAM_X + 1)))
+
+    def test_cuts_count_every_ideal(self, corpus, block):
+        for name, field in _stream_fields(corpus).items():
+            [norms] = ideal_columns(*_splitting_table(field, STREAM_X), STREAM_X)
+            cutoffs = self.edges(field, block)
+            cuts, _ = _ideal_stream(field, cutoffs)
+            assert cuts == np.searchsorted(norms, cutoffs, "right").tolist(), name
+
+    def test_blocks_hold_their_primes(self, corpus, block):
+        # each block holds the ideals of norm from its first prime up to the
+        # next block's first, so a pass can tell where a block starts
+        for name, field in _stream_fields(corpus).items():
+            primes, _, _ = _splitting_table(field, STREAM_X)
+            starts = primes[::block].tolist()
+            _, blocks = _ideal_stream(field, [STREAM_X], p_and_f=True)
+            blocks = list(blocks)
+            assert len(blocks) == len(starts), name
+            for norm, lo, hi in zip(blocks, starts, starts[1:] + [STREAM_X + 1]):
+                assert ((lo <= norm[0]) & (norm[0] < hi)).all(), (name, lo)
+
+    def test_joined_stream_is_the_oracle(self, corpus, block):
+        # a stream ends at each cutoff, fewer of them for the smaller blocks
+        x = {1: 200, 2: 200, 7: 1000}.get(block, STREAM_X)
+        for name, field in _stream_fields(corpus).items():
+            for top in [t for t in self.edges(field, block) if t <= x] + [x]:
+                table = _splitting_table(field, top)
+                assert _joined(field, top, True).tolist() == \
+                    ideal_columns(*table, top, p_and_f=True).tolist(), (name, top)
+            assert _joined(field, x).tolist() == ideal_columns(*table, x).tolist()
+
+    def test_one_mertens_pass_is_the_two(self, corpus, monkeypatch):
+        # slices of 5 terms end inside and at the ends of the stream's
+        # blocks; the truncation cutoff falls below, on and above the grid's
+        # top
+        monkeypatch.setattr(splitting, "_SLICE", 5)
+        kappa = Residue(value=1.0, provenance=PROVENANCE_EXACT)
+        grid = [10.0, 100.0, 1000.5]
+        for name, field in _stream_fields(corpus).items():
+            for truncation_x in (10, 999.5, 1000.5, 2000.0):
+                mconst, rows = mertens_grid(field, grid, truncation_x, kappa)
+                assert mconst == mertens_constant(field, truncation_x, kappa), name
+                assert rows == mertens_table(field, grid, mconst, kappa), name
+                assert mconst.M_K == EULER_GAMMA + mertens_series(field, truncation_x)
+                for row, lnn, rec, l1p in zip(rows, *mertens_sums(field, grid)):
+                    assert (row.sum_logN_over_N, row.sum_recip, row.product) == \
+                        (lnn, rec, math.exp(l1p)), (name, truncation_x, row.x)
 
 
 class TestPrimeIdeals:
@@ -717,18 +866,20 @@ class TestGridFsums:
     finite = st.floats(allow_nan=False, allow_infinity=False,
                        min_value=-1e300, max_value=1e300)
 
-    @given(st.lists(st.lists(finite, max_size=6), max_size=8), st.integers(1, 4))
+    @given(st.lists(st.lists(finite, max_size=6), max_size=8), st.integers(1, 4),
+           st.integers(1, 12))
     @settings(max_examples=300, deadline=None)
-    def test_matches_oracle(self, segments, block):
+    def test_matches_oracle(self, segments, block, parts):
         # (v 1e-160)^2 is finite for |v| <= 1e300, and subnormal or 0 for
         # small v; a non-finite term raises (TestExactSum)
         def square(seg):
             return [(v * 1e-160) * (v * 1e-160) for v in seg]
         values, ranges = index_ranges(segments)
-        # blocks of 1 to 4 terms end inside and at the ends of segments
+        # slices of 1 to 4 terms end inside and at the ends of segments, and
+        # at the ends of 1 to 12 arrays that hold the values, some empty
         with patch.object(splitting, "_SLICE", block):
-            got = grid_fsums(iter(ranges), lambda a, b: (
-                values[a:b], (values[a:b] * 1e-160) ** 2), 2)
+            got = grid_fsums(iter(ranges), np.array_split(values, parts), lambda a, v: (
+                v, (v * 1e-160) ** 2), 2)
         assert got == [fsum_of_segment_fsums(segments, list),
                        fsum_of_segment_fsums(segments, square)]
 
@@ -737,7 +888,7 @@ class TestGridFsums:
         # data, as grid points below the first term or with one floor give
         values = np.array([0.1, 1e16, -1e16, 0.2, 0.3])
         cuts = [0, 0, 3, 3, 3, 5]
-        [got] = grid_fsums(zip([0] + cuts, cuts), lambda a, b: (values[a:b],))
+        [got] = grid_fsums(zip([0] + cuts, cuts), [values], lambda a, v: (v,))
         segments = [values[a:b].tolist() for a, b in zip([0] + cuts, cuts)]
         assert got == fsum_of_segment_fsums(segments, list)
         assert got == [0.0, 0.0, 0.1, 0.1, 0.1, math.fsum(values)]
@@ -747,10 +898,10 @@ class TestGridFsums:
         made = []
         values = np.array([1.0, 2.0, 3.0])
 
-        def terms(a, b):
-            made.append((a, b))
-            return values[a:b], values[a:b], values[a:b]
-        assert grid_fsums([(0, 1), (1, 3)], terms, 3) == [[1.0, 6.0]] * 3
+        def terms(a, v):
+            made.append((a, a + len(v)))
+            return v, v, v
+        assert grid_fsums([(0, 1), (1, 3)], [values], terms, 3) == [[1.0, 6.0]] * 3
         assert made == [(0, 1), (1, 3)]
 
 
@@ -813,7 +964,7 @@ class TestExactSum:
         with pytest.raises(InvariantViolation):
             exact_sum(np.array([1.0, bad, -2.5]))
         with pytest.raises(InvariantViolation):
-            grid_fsums([(0, 2)], lambda a, b: (np.array([0.5, bad])[a:b],))
+            grid_fsums([(0, 2)], [np.array([0.5, bad])], lambda a, v: (v,))
 
     def test_block_at_the_bound(self):
         # a bucket sums mantissa halves below 2^26 and 2^27 units exactly
@@ -841,11 +992,11 @@ class TestFieldContext:
 
     def test_freed_with_descriptor(self):
         field = load_field(self.TEXT)
-        theta_K(field, 1000)  # keeps the norm column
+        theta_K(field, 1000)  # keeps no norm column
         ideal_count_sieve(field, 1000)  # keeps no row
         ctx = weakref.ref(field_context(field))
-        assert len(ctx().norms) and len(ctx().primes)
-        assert not hasattr(ctx(), "row")
+        assert len(ctx().primes)
+        assert not any(hasattr(ctx(), name) for name in ("row", "norms", "norms_xmax"))
         del field
         gc.collect()
         assert ctx() is None

@@ -8,7 +8,7 @@ from nfmertens.errors import IndexPrimeUnsupported
 from nfmertens.field import Residue, kappa_exact, load_field
 from nfmertens.idealcount import kappa_estimate
 from nfmertens.mertens import geometric_grid, mertens_constant, mertens_table
-from nfmertens import idealcount, splitting, verify
+from nfmertens import idealcount, mertens, splitting, verify
 from nfmertens.splitting import FieldContext, field_context
 from nfmertens.verify import verify_all
 
@@ -187,28 +187,32 @@ class TestMemory:
         return peak
 
     def test_verify_all_peak_at_1e6(self, monkeypatch):
-        # one norm column, no (norm, p, f) rows, and the I(n) row in blocks
-        # kept by no one: at 1e6 one 2 MB uint16 block holds the whole row,
-        # and the peak is 4.6 MB, against 4.7 MB with the row kept in the
-        # field's context and 6.7 MB with the rows as well
-        assert self.peak(monkeypatch, "gaussian") < 5.0 * 2 ** 20
+        # the prime ideals and the I(n) row both in blocks kept by no one: at
+        # 1e6 one 2 MB uint16 block holds the whole row, and the peak is
+        # 3.5 MB, against 4.6 MB with a kept norm column, 4.7 MB with the row
+        # kept as well and 6.7 MB with (norm, p, f) rows
+        assert self.peak(monkeypatch, "gaussian") < 4.0 * 2 ** 20
 
     def test_blocks_bound_the_peak(self, monkeypatch):
         # cyclotomic5's uint32 row up to 1e6 takes 3.8 MB in one piece (its
         # peak was 6.9 MB when the row was kept); in blocks of 128 KB the
-        # peak of the whole run is 2.6 MB
+        # peak of the whole run is 2.2 MB, set by the prime sieve
         monkeypatch.setattr(idealcount, "_ROW_BLOCK", 1 << 16)
         assert self.peak(monkeypatch, "cyclotomic5") < 3.0 * 2 ** 20
 
     def test_no_record_rows_for_any_corpus_field(self, monkeypatch):
-        # verify reads the norm column alone: no (norm, p, f) rows, no p and
-        # f columns
+        # verify reads the stream's norm rows alone: no (norm, p, f) rows,
+        # no p and f columns, and no column kept in the field's context
         calls = []
+        stream = splitting._ideal_stream
+
+        def norms_only(field, cutoffs, p_and_f=False):
+            calls.append(p_and_f)
+            return stream(field, cutoffs, p_and_f)
+        for module in (splitting, mertens, idealcount):
+            monkeypatch.setattr(module, "_ideal_stream", norms_only)
         monkeypatch.setattr(splitting, "_records_up_to",
                             lambda *args: calls.append(args))
-        columns = splitting._ideal_columns
-        monkeypatch.setattr(splitting, "_ideal_columns", lambda *args, **kw:
-                            calls.append(kw) if kw else columns(*args))
         for path in sorted(FIELDS_DIR.glob("*.field")):
             field = load_field(path.read_text())
             try:
@@ -220,5 +224,5 @@ class TestMemory:
                 assert path.stem == "non-monogenic-cubic"
                 continue
             assert report.failures == (), path.stem
-            assert len(field_context(field).norms), path.stem
-        assert calls == []
+        assert calls and not any(calls)
+        assert not {"norms", "norms_xmax"} & set(FieldContext.__slots__)
