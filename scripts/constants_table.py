@@ -16,7 +16,7 @@ from pathlib import Path
 from nfmertens import field_constants, kappa_exact, mertens_constant
 from nfmertens.cli import read_field
 from nfmertens.errors import CutoffOutOfRange, MissingClassData, NfMertensError
-from nfmertens.idealcount import check_cutoff
+from nfmertens.splitting import check_cutoff
 
 ROOT = Path(__file__).resolve().parent.parent
 

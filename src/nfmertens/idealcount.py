@@ -35,9 +35,8 @@ import numpy as np
 from .bounds import LogMagnitude, lambda_K
 from .errors import DivisorBoundExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
-from .splitting import (  # DENSE_SIEVE_CAP and check_cutoff are re-exported
-    DENSE_SIEVE_CAP, _ideal_stream, _per_pattern, _splitting_table, check_cutoff,
-    check_grid, grid_fsums)
+from .splitting import (_ideal_stream, _per_pattern, _splitting_table, check_cutoff,
+                        check_grid, grid_fsums)
 
 _ROW_BLOCK = 1 << 20  # entries per block of uint16, 2 MB; wider blocks hold fewer
 _PAIRS = 1 << 15  # (m, P) pairs per step of a block's cofactor pass
@@ -283,8 +282,3 @@ def legendre_chebyshev_grid(field: FieldDescriptor, grid) -> list[float]:
                  ((norm, sum(map(isum.get, ts))) for norm, ts in reads(n)) if e)
             for n in tops]
 
-
-def legendre_chebyshev_rhs(field: FieldDescriptor, x: float) -> float:
-    """legendre_chebyshev_grid at the one point x."""
-    [value] = legendre_chebyshev_grid(field, [x])
-    return value

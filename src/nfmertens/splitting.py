@@ -4,47 +4,44 @@ For each rational prime p the splitting type is the multiset of
 (ramification index, inertia degree) pairs of the prime ideals over p; the
 pairs always satisfy sum(e_i * f_i) = degree.
 
-An abelian field reads its splitting from p mod m, one residue-class table
-per field, looked up in blocks of FROBENIUS_BLOCK primes. A quadratic field
-with |D| <= CLASS_TABLE_MAX tabulates the Kronecker character (D / r) for
-r < |D|, a character mod |D| for a fundamental discriminant D, so the one
-table gives split, inert and ramified at every prime, 2 and p | D included.
-A field of degree >= 3 with a cyclotomic certificate (field.py: f = Phi_m,
-or the conductor and cyclotomic_root keys) of conductor m <= CLASS_TABLE_MAX
-tabulates the order of each class in (Z/m)^x / H, the residue degree of the
-primes in it; primes dividing m * disc(f) keep the exact pipeline below.
+A field's route, chosen once by _route when its FieldContext is made, is a
+triple (e, key, codes): every prime not dividing e reads the code of its
+pattern as codes[key(p)], in blocks of FROBENIUS_BLOCK primes, where -1 marks
+a key the route rules out. A field that reads its splitting from p mod m
+(_class_route) keys by p % m: Q with m = 1; a quadratic field with
+|D| <= CLASS_TABLE_MAX by the Kronecker character (D / r), m = |D|, at every
+prime; a field of degree >= 3 with a cyclotomic certificate (field.py) of
+conductor m <= CLASS_TABLE_MAX by the order of p in (Z/m)^x / H, the residue
+degree, with e = m disc(f). The other fields of degree 2 to 4 (_kernel_route)
+key by batched numpy passes over int64 columns, one per prime: a quadratic
+field by Euler's criterion D^((p-1)/2) mod p, e = 2D; a cubic or quartic by
+(disc f / p) and whether x^p and x^(p^2) are x mod f, e = 2 disc(f), where
+Stickelberger's theorem, (disc f / p) = (-1)^(n - r) for the number r of
+irreducible factors of f mod p, rules out the keys no pattern has. The
+powers of x use delayed modular reduction (Dumas, Giorgi & Pernet, ACM TOMS
+35(3), 2008): each exponent bit sums the products of the square unreduced and
+reduces only while folding degrees d..2d-1 back through a per-block table of
+x^k mod f; DENSE_SIEVE_CAP states the int64 bound. D and disc(f), which can
+exceed int64, are reduced mod p digit by digit.
 
-The other fields of degree 2 to 4 classify a whole range of primes in
-batched numpy passes over int64 columns, one column per prime, in the same
-blocks: a quadratic field past the table cap by Euler's criterion,
-D^((p-1)/2) mod p; a cubic or quartic field without a certificate by x^p mod
-f (and for quartics x^(p^2) mod f), with Stickelberger's theorem,
-(disc f / p) = (-1)^(n - r) for the number r of irreducible factors of f mod
-p, settling what those powers leave open; no gcd is taken. The powers of x
-use delayed modular reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008):
-each exponent bit sums the products of the square unreduced and reduces only
-while folding degrees d..2d-1 back through a per-block table of x^k mod f;
-FROBENIUS_P_MAX states the int64 bound. D and disc(f), which can exceed
-int64, are reduced mod p digit by digit. The primes dividing 2D of such a
-quadratic field take the scalar Kronecker symbol. The prime 2 and primes
-dividing disc(f) of a cubic or quartic field, every non-abelian field of
-degree >= 5, and single-prime queries past the table take the exact
-pipeline: the defining polynomial factored mod p, guarded by the Dedekind
-index criterion, so a prime dividing the index is a hard error, never a
-guess. The exact pipeline runs before any table or batched pass. The scalar
-routes are also the batched passes' test oracles, and the Euler and
-Frobenius passes the tables'.
+The primes dividing e, every prime of a field with no route (a non-abelian
+field of degree >= 5), and single-prime queries past the table take the exact
+pipeline (_pairs_for), before any batched block: the Kronecker symbol for a
+quadratic field, else the defining polynomial factored mod p, guarded by the
+Dedekind index criterion, so a prime dividing the index is a hard error,
+never a guess. The exact pipeline is the kernel routes' test oracle, and the
+kernel routes the class routes'.
 
 What is computed for a field lives in one FieldContext, reached through
-field_context(): the splitting table as numpy arrays (the primes, a small
-code per prime, and the few distinct patterns the codes index). Each
-descriptor holds its own context, grown as larger cutoffs are asked for and
-freed with the descriptor; equal descriptors do not share one. The prime
-sieve is shared by every field: the process keeps its largest, read-only.
-Nothing read from the table is kept: _ideal_stream yields the prime ideals
-in blocks of _PRIME_BLOCK primes, each sorted by (norm, p), and counts the
-ideals up to each cutoff from the table before a pass starts; idealcount
-builds the I(n) row in blocks the same way.
+field_context(): the route and the splitting table as numpy arrays (the
+primes, a small code per prime, and the few distinct patterns the codes
+index). Each descriptor holds its own context, grown as larger cutoffs are
+asked for and freed with the descriptor; equal descriptors do not share one.
+The prime sieve is shared by every field: the process keeps its largest,
+read-only. Nothing read from the table is kept: _ideal_stream yields the
+prime ideals in blocks of _PRIME_BLOCK primes, each sorted by (norm, p), and
+counts the ideals up to each cutoff from the table before a pass starts;
+idealcount builds the I(n) row in blocks the same way.
 grid_fsums holds the rounding policy of the Mertens, I(n) log n and theta
 grid sums: the value at a grid point is the fsum of the segment sums before
 it, and each segment sum is its float64 terms summed exactly and rounded
@@ -64,6 +61,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, product
 from math import fsum
 
@@ -81,22 +79,22 @@ from .polyfield import (
 )
 
 SIEVE_SEGMENT = 1 << 20
-DENSE_SIEVE_CAP = 10 ** 8  # no sieve of primes, prime ideals or I(n) goes past it
 
-# Primes per batched Frobenius block: the kernel's rows of this length are
+# No sieve of primes, prime ideals or I(n) goes past it, so no prime of a
+# splitting table does, and the batched kernels' int64 sums stay bounded.
+# Kernel inputs lie in [0, p). A coefficient of a square or product of two
+# polynomials of degree < d sums at most d products of (p - 1)^2 before any
+# reduction; the fold reduces degrees d..2d-1 and adds d more such products
+# to each low coefficient, so at most 2d products of (p - 1)^2 meet in one
+# int64. For d <= 4 that is 8 (1e8 - 1)^2 < 8e16 < 2^63. The one-dimensional
+# Euler power and the per-block fold table take one product plus one addend
+# below p, under 1e16 + 1e8.
+DENSE_SIEVE_CAP = 10 ** 8
+
+# Primes per batched block: the Frobenius kernel's rows of this length are
 # 64 KB each, so a squaring's working set of a few dozen rows stays in a
 # core's L2 cache whatever the range.
 FROBENIUS_BLOCK = 1 << 13
-
-# Largest prime the batched kernel takes (the dense-sieve cap). Kernel inputs
-# lie in [0, p). A coefficient of a square or product of two polynomials of
-# degree < d sums at most d products of (p - 1)^2 before any reduction; the
-# fold reduces degrees d..2d-1 and adds d more such products to each low
-# coefficient, so at most 2d products of (p - 1)^2 meet in one int64. For
-# d <= 4 that is 8 (1e8 - 1)^2 < 8e16 < 2^63. The one-dimensional Euler power
-# and the per-block fold table take one product plus one addend below p,
-# under 1e16 + 1e8.
-FROBENIUS_P_MAX = 10 ** 8
 
 # Largest modulus m of a residue-class table: a quadratic field's |D|, or a
 # certified abelian field's conductor. A quadratic's table takes one
@@ -344,7 +342,7 @@ _ONE = (1, 1)
 
 # Splitting pattern by ((disc f / p) == 1, x^p == x, x^(p^2) == x) for monic f
 # of degree 3 or 4, squarefree mod p; cubics never need x^(p^2), so it reads
-# False for them.
+# False for them. Stickelberger's theorem rules the other combinations out.
 _FROBENIUS_TYPES = {
     3: {(False, False, False): (_ONE, (1, 2)),
         (True, True, False): (_ONE, _ONE, _ONE),
@@ -356,32 +354,19 @@ _FROBENIUS_TYPES = {
         (False, False, False): ((1, 4),)},
 }
 
-# The patterns every context of a degree starts with, so that the batched
-# passes write codes directly: split, inert and ramified for quadratics, the
-# Frobenius types for cubics and quartics.
-_INITIAL_PATTERNS = {
-    1: ((_ONE,),),
-    2: ((_ONE, _ONE), ((1, 2),), ((2, 1),)),
-    **{n: tuple(types.values()) for n, types in _FROBENIUS_TYPES.items()},
-}
-
-# Code of each Frobenius type at 4 * square + 2 * (x^p == x) + (x^(p^2) == x),
-# -1 where Stickelberger's theorem rules the combination out.
-_FROBENIUS_CODES = {
-    n: np.array([list(types).index(key) if key in types else -1
-                 for key in product((False, True), repeat=3)])
-    for n, types in _FROBENIUS_TYPES.items()
-}
+# Splitting in a quadratic field by the Kronecker symbol (D / p)
+_CHARACTER_PATTERNS = {1: (_ONE, _ONE), -1: ((1, 2),), 0: ((2, 1),)}
 
 
-def _frobenius_pairs(coeffs: tuple[int, ...], disc: int,
-                     primes: np.ndarray) -> np.ndarray:
-    """Code in _INITIAL_PATTERNS[n] of the splitting pattern of monic f
-    (degree n = 3 or 4) at each prime in primes.
+def _frobenius_keys(coeffs: tuple[int, ...], disc: int,
+                    primes: np.ndarray) -> np.ndarray:
+    """Frobenius key 4 ((disc / p) == 1) + 2 (x^p == x) + (x^(p^2) == x) of
+    monic f of degree n = 3 or 4 at each prime in primes, the index of its
+    combination in product((False, True), repeat=3); cubics leave the last
+    bit 0.
 
-    Every prime must be odd, at most FROBENIUS_P_MAX and prime to disc = disc(f),
-    so f is squarefree mod p and Stickelberger's theorem gives the parity of
-    its number of factors.
+    Every prime must be odd, at most DENSE_SIEVE_CAP and prime to
+    disc = disc(f), so f is squarefree mod p.
     """
     n = len(coeffs) - 1
     neg = np.stack([_int_mod(-c, primes) for c in coeffs[:n]])
@@ -397,21 +382,14 @@ def _frobenius_pairs(coeffs: tuple[int, ...], disc: int,
             h2 = _fold(_product(h2, h), xk, primes)
             h2[0] = (h2[0] + h[i]) % primes
         key += (h2 == x).all(axis=0)
-    codes = _FROBENIUS_CODES[n][key]
-    if (codes < 0).any():
-        raise InvariantViolation("Stickelberger parity of the factor count mod p")
-    return codes
+    return key
 
 
 def _pairs_for(field: FieldDescriptor, p: int) -> tuple[tuple[int, int], ...]:
-    n = field.degree
-    if n == 1:
-        return ((1, 1),)
-    if n == 2:
-        chi = kronecker(field.discriminant, p)
-        if chi == 1:
-            return ((1, 1), (1, 1))
-        return ((1, 2),) if chi == -1 else ((2, 1),)
+    """The exact pipeline: the Kronecker symbol for a quadratic field, else
+    the defining polynomial factored mod p."""
+    if field.degree == 2:
+        return _CHARACTER_PATTERNS[kronecker(field.discriminant, p)]
     return _pattern_mod_p(field, p)
 
 
@@ -429,49 +407,57 @@ def splitting_type(field: FieldDescriptor, p: int) -> SplittingType:
 
 
 class FieldContext:
-    """What is kept for one field, grown on demand: the polynomial
-    discriminant and the splitting table. Nothing read from the table is
-    kept: the prime ideals come in blocks of primes (_ideal_stream) and the
-    I(n) row in blocks of n (idealcount._row_blocks), each built afresh for
-    the pass that reads it."""
+    """What is kept for one field, grown on demand: its route and the
+    splitting table. The route (e, key, codes), chosen once by _route, or
+    None, says how _tabulate reads the primes not dividing e; the table holds
+    every prime <= table_xmax, ascending, and the index of its splitting
+    pattern in patterns, which lists only the patterns the route's codes and
+    the exact pipeline have met. Nothing read from the table is kept: the
+    prime ideals come in blocks of primes (_ideal_stream) and the I(n) row in
+    blocks of n (idealcount._row_blocks), each built afresh for the pass that
+    reads it."""
 
-    __slots__ = ("disc_poly", "primes", "codes", "patterns", "classes",
-                 "table_xmax", "__weakref__")
+    __slots__ = ("route", "primes", "codes", "patterns", "table_xmax", "__weakref__")
 
     def __init__(self, field: FieldDescriptor):
-        self.disc_poly = poly_discriminant(field.defining_poly)
-        # the splitting table: every prime <= table_xmax, ascending, and the
-        # index of its splitting pattern in patterns
+        self.patterns: list[tuple[tuple[int, int], ...]] = []
+        self.route = _route(field, self.patterns)
         self.primes = np.empty(0, dtype=np.int64)
         self.codes = np.empty(0, dtype=np.uint8)
-        self.patterns: list[tuple[tuple[int, int], ...]] = \
-            list(_INITIAL_PATTERNS.get(field.degree, ()))
-        # code of the primes in each residue class mod m, or None
-        self.classes = _class_codes(field, self.patterns)
         self.table_xmax = 0
 
 
-_CHARACTER_PATTERNS = {1: (_ONE, _ONE), -1: ((1, 2),), 0: ((2, 1),)}
+def _codes(patterns: list, pairs) -> np.ndarray:
+    """The index in patterns of each entry of pairs, -1 for None; patterns
+    gains the ones it lacks."""
+    for pattern in pairs:
+        if pattern is not None and pattern not in patterns:
+            patterns.append(pattern)
+    return np.array([-1 if pattern is None else patterns.index(pattern)
+                     for pattern in pairs], dtype=np.int64)
 
 
-def _class_codes(field: FieldDescriptor, patterns: list) -> np.ndarray | None:
-    """Code in patterns of the splitting of the primes p = r mod m, for each
-    class r < m, when the field reads its splitting from p mod m (patterns
-    gains the ones it lacks); None when it does not.
+def _class_route(field: FieldDescriptor, patterns: list):
+    """The route of a field that reads its splitting from p mod m, key(p) =
+    p % m, or None.
 
-    A quadratic field with |D| <= CLASS_TABLE_MAX reads the Kronecker
-    character, m = |D|. A field of degree >= 3 with a cyclotomic certificate
-    of conductor m <= CLASS_TABLE_MAX gives the class of each r prime to m the
-    pattern of n / f ideals of residue degree f, the order of r in
-    (Z/m)^x / H; the other classes hold -1, since p | m is not read here.
+    Q has m = 1. A quadratic field with |D| <= CLASS_TABLE_MAX reads the
+    Kronecker character, m = |D|, at every prime. A field of degree >= 3 with
+    a cyclotomic certificate of conductor m <= CLASS_TABLE_MAX gives the
+    class of each r prime to m the pattern of n / f ideals of residue degree
+    f, the order of r in (Z/m)^x / H, and leaves the primes dividing
+    m disc(f) to the exact pipeline; the other classes hold -1.
     """
     n, cert = field.degree, field.cyclotomic
-    if n == 2 and field.abs_discriminant <= CLASS_TABLE_MAX:
+    if n == 1:
+        m, e, pairs = 1, 1, [(_ONE,)]
+    elif n == 2 and field.abs_discriminant <= CLASS_TABLE_MAX:
+        m, e = field.abs_discriminant, 1
         pairs = [_CHARACTER_PATTERNS[kronecker(field.discriminant, r)]
-                 for r in range(field.abs_discriminant)]
+                 for r in range(m)]
     elif n >= 3 and cert is not None and cert.conductor <= CLASS_TABLE_MAX:
         m = cert.conductor
-        pairs = [None] * m
+        e, pairs = m * poly_discriminant(field.defining_poly), [None] * m
         for r in range(m):
             if math.gcd(r, m) == 1:
                 f, power = 1, r
@@ -480,18 +466,32 @@ def _class_codes(field: FieldDescriptor, patterns: list) -> np.ndarray | None:
                 pairs[r] = ((1, f),) * (n // f)
     else:
         return None
-    code = {None: -1}
-    for pattern in pairs:
-        if pattern not in code:
-            code[pattern] = _code(patterns, pattern)
-    return np.array([code[pattern] for pattern in pairs], dtype=np.int64)
+    return e, lambda block: block % m, _codes(patterns, pairs)
 
 
-def _code(patterns: list, pairs) -> int:
-    """The index of pairs in patterns, appended when it is not there."""
-    if pairs not in patterns:
-        patterns.append(pairs)
-    return patterns.index(pairs)
+def _kernel_route(field: FieldDescriptor, patterns: list):
+    """The route of the batched kernels, or None past degree 4: Euler's bit
+    (D / p) == 1 for a quadratic field, e = 2D, and the Frobenius key for a
+    cubic or quartic, e = 2 disc(f)."""
+    n = field.degree
+    if n == 2:
+        disc = field.discriminant
+
+        def key(block):  # as uint8: a bool array would index as a mask
+            return _euler_square(_int_mod(disc, block), block).view(np.uint8)
+        return 2 * disc, key, _codes(patterns, [((1, 2),), (_ONE, _ONE)])
+    if n in _FROBENIUS_TYPES:
+        disc = poly_discriminant(field.defining_poly)
+        return 2 * disc, partial(_frobenius_keys, field.defining_poly.coeffs, disc), \
+            _codes(patterns, [_FROBENIUS_TYPES[n].get(bits)
+                              for bits in product((False, True), repeat=3)])
+    return None
+
+
+def _route(field: FieldDescriptor, patterns: list):
+    """The field's one batched route, (e, key, codes), or None when every
+    prime takes the exact pipeline."""
+    return _class_route(field, patterns) or _kernel_route(field, patterns)
 
 
 def field_context(field: FieldDescriptor) -> FieldContext:
@@ -503,60 +503,35 @@ def field_context(field: FieldDescriptor) -> FieldContext:
     return field.context
 
 
-def _batchable(primes: np.ndarray, disc: int) -> np.ndarray:
-    """Mask of the primes the batched kernels take: odd, at most
-    FROBENIUS_P_MAX and prime to disc."""
-    return (primes != 2) & (primes <= FROBENIUS_P_MAX) & (_int_mod(disc, primes) != 0)
-
-
 def _tabulate(field: FieldDescriptor, ctx: FieldContext,
               primes: np.ndarray) -> np.ndarray:
     """Code in ctx.patterns of the splitting pattern of each prime in primes.
 
-    A field with a residue-class table (ctx.classes) reads table[p % m]; a
-    quadratic's table covers every prime, a certified abelian field's every
-    p not dividing m * disc(f). Otherwise quadratics take Euler's criterion
-    and cubics and quartics the Frobenius pass. Lookups and passes run in
-    blocks of FROBENIUS_BLOCK primes, so no temporary of theirs spans the
-    whole range, and write their codes in place into one array of the
-    narrowest dtype that holds them. The primes none of these cover, and
-    every prime of a field of degree >= 5 without a table, take _pairs_for
-    one prime at a time, before any block.
+    The primes ctx.route takes, those not dividing its e, read codes[key(p)]
+    in blocks of FROBENIUS_BLOCK primes, so no temporary spans the whole
+    range; a code of -1 raises InvariantViolation. The rest, every prime when
+    there is no route, take _pairs_for one prime at a time, first, so an
+    index prime raises before any batched work. The codes are written in
+    place into one array of the narrowest dtype that holds them.
     """
-    n = field.degree
-    if n == 1 or not len(primes):
-        return np.zeros(len(primes), dtype=np.uint8)
-    starts = range(0, len(primes), FROBENIUS_BLOCK)
+    e, key, table = ctx.route or (None, None, None)
+    blocks = [slice(lo, lo + FROBENIUS_BLOCK)
+              for lo in range(0, len(primes), FROBENIUS_BLOCK)] if ctx.route else []
     sel = np.zeros(len(primes), dtype=bool)
-    if ctx.classes is not None:
-        m = len(ctx.classes)
-        # a quadratic's table covers every prime, a certified field's the
-        # primes not dividing m disc(f)
-        excluded = 1 if n == 2 else m * ctx.disc_poly
-    elif n <= 4:
-        disc = field.discriminant if n == 2 else ctx.disc_poly
-    for lo in starts if ctx.classes is not None or n <= 4 else ():
-        block = primes[lo:lo + FROBENIUS_BLOCK]
-        sel[lo:lo + FROBENIUS_BLOCK] = _batchable(block, disc) \
-            if ctx.classes is None else _int_mod(excluded, block) != 0
-    # the exact pipeline runs first, so an index prime raises before any
-    # batched work; the codes then take the narrowest dtype that holds them
+    for b in blocks:
+        sel[b] = _int_mod(e, primes[b]) != 0
     rest = np.flatnonzero(~sel)
-    exact = [_code(ctx.patterns, _pairs_for(field, p)) for p in primes[rest].tolist()]
-    codes = np.zeros(len(primes), dtype=np.min_scalar_type(len(ctx.patterns) - 1))
+    exact = _codes(ctx.patterns, [_pairs_for(field, p) for p in primes[rest].tolist()])
+    narrow = np.min_scalar_type(max(len(ctx.patterns) - 1, 0))
+    codes = np.zeros(len(primes), dtype=narrow)
     codes[rest] = exact
-    for lo in starts:
-        block_sel = sel[lo:lo + FROBENIUS_BLOCK]
-        if not block_sel.any():
-            continue
-        block = primes[lo:lo + FROBENIUS_BLOCK][block_sel]
-        if ctx.classes is not None:
-            batch = ctx.classes[block % m]
-        elif n == 2:  # code 0 split, 1 inert
-            batch = ~_euler_square(_int_mod(disc, block), block)
-        else:
-            batch = _frobenius_pairs(field.defining_poly.coeffs, disc, block)
-        codes[lo:lo + FROBENIUS_BLOCK][block_sel] = batch
+    for b in blocks:
+        block = primes[b][sel[b]]
+        batch = table[key(block)]
+        if (batch < 0).any():
+            raise InvariantViolation(
+                f"p = {block[batch < 0][0]} has a key its splitting route rules out")
+        codes[b][sel[b]] = batch
     return codes
 
 
@@ -637,19 +612,13 @@ def _ideal_stream(field: FieldDescriptor, cutoffs: list[int],
     return cuts, blocks()
 
 
-def _ideal_columns_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
-    """The int64 columns norm, p and f as the rows of one array, one entry per
-    prime ideal of norm <= x sorted by (norm, p): the stream's blocks joined,
-    on each call; nothing is kept."""
-    check_cutoff("x", x, 0)
-    _, blocks = _ideal_stream(field, [math.floor(x)], p_and_f=True)
-    return np.concatenate([np.empty((3, 0), dtype=np.int64), *blocks], axis=1)
-
-
 def _records_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
     """(norm, p, f) rows, one per prime ideal of norm <= x, sorted by
-    (norm, p): a (k, 3) int64 array, built on each call, not kept."""
-    return np.column_stack(_ideal_columns_up_to(field, x))
+    (norm, p): a (k, 3) int64 array, the stream's blocks joined on each call,
+    not kept."""
+    check_cutoff("x", x, 0)
+    _, blocks = _ideal_stream(field, [math.floor(x)], p_and_f=True)
+    return np.concatenate([np.empty((3, 0), dtype=np.int64), *blocks], axis=1).T
 
 
 def prime_ideals_up_to(field: FieldDescriptor, x: float) -> tuple[PrimeIdealRecord, ...]:

@@ -1,9 +1,10 @@
-"""The splitting of an abelian field read from its residue-class table, p mod
-m, against the kernels the table replaced: Euler's criterion for a quadratic
-field, the batched Frobenius pass for a cubic or quartic, and the exact
-pipeline for the rest. kernel_patterns runs splitting._tabulate with no
-residue-class table, so it takes the route every field took before the
-tables; it is the oracle of the table route.
+"""The splitting of an abelian field read from its residue-class route, p mod
+m, against the kernels the class route replaced: Euler's criterion for a
+quadratic field, the batched Frobenius pass for a cubic or quartic, and the
+exact pipeline for the rest. kernel_patterns runs splitting._tabulate on a
+context whose route is splitting._kernel_route's, the route every field took
+before the class tables; it is the oracle of table_patterns, which runs it
+on splitting._class_route's.
 
 ideal_columns merges the prime ideals of a splitting table into whole
 columns at once, as the library did before it streamed them in blocks of
@@ -11,7 +12,7 @@ primes; it is the oracle of splitting._ideal_stream and the source of the
 norms of fsum_oracle.
 
 Run as a script, it compares the two routes at every prime up to one cutoff
-for one field, which must have a table, and exits 1 on any difference:
+for one field, which must have a class route, and exits 1 on any difference:
 
     PYTHONPATH=src python tests/splitting_oracle.py fields/gaussian.field 1e7
 """
@@ -21,34 +22,41 @@ from __future__ import annotations
 import math
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from nfmertens.field import FieldDescriptor, load_field
-from nfmertens.polyfield import poly_discriminant
-from nfmertens.splitting import (_INITIAL_PATTERNS, FieldContext, _iroot,
+from nfmertens.splitting import (FieldContext, _class_route, _iroot, _kernel_route,
                                  _splitting_table, _tabulate, rational_primes)
+
+
+def route_context(field: FieldDescriptor, route) -> FieldContext:
+    """A fresh context of the field whose route is route(field, patterns),
+    in place of the one _route chose."""
+    ctx = FieldContext(field)
+    ctx.patterns = []
+    ctx.route = route(field, ctx.patterns)
+    return ctx
+
+
+def _patterns(field: FieldDescriptor, ctx: FieldContext, primes: np.ndarray) -> list:
+    codes = _tabulate(field, ctx, primes)
+    return [ctx.patterns[c] for c in codes.tolist()]
 
 
 def kernel_patterns(field: FieldDescriptor, primes: np.ndarray) -> list:
     """The splitting pattern at each prime from the Euler or Frobenius pass,
     or the exact pipeline, as a list of ((e, f), ...) tuples."""
-    ctx = SimpleNamespace(disc_poly=poly_discriminant(field.defining_poly),
-                          patterns=list(_INITIAL_PATTERNS.get(field.degree, ())),
-                          classes=None)
-    codes = _tabulate(field, ctx, primes)
-    return [ctx.patterns[c] for c in codes.tolist()]
+    return _patterns(field, route_context(field, _kernel_route), primes)
 
 
 def table_patterns(field: FieldDescriptor, primes: np.ndarray) -> list:
     """The splitting pattern at each prime through the field's residue-class
-    table; raises ValueError for a field that has none."""
-    ctx = FieldContext(field)
-    if ctx.classes is None:
+    route; raises ValueError for a field that has none."""
+    ctx = route_context(field, _class_route)
+    if ctx.route is None:
         raise ValueError("the field has no residue-class table")
-    codes = _tabulate(field, ctx, primes)
-    return [ctx.patterns[c] for c in codes.tolist()]
+    return _patterns(field, ctx, primes)
 
 
 def ideal_columns(primes: np.ndarray, codes: np.ndarray, patterns: list,

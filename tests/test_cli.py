@@ -650,10 +650,10 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["mertens", "constants", "verify"])
     def test_truncation_bounds_are_inclusive(self, command):
-        for value in (10.0, float(idealcount.DENSE_SIEVE_CAP)):
+        for value in (10.0, float(splitting.DENSE_SIEVE_CAP)):
             RunConfig(field_path=GAUSS, command=command,
                       truncation_x=value).validate()
-        for value in (9.999, idealcount.DENSE_SIEVE_CAP + 1.0):
+        for value in (9.999, splitting.DENSE_SIEVE_CAP + 1.0):
             with pytest.raises(NfMertensError, match="truncation_x"):
                 RunConfig(field_path=GAUSS, command=command,
                           truncation_x=value).validate()

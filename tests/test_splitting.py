@@ -3,7 +3,7 @@ import math
 import weakref
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -24,10 +24,9 @@ from nfmertens.errors import (
 )
 from nfmertens.field import PROVENANCE_EXACT, Residue, descriptor_text, kappa_exact, load_field
 from nfmertens.idealcount import (
-    DENSE_SIEVE_CAP,
     ideal_count_sieve,
     kappa_estimate,
-    legendre_chebyshev_rhs,
+    legendre_chebyshev_grid,
     summatory,
     summatory_grid,
     t_K,
@@ -52,7 +51,8 @@ from nfmertens.polyfield import (
 )
 from nfmertens.splitting import (
     CLASS_TABLE_MAX,
-    FROBENIUS_P_MAX,
+    DENSE_SIEVE_CAP,
+    FieldContext,
     check_grid,
     exact_sum,
     grid_fsums,
@@ -63,13 +63,11 @@ from nfmertens.splitting import (
     theta_K,
 )
 from nfmertens.splitting import (
-    _INITIAL_PATTERNS,
-    _class_codes,
+    _FROBENIUS_TYPES,
     _euler_square,
     _fold,
     _fold_table,
-    _frobenius_pairs,
-    _ideal_columns_up_to,
+    _frobenius_keys,
     _ideal_stream,
     _pattern_mod_p,
     _product,
@@ -294,8 +292,9 @@ class TestSplittingType:
                                                               monkeypatch):
         field = corpus["non-monogenic-cubic"]
         batched = []
-        monkeypatch.setattr(splitting, "_frobenius_pairs",
-                            lambda *args: batched.append(args))
+        ctx = field_context(field)
+        e, key, codes = ctx.route
+        monkeypatch.setattr(ctx, "route", (e, lambda block: batched.append(block), codes))
         raised = []
         for call in (prime_ideals_up_to, ideal_count_sieve):
             with pytest.raises(IndexPrimeUnsupported) as err:
@@ -305,7 +304,6 @@ class TestSplittingType:
         assert raised[0][1] == 2
         # the exact pipeline ran first: no batched work, no prime tabled
         assert batched == []
-        ctx = field_context(field)
         assert ctx.table_xmax == 0
         assert len(ctx.primes) == len(ctx.codes) == 0
 
@@ -318,10 +316,19 @@ def exact_pattern(coeffs, p):
                  for _ in range((len(prod) - 1) // d))
 
 
+def frobenius_patterns(coeffs, disc, primes):
+    """The Frobenius type of each Frobenius key of monic f at the primes;
+    a key Stickelberger's theorem rules out has none, a KeyError."""
+    keys = _frobenius_keys(coeffs, disc, np.array(primes, dtype=np.int64))
+    bits = list(product((False, True), repeat=3))
+    return [_FROBENIUS_TYPES[len(coeffs) - 1][bits[k]] for k in keys.tolist()]
+
+
 class TestBatchedFrobenius:
     def test_table_agrees_with_pipeline_to_1e5(self, corpus):
-        for name in BATCHED_FIELDS:
-            field = corpus[name]
+        # x^4 - 2: no corpus quartic takes the Frobenius route
+        fields = {name: corpus[name] for name in BATCHED_FIELDS}
+        for name, field in {**fields, "x^4-2": load_field(X4_MINUS_2)}.items():
             primes, codes, patterns = _splitting_table(field, 10 ** 5)
             assert len(primes) == 9592
             for p, code in zip(primes.tolist(), codes.tolist()):
@@ -329,14 +336,13 @@ class TestBatchedFrobenius:
 
     def test_top_prime_below_cap(self, corpus):
         p = TOP_PRIME
-        assert p == sympy.prevprime(DENSE_SIEVE_CAP) and FROBENIUS_P_MAX == DENSE_SIEVE_CAP
+        assert p == sympy.prevprime(DENSE_SIEVE_CAP)
         for name in BATCHED_FIELDS:
             field = corpus[name]
             coeffs = field.defining_poly.coeffs
             disc = poly_discriminant(field.defining_poly)
             assert disc % p
-            [code] = _frobenius_pairs(coeffs, disc, np.array([p]))
-            assert _INITIAL_PATTERNS[field.degree][code] == _pattern_mod_p(field, p), name
+            assert frobenius_patterns(coeffs, disc, [p]) == [_pattern_mod_p(field, p)], name
 
     @given(st.integers(min_value=3, max_value=4).flatmap(
                lambda n: st.lists(st.integers(-10 ** 12, 10 ** 12),
@@ -352,8 +358,7 @@ class TestBatchedFrobenius:
         disc = poly_discriminant(IntPoly.of(coeffs))
         primes = sorted({p for p in primes if disc % p})
         assume(primes)
-        codes = _frobenius_pairs(coeffs, disc, np.array(primes, dtype=np.int64))
-        assert [_INITIAL_PATTERNS[len(low)][c] for c in codes.tolist()] \
+        assert frobenius_patterns(coeffs, disc, primes) \
             == [exact_pattern(coeffs, p) for p in primes]
 
 
@@ -452,9 +457,9 @@ class TestDelayedReduction:
         assert _euler_square(empty, empty).tolist() == []
         for name in BATCHED_FIELDS:
             field = corpus[name]
-            codes = _frobenius_pairs(field.defining_poly.coeffs,
-                                     poly_discriminant(field.defining_poly), empty)
-            assert codes.tolist() == [], name
+            keys = _frobenius_keys(field.defining_poly.coeffs,
+                                   poly_discriminant(field.defining_poly), empty)
+            assert keys.tolist() == [], name
 
 
 def kronecker_pattern(disc, p):
@@ -465,13 +470,12 @@ def kronecker_pattern(disc, p):
 
 def tabulate_quadratic(disc, primes):
     """The table's patterns for primes in the quadratic field of discriminant
-    disc, without a descriptor or a context: the residue-class table for
-    |disc| <= CLASS_TABLE_MAX, Euler's criterion past it."""
+    disc, without a descriptor: the residue-class route for
+    |disc| <= CLASS_TABLE_MAX, e = 1, and Euler's criterion past it, e = 2D."""
     field = SimpleNamespace(degree=2, discriminant=disc, abs_discriminant=abs(disc),
                             cyclotomic=None)
-    patterns = list(_INITIAL_PATTERNS[2])
-    ctx = SimpleNamespace(patterns=patterns, classes=_class_codes(field, patterns))
-    assert (ctx.classes is None) == (abs(disc) > CLASS_TABLE_MAX)
+    ctx = FieldContext(field)
+    assert ctx.route[0] == (1 if abs(disc) <= CLASS_TABLE_MAX else 2 * disc)
     codes = _tabulate(field, ctx, np.array(primes, dtype=np.int64))
     return [ctx.patterns[c] for c in codes.tolist()]
 
@@ -482,7 +486,7 @@ class TestBatchedQuadratic:
         quadratics = [f for f in corpus.values() if f.degree == 2]
         assert len(quadratics) == 7
         for field in quadratics:
-            assert field_context(field).classes is not None
+            assert field_context(field).route[0] == 1
             primes, codes, patterns = _splitting_table(field, 10 ** 5)
             assert len(primes) == 9592
             for p, code in zip(primes.tolist(), codes.tolist()):
@@ -605,7 +609,7 @@ class TestResidueClassTable:
             field = load_field(text)  # a fresh context under the patched cap
             if field.degree != 2:
                 continue
-            tabled = field_context(field).classes is not None
+            tabled = field_context(field).route[0] == 1
             assert tabled == (field.abs_discriminant <= 5)
             routes.add(tabled)
             _, codes, patterns = _splitting_table(field, 10 ** 5)
@@ -621,11 +625,86 @@ class TestResidueClassTable:
                            "discriminant = 49\nconductor = 7\n"
                            "cyclotomic_root = [0, 2, 0, 0, 0, 0, 2]\n")
         ctx = field_context(field)
-        assert ctx.classes is not None
+        assert ctx.route[0] == 7 * 2 ** 6 * 49  # m disc(f)
         with pytest.raises(IndexPrimeUnsupported) as err:
             _splitting_table(field, 1000)
         assert err.value.p == 2
         assert ctx.table_xmax == 0 and len(ctx.codes) == 0
+
+
+# Q(zeta_8): three primes in four have two ideals of norm p^2
+X4_PLUS_1 = "poly = [1, 0, 0, 0, 1]\ndiscriminant = 256\nsignature = [0, 2]\n"
+# Q(2^(1/5)), of degree 5 and not abelian: no route, so every prime takes the
+# exact pipeline; Q(2^(1/4)), a quartic with the Frobenius route
+X5_MINUS_2 = "poly = [-2, 0, 0, 0, 0, 1]\ndiscriminant = 50000\nsignature = [1, 2]\n"
+X4_MINUS_2 = "poly = [-2, 0, 0, 0, 1]\ndiscriminant = -2048\nsignature = [2, 1]\n"
+# a quadratic field past the class-table cap, D = 4 * 100,003 = 400,012
+WIDE_QUADRATIC = "poly = [-100003, 0, 1]\n"
+
+
+class TestRoute:
+    """The one route of each field: the primes dividing its e, and only
+    those, take the exact pipeline, and a code of -1 is an error."""
+
+    # e of each field's route; Q and the table quadratics send no prime to
+    # the exact pipeline, and x^5 - 2 sends every one
+    E = {"rationals": 1, "eisenstein": 1, "gaussian": 1, "golden": 1,
+         "sqrt-163": 1, "sqrt-7": 1, "sqrt2": 1, "sqrt3": 1,
+         "cbrt2": 2 * -108, "cyclic-cubic-49": 2 * 49, "cyclotomic5": 5 * 125,
+         "x^4+1": 8 * 256, "x^4-2": 2 * -2048, "x^5-2": None,
+         "D=400012": 2 * 400_012}
+
+    def test_exact_pipeline_takes_the_primes_dividing_e(self, monkeypatch):
+        # fresh descriptors of every corpus field that loads fully, and more
+        reached = []
+        pairs_for = splitting._pairs_for
+        monkeypatch.setattr(splitting, "_pairs_for",
+                            lambda field, p: reached.append(p) or pairs_for(field, p))
+        primes = rational_primes(10 ** 5).tolist()
+        texts = {path.stem: path.read_text()
+                 for path in sorted(GAUSS_PATH.parent.glob("*.field"))
+                 if path.stem != "non-monogenic-cubic"}
+        texts.update({"x^4+1": X4_PLUS_1, "x^4-2": X4_MINUS_2, "x^5-2": X5_MINUS_2,
+                      "D=400012": WIDE_QUADRATIC})
+        fields = {name: load_field(text) for name, text in texts.items()}
+        assert fields.keys() == self.E.keys()
+        for name, field in fields.items():
+            reached.clear()
+            _splitting_table(field, 10 ** 5)
+            route = field_context(field).route
+            e = None if route is None else route[0]
+            assert e == self.E[name], name
+            assert reached == [p for p in primes if e is None or e % p == 0], name
+
+    def test_degree_one_past_the_table(self):
+        # Q's class route is p mod 1; past the table, and with no table,
+        # the exact pipeline factors the linear f
+        for text in ((GAUSS_PATH.parent / "rationals.field").read_text(), "poly = [-5, 1]\n"):
+            field = load_field(text)
+            assert splitting_type(field, 100_003).pairs == ((1, 1),)
+            assert splitting_type(field, 5).pairs == ((1, 1),)
+            assert field_context(field).table_xmax == 0
+            _, codes, patterns = _splitting_table(field, 1000)
+            assert {patterns[c] for c in codes.tolist()} == {((1, 1),)}
+
+    @pytest.mark.parametrize("text", ["cbrt2", "cyclotomic5", X4_MINUS_2],
+                             ids=["cbrt2", "cyclotomic5", "x^4-2"])
+    def test_a_ruled_out_key_raises(self, text):
+        # a key Stickelberger's theorem rules out, or a class not prime to m
+        if not text.startswith("poly"):
+            text = (GAUSS_PATH.parent / f"{text}.field").read_text()
+        field = load_field(text)
+        _splitting_table(field, 1000)
+        ctx = field_context(field)
+        e, key, codes = ctx.route
+        out = int(np.flatnonzero(codes < 0)[0])
+        table = ctx.primes.copy(), ctx.codes.copy()
+        ctx.route = e, lambda block: np.full(len(block), out), codes
+        with pytest.raises(InvariantViolation, match="rules out"):
+            _splitting_table(field, 2000)
+        assert ctx.table_xmax == 1000
+        assert ctx.primes.tolist() == table[0].tolist()
+        assert ctx.codes.tolist() == table[1].tolist()
 
 
 def _ideal_records(primes, codes, patterns, xi):
@@ -674,10 +753,9 @@ class TestRecordArray:
                 assert norms.tolist() == oracle[:, 0].tolist(), (name, xi)
                 assert np.column_stack(ideal_columns(*table, xi, p_and_f=True)) \
                     .tolist() == oracle.tolist(), (name, xi)
-                columns = _ideal_columns_up_to(field, xi)
-                assert [c.dtype for c in columns] == [np.dtype(np.int64)] * 3
-                assert np.column_stack(columns).tolist() == oracle.tolist(), \
-                    (name, xi)
+                records = _records_up_to(field, xi)
+                assert records.dtype == np.int64
+                assert records.tolist() == oracle.tolist(), (name, xi)
 
     def test_prime_powers_near_the_cap(self, monkeypatch):
         # int64 powers of primes near 1e8 wrap, 99,999,989^6 to a negative
@@ -711,8 +789,6 @@ class TestRecordArray:
 
 
 STREAM_X = 3000
-# Q(zeta_8): three primes in four have two ideals of norm p^2
-X4_PLUS_1 = "poly = [1, 0, 0, 0, 1]\ndiscriminant = 256\nsignature = [0, 2]\n"
 
 
 def _stream_fields(corpus):
@@ -1056,7 +1132,7 @@ SCALAR_ENTRY_POINTS = {
     "summatory": summatory,
     "t_K": t_K,
     "kappa_estimate": kappa_estimate,
-    "legendre_chebyshev_rhs": legendre_chebyshev_rhs,
+    "legendre_chebyshev_rhs": lambda field, x: legendre_chebyshev_grid(field, [x]),
 }
 GRID_ENTRY_POINTS = {
     "summatory_grid": summatory_grid,
