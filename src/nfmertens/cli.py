@@ -238,7 +238,7 @@ def _cmd_sieve(field, config, meta, out_path):
         _emit(config, meta, ["n", "ideal_count"],
               _count_blocks(field, x), out_path)
     elif what == "ideals":
-        _, stream = _ideal_stream(field, [math.floor(config.x_max)], p_and_f=True)
+        stream = _ideal_stream(field, math.floor(config.x_max), p_and_f=True)
         blocks = ((p[a:a + _BLOCK], f[a:a + _BLOCK], norm[a:a + _BLOCK])
                   for norm, p, f in stream for a in range(0, len(norm), _BLOCK))
         _emit(config, meta, ["p", "f", "norm"], blocks, out_path)

@@ -45,7 +45,6 @@ if TYPE_CHECKING:
 
 PROVENANCE_EXACT = "exact-class-number-formula"
 PROVENANCE_ESTIMATED = "estimated-from-ideal-count"
-PROVENANCE_USER = "user-supplied"
 
 _KEYS = (
     "poly",

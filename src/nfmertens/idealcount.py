@@ -18,14 +18,15 @@ starts.
 
 row_sums takes one ascending pass over the blocks for a grid of cutoffs (the
 single-point functions are one-point grids), exact, or rounded as fsum would
-(splitting.grid_fsums): no sum depends on where the blocks end.
+(splitting.segment_sums and running_fsums): no sum depends on where the
+blocks end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import accumulate, chain, takewhile
 from math import fsum
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -36,7 +37,7 @@ from .bounds import LogMagnitude, lambda_K
 from .errors import DivisorBoundExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
 from .splitting import (_ideal_stream, _per_pattern, _splitting_table, check_cutoff,
-                        check_grid, grid_fsums)
+                        check_grid, running_fsums, segment_sums, slices)
 
 _ROW_BLOCK = 1 << 20  # entries per block of uint16, 2 MB; wider blocks hold fewer
 _PAIRS = 1 << 15  # (m, P) pairs per step of a block's cofactor pass
@@ -188,29 +189,28 @@ def _row_blocks(field: FieldDescriptor, n_max: int):
 
 def row_sums(blocks, grid, logs: bool = True) -> tuple[list[int], list[float]]:
     """(I-sums, T-sums) at each x of the ascending grid, the sums over n <= x
-    of I(n), exact, and of I(n) log n (none without logs), in one grid_fsums
-    pass over the blocks (lo, block) from lo = 0; T leaves out the terms of
-    zero I(n), +0.0."""
-    cuts, isums, total = [math.floor(x) + 1 for x in grid], [], 0
+    of I(n), exact, and of I(n) log n (none without logs), in one pass over
+    the blocks (lo, block) from lo = 0, cut by splitting.slices; T leaves
+    out the terms of zero I(n), +0.0."""
+    cuts = np.array([math.floor(x) + 1 for x in grid])
+    isums = [0] * len(cuts)
 
-    def segments():
-        for segment in zip([0] + cuts, cuts):
-            yield segment
-            isums.append(total)  # grid_fsums has read the whole segment
-
-    def terms(a, part):
-        nonlocal total
+    def terms(k, a, part):
         # uint16 and uint32 sum exactly; int64 (< 2^62) in two halves
-        total += int(part.sum()) if part.dtype != np.int64 else \
+        isums[k] += int(part.sum()) if part.dtype != np.int64 else \
             (int((part >> 31).sum()) << 31) + int((part & 2 ** 31 - 1).sum())
         if not logs:
             return ()
         nz = np.flatnonzero(part)
-        return part[nz].astype(np.float64) * np.log((nz + a).astype(np.float64)),
+        out = part[nz].astype(np.float64)
+        nz += a  # in place: two fewer temporaries per part
+        out *= np.log(nz.astype(np.float64))
+        return out,
 
-    [tsums] = grid_fsums(segments(), map(itemgetter(1), blocks), terms,
-                         int(logs)) or [[]]
-    return isums, tsums
+    parts = slices(map(itemgetter(1), blocks),
+                   lambda lo, block: np.clip(cuts - lo, 0, len(block)))
+    [tsums] = segment_sums(parts, terms, len(cuts), int(logs)) or [[]]
+    return list(accumulate(isums)), running_fsums(tsums)
 
 
 def ideal_count_sieve(field: FieldDescriptor, x: int) -> np.ndarray:
@@ -270,8 +270,9 @@ def legendre_chebyshev_grid(field: FieldDescriptor, grid) -> list[float]:
     x of the ascending grid, from one pass over the row's blocks. Exactly
     t_K(x); the identity's independent route."""
     tops = [math.floor(x) for x in check_grid(grid)]
-    _, blocks = _ideal_stream(field, tops[-1:])
-    norms = [norm for [block] in blocks for norm in block.tolist()]
+    # each block read as a list, so no view of it outlives it
+    norms = list(chain.from_iterable(map(np.ndarray.tolist, map(
+        itemgetter(0), _ideal_stream(field, tops[-1])))))
 
     def reads(n):  # at x, each ideal's exponent reads Isum at floor(x / norm^j)
         return ((norm, takewhile(bool, (n // norm ** j for j in range(1, 64))))

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import EmptyProduct, MissingResidue
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
-from .splitting import (_ideal_stream, check_cutoff, check_grid, grid_exact_sums,
-                        rational_primes, running_fsums)
+from .splitting import (_ideal_stream, check_cutoff, check_grid, rational_primes,
+                        running_fsums, segment_sums, slices)
 
 # Euler-Mascheroni constant, 40 decimal digits
 EULER_GAMMA_STR = "0.5772156649015328606065120900824024310422"
@@ -103,28 +103,29 @@ def _mertens_pass(field: FieldDescriptor, grid: list[float], truncation_x: float
         raise MissingResidue(f"{name} requires a positive residue")
     tops, top_t = [math.floor(x) for x in grid], math.floor(truncation_x)
     cutoffs = sorted({*tops, top_t})
-    cuts, blocks = _ideal_stream(field, cutoffs)
-    if tops and cuts[cutoffs.index(tops[0])] == 0:
-        raise EmptyProduct(f"no prime ideal has norm <= {grid[0]}")
-    ends = dict(zip(cutoffs, cuts))
-    table_end, series_end = ends[tops[-1]] if tops else 0, ends[top_t]
+    # segment k, the norms in (cutoffs[k - 1], cutoffs[k]], lies inside or
+    # past each series
+    table_end = cutoffs.index(tops[-1]) if tops else -1
+    series_end = cutoffs.index(top_t)
     none = np.empty(0)
 
-    def terms(a, norms):  # a slice lies before or past each series' end
+    def terms(k, a, norms):
         n, at = _distinct(norms)
         recip = 1.0 / n
         l1p = _floats(math.log1p, -recip)
         table = ((_floats(math.log, n) / n)[at], recip[at], l1p[at]) \
-            if a < table_end else (none,) * 3
-        return (*table, (recip + l1p)[at] if a < series_end else none)
+            if k <= table_end else (none,) * 3
+        return (*table, (recip + l1p)[at] if k <= series_end else none)
 
-    *table, series = grid_exact_sums(zip([0] + cuts, cuts), map(itemgetter(0), blocks),
-                                     terms, 4)
+    parts = slices(map(itemgetter(0), _ideal_stream(field, cutoffs[-1])),
+                   lambda lo, norms: np.searchsorted(norms, cutoffs, "right"))
+    *table, series = segment_sums(parts, terms, len(cutoffs), 4)
     pieces = [0] + [cutoffs.index(x) + 1 for x in tops]  # up to each point
-    sums = [running_fsums([sum(ints[i:j]) for i, j in zip(pieces, pieces[1:])])
-            for ints in table]
-    [value] = running_fsums([sum(series[:cutoffs.index(top_t) + 1])])
-    return sums, value
+    table = [[sum(ints[i:j]) for i, j in zip(pieces, pieces[1:])] for ints in table]
+    if tops and table[1][0] == 0:  # the 1/N terms are positive
+        raise EmptyProduct(f"no prime ideal has norm <= {grid[0]}")
+    [value] = running_fsums([sum(series[:series_end + 1])])
+    return [running_fsums(ints) for ints in table], value
 
 
 def _constant(field: FieldDescriptor, truncation_x: float, kappa: Residue,

@@ -39,19 +39,21 @@ index). Each descriptor holds its own context, grown as larger cutoffs are
 asked for and freed with the descriptor; equal descriptors do not share one.
 The prime sieve is shared by every field: the process keeps its largest,
 read-only. Nothing read from the table is kept: _ideal_stream yields the
-prime ideals in blocks of _PRIME_BLOCK primes, each sorted by (norm, p), and
-counts the ideals up to each cutoff from the table before a pass starts;
+prime ideals in blocks of _PRIME_BLOCK primes, each sorted by (norm, p);
 idealcount builds the I(n) row in blocks the same way.
-grid_fsums holds the rounding policy of the Mertens, I(n) log n and theta
-grid sums: the value at a grid point is the fsum of the segment sums before
-it, and each segment sum is its float64 terms summed exactly and rounded
-once, the value fsum gives (mertens.prime_power_grid takes one fsum per
-prefix instead); grid_exact_sums keeps each segment's sum exact, so one pass
-can serve two grids and round each one's segments once. exact_sum sums
-blocks of at most _SLICE terms in a small superaccumulator (Neal, "Fast
-exact summation using small and large superaccumulators", arXiv:1505.05571,
-2015), so a sum depends neither on the order of its terms nor on where the
-blocks end.
+One block-pass driver takes the Mertens, I(n) and theta grid sums: slices
+cuts each block, as it comes, at its own ends of the pass's segments (by
+searchsorted for norms and primes, by the block's offset for the row), and
+segment_sums adds each series' exact_sum of every part into its segment.
+The sums stay exact, so one pass can serve two grids and round each one's
+segments once; running_fsums holds the rounding policy: the value at a grid
+point is the fsum of the segment sums before it, and each segment sum is its
+float64 terms summed exactly and rounded once, the value fsum gives
+(mertens.prime_power_grid takes one fsum per prefix instead). exact_sum sums
+parts of at most _SLICE terms in a small superaccumulator (Neal, "Fast exact
+summation using small and large superaccumulators", arXiv:1505.05571, 2015),
+so a sum depends neither on the order of its terms nor on where the blocks
+end.
 check_cutoff and check_grid hold the one range rule of a cutoff and of a grid
 of cutoffs; every sieve applies it before it starts.
 """
@@ -565,20 +567,16 @@ def _per_pattern(patterns: list, f: int, dtype) -> np.ndarray:
     return np.array([sum(g == f for _, g in pairs) for pairs in patterns], dtype)
 
 
-def _ideal_stream(field: FieldDescriptor, cutoffs: list[int],
-                  p_and_f: bool = False):
-    """(cuts, blocks) for the ascending int cutoffs: cuts[i] is the number of
-    prime ideals of norm <= cutoffs[i], counted from the splitting table, and
-    blocks yields, for each block of _PRIME_BLOCK primes <= cutoffs[-1], the
-    int64 rows norm, or norm, p and f, one column per prime ideal of norm from
-    the block's first prime up to the next block's, sorted by (norm, p).
+def _ideal_stream(field: FieldDescriptor, xi: int, p_and_f: bool = False):
+    """For each block of _PRIME_BLOCK primes <= xi, the int64 rows norm, or
+    norm, p and f, one column per prime ideal of norm <= xi from the block's
+    first prime up to the next block's, sorted by (norm, p).
 
     The degree-1 norms are the primes repeated by their number of degree-1
     ideals, already in order. The few norms p^f, f >= 2, are listed once,
     sorted, and each goes in its block by searchsorted; a norm p^f fixes p
     and f, so no two entries tie.
     """
-    xi = cutoffs[-1]
     primes, codes, patterns = _splitting_table(field, xi)
     # a prime has at most len(pairs) ideals of any degree
     narrow = np.min_scalar_type(max(map(len, patterns), default=1))
@@ -594,12 +592,6 @@ def _ideal_stream(field: FieldDescriptor, cutoffs: list[int],
     high = np.concatenate(high, axis=1)
     high = high[:, np.argsort(high[0])]
     pos = np.searchsorted(primes, high[0])  # each p^f follows the pos-th prime
-    cuts, total = [], 0
-    ends = np.searchsorted(primes, cutoffs, "right").tolist()
-    for lo, hi, x in zip([0] + ends, ends, cutoffs):
-        for a in range(lo, hi, _PRIME_BLOCK):
-            total += int(c1[codes[a:min(a + _PRIME_BLOCK, hi)]].sum())
-        cuts.append(total + int(high[3, :np.searchsorted(high[0], x, "right")].sum()))
 
     def blocks():
         for a in range(0, len(primes), _PRIME_BLOCK):
@@ -609,7 +601,8 @@ def _ideal_stream(field: FieldDescriptor, cutoffs: list[int],
             h = np.repeat(high[:3, i:j], high[3, i:j], axis=1)  # the block's p^f
             rows = np.stack((p, p, np.ones_like(p)) if p_and_f else (p,))
             yield np.insert(rows, np.searchsorted(p, h[0]), h[:len(rows)], axis=1)
-    return cuts, blocks()
+            del p, h, rows  # before the next block's are made
+    return blocks()
 
 
 def _records_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
@@ -617,7 +610,7 @@ def _records_up_to(field: FieldDescriptor, x: float) -> np.ndarray:
     (norm, p): a (k, 3) int64 array, the stream's blocks joined on each call,
     not kept."""
     check_cutoff("x", x, 0)
-    _, blocks = _ideal_stream(field, [math.floor(x)], p_and_f=True)
+    blocks = _ideal_stream(field, math.floor(x), p_and_f=True)
     return np.concatenate([np.empty((3, 0), dtype=np.int64), *blocks], axis=1).T
 
 
@@ -635,7 +628,7 @@ def prime_ideals_up_to(field: FieldDescriptor, x: float) -> tuple[PrimeIdealReco
 def theta_K(field: FieldDescriptor, x: float) -> float:
     """Sum of log(norm) over prime ideals of norm <= x; 0.0 for x < 2."""
     check_cutoff("x", x, 0)  # no prime ideal has norm < 2
-    _, blocks = _ideal_stream(field, [math.floor(x)])
+    blocks = _ideal_stream(field, math.floor(x))
     return fsum(map(math.log, chain.from_iterable(norm.tolist() for [norm] in blocks)))
 
 
@@ -698,32 +691,35 @@ def exact_sum(terms: np.ndarray) -> int:
     return total
 
 
-def grid_exact_sums(segments, blocks, terms, count: int = 1) -> list[list[int]]:
-    """The exact sums, as exact_sum's ints, of count series over each
-    segment in turn, one list per series.
+def slices(blocks, ends):
+    """(k, a, part) for the 1-d arrays blocks yields, joined end to end, cut
+    into the segments k = 0, 1, ... of a pass: ends(lo, block), for the block
+    of entries lo on, gives where in the block each segment ends, ascending.
+    part holds the entries from a on, at most _SLICE of them and all of one
+    block and one segment. Each block is made when the pass reaches it and
+    dropped before the next is made."""
+    lo = 0
+    for block in blocks:
+        start = 0
+        for k, end in enumerate(ends(lo, block).tolist()):
+            for i in range(start, end, _SLICE):
+                yield k, lo + i, block[i:min(i + _SLICE, end)]
+            start = end
+        lo += len(block)
+        del block  # else the loop holds it while the next one is made
 
-    blocks yields 1-d arrays whose entries, joined end to end, the index
-    ranges (lo, hi) of segments cover, each range starting where the last
-    ended. terms(a, values) gives the float64 terms of values, the entries
-    from index a on, at most _SLICE of them and all of one block, as arrays,
-    one per series, or fewer where the last series have none. Each block is
-    made when the pass reaches it and dropped before the next is made; each
-    slice is read by every series.
-    """
-    blocks, start, block = iter(blocks), 0, np.empty(0)
-    out = [[] for _ in range(count)]
-    for lo, hi in segments:
-        totals = [0] * count
-        while lo < hi:
-            while lo == start + len(block):
-                start, block = start + len(block), None  # freed before the next is made
-                block = next(blocks)
-            b = min(lo + _SLICE, hi, start + len(block))
-            for i, part in enumerate(terms(lo, block[lo - start:b - start])):
-                totals[i] += exact_sum(part)
-            lo = b
-        for total, ints in zip(totals, out):
-            ints.append(total)
+
+def segment_sums(parts, terms, segments: int, count: int = 1) -> list[list[int]]:
+    """The exact sums, as exact_sum's ints, of count series over each of the
+    segments, one list per series, from the (k, a, part) of slices:
+    terms(k, a, part) gives the float64 terms of part, of segment k, as
+    arrays, one per series, or fewer where the last series have none. Each
+    part is read once by every series and dropped before the next is made."""
+    out = [[0] * segments for _ in range(count)]
+    for k, a, part in parts:
+        for ints, total in zip(out, map(exact_sum, terms(k, a, part))):
+            ints[k] += total
+        del part  # a view of its block
     return out
 
 
@@ -735,13 +731,3 @@ def running_fsums(totals) -> list[float]:
         sums.append(total / (1 << _SCALE))
         values.append(fsum(sums))
     return values
-
-
-def grid_fsums(segments, blocks, terms, count: int = 1) -> list[list[float]]:
-    """Running sums of count series over an ascending grid, one list each:
-    segments yields, for each grid point in turn, the index range after the
-    previous point's (see grid_exact_sums). A segment's sum is exact_sum over
-    its slices rounded once, which is fsum of its terms, and the value of a
-    series at the k-th point is the fsum of its first k segment sums."""
-    return [running_fsums(ints)
-            for ints in grid_exact_sums(segments, blocks, terms, count)]

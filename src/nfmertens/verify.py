@@ -42,7 +42,8 @@ from .mertens import (
     prime_power_sum_bound,
     theta_Q_bound_constant,
 )
-from .splitting import check_grid, grid_fsums, rational_primes
+from .splitting import (check_grid, rational_primes, running_fsums, segment_sums,
+                        slices)
 
 PAINFUL_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.2, 1.5, 2.0, 3.0)
 PAINFUL_XS = (100.0, 1000.0, 10000.0, 100000.0)
@@ -83,11 +84,12 @@ def _interval_check(name: str, x, quantity: float, lo: float,
 def _theta_values(grid: tuple[float, ...]) -> tuple[float, ...]:
     """theta(x) at each x of the grid, from one sieve per grid per process:
     no field changes it."""
-    primes = rational_primes(grid[-1])
-    cuts = np.searchsorted(primes, [math.floor(x) for x in grid], "right").tolist()
-    [values] = grid_fsums(zip([0] + cuts, cuts), [primes], lambda a, p: (
-        np.log(p.astype(np.float64)),))
-    return tuple(values)
+    tops = [math.floor(x) for x in grid]
+    parts = slices([rational_primes(grid[-1])],
+                   lambda lo, primes: np.searchsorted(primes, tops, "right"))
+    [values] = segment_sums(parts, lambda k, a, p: (np.log(p.astype(np.float64)),),
+                            len(tops))
+    return tuple(running_fsums(values))
 
 
 @cache

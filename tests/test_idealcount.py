@@ -500,7 +500,7 @@ class TestNonzeroLogTerms:
 
     def test_corpus_at_1e5_against_all_terms(self, corpus):
         # a one-point grid is one fsum over all its terms; a longer grid
-        # rounds each segment first (grid_fsums), as TestGridSums checks
+        # rounds each segment first (segment_sums), as TestGridSums checks
         points = [2.0, 3.0] + list(geometric_grid(4, 20))
         for name, field in corpus.items():
             if name == "non-monogenic-cubic":

@@ -14,11 +14,12 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 from sympy import kronecker_symbol
 
-from nfmertens import splitting, verify
+from nfmertens import mertens, splitting, verify
 from nfmertens.errors import (
     CompositeModulus,
     CutoffOutOfRange,
     DenseSieveCapExceeded,
+    EmptyProduct,
     IndexPrimeUnsupported,
     InvariantViolation,
 )
@@ -55,10 +56,12 @@ from nfmertens.splitting import (
     FieldContext,
     check_grid,
     exact_sum,
-    grid_fsums,
     kronecker,
     prime_ideals_up_to,
     rational_primes,
+    running_fsums,
+    segment_sums,
+    slices,
     splitting_type,
     theta_K,
 )
@@ -798,7 +801,7 @@ def _stream_fields(corpus):
 
 
 def _joined(field, top, p_and_f=False):
-    _, blocks = _ideal_stream(field, [top], p_and_f)
+    blocks = _ideal_stream(field, top, p_and_f)
     return np.concatenate([np.empty((3 if p_and_f else 1, 0), dtype=np.int64),
                            *blocks], axis=1)
 
@@ -824,12 +827,44 @@ class TestIdealStream:
         marks = {*norms[f >= 2].tolist(), *primes[::block].tolist()}
         return sorted({x + d for x in marks for d in (-1, 0, 1)} & set(range(STREAM_X + 1)))
 
-    def test_cuts_count_every_ideal(self, corpus, block):
+    def test_mertens_pass_at_every_edge(self, corpus, block, monkeypatch):
+        # each block is cut at its own ends of a grid on, just below and just
+        # above every norm p^f and every block edge, in slices of 5 terms;
+        # the truncation cutoff is one more cutoff of the same pass. Every
+        # block reads every cutoff, so the smaller blocks stop at 1000
+        monkeypatch.setattr(splitting, "_SLICE", 5)
+        kappa = Residue(value=1.0, provenance=PROVENANCE_EXACT)
+        x = {1: 1000, 2: 1000}.get(block, STREAM_X)
         for name, field in _stream_fields(corpus).items():
-            [norms] = ideal_columns(*_splitting_table(field, STREAM_X), STREAM_X)
-            cutoffs = self.edges(field, block)
-            cuts, _ = _ideal_stream(field, cutoffs)
-            assert cuts == np.searchsorted(norms, cutoffs, "right").tolist(), name
+            [norms] = ideal_columns(*_splitting_table(field, x), x)
+            grid = [float(t) for t in self.edges(field, block) if norms[0] <= t <= x]
+            sums = list(zip(*mertens_sums(field, grid)))
+            for truncation_x in sorted({max(10.0, grid[i]) for i in (0, len(grid) // 2, -1)}):
+                with patch.object(mertens, "EULER_GAMMA", 0.0):
+                    mconst, rows = mertens_grid(field, grid, truncation_x, kappa)
+                assert mconst.M_K == mertens_series(field, truncation_x), (name, truncation_x)
+                for row, (lnn, rec, l1p) in zip(rows, sums):
+                    assert (row.sum_logN_over_N, row.sum_recip, row.product) == \
+                        (lnn, rec, math.exp(l1p)), (name, truncation_x, row.x)
+
+    @pytest.mark.parametrize("name, least", [("eisenstein", 3), ("golden", 4),
+                                             ("cyclotomic5", 5)])
+    def test_empty_product_below_the_least_norm(self, corpus, name, least):
+        # with one prime a block, the blocks before the least norm are empty
+        field = corpus[name]
+        kappa = Residue(value=1.0, provenance=PROVENANCE_EXACT)
+        mconst = mertens_constant(field, 10, kappa)
+        for grid in ([least - 1.0], [least - 0.5, 100.0], [2.0, least - 0.5, least]):
+            with pytest.raises(EmptyProduct):
+                mertens_table(field, grid, mconst, kappa)
+            with pytest.raises(EmptyProduct):
+                mertens_grid(field, grid, 10, kappa)
+        # one ideal, of norm least, lies above each least
+        for grid in ([least], [least + 0.5, 100.0]):
+            [row, *_] = mertens_table(field, grid, mconst, kappa)
+            assert (row.sum_recip, row.product) == \
+                (1 / least, math.exp(math.log1p(-1 / least))), grid
+            assert mertens_grid(field, grid, 10, kappa)[1][0] == row
 
     def test_blocks_hold_their_primes(self, corpus, block):
         # each block holds the ideals of norm from its first prime up to the
@@ -837,8 +872,7 @@ class TestIdealStream:
         for name, field in _stream_fields(corpus).items():
             primes, _, _ = _splitting_table(field, STREAM_X)
             starts = primes[::block].tolist()
-            _, blocks = _ideal_stream(field, [STREAM_X], p_and_f=True)
-            blocks = list(blocks)
+            blocks = list(_ideal_stream(field, STREAM_X, p_and_f=True))
             assert len(blocks) == len(starts), name
             for norm, lo, hi in zip(blocks, starts, starts[1:] + [STREAM_X + 1]):
                 assert ((lo <= norm[0]) & (norm[0] < hi)).all(), (name, lo)
@@ -930,12 +964,19 @@ def fsum_of_segment_fsums(segments, term):
     return [math.fsum(seg_sums[:k + 1]) for k in range(len(seg_sums))]
 
 
-def index_ranges(segments):
-    """The values of the segments as one float64 array, and each segment's
-    (lo, hi) range of indices in it."""
-    cuts = list(accumulate(map(len, segments)))
+def index_cuts(segments):
+    """The values of the segments as one float64 array, and the index in it
+    where each segment ends."""
     values = np.array([v for seg in segments for v in seg], dtype=np.float64)
-    return values, list(zip([0] + cuts, cuts))
+    return values, np.array(list(accumulate(map(len, segments))), dtype=np.int64)
+
+
+def grid_values(blocks, cuts, terms, count=1):
+    """Running sums of count series, one list each, by slices and
+    segment_sums over the blocks, joined end to end and cut at the indices
+    cuts."""
+    parts = slices(blocks, lambda lo, block: np.clip(cuts - lo, 0, len(block)))
+    return [running_fsums(ints) for ints in segment_sums(parts, terms, len(cuts), count)]
 
 
 class TestGridFsums:
@@ -950,35 +991,43 @@ class TestGridFsums:
         # small v; a non-finite term raises (TestExactSum)
         def square(seg):
             return [(v * 1e-160) * (v * 1e-160) for v in seg]
-        values, ranges = index_ranges(segments)
+        values, cuts = index_cuts(segments)
         # slices of 1 to 4 terms end inside and at the ends of segments, and
         # at the ends of 1 to 12 arrays that hold the values, some empty
         with patch.object(splitting, "_SLICE", block):
-            got = grid_fsums(iter(ranges), np.array_split(values, parts), lambda a, v: (
+            got = grid_values(np.array_split(values, parts), cuts, lambda k, a, v: (
                 v, (v * 1e-160) ** 2), 2)
         assert got == [fsum_of_segment_fsums(segments, list),
                        fsum_of_segment_fsums(segments, square)]
 
     def test_empty_segments_and_repeated_cuts(self):
         # cuts [0, 0, 3, 3, 3, 5]: empty segments before, between and after
-        # data, as grid points below the first term or with one floor give
+        # data, as grid points below the first term or with one floor give;
+        # the cuts by index and by value (searchsorted) agree
         values = np.array([0.1, 1e16, -1e16, 0.2, 0.3])
-        cuts = [0, 0, 3, 3, 3, 5]
-        [got] = grid_fsums(zip([0] + cuts, cuts), [values], lambda a, v: (v,))
-        segments = [values[a:b].tolist() for a, b in zip([0] + cuts, cuts)]
+        cuts = np.array([0, 0, 3, 3, 3, 5])
+        [got] = grid_values([values], cuts, lambda k, a, v: (v,))
+        segments = [values[a:b].tolist() for a, b in zip([0, *cuts], cuts)]
         assert got == fsum_of_segment_fsums(segments, list)
         assert got == [0.0, 0.0, 0.1, 0.1, 0.1, math.fsum(values)]
+        keys = np.array([2, 3, 5, 7, 11])
+        parts = slices([keys[:2], keys[2:]], lambda lo, block: np.searchsorted(
+            block, [1, 2, 5, 6, 6, 11], "right"))
+        assert [(k, a, part.tolist()) for k, a, part in parts] == \
+            [(1, 0, [2]), (2, 1, [3]), (2, 2, [5]), (5, 3, [7, 11])]
 
-    def test_segments_are_read_once(self):
-        # each block is made once, and every series reads it
+    def test_segments_are_read_once(self, monkeypatch):
+        # each part is made once, every series reads it, and it carries its
+        # segment and its offset in the blocks joined end to end
+        monkeypatch.setattr(splitting, "_SLICE", 2)
         made = []
-        values = np.array([1.0, 2.0, 3.0])
 
-        def terms(a, v):
-            made.append((a, a + len(v)))
+        def terms(k, a, v):
+            made.append((k, a, a + len(v)))
             return v, v, v
-        assert grid_fsums([(0, 1), (1, 3)], [values], terms, 3) == [[1.0, 6.0]] * 3
-        assert made == [(0, 1), (1, 3)]
+        blocks = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])]
+        assert grid_values(blocks, np.array([1, 5]), terms, 3) == [[1.0, 15.0]] * 3
+        assert made == [(0, 0, 1), (1, 1, 3), (1, 3, 5)]
 
 
 def scaled(terms) -> int:
@@ -1040,11 +1089,11 @@ class TestExactSum:
         with pytest.raises(InvariantViolation):
             exact_sum(np.array([1.0, bad, -2.5]))
         with pytest.raises(InvariantViolation):
-            grid_fsums([(0, 2)], [np.array([0.5, bad])], lambda a, v: (v,))
+            grid_values([np.array([0.5, bad])], np.array([2]), lambda k, a, v: (v,))
 
     def test_block_at_the_bound(self):
         # a bucket sums mantissa halves below 2^26 and 2^27 units exactly
-        # while terms x 2^27 < 2^53; grid_fsums' blocks hold at most _SLICE
+        # while terms x 2^27 < 2^53; the parts of slices hold at most _SLICE
         assert splitting._SLICE * 2 ** 27 < 2 ** 53
         assert splitting._EXACT_TERMS * 2 ** 27 == 2 ** 53
         # every mantissa bit set, both halves at their largest, one exponent
