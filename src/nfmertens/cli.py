@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields as dc_fields
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -159,6 +160,7 @@ def _write_csv(fh, meta: dict, header: list[str], blocks) -> None:
             _write(fh, int_rows(block, seps))
         else:
             writer.writerows(block)
+        del block  # it may view a stream or row block: drop it before the next
 
 
 def _write_json(fh, meta: dict, header: list[str], blocks) -> None:
@@ -181,6 +183,7 @@ def _write_json(fh, meta: dict, header: list[str], blocks) -> None:
         if text:
             _write(fh, text[1:] if first else text)
             first = False
+        del block  # as in _write_csv
     fh.write("]\n}\n" if first else "\n  ]\n}\n")
 
 
@@ -211,12 +214,20 @@ def _cells(config: RunConfig, rows) -> list[list]:
     return [[v if isinstance(v, keep) else _f15(v) for v in row] for row in rows]
 
 
+def _ideal_columns(rows: np.ndarray) -> list[tuple]:
+    """The columns (p, f, norm) of one block of the ideal stream, whose rows
+    are norm, p and f, _BLOCK ideals at a time."""
+    norm, p, f = rows
+    return [(p[a:a + _BLOCK], f[a:a + _BLOCK], norm[a:a + _BLOCK])
+            for a in range(0, len(norm), _BLOCK)]
+
+
 def _count_blocks(field: FieldDescriptor, x: int):
     """The columns (n, I(n)) for 1 <= n <= x, _BLOCK rows at a time."""
     for lo, block in _row_blocks(field, x):
         for a in range(1 if lo == 0 else 0, len(block), _BLOCK):
-            rows = block[a:a + _BLOCK]
-            yield np.arange(lo + a, lo + a + len(rows)), rows
+            yield np.arange(lo + a, lo + min(a + _BLOCK, len(block))), block[a:a + _BLOCK]
+        del block  # else the loop holds it while the next one is made
 
 
 def _residue_for(field: FieldDescriptor, config: RunConfig, meta: dict):
@@ -239,9 +250,8 @@ def _cmd_sieve(field, config, meta, out_path):
               _count_blocks(field, x), out_path)
     elif what == "ideals":
         stream = _ideal_stream(field, math.floor(config.x_max), p_and_f=True)
-        blocks = ((p[a:a + _BLOCK], f[a:a + _BLOCK], norm[a:a + _BLOCK])
-                  for norm, p, f in stream for a in range(0, len(norm), _BLOCK))
-        _emit(config, meta, ["p", "f", "norm"], blocks, out_path)
+        _emit(config, meta, ["p", "f", "norm"],
+              chain.from_iterable(map(_ideal_columns, stream)), out_path)
     else:  # summatory
         kappa = _residue_for(field, config, meta)
         rows = [[p.x, p.value, kappa.value * p.x, p.sunley_envelope]

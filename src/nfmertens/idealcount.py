@@ -18,7 +18,7 @@ starts.
 
 row_sums takes one ascending pass over the blocks for a grid of cutoffs (the
 single-point functions are one-point grids), exact, or rounded as fsum would
-(splitting.segment_sums and running_fsums): no sum depends on where the
+(blockpass.segment_sums and running_fsums): no sum depends on where the
 blocks end.
 """
 
@@ -33,11 +33,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .blockpass import running_fsums, segment_sums, slices
 from .bounds import LogMagnitude, lambda_K
 from .errors import DivisorBoundExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
 from .splitting import (_ideal_stream, _per_pattern, _splitting_table, check_cutoff,
-                        check_grid, running_fsums, segment_sums, slices)
+                        check_grid)
 
 _ROW_BLOCK = 1 << 20  # entries per block of uint16, 2 MB; wider blocks hold fewer
 _PAIRS = 1 << 15  # (m, P) pairs per step of a block's cofactor pass
@@ -190,7 +191,7 @@ def _row_blocks(field: FieldDescriptor, n_max: int):
 def row_sums(blocks, grid, logs: bool = True) -> tuple[list[int], list[float]]:
     """(I-sums, T-sums) at each x of the ascending grid, the sums over n <= x
     of I(n), exact, and of I(n) log n (none without logs), in one pass over
-    the blocks (lo, block) from lo = 0, cut by splitting.slices; T leaves
+    the blocks (lo, block) from lo = 0, cut by blockpass.slices; T leaves
     out the terms of zero I(n), +0.0."""
     cuts = np.array([math.floor(x) + 1 for x in grid])
     isums = [0] * len(cuts)

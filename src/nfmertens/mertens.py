@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import EmptyProduct, MissingResidue
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
-from .splitting import (_ideal_stream, check_cutoff, check_grid, rational_primes,
-                        running_fsums, segment_sums, slices)
+from .blockpass import running_fsums, segment_sums, slices
+from .splitting import _ideal_stream, check_cutoff, check_grid, rational_primes
 
 # Euler-Mascheroni constant, 40 decimal digits
 EULER_GAMMA_STR = "0.5772156649015328606065120900824024310422"
@@ -117,13 +117,21 @@ def _mertens_pass(field: FieldDescriptor, grid: list[float], truncation_x: float
             if k <= table_end else (none,) * 3
         return (*table, (recip + l1p)[at] if k <= series_end else none)
 
-    parts = slices(map(itemgetter(0), _ideal_stream(field, cutoffs[-1])),
-                   lambda lo, norms: np.searchsorted(norms, cutoffs, "right"))
+    empty = f"no prime ideal has norm <= {grid[0]}" if tops else None
+
+    def ends(lo, norms):
+        # the stream's first norm is its least: past the first point, the
+        # pass ends at the block that holds it
+        if tops and lo == 0 and len(norms) and norms[0] > tops[0]:
+            raise EmptyProduct(empty)
+        return np.searchsorted(norms, cutoffs, "right")
+
+    parts = slices(map(itemgetter(0), _ideal_stream(field, cutoffs[-1])), ends)
     *table, series = segment_sums(parts, terms, len(cutoffs), 4)
     pieces = [0] + [cutoffs.index(x) + 1 for x in tops]  # up to each point
     table = [[sum(ints[i:j]) for i, j in zip(pieces, pieces[1:])] for ints in table]
-    if tops and table[1][0] == 0:  # the 1/N terms are positive
-        raise EmptyProduct(f"no prime ideal has norm <= {grid[0]}")
+    if tops and table[1][0] == 0:  # an empty stream: the 1/N terms are positive
+        raise EmptyProduct(empty)
     [value] = running_fsums([sum(series[:series_end + 1])])
     return [running_fsums(ints) for ints in table], value
 

@@ -4,33 +4,45 @@ For each rational prime p the splitting type is the multiset of
 (ramification index, inertia degree) pairs of the prime ideals over p; the
 pairs always satisfy sum(e_i * f_i) = degree.
 
-A field's route, chosen once by _route when its FieldContext is made, is a
+A field's route, chosen once by _route when _tabulate first needs it, is a
 triple (e, key, codes): every prime not dividing e reads the code of its
 pattern as codes[key(p)], in blocks of FROBENIUS_BLOCK primes, where -1 marks
-a key the route rules out. A field that reads its splitting from p mod m
-(_class_route) keys by p % m: Q with m = 1; a quadratic field with
-|D| <= CLASS_TABLE_MAX by the Kronecker character (D / r), m = |D|, at every
-prime; a field of degree >= 3 with a cyclotomic certificate (field.py) of
-conductor m <= CLASS_TABLE_MAX by the order of p in (Z/m)^x / H, the residue
-degree, with e = m disc(f). The other fields of degree 2 to 4 (_kernel_route)
-key by batched numpy passes over int64 columns, one per prime: a quadratic
-field by Euler's criterion D^((p-1)/2) mod p, e = 2D; a cubic or quartic by
-(disc f / p) and whether x^p and x^(p^2) are x mod f, e = 2 disc(f), where
-Stickelberger's theorem, (disc f / p) = (-1)^(n - r) for the number r of
-irreducible factors of f mod p, rules out the keys no pattern has. The
-powers of x use delayed modular reduction (Dumas, Giorgi & Pernet, ACM TOMS
-35(3), 2008): each exponent bit sums the products of the square unreduced and
-reduces only while folding degrees d..2d-1 back through a per-block table of
-x^k mod f; DENSE_SIEVE_CAP states the int64 bound. D and disc(f), which can
-exceed int64, are reduced mod p digit by digit.
+a key the route rules out. _route takes the first of three that applies.
+A field that reads its splitting from p mod m (_class_route) keys by p % m:
+Q with m = 1; a quadratic field with |D| <= CLASS_TABLE_MAX by the Kronecker
+character (D / r), m = |D|, at every prime; a field of degree >= 3 with a
+cyclotomic certificate (field.py) of conductor m <= CLASS_TABLE_MAX by the
+order of p in (Z/m)^x / H, the residue degree, with e = m disc(f). A pure
+field, f = x^l - a with l an odd prime (_kummer_route), keys by p mod l and
+one power residue, e = l a: for p != 1 mod l, x -> x^l permutes F_p^x, so f
+has one root in F_p and the others are its multiples by the l-th roots of
+unity, which Frobenius moves in orbits of k, the order of p mod l; for
+p = 1 mod l, f splits completely when t = a^((p-1)/l) is 1 mod p and is
+irreducible mod p otherwise (Lidl & Niederreiter, Finite Fields, 3.5;
+Ireland & Rosen, A Classical Introduction to Modern Number Theory, GTM 84,
+ch. 9). t^l = 1 mod p stands in for Stickelberger's check below. Such a
+field is never normal, so no class route competes. The other fields of
+degree 2 to 4 (_kernel_route) key by batched numpy passes over int64
+columns, one per prime: a quadratic field by Euler's criterion
+D^((p-1)/2) mod p, e = 2D; a cubic or quartic by (disc f / p) and whether
+x^p and x^(p^2) are x mod f, e = 2 disc(f), where Stickelberger's theorem,
+(disc f / p) = (-1)^(n - r) for the number r of irreducible factors of f mod
+p, rules out the keys no pattern has. The powers of x use delayed modular
+reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008): each exponent bit
+sums the products of the square unreduced and reduces only while folding
+degrees d..2d-1 back through a per-block table of x^k mod f; DENSE_SIEVE_CAP
+states the int64 bound. D, disc(f) and a, which can exceed int64, are reduced
+mod p digit by digit.
 
 The primes dividing e, every prime of a field with no route (a non-abelian
-field of degree >= 5), and single-prime queries past the table take the exact
-pipeline (_pairs_for), before any batched block: the Kronecker symbol for a
-quadratic field, else the defining polynomial factored mod p, guarded by the
-Dedekind index criterion, so a prime dividing the index is a hard error,
-never a guess. The exact pipeline is the kernel routes' test oracle, and the
-kernel routes the class routes'.
+field of degree >= 5 that is not pure), and single-prime queries past the
+table take the exact pipeline (_pairs_for), before any batched block: the
+Kronecker symbol for a quadratic field, else the defining polynomial
+factored mod p, guarded by the Dedekind index criterion, so a prime dividing
+the index is a hard error, never a guess. Every prime dividing disc(f) divides
+the e of each route of degree >= 3, so an index prime reaches that criterion.
+The exact pipeline is the oracle of the kernel and Kummer routes, and the
+kernel routes that of the class and Kummer routes.
 
 What is computed for a field lives in one FieldContext, reached through
 field_context(): the route and the splitting table as numpy arrays (the
@@ -40,20 +52,8 @@ asked for and freed with the descriptor; equal descriptors do not share one.
 The prime sieve is shared by every field: the process keeps its largest,
 read-only. Nothing read from the table is kept: _ideal_stream yields the
 prime ideals in blocks of _PRIME_BLOCK primes, each sorted by (norm, p);
-idealcount builds the I(n) row in blocks the same way.
-One block-pass driver takes the Mertens, I(n) and theta grid sums: slices
-cuts each block, as it comes, at its own ends of the pass's segments (by
-searchsorted for norms and primes, by the block's offset for the row), and
-segment_sums adds each series' exact_sum of every part into its segment.
-The sums stay exact, so one pass can serve two grids and round each one's
-segments once; running_fsums holds the rounding policy: the value at a grid
-point is the fsum of the segment sums before it, and each segment sum is its
-float64 terms summed exactly and rounded once, the value fsum gives
-(mertens.prime_power_grid takes one fsum per prefix instead). exact_sum sums
-parts of at most _SLICE terms in a small superaccumulator (Neal, "Fast exact
-summation using small and large superaccumulators", arXiv:1505.05571, 2015),
-so a sum depends neither on the order of its terms nor on where the blocks
-end.
+idealcount builds the I(n) row in blocks the same way, and the passes over
+both are cut and summed by the block-pass driver (blockpass.py).
 check_cutoff and check_grid hold the one range rule of a cutoff and of a grid
 of cutoffs; every sieve applies it before it starts.
 """
@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
 from math import fsum
+from operator import itemgetter
 
 import numpy as np
 
@@ -89,8 +90,8 @@ SIEVE_SEGMENT = 1 << 20
 # reduction; the fold reduces degrees d..2d-1 and adds d more such products
 # to each low coefficient, so at most 2d products of (p - 1)^2 meet in one
 # int64. For d <= 4 that is 8 (1e8 - 1)^2 < 8e16 < 2^63. The one-dimensional
-# Euler power and the per-block fold table take one product plus one addend
-# below p, under 1e16 + 1e8.
+# powers of _powmod (Euler's and the Kummer route's) and the per-block fold
+# table take one product plus one addend below p, under 1e16 + 1e8.
 DENSE_SIEVE_CAP = 10 ** 8
 
 # Primes per batched block: the Frobenius kernel's rows of this length are
@@ -410,23 +411,34 @@ def splitting_type(field: FieldDescriptor, p: int) -> SplittingType:
 
 class FieldContext:
     """What is kept for one field, grown on demand: its route and the
-    splitting table. The route (e, key, codes), chosen once by _route, or
-    None, says how _tabulate reads the primes not dividing e; the table holds
-    every prime <= table_xmax, ascending, and the index of its splitting
-    pattern in patterns, which lists only the patterns the route's codes and
-    the exact pipeline have met. Nothing read from the table is kept: the
-    prime ideals come in blocks of primes (_ideal_stream) and the I(n) row in
-    blocks of n (idealcount._row_blocks), each built afresh for the pass that
-    reads it."""
+    splitting table. The route (e, key, codes), or None, says how _tabulate
+    reads the primes not dividing e; route_for chooses it by _route when
+    _tabulate first needs it, so a query the exact pipeline answers chooses
+    none. The table holds every prime <= table_xmax, ascending, and the index
+    of its splitting pattern in patterns, which lists only the patterns the
+    route's codes and the exact pipeline have met. Nothing read from the
+    table is kept: the prime ideals come in blocks of primes (_ideal_stream)
+    and the I(n) row in blocks of n (idealcount._row_blocks), each built
+    afresh for the pass that reads it."""
 
     __slots__ = ("route", "primes", "codes", "patterns", "table_xmax", "__weakref__")
 
-    def __init__(self, field: FieldDescriptor):
+    def __init__(self):
         self.patterns: list[tuple[tuple[int, int], ...]] = []
-        self.route = _route(field, self.patterns)
+        self.route = _UNCHOSEN
         self.primes = np.empty(0, dtype=np.int64)
         self.codes = np.empty(0, dtype=np.uint8)
         self.table_xmax = 0
+
+    def route_for(self, field: FieldDescriptor):
+        """The route of field, this context's descriptor: chosen by _route
+        on the first call, then kept."""
+        if self.route is _UNCHOSEN:
+            self.route = _route(field, self.patterns)
+        return self.route
+
+
+_UNCHOSEN = object()  # the route of a context before route_for is called
 
 
 def _codes(patterns: list, pairs) -> np.ndarray:
@@ -471,6 +483,39 @@ def _class_route(field: FieldDescriptor, patterns: list):
     return e, lambda block: block % m, _codes(patterns, pairs)
 
 
+def _kummer_keys(ell: int, a: int, primes: np.ndarray) -> np.ndarray:
+    """Kummer key (p % ell) + ell [a^((p-1)/ell) = 1 mod p] of x^ell - a at
+    each prime in primes, none dividing ell a; the power is taken only where
+    p = 1 mod ell, and there a power t with t^ell != 1 mod p gets key 0,
+    which no prime prime to ell has."""
+    key = primes % ell
+    one = np.flatnonzero(key == 1)
+    q = primes[one]
+    t = _powmod(_int_mod(a, q), (q - 1) // ell, q)
+    root = _powmod(t, np.full_like(q, ell), q) == 1
+    key[one] = np.where(root, 1 + ell * (t == 1), 0)
+    return key
+
+
+def _kummer_route(field: FieldDescriptor, patterns: list):
+    """The route of a pure field, f = x^ell - a with ell an odd prime, or
+    None: e = ell a, and the Kummer key's residue p % ell = r != 1 gives one
+    ideal of degree 1 and (ell - 1) / k of degree k, the order of r mod ell;
+    r = 1 gives ell ideals of degree 1 when a^((p-1)/ell) = 1 mod p, else one
+    of degree ell. The other keys hold -1."""
+    ell = field.degree
+    if ell < 3 or not is_prime(ell) or any(field.defining_poly.coeffs[1:ell]):
+        return None
+    a, pairs = -field.defining_poly.coeffs[0], [None] * (2 * ell)
+    for r in range(2, ell):
+        k, power = 1, r
+        while power != 1:
+            k, power = k + 1, power * r % ell
+        pairs[r] = (_ONE,) + ((1, k),) * ((ell - 1) // k)
+    pairs[1], pairs[ell + 1] = ((1, ell),), (_ONE,) * ell
+    return ell * a, partial(_kummer_keys, ell, a), _codes(patterns, pairs)
+
+
 def _kernel_route(field: FieldDescriptor, patterns: list):
     """The route of the batched kernels, or None past degree 4: Euler's bit
     (D / p) == 1 for a quadratic field, e = 2D, and the Frobenius key for a
@@ -493,7 +538,8 @@ def _kernel_route(field: FieldDescriptor, patterns: list):
 def _route(field: FieldDescriptor, patterns: list):
     """The field's one batched route, (e, key, codes), or None when every
     prime takes the exact pipeline."""
-    return _class_route(field, patterns) or _kernel_route(field, patterns)
+    return (_class_route(field, patterns) or _kummer_route(field, patterns)
+            or _kernel_route(field, patterns))
 
 
 def field_context(field: FieldDescriptor) -> FieldContext:
@@ -501,7 +547,7 @@ def field_context(field: FieldDescriptor) -> FieldContext:
     context attribute, so it is freed with the descriptor. Equal descriptors
     each have their own."""
     if field.context is None:
-        object.__setattr__(field, "context", FieldContext(field))
+        object.__setattr__(field, "context", FieldContext())
     return field.context
 
 
@@ -509,16 +555,17 @@ def _tabulate(field: FieldDescriptor, ctx: FieldContext,
               primes: np.ndarray) -> np.ndarray:
     """Code in ctx.patterns of the splitting pattern of each prime in primes.
 
-    The primes ctx.route takes, those not dividing its e, read codes[key(p)]
+    The primes ctx's route takes, those not dividing its e, read codes[key(p)]
     in blocks of FROBENIUS_BLOCK primes, so no temporary spans the whole
     range; a code of -1 raises InvariantViolation. The rest, every prime when
     there is no route, take _pairs_for one prime at a time, first, so an
     index prime raises before any batched work. The codes are written in
     place into one array of the narrowest dtype that holds them.
     """
-    e, key, table = ctx.route or (None, None, None)
+    route = ctx.route_for(field)
+    e, key, table = route or (None, None, None)
     blocks = [slice(lo, lo + FROBENIUS_BLOCK)
-              for lo in range(0, len(primes), FROBENIUS_BLOCK)] if ctx.route else []
+              for lo in range(0, len(primes), FROBENIUS_BLOCK)] if route else []
     sel = np.zeros(len(primes), dtype=bool)
     for b in blocks:
         sel[b] = _int_mod(e, primes[b]) != 0
@@ -628,8 +675,9 @@ def prime_ideals_up_to(field: FieldDescriptor, x: float) -> tuple[PrimeIdealReco
 def theta_K(field: FieldDescriptor, x: float) -> float:
     """Sum of log(norm) over prime ideals of norm <= x; 0.0 for x < 2."""
     check_cutoff("x", x, 0)  # no prime ideal has norm < 2
-    blocks = _ideal_stream(field, math.floor(x))
-    return fsum(map(math.log, chain.from_iterable(norm.tolist() for [norm] in blocks)))
+    # each block read as a list, so no view of it outlives it
+    norms = map(np.ndarray.tolist, map(itemgetter(0), _ideal_stream(field, math.floor(x))))
+    return fsum(map(math.log, chain.from_iterable(norms)))
 
 
 def check_grid(grid, lo: float = 2, hi: float = DENSE_SIEVE_CAP) -> list[float]:
@@ -644,90 +692,3 @@ def check_grid(grid, lo: float = 2, hi: float = DENSE_SIEVE_CAP) -> list[float]:
         raise CutoffOutOfRange(f"grid must be nonempty and strictly ascending "
                                f"in [{lo:g}, {hi:g}]")
     return grid
-
-
-# Terms summed at a time by exact_sum. Each term enters its exponent's
-# bucket as two mantissa halves below 2^26 and 2^27 units in magnitude, and a
-# bucket sums them in float64 exactly while terms per block x 2^27 < 2^53:
-# blocks of fewer than _EXACT_TERMS = 2^26 terms. 2^14 keeps a block's
-# temporaries (128 KB each) in a core's L2 cache.
-_SLICE = 1 << 14
-_EXACT_TERMS = 1 << 26
-# exact_sum counts units of 2^-1126: the last mantissa bit at frexp's least
-# exponent, -1073 (the subnormal 2^-1074 is 0.5 * 2^-1073)
-_SCALE = 1126
-
-
-def exact_sum(terms: np.ndarray) -> int:
-    """The sum of the float64 terms times 2^_SCALE, exactly, as an int;
-    int / 2**_SCALE rounds it to the float fsum(terms) gives.
-
-    Raises InvariantViolation for a non-finite term, or for _EXACT_TERMS or
-    more terms, past which the buckets could round.
-    """
-    if len(terms) >= _EXACT_TERMS:
-        raise InvariantViolation(f"{len(terms)} terms in one exact block")
-    if not len(terms):
-        return 0
-    mant, exp = np.frexp(terms)
-    # mant 2^26 = hi + frac, hi an integer in [-2^26, 2^26) and frac a
-    # multiple of 2^-27 in [0, 1): a term is (hi 2^27 + frac 2^27) 2^(exp - 53)
-    hi = np.floor(np.multiply(mant, 1 << 26, out=mant))
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, caught below
-        frac = np.subtract(mant, hi, out=mant)
-    low = int(exp.min())
-    index = exp - low
-    hi_sums = np.bincount(index, hi)
-    frac_sums = np.bincount(index, frac) * (1 << 27)
-    # an infinite or NaN term has a NaN frac (inf - inf), so its bucket's too
-    if not np.isfinite(frac_sums).all():
-        raise InvariantViolation("a non-finite term in an exact sum")
-    total = 0
-    shift = low - 53 + _SCALE  # of the bucket of exponent low
-    for h, f in zip(hi_sums.tolist(), frac_sums.tolist()):
-        if h or f:
-            total += ((int(h) << 27) + int(f)) << shift
-        shift += 1
-    return total
-
-
-def slices(blocks, ends):
-    """(k, a, part) for the 1-d arrays blocks yields, joined end to end, cut
-    into the segments k = 0, 1, ... of a pass: ends(lo, block), for the block
-    of entries lo on, gives where in the block each segment ends, ascending.
-    part holds the entries from a on, at most _SLICE of them and all of one
-    block and one segment. Each block is made when the pass reaches it and
-    dropped before the next is made."""
-    lo = 0
-    for block in blocks:
-        start = 0
-        for k, end in enumerate(ends(lo, block).tolist()):
-            for i in range(start, end, _SLICE):
-                yield k, lo + i, block[i:min(i + _SLICE, end)]
-            start = end
-        lo += len(block)
-        del block  # else the loop holds it while the next one is made
-
-
-def segment_sums(parts, terms, segments: int, count: int = 1) -> list[list[int]]:
-    """The exact sums, as exact_sum's ints, of count series over each of the
-    segments, one list per series, from the (k, a, part) of slices:
-    terms(k, a, part) gives the float64 terms of part, of segment k, as
-    arrays, one per series, or fewer where the last series have none. Each
-    part is read once by every series and dropped before the next is made."""
-    out = [[0] * segments for _ in range(count)]
-    for k, a, part in parts:
-        for ints, total in zip(out, map(exact_sum, terms(k, a, part))):
-            ints[k] += total
-        del part  # a view of its block
-    return out
-
-
-def running_fsums(totals) -> list[float]:
-    """The k-th value is the fsum of the first k exact sums, each rounded
-    once: the value of a series at the k-th point of a grid."""
-    sums, values = [], []
-    for total in totals:
-        sums.append(total / (1 << _SCALE))
-        values.append(fsum(sums))
-    return values

@@ -42,8 +42,8 @@ from .mertens import (
     prime_power_sum_bound,
     theta_Q_bound_constant,
 )
-from .splitting import (check_grid, rational_primes, running_fsums, segment_sums,
-                        slices)
+from .blockpass import running_fsums, segment_sums, slices
+from .splitting import check_grid, rational_primes
 
 PAINFUL_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.2, 1.5, 2.0, 3.0)
 PAINFUL_XS = (100.0, 1000.0, 10000.0, 100000.0)

@@ -23,7 +23,7 @@ from unittest.mock import patch
 
 import numpy as np
 
-from nfmertens import mertens, splitting
+from nfmertens import blockpass, mertens
 from nfmertens.field import PROVENANCE_EXACT, FieldDescriptor, Residue, load_field
 from nfmertens.idealcount import _row_blocks, row_sums
 from nfmertens.mertens import (geometric_grid, mertens_constant, mertens_grid,
@@ -65,7 +65,7 @@ def mertens_sums(field: FieldDescriptor, grid) -> list[list[float]]:
 def log_sums(row: np.ndarray, grid) -> list[float]:
     """T(x) at each grid point from the terms I(n) log n of the nonzero
     I(n), 2 <= n <= x, of the full row, np.log taken in slices of _SLICE."""
-    step = splitting._SLICE
+    step = blockpass._SLICE
 
     def terms(segment):
         lo, hi = segment

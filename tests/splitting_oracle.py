@@ -1,10 +1,12 @@
-"""The splitting of an abelian field read from its residue-class route, p mod
-m, against the kernels the class route replaced: Euler's criterion for a
-quadratic field, the batched Frobenius pass for a cubic or quartic, and the
-exact pipeline for the rest. kernel_patterns runs splitting._tabulate on a
-context whose route is splitting._kernel_route's, the route every field took
-before the class tables; it is the oracle of table_patterns, which runs it
-on splitting._class_route's.
+"""The splitting of a field read from its own code table, p mod m for an
+abelian field (splitting._class_route) or p mod l and one power residue for
+a pure field x^l - a (splitting._kummer_route), against the kernels those
+routes replaced: Euler's criterion for a quadratic field, the batched
+Frobenius pass for a cubic or quartic, and the exact pipeline for the rest.
+kernel_patterns runs splitting._tabulate on a context whose route is
+splitting._kernel_route's, the route every field took before the class and
+Kummer tables; it is the oracle of table_patterns, which runs it on the
+field's class or Kummer route.
 
 ideal_columns merges the prime ideals of a splitting table into whole
 columns at once, as the library did before it streamed them in blocks of
@@ -12,9 +14,11 @@ primes; it is the oracle of splitting._ideal_stream and the source of the
 norms of fsum_oracle.
 
 Run as a script, it compares the two routes at every prime up to one cutoff
-for one field, which must have a class route, and exits 1 on any difference:
+for one field, which must have a class or Kummer route, and exits 1 on any
+difference:
 
     PYTHONPATH=src python tests/splitting_oracle.py fields/gaussian.field 1e7
+    PYTHONPATH=src python tests/splitting_oracle.py fields/cbrt2.field 1e7
 """
 
 from __future__ import annotations
@@ -27,14 +31,14 @@ import numpy as np
 
 from nfmertens.field import FieldDescriptor, load_field
 from nfmertens.splitting import (FieldContext, _class_route, _iroot, _kernel_route,
-                                 _splitting_table, _tabulate, rational_primes)
+                                 _kummer_route, _splitting_table, _tabulate,
+                                 rational_primes)
 
 
 def route_context(field: FieldDescriptor, route) -> FieldContext:
     """A fresh context of the field whose route is route(field, patterns),
-    in place of the one _route chose."""
-    ctx = FieldContext(field)
-    ctx.patterns = []
+    in place of the one _route would choose."""
+    ctx = FieldContext()
     ctx.route = route(field, ctx.patterns)
     return ctx
 
@@ -52,10 +56,11 @@ def kernel_patterns(field: FieldDescriptor, primes: np.ndarray) -> list:
 
 def table_patterns(field: FieldDescriptor, primes: np.ndarray) -> list:
     """The splitting pattern at each prime through the field's residue-class
-    route; raises ValueError for a field that has none."""
-    ctx = route_context(field, _class_route)
+    or Kummer route; raises ValueError for a field that has neither."""
+    ctx = route_context(field, lambda field, patterns: (
+        _class_route(field, patterns) or _kummer_route(field, patterns)))
     if ctx.route is None:
-        raise ValueError("the field has no residue-class table")
+        raise ValueError("the field has no residue-class or Kummer table")
     return _patterns(field, ctx, primes)
 
 

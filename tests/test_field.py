@@ -126,10 +126,13 @@ class TestLoadField:
         assert fd.degree == 2
 
 
-CYCLIC_CUBIC = (Path(__file__).resolve().parent.parent / "fields"
-                / "cyclic-cubic-49.field").read_text()
+CYCLIC_CUBIC_FILE = (Path(__file__).resolve().parent.parent / "fields"
+                     / "cyclic-cubic-49.field").read_text()
 # alpha = zeta_7 + zeta_7^-1, a root of x^3 + x^2 - 2x - 1
 KEYS_7 = "conductor = 7\ncyclotomic_root = [0, 1, 0, 0, 0, 0, 1]\n"
+# the descriptor without its two certificate lines, which KEYS_7 puts back
+CYCLIC_CUBIC = "".join(line for line in CYCLIC_CUBIC_FILE.splitlines(True)
+                       if line not in KEYS_7.splitlines(True))
 
 
 class TestCyclotomicCertificate:
@@ -138,6 +141,8 @@ class TestCyclotomicCertificate:
         assert cert.conductor == 7 and cert.root == (0, 1, 0, 0, 0, 0, 1)
         assert cert.subgroup == {1, 6}
         assert load_field(CYCLIC_CUBIC).cyclotomic is None
+        assert load_field(CYCLIC_CUBIC_FILE).cyclotomic == cert
+        assert len(CYCLIC_CUBIC.splitlines()) == len(CYCLIC_CUBIC_FILE.splitlines()) - 2
 
     @pytest.mark.parametrize("coeffs, m", [
         ([1, 0, 1], 4), ([1, 1, 1], 3), ([1, -1, 1], 6), ([1, 1, 1, 1, 1], 5),

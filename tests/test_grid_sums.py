@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fsum_oracle import mismatches
-from nfmertens import splitting
+from nfmertens import blockpass
 from nfmertens.mertens import geometric_grid
 from splitting_oracle import oracle_norms
 
@@ -18,7 +18,7 @@ GRID = geometric_grid(4, 20)
 
 @pytest.fixture(autouse=True)
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(splitting, "_SLICE", BLOCK)
+    monkeypatch.setattr(blockpass, "_SLICE", BLOCK)
 
 
 def test_corpus_at_1e5(corpus):

@@ -16,7 +16,7 @@ from nfmertens.idealcount import (
     summatory,
     t_K,
 )
-from nfmertens import idealcount, splitting
+from nfmertens import blockpass, idealcount
 from nfmertens.idealcount import (
     _counts_from_degrees,
     _local_factors,
@@ -256,7 +256,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("name", ["rationals", "gaussian", "cbrt2", "cyclotomic5"])
     def test_sums_at_block_edges(self, corpus, block, name, monkeypatch):
-        monkeypatch.setattr(splitting, "_SLICE", 257)
+        monkeypatch.setattr(blockpass, "_SLICE", 257)
         field = corpus[name]
         n_max = 5 * block + 10
         # x = k B - 1 ends a segment at the edge k B, x = k B one entry past it
@@ -446,7 +446,7 @@ class TestGridSums:
         # odd block and slice lengths put block edges and the slice edges of
         # the log sums inside and between segments
         monkeypatch.setattr(idealcount, "_ROW_BLOCK", 4099)
-        monkeypatch.setattr(splitting, "_SLICE", 1031)
+        monkeypatch.setattr(blockpass, "_SLICE", 1031)
 
     def test_corpus_at_1e5(self, corpus):
         grid = geometric_grid(4, 20)
@@ -496,7 +496,7 @@ class TestNonzeroLogTerms:
 
     @pytest.fixture(autouse=True)
     def small_slices(self, monkeypatch):
-        monkeypatch.setattr(splitting, "_SLICE", 1031)
+        monkeypatch.setattr(blockpass, "_SLICE", 1031)
 
     def test_corpus_at_1e5_against_all_terms(self, corpus):
         # a one-point grid is one fsum over all its terms; a longer grid
@@ -520,7 +520,7 @@ class TestNonzeroLogTerms:
         masks = [full_row(corpus[name], n_max) != 0
                  for name in ("gaussian", "cyclotomic5")]
         masks.append(rng.random(n_max + 1) < 0.5)
-        step = splitting._SLICE
+        step = blockpass._SLICE
         for a in range(2, n_max + 1, step):
             full = np.log(np.arange(a, min(a + step, n_max + 1), dtype=np.float64))
             for mask in masks:

@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 import pytest
 
+from nfmertens import mertens, splitting
+from nfmertens.cli import main
 from nfmertens.errors import EmptyProduct, MissingResidue
 from nfmertens.field import Residue, kappa_exact
 from nfmertens.mertens import (
@@ -112,6 +115,23 @@ class TestMertensThird:
     def test_empty_product(self, golden):
         with pytest.raises(EmptyProduct):
             one_row(golden, 3)
+
+    def test_empty_product_reads_one_block(self, monkeypatch, tmp_path, capsys):
+        # golden's least norm is 4; the Mertens pass runs to the truncation
+        # cutoff 1e6, five blocks of primes, and its first norm refuses the
+        # grid point 3
+        asked = []
+        stream = splitting._ideal_stream
+
+        def spied(*args, **kwargs):
+            return map(lambda block: asked.append(1) or block, stream(*args, **kwargs))
+        monkeypatch.setattr(mertens, "_ideal_stream", spied)
+        path = Path(__file__).resolve().parent.parent / "fields" / "golden.field"
+        code = main(["verify", "--field", str(path), "--grid", "3,100",
+                     "--out", str(tmp_path / "report.csv")])
+        assert code == 2
+        assert "no prime ideal has norm <= 3" in capsys.readouterr().err
+        assert len(asked) == 1
 
     def test_exp_identity(self, gauss):
         # the product equals exp of the compensated log sum to 1e-12

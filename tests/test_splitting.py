@@ -14,7 +14,8 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 from sympy import kronecker_symbol
 
-from nfmertens import mertens, splitting, verify
+from nfmertens import blockpass, mertens, splitting, verify
+from nfmertens.blockpass import exact_sum, running_fsums, segment_sums, slices
 from nfmertens.errors import (
     CompositeModulus,
     CutoffOutOfRange,
@@ -55,13 +56,9 @@ from nfmertens.splitting import (
     DENSE_SIEVE_CAP,
     FieldContext,
     check_grid,
-    exact_sum,
     kronecker,
     prime_ideals_up_to,
     rational_primes,
-    running_fsums,
-    segment_sums,
-    slices,
     splitting_type,
     theta_K,
 )
@@ -72,6 +69,7 @@ from nfmertens.splitting import (
     _fold_table,
     _frobenius_keys,
     _ideal_stream,
+    _kummer_route,
     _pattern_mod_p,
     _product,
     _records_up_to,
@@ -85,7 +83,14 @@ from fsum_oracle import mertens_series, mertens_sums
 from splitting_oracle import ideal_columns, kernel_patterns, table_patterns
 
 GAUSS_PATH = Path(__file__).resolve().parent.parent / "fields" / "gaussian.field"
+# the degree >= 3 corpus fields: cbrt2 takes the Kummer route, the other two
+# their class tables
 BATCHED_FIELDS = ("cbrt2", "cyclic-cubic-49", "cyclotomic5")
+# cyclic-cubic-49 without its certificate keys: no class route, so it takes
+# the Frobenius pass, which no corpus field takes
+CYCLIC_CUBIC_UNKEYED = "".join(
+    line for line in (GAUSS_PATH.parent / "cyclic-cubic-49.field").read_text().splitlines(True)
+    if line.partition("=")[0].strip() not in ("conductor", "cyclotomic_root"))
 TOP_PRIME = 99_999_989  # the largest prime below the dense-sieve cap
 
 
@@ -329,10 +334,15 @@ def frobenius_patterns(coeffs, disc, primes):
 
 class TestBatchedFrobenius:
     def test_table_agrees_with_pipeline_to_1e5(self, corpus):
-        # x^4 - 2: no corpus quartic takes the Frobenius route
+        # x^4 - 2 and the unkeyed cyclic cubic: no corpus field takes the
+        # Frobenius route
         fields = {name: corpus[name] for name in BATCHED_FIELDS}
-        for name, field in {**fields, "x^4-2": load_field(X4_MINUS_2)}.items():
+        frobenius = {"x^4-2": load_field(X4_MINUS_2),
+                     "cyclic-cubic-49 unkeyed": load_field(CYCLIC_CUBIC_UNKEYED)}
+        for name, field in {**fields, **frobenius}.items():
             primes, codes, patterns = _splitting_table(field, 10 ** 5)
+            key = field_context(field).route[1]
+            assert (getattr(key, "func", None) is _frobenius_keys) == (name in frobenius), name
             assert len(primes) == 9592
             for p, code in zip(primes.tolist(), codes.tolist()):
                 assert patterns[code] == _pattern_mod_p(field, p), (name, p)
@@ -477,8 +487,8 @@ def tabulate_quadratic(disc, primes):
     |disc| <= CLASS_TABLE_MAX, e = 1, and Euler's criterion past it, e = 2D."""
     field = SimpleNamespace(degree=2, discriminant=disc, abs_discriminant=abs(disc),
                             cyclotomic=None)
-    ctx = FieldContext(field)
-    assert ctx.route[0] == (1 if abs(disc) <= CLASS_TABLE_MAX else 2 * disc)
+    ctx = FieldContext()
+    assert ctx.route_for(field)[0] == (1 if abs(disc) <= CLASS_TABLE_MAX else 2 * disc)
     codes = _tabulate(field, ctx, np.array(primes, dtype=np.int64))
     return [ctx.patterns[c] for c in codes.tolist()]
 
@@ -489,7 +499,7 @@ class TestBatchedQuadratic:
         quadratics = [f for f in corpus.values() if f.degree == 2]
         assert len(quadratics) == 7
         for field in quadratics:
-            assert field_context(field).route[0] == 1
+            assert field_context(field).route_for(field)[0] == 1
             primes, codes, patterns = _splitting_table(field, 10 ** 5)
             assert len(primes) == 9592
             for p, code in zip(primes.tolist(), codes.tolist()):
@@ -594,11 +604,9 @@ class TestResidueClassTable:
             assert_table_matches_pipeline(field, 10 ** 4)
 
     def test_abelian_corpus_matches_kernels_to_1e5(self, corpus):
-        keyed = load_field((GAUSS_PATH.parent / "cyclic-cubic-49.field").read_text()
-                           + "conductor = 7\ncyclotomic_root = [0, 1, 0, 0, 0, 0, 1]\n")
         primes = rational_primes(10 ** 5)
         fields = [f for f in corpus.values() if f.degree == 2] \
-            + [corpus["cyclotomic5"], keyed]
+            + [corpus["cyclotomic5"], corpus["cyclic-cubic-49"]]
         for field in fields:
             assert table_patterns(field, primes) == kernel_patterns(field, primes)
 
@@ -612,7 +620,7 @@ class TestResidueClassTable:
             field = load_field(text)  # a fresh context under the patched cap
             if field.degree != 2:
                 continue
-            tabled = field_context(field).route[0] == 1
+            tabled = field_context(field).route_for(field)[0] == 1
             assert tabled == (field.abs_discriminant <= 5)
             routes.add(tabled)
             _, codes, patterns = _splitting_table(field, 10 ** 5)
@@ -628,7 +636,7 @@ class TestResidueClassTable:
                            "discriminant = 49\nconductor = 7\n"
                            "cyclotomic_root = [0, 2, 0, 0, 0, 0, 2]\n")
         ctx = field_context(field)
-        assert ctx.route[0] == 7 * 2 ** 6 * 49  # m disc(f)
+        assert ctx.route_for(field)[0] == 7 * 2 ** 6 * 49  # m disc(f)
         with pytest.raises(IndexPrimeUnsupported) as err:
             _splitting_table(field, 1000)
         assert err.value.p == 2
@@ -637,9 +645,11 @@ class TestResidueClassTable:
 
 # Q(zeta_8): three primes in four have two ideals of norm p^2
 X4_PLUS_1 = "poly = [1, 0, 0, 0, 1]\ndiscriminant = 256\nsignature = [0, 2]\n"
-# Q(2^(1/5)), of degree 5 and not abelian: no route, so every prime takes the
-# exact pipeline; Q(2^(1/4)), a quartic with the Frobenius route
+# Q(2^(1/5)), of degree 5 and pure: the Kummer route; x^5 - x - 1, of degree
+# 5, neither abelian nor pure: no route, so every prime takes the exact
+# pipeline; Q(2^(1/4)), a quartic with the Frobenius route
 X5_MINUS_2 = "poly = [-2, 0, 0, 0, 0, 1]\ndiscriminant = 50000\nsignature = [1, 2]\n"
+X5_MINUS_X_MINUS_1 = "poly = [-1, -1, 0, 0, 0, 1]\ndiscriminant = 2869\nsignature = [1, 2]\n"
 X4_MINUS_2 = "poly = [-2, 0, 0, 0, 1]\ndiscriminant = -2048\nsignature = [2, 1]\n"
 # a quadratic field past the class-table cap, D = 4 * 100,003 = 400,012
 WIDE_QUADRATIC = "poly = [-100003, 0, 1]\n"
@@ -650,11 +660,14 @@ class TestRoute:
     those, take the exact pipeline, and a code of -1 is an error."""
 
     # e of each field's route; Q and the table quadratics send no prime to
-    # the exact pipeline, and x^5 - 2 sends every one
+    # the exact pipeline, and x^5 - x - 1 sends every one. The pure fields
+    # cbrt2 and x^5 - 2 have e = l a, the cyclic cubic m disc(f) with its
+    # certificate and 2 disc(f) on the Frobenius pass without it
     E = {"rationals": 1, "eisenstein": 1, "gaussian": 1, "golden": 1,
          "sqrt-163": 1, "sqrt-7": 1, "sqrt2": 1, "sqrt3": 1,
-         "cbrt2": 2 * -108, "cyclic-cubic-49": 2 * 49, "cyclotomic5": 5 * 125,
-         "x^4+1": 8 * 256, "x^4-2": 2 * -2048, "x^5-2": None,
+         "cbrt2": 3 * 2, "cyclic-cubic-49": 7 * 49, "cyclotomic5": 5 * 125,
+         "cyclic-cubic-49 unkeyed": 2 * 49,
+         "x^4+1": 8 * 256, "x^4-2": 2 * -2048, "x^5-2": 5 * 2, "x^5-x-1": None,
          "D=400012": 2 * 400_012}
 
     def test_exact_pipeline_takes_the_primes_dividing_e(self, monkeypatch):
@@ -667,8 +680,9 @@ class TestRoute:
         texts = {path.stem: path.read_text()
                  for path in sorted(GAUSS_PATH.parent.glob("*.field"))
                  if path.stem != "non-monogenic-cubic"}
-        texts.update({"x^4+1": X4_PLUS_1, "x^4-2": X4_MINUS_2, "x^5-2": X5_MINUS_2,
-                      "D=400012": WIDE_QUADRATIC})
+        texts.update({"cyclic-cubic-49 unkeyed": CYCLIC_CUBIC_UNKEYED,
+                      "x^4+1": X4_PLUS_1, "x^4-2": X4_MINUS_2, "x^5-2": X5_MINUS_2,
+                      "x^5-x-1": X5_MINUS_X_MINUS_1, "D=400012": WIDE_QUADRATIC})
         fields = {name: load_field(text) for name, text in texts.items()}
         assert fields.keys() == self.E.keys()
         for name, field in fields.items():
@@ -690,11 +704,13 @@ class TestRoute:
             _, codes, patterns = _splitting_table(field, 1000)
             assert {patterns[c] for c in codes.tolist()} == {((1, 1),)}
 
-    @pytest.mark.parametrize("text", ["cbrt2", "cyclotomic5", X4_MINUS_2],
-                             ids=["cbrt2", "cyclotomic5", "x^4-2"])
+    @pytest.mark.parametrize("text", ["cbrt2", "cyclotomic5", X4_MINUS_2,
+                                      CYCLIC_CUBIC_UNKEYED],
+                             ids=["cbrt2", "cyclotomic5", "x^4-2", "cyclic-cubic-49 unkeyed"])
     def test_a_ruled_out_key_raises(self, text):
-        # a key Stickelberger's theorem rules out, or a class not prime to m
-        if not text.startswith("poly"):
+        # a key Stickelberger's theorem or the Kummer rule rules out, or a
+        # class not prime to m
+        if "=" not in text:
             text = (GAUSS_PATH.parent / f"{text}.field").read_text()
         field = load_field(text)
         _splitting_table(field, 1000)
@@ -708,6 +724,75 @@ class TestRoute:
         assert ctx.table_xmax == 1000
         assert ctx.primes.tolist() == table[0].tolist()
         assert ctx.codes.tolist() == table[1].tolist()
+
+
+def pure_field(ell, a):
+    """The field of x^ell - a, ell an odd prime and a not an ell-th power, with
+    one real root; the stated discriminant is the polynomial's, which is all
+    the splitting reads."""
+    coeffs = [-a] + [0] * (ell - 1) + [1]
+    return load_field(f"poly = {coeffs}\nsignature = [1, {(ell - 1) // 2}]\n"
+                      f"discriminant = {poly_discriminant(IntPoly.of(coeffs))}\n")
+
+
+def kummer_patterns(field, primes):
+    """The Kummer route's pattern at each prime, none dividing its e."""
+    patterns = []
+    _, key, codes = _kummer_route(field, patterns)
+    return [patterns[c] for c in codes[key(np.array(primes, dtype=np.int64))].tolist()]
+
+
+class TestKummerRoute:
+    """x^l - a, l an odd prime, reads its splitting from p mod l and
+    a^((p-1)/l) mod p; the exact pipeline is its oracle."""
+
+    @pytest.mark.parametrize("ell, a", [(3, 5), (5, 2), (7, 3)])
+    def test_table_matches_pipeline_to_1e4(self, ell, a):
+        # Z[a^(1/l)] is maximal for these (a^l != a mod l^2, a squarefree),
+        # so no prime raises; the primes dividing l a take the pipeline
+        field = pure_field(ell, a)
+        primes, codes, patterns = _splitting_table(field, 10 ** 4)
+        assert field_context(field).route[0] == ell * a
+        assert len(primes) == 1229
+        assert [patterns[c] for c in codes.tolist()] == \
+            [_pattern_mod_p(field, p) for p in primes.tolist()]
+        # every pattern of the route's code table occurs
+        table = field_context(field).route[2]
+        assert set(table[table >= 0].tolist()) <= set(codes.tolist())
+
+    @given(st.sampled_from((3, 5, 7)),
+           st.integers(-10 ** 6, 10 ** 6),
+           st.lists(st.integers(min_value=2, max_value=DENSE_SIEVE_CAP - 12)
+                    .map(sympy.nextprime), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    @example(3, -10 ** 6 + 1, [7, 13, 99_999_989])
+    @example(7, 999_999, [29, 43, 71, 99_999_989])
+    def test_random_pure_fields(self, ell, a, primes):
+        assume(splitting._iroot(abs(a), ell) ** ell != abs(a))
+        field = pure_field(ell, a)
+        primes = sorted({p for p in primes if (ell * a) % p})
+        assume(primes)
+        assert kummer_patterns(field, primes) == [_pattern_mod_p(field, p) for p in primes]
+
+    def test_a_power_with_no_lth_root_of_one_raises(self, monkeypatch):
+        # a power t with t^l != 1 mod p is no power residue symbol: its prime
+        # gets a ruled-out key, not the inert pattern of t != 1
+        field = load_field((GAUSS_PATH.parent / "cbrt2.field").read_text())
+        monkeypatch.setattr(splitting, "_powmod",
+                            lambda a, e, primes: np.full_like(primes, 2))
+        with pytest.raises(InvariantViolation, match="p = 7 has a key"):
+            _splitting_table(field, 1000)
+        assert field_context(field).table_xmax == 0
+
+    def test_index_prime_still_raises(self):
+        # x^3 - 10: 10 = 1 mod 9, so 3 divides the index of Z[10^(1/3)] and
+        # D_K = -300 = disc(f) / 9; 3 divides e = 30 and takes the pipeline
+        field = load_field("poly = [-10, 0, 0, 1]\nsignature = [1, 1]\n"
+                           "discriminant = -300\n")
+        with pytest.raises(IndexPrimeUnsupported) as err:
+            _splitting_table(field, 100)
+        assert err.value.p == 3
+        assert field_context(field).route[0] == 30
 
 
 def _ideal_records(primes, codes, patterns, xi):
@@ -832,7 +917,7 @@ class TestIdealStream:
         # above every norm p^f and every block edge, in slices of 5 terms;
         # the truncation cutoff is one more cutoff of the same pass. Every
         # block reads every cutoff, so the smaller blocks stop at 1000
-        monkeypatch.setattr(splitting, "_SLICE", 5)
+        monkeypatch.setattr(blockpass, "_SLICE", 5)
         kappa = Residue(value=1.0, provenance=PROVENANCE_EXACT)
         x = {1: 1000, 2: 1000}.get(block, STREAM_X)
         for name, field in _stream_fields(corpus).items():
@@ -891,7 +976,7 @@ class TestIdealStream:
         # slices of 5 terms end inside and at the ends of the stream's
         # blocks; the truncation cutoff falls below, on and above the grid's
         # top
-        monkeypatch.setattr(splitting, "_SLICE", 5)
+        monkeypatch.setattr(blockpass, "_SLICE", 5)
         kappa = Residue(value=1.0, provenance=PROVENANCE_EXACT)
         grid = [10.0, 100.0, 1000.5]
         for name, field in _stream_fields(corpus).items():
@@ -994,7 +1079,7 @@ class TestGridFsums:
         values, cuts = index_cuts(segments)
         # slices of 1 to 4 terms end inside and at the ends of segments, and
         # at the ends of 1 to 12 arrays that hold the values, some empty
-        with patch.object(splitting, "_SLICE", block):
+        with patch.object(blockpass, "_SLICE", block):
             got = grid_values(np.array_split(values, parts), cuts, lambda k, a, v: (
                 v, (v * 1e-160) ** 2), 2)
         assert got == [fsum_of_segment_fsums(segments, list),
@@ -1019,7 +1104,7 @@ class TestGridFsums:
     def test_segments_are_read_once(self, monkeypatch):
         # each part is made once, every series reads it, and it carries its
         # segment and its offset in the blocks joined end to end
-        monkeypatch.setattr(splitting, "_SLICE", 2)
+        monkeypatch.setattr(blockpass, "_SLICE", 2)
         made = []
 
         def terms(k, a, v):
@@ -1030,9 +1115,43 @@ class TestGridFsums:
         assert made == [(0, 0, 1), (1, 1, 3), (1, 3, 5)]
 
 
+def walk_every_segment(blocks, ends):
+    """slices as it was when every block walked every segment: its oracle."""
+    lo = 0
+    for block in blocks:
+        start = 0
+        for k, end in enumerate(ends(lo, block).tolist()):
+            for i in range(start, end, blockpass._SLICE):
+                yield k, lo + i, block[i:min(i + blockpass._SLICE, end)]
+            start = end
+        lo += len(block)
+
+
+class TestSlices:
+    @given(st.lists(st.integers(0, 12), max_size=8),
+           st.lists(st.integers(0, 80), max_size=30), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    @example([0, 5, 0, 5], [0, 0, 5, 5, 5, 10, 10], 2)
+    def test_matches_walking_every_segment(self, sizes, ends, block):
+        # blocks of 0 to 12 entries, some empty, cut at ascending ends that
+        # repeat (empty segments), fall on block edges, and may stop short of
+        # the last entry
+        values = np.arange(sum(sizes), dtype=np.float64)
+        blocks = np.split(values, np.cumsum(sizes)[:-1]) if sizes else []
+        cuts = np.minimum(sorted(ends), len(values))
+
+        def block_ends(lo, block):
+            return np.clip(cuts - lo, 0, len(block))
+        with patch.object(blockpass, "_SLICE", block):
+            got = [(k, a, part.tolist()) for k, a, part in slices(blocks, block_ends)]
+            want = [(k, a, part.tolist())
+                    for k, a, part in walk_every_segment(blocks, block_ends)]
+        assert got == want
+
+
 def scaled(terms) -> int:
     """The exact sum of the float terms times 2^_SCALE, in Fractions."""
-    total = sum(map(Fraction, terms), Fraction(0)) * 2 ** splitting._SCALE
+    total = sum(map(Fraction, terms), Fraction(0)) * 2 ** blockpass._SCALE
     assert total.denominator == 1
     return total.numerator
 
@@ -1049,7 +1168,7 @@ class TestExactSum:
             expected = math.fsum(terms)
         except OverflowError:  # fsum's partials overflowed, or the sum does
             return
-        assert (got / (1 << splitting._SCALE)).hex() == expected.hex()
+        assert (got / (1 << blockpass._SCALE)).hex() == expected.hex()
 
     # every finite float64: both signs, subnormals, 0.0 and -0.0, and the
     # extreme exponents
@@ -1081,7 +1200,7 @@ class TestExactSum:
     def test_empty_and_one_term(self):
         assert exact_sum(np.zeros(0)) == 0
         for t in (1.0, -3.5, 5e-324, 1.7976931348623157e308, 0.1):
-            assert exact_sum(np.array([t])) / (1 << splitting._SCALE) == t
+            assert exact_sum(np.array([t])) / (1 << blockpass._SCALE) == t
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -1094,22 +1213,22 @@ class TestExactSum:
     def test_block_at_the_bound(self):
         # a bucket sums mantissa halves below 2^26 and 2^27 units exactly
         # while terms x 2^27 < 2^53; the parts of slices hold at most _SLICE
-        assert splitting._SLICE * 2 ** 27 < 2 ** 53
-        assert splitting._EXACT_TERMS * 2 ** 27 == 2 ** 53
+        assert blockpass._SLICE * 2 ** 27 < 2 ** 53
+        assert blockpass._EXACT_TERMS * 2 ** 27 == 2 ** 53
         # every mantissa bit set, both halves at their largest, one exponent
         top = math.nextafter(1.0, 0.0)
         for sign in (1.0, -1.0):
-            terms = np.full(splitting._SLICE, sign * top)
-            assert exact_sum(terms) == scaled([sign * top]) * splitting._SLICE
-            assert exact_sum(terms) / (1 << splitting._SCALE) == \
+            terms = np.full(blockpass._SLICE, sign * top)
+            assert exact_sum(terms) == scaled([sign * top]) * blockpass._SLICE
+            assert exact_sum(terms) / (1 << blockpass._SCALE) == \
                 math.fsum(terms.tolist())
         # below the guard the worst bucket sums are integers float64 holds
-        worst = (splitting._EXACT_TERMS - 1) * (2 ** 27 - 1)
+        worst = (blockpass._EXACT_TERMS - 1) * (2 ** 27 - 1)
         assert worst < 2 ** 53 and float(worst) == worst
         # the guard: 2^26 terms are refused before any is read (a broadcast
         # view, no memory)
         with pytest.raises(InvariantViolation):
-            exact_sum(np.broadcast_to(1.0, (splitting._EXACT_TERMS,)))
+            exact_sum(np.broadcast_to(1.0, (blockpass._EXACT_TERMS,)))
 
 
 class TestFieldContext:
@@ -1125,6 +1244,24 @@ class TestFieldContext:
         del field
         gc.collect()
         assert ctx() is None
+
+    def test_a_query_past_the_table_chooses_no_route(self, monkeypatch):
+        # Q(sqrt 65021): its class table takes 65,021 Kronecker symbols, and
+        # a single prime past an empty table takes the exact pipeline
+        chosen = []
+        route = splitting._route
+        monkeypatch.setattr(splitting, "_route",
+                            lambda field, patterns: chosen.append(1) or route(field, patterns))
+        field = load_field("poly = [-16255, -1, 1]\n")
+        assert field.abs_discriminant == 65_021 <= CLASS_TABLE_MAX
+        assert splitting_type(field, 100_003).pairs == \
+            kronecker_pattern(65_021, 100_003)
+        assert chosen == [] and field_context(field).table_xmax == 0
+        _splitting_table(field, 1000)
+        assert chosen == [1] and field_context(field).route[0] == 1
+        splitting_type(field, 100_019)
+        _splitting_table(field, 2000)
+        assert chosen == [1]
 
     def test_context_is_per_descriptor_and_not_compared(self):
         used = load_field(self.TEXT)

@@ -10,8 +10,8 @@ from nfmertens.errors import IndexPrimeUnsupported
 from nfmertens.field import PROVENANCE_EXACT, Residue, kappa_exact, load_field
 from nfmertens.idealcount import kappa_estimate, row_sums
 from nfmertens.mertens import geometric_grid, mertens_constant, mertens_grid, mertens_table
-from nfmertens import idealcount, mertens, splitting, verify
-from nfmertens.splitting import FieldContext, field_context
+from nfmertens import cli, idealcount, mertens, splitting, verify
+from nfmertens.splitting import FieldContext, field_context, theta_K
 from nfmertens.verify import verify_all
 
 FIELDS_DIR = Path(__file__).resolve().parent.parent / "fields"
@@ -259,10 +259,10 @@ class TestBlockLifetime:
         monkeypatch.setattr(splitting, "_PRIME_BLOCK", 7)
         monkeypatch.setattr(idealcount, "_ROW_BLOCK", 1000)
         stream = tracked(splitting._ideal_stream, lambda block: block, held)
-        for module in (splitting, mertens, idealcount):
+        for module in (splitting, mertens, idealcount, cli):
             monkeypatch.setattr(module, "_ideal_stream", stream)
         rows = tracked(idealcount._row_blocks, itemgetter(1), held)
-        for module in (idealcount, verify):
+        for module in (idealcount, verify, cli):
             monkeypatch.setattr(module, "_row_blocks", rows)
         return held
 
@@ -274,6 +274,19 @@ class TestBlockLifetime:
         kappa = Residue(value=1.0, provenance=PROVENANCE_EXACT)
         mertens_grid(corpus["cbrt2"], [10.0, 100.0, 1000.0], 2000.0, kappa)
         assert held and not any(held)
+
+    def test_theta_K(self, corpus, held):
+        theta_K(corpus["cbrt2"], 1000)
+        assert len(held) > 10 and not any(held)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("what", ["ideals", "counts"])
+    def test_sieve_dump(self, tmp_path, held, what, fmt):
+        out = tmp_path / f"{what}.{fmt}"
+        assert cli.main(["sieve", "--what", what, "--field",
+                         str(FIELDS_DIR / "cbrt2.field"), "--xmax", "1e4",
+                         "--format", fmt, "--out", str(out)]) == 0
+        assert out.exists() and len(held) > 8 and not any(held)
 
     @pytest.mark.parametrize("name", ["gaussian", "cbrt2", "cyclotomic5"])
     def test_verify_all(self, corpus, held, name):
