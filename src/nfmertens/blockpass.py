@@ -7,20 +7,19 @@ between consecutive grid cutoffs. slices cuts each block, as it comes, at its
 own ends of the pass's segments (by searchsorted for norms and primes, by the
 block's offset for the row), walking only the segments that end in it, and
 segment_sums adds each series' exact_sum of every part into its segment.
-The sums stay exact, so one pass can serve two grids and round each one's
-segments once; running_fsums holds the rounding policy: the value at a grid
-point is the fsum of the segment sums before it, and each segment sum is its
-float64 terms summed exactly and rounded once, the value fsum gives
-(mertens.prime_power_grid takes one fsum per prefix instead). exact_sum sums
-parts of at most _SLICE terms in a small superaccumulator (Neal, "Fast exact
-summation using small and large superaccumulators", arXiv:1505.05571, 2015),
-so a sum depends neither on the order of its terms nor on where the blocks
-end.
+The sums stay exact, so one pass can serve two grids, and running_fsums holds
+the one rounding rule: the value of a series at a grid point is the exact sum
+of every term up to it, rounded once, the value math.fsum of those terms
+gives, whatever the grid. The terms are float64 from numpy (np.log, np.log1p,
+**). exact_sum sums parts of at most _SLICE terms in a small superaccumulator
+(Neal, "Fast exact summation using small and large superaccumulators",
+arXiv:1505.05571, 2015), so a sum depends neither on the order of its terms
+nor on where the blocks end.
 """
 
 from __future__ import annotations
 
-from math import fsum
+from itertools import accumulate
 
 import numpy as np
 
@@ -109,10 +108,7 @@ def segment_sums(parts, terms, segments: int, count: int = 1) -> list[list[int]]
 
 
 def running_fsums(totals) -> list[float]:
-    """The k-th value is the fsum of the first k exact sums, each rounded
-    once: the value of a series at the k-th point of a grid."""
-    sums, values = [], []
-    for total in totals:
-        sums.append(total / (1 << _SCALE))
-        values.append(fsum(sums))
-    return values
+    """The k-th value is the sum of the first k exact sums, rounded once: the
+    value of a series at the k-th point of a grid, fsum of its terms up to
+    there."""
+    return [total / (1 << _SCALE) for total in accumulate(totals)]

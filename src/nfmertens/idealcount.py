@@ -18,8 +18,8 @@ starts.
 
 row_sums takes one ascending pass over the blocks for a grid of cutoffs (the
 single-point functions are one-point grids), exact, or rounded as fsum would
-(blockpass.segment_sums and running_fsums): no sum depends on where the
-blocks end.
+(blockpass.segment_sums and running_fsums): no sum depends on the grid or
+on where the blocks end.
 """
 
 from __future__ import annotations

@@ -12,24 +12,15 @@ Fitting the reciprocal sum would give no such tail control, so the series
 route is the only one used.
 
 The four series, the three sums and the constant's, are summed in one pass
-over the prime-ideal stream (mertens_grid), exactly, and rounded once per
-grid segment and once for the constant, so no sum depends on the order of
-its terms.
-Each term is what Python's float arithmetic gives for it: log(N)/N, 1/N and
-log1p(-1/N) with math.log and math.log1p, called once per distinct norm, and
-the division, negation and addition done in numpy, which rounds them as
-Python does. math.log and math.log1p are the C library's, so a report's last
-digit follows that library; the I(n) log n and theta sums of idealcount and
-verify take np.log, whose last bit follows the SIMD loop numpy dispatches to
-on the machine (AVX512F, AVX2 or baseline).
+over the prime-ideal stream (mertens_grid) by the block-pass driver
+(blockpass.py): each value is the exact sum of its float64 terms log(N)/N,
+1/N and log1p(-1/N), taken in numpy, up to its cutoff, rounded once.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from math import fsum
 from operator import itemgetter
 
 import numpy as np
@@ -77,28 +68,12 @@ def geometric_grid(k_min: int = 4, k_max: int = 28) -> tuple[float, ...]:
     return tuple(10 ** (k / 4) for k in range(k_min, k_max + 1))
 
 
-def _distinct(norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, at): the distinct values of the ascending int64 block norms as
-    float64, and the index in n of each entry of norms."""
-    new = np.empty(len(norms), dtype=bool)
-    new[:1] = True
-    np.not_equal(norms[1:], norms[:-1], out=new[1:])
-    return norms[new].astype(np.float64), np.cumsum(new) - 1
-
-
-def _floats(fn, values: np.ndarray) -> np.ndarray:
-    """fn, a math function, at each float64 of values."""
-    return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
-
-
 def _mertens_pass(field: FieldDescriptor, grid: list[float], truncation_x: float,
                   kappa: Residue, name: str) -> tuple[list[list[float]], float]:
-    """(sums, series): the running sums of log(N)/N, 1/N and log1p(-1/N) over
-    the prime ideals of norm N <= x at each x of the grid, and the sum of
+    """(sums, series): the sums of log(N)/N, 1/N and log1p(-1/N) over the
+    prime ideals of norm N <= x at each x of the grid, and the sum of
     1/N + log1p(-1/N) over N <= truncation_x, from one pass over the stream
-    cut at both. The pieces' exact sums are added per grid segment, and up to
-    truncation_x, and rounded once, as a pass of their own would; name is
-    the caller's, for MissingResidue."""
+    cut at both; name is the caller's, for MissingResidue."""
     if kappa is None or kappa.value <= 0:
         raise MissingResidue(f"{name} requires a positive residue")
     tops, top_t = [math.floor(x) for x in grid], math.floor(truncation_x)
@@ -110,12 +85,11 @@ def _mertens_pass(field: FieldDescriptor, grid: list[float], truncation_x: float
     none = np.empty(0)
 
     def terms(k, a, norms):
-        n, at = _distinct(norms)
+        n = norms.astype(np.float64)
         recip = 1.0 / n
-        l1p = _floats(math.log1p, -recip)
-        table = ((_floats(math.log, n) / n)[at], recip[at], l1p[at]) \
-            if k <= table_end else (none,) * 3
-        return (*table, (recip + l1p)[at] if k <= series_end else none)
+        l1p = np.log1p(-recip)
+        table = (np.log(n) / n, recip, l1p) if k <= table_end else (none,) * 3
+        return (*table, recip + l1p if k <= series_end else none)
 
     empty = f"no prime ideal has norm <= {grid[0]}" if tops else None
 
@@ -127,13 +101,11 @@ def _mertens_pass(field: FieldDescriptor, grid: list[float], truncation_x: float
         return np.searchsorted(norms, cutoffs, "right")
 
     parts = slices(map(itemgetter(0), _ideal_stream(field, cutoffs[-1])), ends)
-    *table, series = segment_sums(parts, terms, len(cutoffs), 4)
-    pieces = [0] + [cutoffs.index(x) + 1 for x in tops]  # up to each point
-    table = [[sum(ints[i:j]) for i, j in zip(pieces, pieces[1:])] for ints in table]
-    if tops and table[1][0] == 0:  # an empty stream: the 1/N terms are positive
+    *table, series = map(running_fsums, segment_sums(parts, terms, len(cutoffs), 4))
+    at = [cutoffs.index(x) for x in tops]
+    if tops and table[1][at[0]] == 0:  # an empty stream: the 1/N terms are positive
         raise EmptyProduct(empty)
-    [value] = running_fsums([sum(series[:series_end + 1])])
-    return [running_fsums(ints) for ints in table], value
+    return [[values[i] for i in at] for values in table], series[series_end]
 
 
 def _constant(field: FieldDescriptor, truncation_x: float, kappa: Residue,
@@ -194,20 +166,21 @@ def mertens_table(field: FieldDescriptor, grid, mconst: MertensConstant,
 
 def prime_power_grid(xs, alphas) -> list[list[float]]:
     """Brute-force sums of log(p)/p^alpha over rational primes p <= x, one
-    list over the ascending xs per alpha, from one sieve up to xs[-1] and one
-    list of log(p) shared by every alpha."""
+    list over the ascending xs per alpha, from one pass over the sieve up to
+    xs[-1] that takes np.log(p) once for every alpha."""
     xs, alphas = check_grid(xs), list(alphas)
-    if any(a < 0 for a in alphas):
+    if not all(a >= 0 for a in alphas):  # NaN too
         raise ValueError("prime_power_sum requires alpha >= 0")
-    primes = rational_primes(xs[-1]).tolist()
-    logs = [math.log(p) for p in primes]
-    cuts = [bisect_right(primes, x) for x in xs]
-    out = []
-    for alpha in alphas:
-        terms = logs if alpha == 0 else \
-            [lp / p ** alpha for lp, p in zip(logs, primes)]
-        out.append([fsum(terms[:cut]) for cut in cuts])
-    return out
+    tops = [math.floor(x) for x in xs]
+
+    def terms(k, a, primes):
+        p = primes.astype(np.float64)
+        logs = np.log(p)
+        return [logs / p ** alpha for alpha in alphas]
+
+    parts = slices([rational_primes(xs[-1])],
+                   lambda lo, primes: np.searchsorted(primes, tops, "right"))
+    return list(map(running_fsums, segment_sums(parts, terms, len(tops), len(alphas))))
 
 
 def prime_power_sum(x: float, alpha: float) -> float:

@@ -64,12 +64,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, product
-from math import fsum
+from itertools import product
 from operator import itemgetter
 
 import numpy as np
 
+from .blockpass import running_fsums, segment_sums, slices
 from .errors import (CompositeModulus, CutoffOutOfRange, DenseSieveCapExceeded,
                      IndexPrimeUnsupported, InvariantViolation)
 from .field import FieldDescriptor
@@ -675,9 +675,11 @@ def prime_ideals_up_to(field: FieldDescriptor, x: float) -> tuple[PrimeIdealReco
 def theta_K(field: FieldDescriptor, x: float) -> float:
     """Sum of log(norm) over prime ideals of norm <= x; 0.0 for x < 2."""
     check_cutoff("x", x, 0)  # no prime ideal has norm < 2
-    # each block read as a list, so no view of it outlives it
-    norms = map(np.ndarray.tolist, map(itemgetter(0), _ideal_stream(field, math.floor(x))))
-    return fsum(map(math.log, chain.from_iterable(norms)))
+    parts = slices(map(itemgetter(0), _ideal_stream(field, math.floor(x))),
+                   lambda lo, norms: np.array([len(norms)]))
+    [[value]] = map(running_fsums, segment_sums(
+        parts, lambda k, a, norms: (np.log(norms.astype(np.float64)),), 1))
+    return value
 
 
 def check_grid(grid, lo: float = 2, hi: float = DENSE_SIEVE_CAP) -> list[float]:

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from functools import cache
 
-import numpy as np
-
 from .bounds import (
     BoundsReport,
     CheckResult,
@@ -42,8 +40,7 @@ from .mertens import (
     prime_power_sum_bound,
     theta_Q_bound_constant,
 )
-from .blockpass import running_fsums, segment_sums, slices
-from .splitting import check_grid, rational_primes
+from .splitting import check_grid
 
 PAINFUL_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.2, 1.5, 2.0, 3.0)
 PAINFUL_XS = (100.0, 1000.0, 10000.0, 100000.0)
@@ -78,18 +75,6 @@ def _interval_check(name: str, x, quantity: float, lo: float,
     slack = math.log1p(margin) if margin > 0 else -math.inf
     return CheckResult(name=name, x=x, quantity=quantity, bound=hi,
                        log_slack=slack, passed=lo <= quantity <= hi)
-
-
-@cache
-def _theta_values(grid: tuple[float, ...]) -> tuple[float, ...]:
-    """theta(x) at each x of the grid, from one sieve per grid per process:
-    no field changes it."""
-    tops = [math.floor(x) for x in grid]
-    parts = slices([rational_primes(grid[-1])],
-                   lambda lo, primes: np.searchsorted(primes, tops, "right"))
-    [values] = segment_sums(parts, lambda k, a, p: (np.log(p.astype(np.float64)),),
-                            len(tops))
-    return tuple(running_fsums(values))
 
 
 @cache
@@ -139,7 +124,8 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
 
     # theta bound on the grid
     theta_c = theta_Q_bound_constant(theta_variant)
-    for x, theta in zip(grid, _theta_values(tuple(grid))):
+    [thetas] = prime_power_grid(grid, [0])
+    for x, theta in zip(grid, thetas):
         checks.append(_ratio_check(f"chebyshev_theta_{theta_variant}", x,
                                    theta, theta_c * x))
 

@@ -1,9 +1,9 @@
-"""The grid sums as they were taken before the numpy blocks: every term a
-Python float (math.log and math.log1p per ideal, .tolist() slices of np.log),
-fed to math.fsum by generators, one fsum per segment. It is the oracle of
-mertens_constant, mertens_table, mertens_grid (the one pass of those two),
-the T-sums of idealcount.row_sums and verify._theta_values, which must give
-the same floats bit for bit. Its norms come from
+"""The grid sums as one math.fsum per grid point of every term up to it,
+each term a float64 from numpy (np.log, np.log1p and /) turned into a
+Python float. It is the oracle of mertens_constant, mertens_table,
+mertens_grid (the one pass of those two), the T-sums of idealcount.row_sums,
+mertens.prime_power_grid at alpha 0 (theta) and splitting.theta_K, which
+must give the same floats bit for bit. Its norms come from
 splitting_oracle.ideal_columns, not from the stream the library sums.
 
 Run as a script, it compares them for one field up to one cutoff and
@@ -27,39 +27,38 @@ from nfmertens import blockpass, mertens
 from nfmertens.field import PROVENANCE_EXACT, FieldDescriptor, Residue, load_field
 from nfmertens.idealcount import _row_blocks, row_sums
 from nfmertens.mertens import (geometric_grid, mertens_constant, mertens_grid,
-                               mertens_table)
-from nfmertens.splitting import rational_primes
-from nfmertens.verify import _theta_values
+                               mertens_table, prime_power_grid)
+from nfmertens.splitting import rational_primes, theta_K
 from splitting_oracle import oracle_norms
 
 
 def fsum_grid(segments, *terms) -> list[list[float]]:
-    """Running sums over an ascending grid, one list per term function:
-    each term maps a segment to an iterable of floats, and the value at the
-    k-th point is the fsum of the first k segment fsums."""
-    seg_sums = [[] for _ in terms]
-    out = [[] for _ in terms]
-    for segment in segments:
-        for term, sums, values in zip(terms, seg_sums, out):
-            sums.append(fsum(term(segment)))
-            values.append(fsum(sums))
-    return out
+    """Sums over an ascending grid, one list per term function: each term
+    maps a segment of the list segments to an iterable of floats, and the
+    value at the k-th point is one fsum of the floats of the first k."""
+    return [[fsum(chain.from_iterable(map(term, segments[:k])))
+             for k in range(1, len(segments) + 1)] for term in terms]
+
+
+def norm_segments(norms: np.ndarray, grid) -> list[np.ndarray]:
+    """The ascending norms as float64, cut at each grid point."""
+    cuts = np.searchsorted(norms, [math.floor(x) for x in grid], "right").tolist()
+    n = norms.astype(np.float64)
+    return [n[a:b] for a, b in zip([0] + cuts, cuts)]
 
 
 def mertens_series(field: FieldDescriptor, truncation_x: float) -> float:
     """The sum of 1/N + log1p(-1/N) over prime ideals of norm N <= truncation_x."""
-    return fsum(1.0 / norm + math.log1p(-1.0 / norm)
-                for norm in oracle_norms(field, truncation_x).tolist())
+    recip = 1.0 / oracle_norms(field, truncation_x).astype(np.float64)
+    return fsum((recip + np.log1p(-recip)).tolist())
 
 
 def mertens_sums(field: FieldDescriptor, grid) -> list[list[float]]:
     """The sums of log(N)/N, 1/N and log1p(-1/N) at each grid point."""
-    norms = oracle_norms(field, grid[-1])
-    cuts = np.searchsorted(norms, [math.floor(x) for x in grid], "right").tolist()
-    return fsum_grid((norms[a:b].tolist() for a, b in zip([0] + cuts, cuts)),
-                     lambda seg: (math.log(n) / n for n in seg),
-                     lambda seg: (1.0 / n for n in seg),
-                     lambda seg: (math.log1p(-1.0 / n) for n in seg))
+    return fsum_grid(norm_segments(oracle_norms(field, grid[-1]), grid),
+                     lambda n: (np.log(n) / n).tolist(),
+                     lambda n: (1.0 / n).tolist(),
+                     lambda n: np.log1p(-1.0 / n).tolist())
 
 
 def log_sums(row: np.ndarray, grid) -> list[float]:
@@ -76,18 +75,14 @@ def log_sums(row: np.ndarray, grid) -> list[float]:
                    * np.log((nz + a).astype(np.float64))).tolist()
 
     cuts = [max(2, math.floor(x) + 1) for x in grid]
-    [values] = fsum_grid(zip([2] + cuts, cuts),
+    [values] = fsum_grid(list(zip([2] + cuts, cuts)),
                          lambda seg: chain.from_iterable(terms(seg)))
     return values
 
 
-def theta_values(grid) -> list[float]:
-    """theta(x) at each grid point, np.log taken over all the primes at once."""
-    primes = rational_primes(grid[-1])
-    logs = np.log(primes.astype(np.float64))
-    cuts = np.searchsorted(primes, [math.floor(x) for x in grid], "right").tolist()
-    [values] = fsum_grid((logs[a:b].tolist() for a, b in zip([0] + cuts, cuts)),
-                         lambda seg: seg)
+def theta_values(norms: np.ndarray, grid) -> list[float]:
+    """The sum of log N over the norms N <= x at each grid point."""
+    [values] = fsum_grid(norm_segments(norms, grid), lambda n: np.log(n).tolist())
     return values
 
 
@@ -120,9 +115,14 @@ def mismatches(field: FieldDescriptor, grid, truncation_x: float) -> list[str]:
         log_sums(row, grid)
     if got != want:
         found.append(f"row_sums: T {got!r} != {want!r}")
-    got, want = list(_theta_values.__wrapped__(tuple(grid))), theta_values(grid)
+    [got] = prime_power_grid(grid, [0])
+    want = theta_values(rational_primes(grid[-1]), grid)
     if got != want:
-        found.append(f"_theta_values: {got!r} != {want!r}")
+        found.append(f"prime_power_grid: theta {got!r} != {want!r}")
+    got = [theta_K(field, x) for x in grid]
+    want = theta_values(oracle_norms(field, grid[-1]), grid)
+    if got != want:
+        found.append(f"theta_K: {got!r} != {want!r}")
     return found
 
 

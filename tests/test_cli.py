@@ -189,6 +189,18 @@ class TestVerifyCommand:
         third = [r for r in rows if r[0] == "third_mertens_error"]
         assert len(third) == 17 and all(r[5] == "pass" for r in third)
 
+    def test_theta_rows_read_one_sum(self, tmp_path):
+        # theta(x) is one sum: the chebyshev_theta and prime_power_sum_alpha_0
+        # rows print one quantity at each x they share
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--field", GAUSS, "--xmax", "1e6",
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        theta = {float(r[1]): r[2] for r in rows if r[0] == "chebyshev_theta_classic"}
+        alpha_0 = {float(r[1]): r[2] for r in rows if r[0] == "prime_power_sum_alpha_0"}
+        assert sorted(alpha_0) == [1e2, 1e3, 1e4, 1e5]
+        assert {x: theta[x] for x in alpha_0} == alpha_0
+
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "verify.csv"
         args = ["verify", "--field", GAUSS, "--grid", "4:8", "--xmax", "100",

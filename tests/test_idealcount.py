@@ -424,20 +424,20 @@ class TestTK:
                            for n, c in enumerate(row, start=1) if c)
         assert t_K(field, 3000) == pytest.approx(direct, rel=1e-13)
 
+    def test_one_value_whatever_the_grid(self, corpus):
+        # t_K at x is row_sums at x from a longer grid, bit for bit
+        grid = geometric_grid(4, 20)
+        for name in ("gaussian", "cbrt2", "cyclotomic5"):
+            tsums = row_sums(_row_blocks(corpus[name], 10 ** 5), grid)[1]
+            assert [t_K(corpus[name], x) for x in grid] == tsums, name
 
-def segment_log_sums(row, grid):
-    """T at each grid point: the fsum of per-segment fsums of the float64
-    terms I(n) log n, each segment taken whole."""
-    arr = np.asarray(row, dtype=np.float64)
-    out, segs, start = [], [], 2
-    for x in grid:
-        cut = math.floor(x) + 1
-        if cut > start:
-            logs = np.log(np.arange(start, cut, dtype=np.float64))
-            segs.append(math.fsum((arr[start:cut] * logs).tolist()))
-            start = cut
-        out.append(math.fsum(segs))
-    return out
+
+def prefix_log_sums(row, grid):
+    """T at each grid point: one fsum of the float64 terms I(n) log n,
+    2 <= n <= x, all taken at once."""
+    n = len(row) - 1
+    terms = np.asarray(row, dtype=np.float64)[2:] * np.log(np.arange(2.0, n + 1))
+    return [math.fsum(terms[:max(0, math.floor(x) - 1)].tolist()) for x in grid]
 
 
 class TestGridSums:
@@ -457,7 +457,7 @@ class TestGridSums:
             row = full_row(field, 10 ** 5)
             isums, tsums = row_sums(_row_blocks(field, 10 ** 5), grid)
             assert isums == [int(csum[math.floor(x) - 1]) for x in grid], name
-            assert tsums == segment_log_sums(row, grid), name
+            assert tsums == prefix_log_sums(row, grid), name
 
     @pytest.mark.parametrize("name", ["gaussian", "cyclic-cubic-49", "cyclotomic5"])
     def test_python_int_row(self, corpus, name):
@@ -468,7 +468,7 @@ class TestGridSums:
         assert all(type(v) is int for v in isums)
         assert isums == [sum(row[:math.floor(x) + 1]) for x in grid]
         assert (isums, tsums) == row_sums(_row_blocks(field, 3000), grid)
-        assert tsums == segment_log_sums(row, grid)
+        assert tsums == prefix_log_sums(row, grid)
 
     def test_python_ints_beyond_int64(self):
         # int64 entries just below the 2^62 guard: a slice's numpy sum would

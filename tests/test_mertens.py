@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nfmertens import mertens, splitting
@@ -148,8 +149,12 @@ class TestMertensTable:
         mc = mertens_constant(gauss, 10 ** 5, kappa)
         grid = [10.0, 100.0, 1000.0]
         rows = mertens_table(gauss, grid, mc, kappa)
+        longer = mertens_table(gauss, geometric_grid(4, 20), mc, kappa)
         for row in rows:
             x = row.x
+            # one row at x, bit for bit, whichever grid asks for it
+            assert mertens_table(gauss, [x], mc, kappa) == (row,)
+            assert row in longer
             norms = [rec.norm for rec in prime_ideals_up_to(gauss, x)]
             s1 = math.fsum(math.log(n) / n for n in norms)
             s2 = math.fsum(1 / n for n in norms)
@@ -192,8 +197,11 @@ class TestPrimePowerSum:
         assert prime_power_sum(10, 2) == pytest.approx(expected, rel=1e-14)
 
     def test_alpha_zero_is_theta(self, rationals):
-        assert prime_power_sum(10, 0) == pytest.approx(
-            theta_K(rationals, 10), rel=1e-14)
+        # one value at x, bit for bit, whichever grid or pass asks for it
+        grid = geometric_grid(2, 21)
+        [thetas] = prime_power_grid(grid, [0])
+        for x, theta in zip(grid, thetas):
+            assert prime_power_sum(x, 0) == theta == theta_K(rationals, x), x
 
     def test_alpha_one_at_two(self):
         assert prime_power_sum(2, 1) == pytest.approx(math.log(2) / 2, rel=1e-15)
@@ -207,13 +215,17 @@ class TestPrimePowerSum:
 
     @pytest.mark.parametrize("alpha", PAINFUL_ALPHAS)
     def test_grid_is_bit_identical_to_one_sum_per_point(self, alpha):
-        # the per-point sum as a generator over a fresh sieve at each x
+        # the per-point sum: one fsum of the numpy terms of every prime up
+        # to each x, from a fresh sieve at each x
         xs = (2.0, 2.5, 7.0, *PAINFUL_XS)
-        direct = [math.fsum(math.log(p) / p ** alpha if alpha else math.log(p)
-                            for p in rational_primes(x).tolist()) for x in xs]
+
+        def direct_sum(x):
+            p = rational_primes(x).astype(np.float64)
+            return math.fsum((np.log(p) / p ** alpha).tolist())
+        direct = list(map(direct_sum, xs))
         assert prime_power_grid(xs, [alpha]) == [direct]
         assert [prime_power_sum(x, alpha) for x in xs] == direct
-        # the shared path: one sieve and one log(p) list for every alpha, as
+        # the shared path: one pass whose np.log(p) serves every alpha, as
         # verify_all takes it
         shared = prime_power_grid(xs, PAINFUL_ALPHAS)
         assert shared[PAINFUL_ALPHAS.index(alpha)] == direct
@@ -221,7 +233,8 @@ class TestPrimePowerSum:
 
     def test_grid_rejects_bad_input(self):
         for xs, alphas in (([], [1.0]), ([1.5, 10.0], [1.0]), ([10.0], [-0.5]),
-                           ([10.0], [1.0, -0.5]), ([100.0, 10.0], [1.0])):
+                           ([10.0], [1.0, -0.5]), ([100.0, 10.0], [1.0]),
+                           ([10.0], [math.nan])):
             with pytest.raises(ValueError):
                 prime_power_grid(xs, alphas)
 

@@ -111,10 +111,12 @@ class TestVerifyAll:
 
     def test_field_independent_checks_built_once(self, gauss, golden,
                                                   monkeypatch):
+        # theta's rows read prime_power_grid at alpha 0 on each field's grid;
+        # the prime-power rows read it once, on PAINFUL_XS
         calls = []
         grid = verify.prime_power_grid
         monkeypatch.setattr(verify, "prime_power_grid",
-                            lambda xs, alphas: calls.append(xs) or grid(xs, alphas))
+                            lambda xs, alphas: calls.append(alphas) or grid(xs, alphas))
         verify._field_independent_checks.cache_clear()
         try:
             first = verify_all(gauss, [10.0, 100.0], kappa_exact(gauss),
@@ -123,7 +125,7 @@ class TestVerifyAll:
                                 truncation_x=1e4)
         finally:
             verify._field_independent_checks.cache_clear()
-        assert len(calls) == 1
+        assert calls.count(verify.PAINFUL_ALPHAS) == 1
 
         def shared(report):
             return [c for c in report.checks if c.name.startswith(
@@ -131,18 +133,10 @@ class TestVerifyAll:
         assert len(shared(first)) == 20 + 1 + 36
         assert shared(first) == shared(second)
 
-    def test_theta_sieved_once_per_grid(self, gauss, golden, monkeypatch):
-        calls = []
-        primes = verify.rational_primes
-        monkeypatch.setattr(verify, "rational_primes",
-                            lambda x: calls.append(x) or primes(x))
-        verify._theta_values.cache_clear()
-        try:
-            reports = [verify_all(field, [10.0, 100.0, 1000.0], kappa_exact(field),
-                                  truncation_x=1e4) for field in (gauss, golden)]
-        finally:
-            verify._theta_values.cache_clear()
-        assert calls == [1000.0]
+    def test_theta_rows_equal_across_fields(self, gauss, golden):
+        # no field changes theta over Q
+        reports = [verify_all(field, [10.0, 100.0, 1000.0], kappa_exact(field),
+                              truncation_x=1e4) for field in (gauss, golden)]
 
         def theta(report):
             return [c for c in report.checks if c.name == "chebyshev_theta_classic"]
@@ -176,14 +170,12 @@ class TestMemory:
         verify._field_independent_checks()  # built once per process
         monkeypatch.setattr(splitting, "_sieved", splitting.rational_primes(0))
         monkeypatch.setattr(splitting, "_sieved_to", 1)
-        verify._theta_values.cache_clear()
         tracemalloc.start()
         try:
             report = verify_all(field, geometric_grid(4, 24), kappa)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            verify._theta_values.cache_clear()
         assert report.failures == ()
         assert "row" not in FieldContext.__slots__
         return peak
