@@ -11,62 +11,59 @@ The sums stay exact, so one pass can serve two grids, and running_fsums holds
 the one rounding rule: the value of a series at a grid point is the exact sum
 of every term up to it, rounded once, the value math.fsum of those terms
 gives, whatever the grid. The terms are float64 from numpy (np.log, np.log1p,
-**). exact_sum sums parts of at most _SLICE terms in a small superaccumulator
-(Neal, "Fast exact summation using small and large superaccumulators",
-arXiv:1505.05571, 2015), so a sum depends neither on the order of its terms
-nor on where the blocks end.
+**). exact_sum sums parts of at most _SLICE terms by error-free extraction
+(Rump, Ogita & Oishi, "Accurate floating-point summation part I: faithful
+rounding", SIAM J. Sci. Comput. 31(1), 2008, ExtractVector), so a sum depends
+neither on the order of its terms nor on where the blocks end.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import InvariantViolation
 
-# Terms summed at a time by exact_sum. Each term enters its exponent's
-# bucket as two mantissa halves below 2^26 and 2^27 units in magnitude, and a
-# bucket sums them in float64 exactly while terms per block x 2^27 < 2^53:
-# blocks of fewer than _EXACT_TERMS = 2^26 terms. 2^14 keeps a block's
-# temporaries (128 KB each) in a core's L2 cache.
+# Terms summed at a time by exact_sum: a part of n terms takes levels of
+# 53 - m bits, 2^m >= n + 2, so at least 26 bits below _EXACT_TERMS = 2^26
+# terms. 2^14 keeps a part's two temporaries (128 KB each) in L2 cache.
 _SLICE = 1 << 14
 _EXACT_TERMS = 1 << 26
-# exact_sum counts units of 2^-1126: the last mantissa bit at frexp's least
-# exponent, -1073 (the subnormal 2^-1074 is 0.5 * 2^-1073)
-_SCALE = 1126
+_SCALE = 1074  # exact_sum counts units of the least subnormal, 2^-1074
 
 
 def exact_sum(terms: np.ndarray) -> int:
     """The sum of the float64 terms times 2^_SCALE, exactly, as an int;
-    int / 2**_SCALE rounds it to the float fsum(terms) gives.
-
-    Raises InvariantViolation for a non-finite term, or for _EXACT_TERMS or
-    more terms, past which the buckets could round.
+    int / 2**_SCALE rounds it to the float fsum(terms) gives. Rump, Ogita &
+    Oishi's ExtractVector: with |t| < 2^e and sigma = 2^(e + m), a level's
+    q = (t + sigma) - sigma holds t's bits down to 2^(e + m - 53), so q.sum()
+    is exact in any order, and t - q, the next level's t, is exact and below
+    2^(e + m - 52). Raises InvariantViolation for a non-finite term, or for
+    _EXACT_TERMS or more.
     """
-    if len(terms) >= _EXACT_TERMS:
-        raise InvariantViolation(f"{len(terms)} terms in one exact block")
-    if not len(terms):
-        return 0
-    mant, exp = np.frexp(terms)
-    # mant 2^26 = hi + frac, hi an integer in [-2^26, 2^26) and frac a
-    # multiple of 2^-27 in [0, 1): a term is (hi 2^27 + frac 2^27) 2^(exp - 53)
-    hi = np.floor(np.multiply(mant, 1 << 26, out=mant))
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, caught below
-        frac = np.subtract(mant, hi, out=mant)
-    low = int(exp.min())
-    index = exp - low
-    hi_sums = np.bincount(index, hi)
-    frac_sums = np.bincount(index, frac) * (1 << 27)
-    # an infinite or NaN term has a NaN frac (inf - inf), so its bucket's too
-    if not np.isfinite(frac_sums).all():
+    n = len(terms)
+    if n >= _EXACT_TERMS:
+        raise InvariantViolation(f"{n} terms in one exact block")
+    m = (n + 1).bit_length()
+    top = float(max(terms.max(), -terms.min())) if n else 0.0  # NaN if any is
+    if not math.isfinite(top):
         raise InvariantViolation("a non-finite term in an exact sum")
-    total = 0
-    shift = low - 53 + _SCALE  # of the bucket of exponent low
-    for h, f in zip(hi_sums.tolist(), frac_sums.tolist()):
-        if h or f:
-            total += ((int(h) << 27) + int(f)) << shift
-        shift += 1
+    e = math.frexp(top)[1]
+    if e + m > 1022:  # t + sigma could overflow: scale the terms from 2^-900
+        small = np.abs(terms) < 2.0 ** -900
+        return (exact_sum(np.ldexp(terms[~small], -m - 2)) << m + 2) + \
+            exact_sum(terms[small])
+    sigma, total = math.ldexp(1.0, e + m), 0
+    q, t = np.empty_like(terms), terms
+    while top:  # until the remainder t is all zero
+        q = np.subtract(np.add(t, sigma, out=q), sigma, out=q)
+        t = np.subtract(t, q, out=None if t is terms else t)
+        num, den = float(q.sum()).as_integer_ratio()
+        total += num << _SCALE + 1 - den.bit_length()
+        top = t.any()
+        sigma *= math.ldexp(1.0, m - 52)
     return total
 
 

@@ -3,13 +3,13 @@
 I(n) counts integral ideals of norm exactly n. It is multiplicative, and at a
 prime p its local values are the coefficients of prod_i 1/(1 - t^{f_i}) over
 the inertia degrees above p. The sieve is segmented (Bays & Hudson, BIT 17,
-1977): it multiplies those counts into all-ones blocks of 2 MB (_ROW_BLOCK
-entries of uint16), each built when a pass reaches it; no row is kept. A
-prime p <= sqrt(N) scales the multiples t p^k of a block, t prime to p, on
-their strided view cut into runs of p less the last column. A prime
-P > sqrt(N) counts only by c1(P), its ideals of norm P; searchsorted finds
-the P with m P in the block for every cofactor m at once, and no n has two
-such P.
+1977): blocks of 2 MB (_ROW_BLOCK entries of uint16), each built when a pass
+reaches it; no row is kept. A prime P > sqrt(N) counts only by c1(P), its
+ideals of norm P, and no n has two such P: searchsorted finds the P with m P
+in the block for every cofactor m at once, and their c1 are stored into a
+block of ones. A prime p <= sqrt(N) then multiplies its counts into the
+multiples t p^k of the block, t prime to p, on their strided view cut into
+runs of p less the last column.
 
 Every partial product is at most d_deg(n), the deg-fold divisor function; the
 blocks take the narrowest dtype that holds its maximum (_row_dtype). Every
@@ -116,22 +116,10 @@ def _row_dtype(n_max: int, degree: int):
 
 def _row_block(lo: int, hi: int, dtype, small, big_p, big_codes,
                c1) -> np.ndarray:
-    """block[i] = I(lo + i), lo <= lo + i < hi, from the small prime powers
-    (p, q, c) and the large primes big_p, slices of the splitting table with
-    their codes big_codes, each counting c1[code]."""
+    """block[i] = I(lo + i), lo <= lo + i < hi: the large primes big_p (table
+    slices, with codes big_codes) store c1[code] into a block of ones, then
+    the small prime powers (p, q, c) multiply their counts in."""
     block = np.ones(hi - lo, dtype=dtype)
-    block[:1] = lo != 0  # I(0) = 0
-    for p, q, c in small:
-        t = max(1, -(-lo // q))  # view[i] = block[(t + i) q - lo]
-        if t * q < hi:
-            view = block[t * q - lo:: q]
-            h = -t % p  # the cofactor t + h = 0 mod p; runs of p follow it
-            view[:h] *= c
-            rest = view[h + 1:]
-            full = len(rest) - len(rest) % p
-            if full:
-                rest[:full].reshape(-1, p)[:, :-1] *= c
-            rest[full:] *= c
     if len(big_p) and hi > big_p[0]:
         # big_p[a:a + runs] are the P with lo <= m P < hi: a long run is a
         # slice, the short ones a ragged arange, about _PAIRS pairs a step
@@ -145,30 +133,42 @@ def _row_block(lo: int, hi: int, dtype, small, big_p, big_codes,
             for s in range(x, y, _PAIRS):
                 at = big_p[s:min(s + _PAIRS, y)] * (j + 1)
                 at -= lo
-                block[at] *= c1.take(big_codes[s:s + len(at)], mode="clip")
+                block[at] = c1.take(big_codes[s:s + len(at)], mode="clip")
         m, a, runs = m[k:], a[k:], runs[k:]
-        if not len(m):
-            return block
-        # the short runs reach only P below hi / m[0], each many times: they
-        # read the P of that range whose c1 is not 1, and their c1, from
-        # copies made for this block
-        c = c1.take(big_codes[:a[0] + runs[0]], mode="clip")
-        keep = np.flatnonzero(c != 1)
-        big_p, c = big_p[keep], c[keep]
-        a, runs = np.searchsorted(keep, a), np.searchsorted(keep, a + runs)
-        runs -= a
-        ends = np.cumsum(runs)
-        edges = np.searchsorted(ends, range(0, int(ends[-1]) + _PAIRS, _PAIRS),
-                                "right").tolist()
-        for j, i in zip(edges, edges[1:]):
-            if j < i:
-                pairs = np.repeat((a - ends + runs)[j:i], runs[j:i])
-                pairs += np.arange(ends[j] - runs[j], ends[i - 1])
-                # the values are partial products, bounded by _row_dtype
-                at = big_p[pairs]
-                at *= np.repeat(m[j:i], runs[j:i])
-                at -= lo
-                block[at] *= c[pairs]
+        if len(m):
+            # the short runs reach only P below hi / m[0], each many times:
+            # they read the P of that range whose c1 is not 1, and their c1,
+            # from copies made for this block
+            c = c1.take(big_codes[:a[0] + runs[0]], mode="clip")
+            keep = np.flatnonzero(c != 1)
+            big_p, c = big_p[keep], c[keep]
+            a, runs = np.searchsorted(keep, a), np.searchsorted(keep, a + runs)
+            runs -= a
+            ends = np.cumsum(runs)
+            edges = np.searchsorted(ends, range(0, int(ends[-1]) + _PAIRS, _PAIRS),
+                                    "right").tolist()
+            for j, i in zip(edges, edges[1:]):
+                if j < i:
+                    pairs = np.repeat((a - ends + runs)[j:i], runs[j:i])
+                    pairs += np.arange(ends[j] - runs[j], ends[i - 1])
+                    at = big_p[pairs]
+                    at *= np.repeat(m[j:i], runs[j:i])
+                    at -= lo
+                    block[at] = c[pairs]
+    if not lo:
+        block[0] = 0  # I(0) = 0
+    # after the stores every value is a partial product, bounded by _row_dtype
+    for p, q, c in small:
+        t = max(1, -(-lo // q))  # view[i] = block[(t + i) q - lo]
+        if t * q < hi:
+            view = block[t * q - lo:: q]
+            h = -t % p  # the cofactor t + h = 0 mod p; runs of p follow it
+            view[:h] *= c
+            rest = view[h + 1:]
+            full = len(rest) - len(rest) % p
+            if full:
+                rest[:full].reshape(-1, p)[:, :-1] *= c
+            rest[full:] *= c
     return block
 
 
@@ -180,8 +180,8 @@ def _row_blocks(field: FieldDescriptor, n_max: int):
     primes, codes, patterns = _splitting_table(field, n_max)
     split = np.searchsorted(primes, math.isqrt(n_max), "right")
     small = list(_local_factors(primes[:split], codes[:split], patterns, n_max))
-    # P > sqrt(n_max) scales m P <= n_max by c1(P), its number of degree-1
-    # ideals, read from the table's slices where a block needs them
+    # P > sqrt(n_max) stores c1(P), its number of degree-1 ideals, at each
+    # m P <= n_max, read from the table's slices where a block needs them
     big = primes[split:], codes[split:], _per_pattern(patterns, 1, dtype)
     step = _ROW_BLOCK * 2 // np.dtype(dtype).itemsize
     return ((lo, _row_block(lo, min(lo + step, n_max + 1), dtype, small, *big))
@@ -202,7 +202,7 @@ def row_sums(blocks, grid, logs: bool = True) -> tuple[list[int], list[float]]:
             (int((part >> 31).sum()) << 31) + int((part & 2 ** 31 - 1).sum())
         if not logs:
             return ()
-        nz = np.flatnonzero(part)
+        nz = np.flatnonzero(part != 0)
         out = part[nz].astype(np.float64)
         nz += a  # in place: two fewer temporaries per part
         out *= np.log(nz.astype(np.float64))

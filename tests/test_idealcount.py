@@ -227,7 +227,9 @@ class TestRowBlocks:
     points on, just before and just after the block edges, are the sums over
     the full row taken as one block."""
 
-    @pytest.fixture(params=[1000, 1001, 4099], autouse=True)
+    # 4093 and 4099 start gaussian's second block at a prime P > sqrt(n_max),
+    # whose c1 is stored first: 4093 splits (c1 = 2), 4099 is inert (c1 = 0)
+    @pytest.fixture(params=[1000, 1001, 4093, 4099], autouse=True)
     def block(self, request, monkeypatch):
         monkeypatch.setattr(idealcount, "_ROW_BLOCK", request.param)
         return request.param

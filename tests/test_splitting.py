@@ -1207,21 +1207,75 @@ class TestExactSum:
         with pytest.raises(InvariantViolation):
             grid_values([np.array([0.5, bad])], np.array([2]), lambda k, a, v: (v,))
 
+    @staticmethod
+    def full_part(seed, low, high):
+        """_SLICE terms of random sign and mantissa, exponents low..high."""
+        rng = np.random.default_rng(seed)
+        mant = rng.uniform(0.5, 1.0, blockpass._SLICE) * rng.choice([-1.0, 1.0],
+                                                                   blockpass._SLICE)
+        return np.ldexp(mant, rng.integers(low, high + 1, blockpass._SLICE))
+
+    # levels of 52 - 15 = 37 bits at _SLICE terms: a part with exponents
+    # over the whole float64 range takes about 57 of them (most on the
+    # scaled split path), one from 2^-200 to 2^200 about 13, one within
+    # 2^-30 to 1 three
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("low, high", [(-1074, 1024), (-200, 200), (-30, 0)])
+    def test_full_parts_over_the_exponent_range(self, seed, low, high):
+        self.check(self.full_part(seed, low, high).tolist())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_parts_cancel_to_zero(self, seed):
+        half = self.full_part(seed, -1074, 1024)[:blockpass._SLICE // 2]
+        both = np.concatenate([half, -half])
+        np.random.default_rng(seed).shuffle(both)
+        assert exact_sum(both) == 0
+        self.check(both.tolist())
+        both[0] = 5e-324  # the least subnormal, beside the largest floats
+        self.check(both.tolist())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_parts_of_subnormals(self, seed):
+        # multiples of 2^-1074 below 2^-1020: a quarter of them subnormal
+        part = np.ldexp(np.random.default_rng(seed).integers(
+            -2 ** 54, 2 ** 54, blockpass._SLICE).astype(np.float64), -1074)
+        assert 0.2 < (np.abs(part) < 2.0 ** -1022).mean() < 0.3
+        self.check(part.tolist())
+
+    def test_the_scaled_split_path(self):
+        # t + sigma overflows unless the largest term is below 2^(1022 - m),
+        # with 2^m >= n + 2 (m = 15 at _SLICE): a part at or above it sums
+        # its terms from 2^-900 scaled down by 2^-(m + 2), the rest as they are
+        n = blockpass._SLICE
+        bound = 2.0 ** (1022 - 15)
+        for seed, top in enumerate((bound, math.nextafter(bound, 0.0), 2 * bound,
+                                    1.7976931348623157e308)):
+            part = self.full_part(seed, -1074, -800)
+            part[::7] = top
+            part[1::7] = -math.nextafter(top, 0.0)
+            part[2::7] = 2.0 ** -900  # the first term of the scaled side
+            part[3::7] = -math.nextafter(2.0 ** -900, 0.0)
+            self.check(part.tolist())
+        # n times the largest float is far past float range, but exact
+        assert exact_sum(np.full(n, 1.7976931348623157e308)) == \
+            scaled([1.7976931348623157e308]) * n
+
     def test_block_at_the_bound(self):
-        # a bucket sums mantissa halves below 2^26 and 2^27 units exactly
-        # while terms x 2^27 < 2^53; the parts of slices hold at most _SLICE
-        assert blockpass._SLICE * 2 ** 27 < 2 ** 53
-        assert blockpass._EXACT_TERMS * 2 ** 27 == 2 ** 53
-        # every mantissa bit set, both halves at their largest, one exponent
+        # a level's q holds 53 - m bits of each term, 2^m >= n + 2, and its
+        # partial sums are exact while they stay below 2^(e + m): at _SLICE
+        # terms m = 15, and below the guard, n < 2^26, m <= 27, so every
+        # level takes at least 26 bits
+        assert 2 ** 15 >= blockpass._SLICE + 2 > 2 ** 14
+        assert 2 ** 27 >= (blockpass._EXACT_TERMS - 1) + 2 > 2 ** 26
+        # every mantissa bit set, the largest part at one exponent: each
+        # first-level q rounds up to 2^e = 1, and their partial sums reach
+        # n = 2^14, below sigma = 2^15
         top = math.nextafter(1.0, 0.0)
         for sign in (1.0, -1.0):
             terms = np.full(blockpass._SLICE, sign * top)
             assert exact_sum(terms) == scaled([sign * top]) * blockpass._SLICE
             assert exact_sum(terms) / (1 << blockpass._SCALE) == \
                 math.fsum(terms.tolist())
-        # below the guard the worst bucket sums are integers float64 holds
-        worst = (blockpass._EXACT_TERMS - 1) * (2 ** 27 - 1)
-        assert worst < 2 ** 53 and float(worst) == worst
         # the guard: 2^26 terms are refused before any is read (a broadcast
         # view, no memory)
         with pytest.raises(InvariantViolation):
