@@ -7,9 +7,10 @@ the inertia degrees above p. The sieve is segmented (Bays & Hudson, BIT 17,
 reaches it; no row is kept. A prime P > sqrt(N) counts only by c1(P), its
 ideals of norm P, and no n has two such P: searchsorted finds the P with m P
 in the block for every cofactor m at once, and their c1 are stored into a
-block of ones. A prime p <= sqrt(N) then multiplies its counts into the
-multiples t p^k of the block, t prime to p, on their strided view cut into
-runs of p less the last column.
+block of ones. A prime p <= sqrt(N) then multiplies its count c at q = p^k
+into the multiples t q of the block, t prime to p, in 1-D strides: p < 8 in
+its p - 1 residue columns mod p, a larger p in every multiple of q, with the
+multiples of p q (at most 1/64 of the block) copied aside and written back.
 
 Every partial product is at most d_deg(n), the deg-fold divisor function; the
 blocks take the narrowest dtype that holds its maximum (_row_dtype). Every
@@ -118,7 +119,8 @@ def _row_block(lo: int, hi: int, dtype, small, big_p, big_codes,
                c1) -> np.ndarray:
     """block[i] = I(lo + i), lo <= lo + i < hi: the large primes big_p (table
     slices, with codes big_codes) store c1[code] into a block of ones, then
-    the small prime powers (p, q, c) multiply their counts in."""
+    each small (p, q, c) multiplies c into the multiples t q, t prime to p,
+    in 1-D strided views."""
     block = np.ones(hi - lo, dtype=dtype)
     if len(big_p) and hi > big_p[0]:
         # big_p[a:a + runs] are the P with lo <= m P < hi: a long run is a
@@ -162,13 +164,14 @@ def _row_block(lo: int, hi: int, dtype, small, big_p, big_codes,
         t = max(1, -(-lo // q))  # view[i] = block[(t + i) q - lo]
         if t * q < hi:
             view = block[t * q - lo:: q]
-            h = -t % p  # the cofactor t + h = 0 mod p; runs of p follow it
-            view[:h] *= c
-            rest = view[h + 1:]
-            full = len(rest) - len(rest) % p
-            if full:
-                rest[:full].reshape(-1, p)[:, :-1] *= c
-            rest[full:] *= c
+            h = -t % p  # view[h::p] are the multiples of p q
+            if p < 8:  # each other residue column in place
+                for j in range(1, p):
+                    view[(h + j) % p:: p] *= c
+            else:  # all, then view[h::p] written back: its products may wrap
+                keep = view[h:: p].copy()
+                view *= c
+                view[h:: p] = keep
     return block
 
 

@@ -151,21 +151,23 @@ def _prime_count_bound(n: int) -> int:
 
 
 def _sieve(n: int) -> np.ndarray:
-    """Ascending array of all primes <= n, n >= 2, sieved in fixed-size
-    segments from 2, each writing its primes in place into one array sized
-    by _prime_count_bound, whose pages past the last prime are never written
-    and so take no memory."""
-    base = _simple_sieve(math.isqrt(n)).tolist()
+    """Ascending array of all primes <= n, n >= 2: 2, then the odd numbers from
+    3 in segments of SIEVE_SEGMENT flags, flag i for lo + 2 i, each writing its
+    primes in place into one array sized by _prime_count_bound, whose pages
+    past the last prime are never written and so take no memory."""
+    base = _simple_sieve(math.isqrt(n))[1:].tolist()
     primes = np.empty(_prime_count_bound(n), dtype=np.int64)
-    k, lo = 0, 2
+    primes[0] = 2
+    k, lo = 1, 3
     while lo <= n:
-        hi = min(lo + SIEVE_SEGMENT, n + 1)
-        flags = np.ones(hi - lo, dtype=bool)
+        hi = min(lo + 2 * SIEVE_SEGMENT, n + 1)
+        flags = np.ones((hi - lo + 1) // 2, dtype=bool)
         for p in base:
-            start = max(p * p, -(-lo // p) * p)
+            start = max(p * p, (-(-lo // p) | 1) * p)  # odd, as lo is
             if start < hi:
-                flags[start - lo:: p] = False
+                flags[(start - lo) // 2:: p] = False
         found = np.flatnonzero(flags)
+        found *= 2
         np.add(found, lo, out=primes[k:k + len(found)])
         k, lo = k + len(found), hi
     return primes[:k]

@@ -21,6 +21,7 @@ from nfmertens.idealcount import (
     _counts_from_degrees,
     _local_factors,
     _max_divisor_count,
+    _row_block,
     _row_blocks,
     _row_dtype,
 )
@@ -273,7 +274,8 @@ STRIDED_FIELDS = ["gaussian", "cbrt2", "cyclotomic5", "sqrt-163"]
 
 class TestStridedPass:
     """The in-place strided pass over the small primes against the Python-int
-    row: view = row[q::q] is cut into runs of p and a tail of fewer than p."""
+    row: of view = row[q::q], every entry but each p-th, a multiple of p q,
+    is multiplied."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -286,8 +288,8 @@ class TestStridedPass:
             assert full_row(field, n_max).tolist() == \
                 _dense_row_python(field, n_max), (name, n_max)
 
-    # len(view) = n_max // q is p - 1 (< p, no full run), p (one run, no
-    # tail) and p again at n_max = q*p + 1; q = 2, 4, 9, 49 is run with c != 1
+    # len(view) = n_max // q is p - 1 (no multiple of p q), p (one, the last
+    # entry) and p again at n_max = q*p + 1; q = 2, 4, 9, 49 is run with c != 1
     # by cyclotomic5 (2, 4, 9, 49), sqrt-163 (2) and cbrt2 (49)
     @pytest.mark.parametrize("n_max", [q * p + d for q, p in ((2, 2), (4, 2), (9, 3), (49, 7))
                                        for d in (-1, 0, 1)])
@@ -298,6 +300,45 @@ class TestStridedPass:
     @given(n_max=st.integers(min_value=0, max_value=20000))
     def test_matches_python_row(self, corpus, n_max):
         self.check(corpus, n_max)
+
+
+class TestSmallPrimePass:
+    """_row_block's small-prime pass for one p, its entries (p, q, c) alone,
+    against the p-part of the Python-int row, I(p^v) at v = v_p(n): blocks
+    of one length start, and so end, at every residue mod p q for q = p, p^2,
+    p^3, on both sides of the p < 8 cut (residue columns below it, a saved
+    and restored view[h::p] above)."""
+
+    N_MAX = 40_000  # past every block below: lo <= 11^4, hi - lo <= 16 11^3 + 1
+
+    # 2 is inert in golden (c = 0 at q = 2), splits in sqrt-7 and ramifies
+    # in gaussian, where its c is 1 at every q, so it has no pass;
+    # cyclotomic5's blocks are uint32, as its row's are past 302,400, and its
+    # one ideal over 2 has norm 16
+    @pytest.mark.parametrize("name, two", [("golden", [(2, 0), (8, 0)]),
+                                           ("sqrt-7", [(2, 2), (4, 3), (8, 4)]),
+                                           ("gaussian", []),
+                                           ("cyclotomic5", [(2, 0), (4, 0), (8, 0)])])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_every_phase(self, corpus, name, two, p):
+        field, n_max = corpus[name], self.N_MAX
+        dtype = _row_dtype(302_400 if name == "cyclotomic5" else n_max, field.degree)
+        assert dtype == (np.uint32 if name == "cyclotomic5" else np.uint16)
+        entries = [e for e in _local_factors(*_splitting_table(field, n_max), n_max)
+                   if e[0] == p]
+        if p == 2:
+            assert [(q, c) for _, q, c in entries if q <= 8] == two
+        part = np.ones(n_max + 1, dtype=np.int64)  # p^v_p(n)
+        for k in range(1, int(math.log(n_max, p)) + 1):
+            part[::p ** k] *= p
+        expected = np.array(python_row(field, n_max))[part[1:]]
+        none = np.empty(0, dtype=np.int64)
+        for q in (p, p ** 2, p ** 3):
+            length = q * (p + p // 2) + 1
+            for lo in range(1, p * q + 1):
+                block = _row_block(lo, lo + length, dtype, entries, none, none, None)
+                assert block.dtype == dtype
+                assert np.array_equal(block, expected[lo - 1:lo - 1 + length]), (q, lo)
 
 
 class TestRowDtypeBoundary:

@@ -54,6 +54,7 @@ from nfmertens.polyfield import (
 from nfmertens.splitting import (
     CLASS_TABLE_MAX,
     DENSE_SIEVE_CAP,
+    SIEVE_SEGMENT,
     FieldContext,
     check_grid,
     kronecker,
@@ -135,10 +136,20 @@ class TestRationalPrimes:
             assert splitting._prime_count_bound(10 ** k) > count, k
         assert DENSE_SIEVE_CAP == 10 ** 8
 
+    # the odd sieve's segments hold SIEVE_SEGMENT flags for 3, 5, 7, ...: the
+    # first ends at 1 + 2 SIEVE_SEGMENT, one past it is even, and the second
+    # starts at 3 + 2 SIEVE_SEGMENT
     @pytest.mark.parametrize("n", [2, 3, 4, 1000, (1 << 20) - 1, 1 << 20,
-                                   (1 << 20) + 1, (1 << 20) + 2, (1 << 20) + 100])
+                                   (1 << 20) + 1, (1 << 20) + 2, (1 << 20) + 100,
+                                   1 + 2 * SIEVE_SEGMENT, 2 + 2 * SIEVE_SEGMENT,
+                                   3 + 2 * SIEVE_SEGMENT])
     def test_matches_naive_sieve_at_segment_edges(self, n):
-        assert rational_primes(n).tolist() == naive_primes(n)
+        expected = naive_primes(n)
+        assert splitting._sieve(n).tolist() == expected
+        assert rational_primes(n).tolist() == expected
+
+    def test_matches_unsegmented_sieve_at_1e6(self):
+        assert np.array_equal(splitting._sieve(10 ** 6), splitting._simple_sieve(10 ** 6))
 
     def test_non_integer_cutoff(self):
         assert rational_primes(7.9).tolist() == [2, 3, 5, 7]
@@ -297,7 +308,7 @@ class TestSplittingType:
         field = corpus["non-monogenic-cubic"]
         batched = []
         ctx = field_context(field)
-        e, key, codes = ctx.route
+        e, key, codes = ctx.route_for(field)
         monkeypatch.setattr(ctx, "route", (e, lambda block: batched.append(block), codes))
         raised = []
         for call in (prime_ideals_up_to, ideal_count_sieve):
@@ -711,7 +722,7 @@ class TestRoute:
         field = load_field(text)
         _splitting_table(field, 1000)
         ctx = field_context(field)
-        e, key, codes = ctx.route
+        e, key, codes = ctx.route_for(field)
         out = int(np.flatnonzero(codes < 0)[0])
         table = ctx.primes.copy(), ctx.codes.copy()
         ctx.route = e, lambda block: np.full(len(block), out), codes
