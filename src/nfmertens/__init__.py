@@ -44,7 +44,6 @@ from .mertens import (
 from .polyfield import (
     IntPoly,
     dedekind_index_test,
-    factor_mod_p,
     poly_discriminant,
 )
 from .splitting import (
@@ -63,7 +62,7 @@ __all__ = [
     "FieldDescriptor", "IntPoly", "LogMagnitude", "MertensConstant",
     "MertensRow", "PrimeIdealRecord", "Residue", "SplittingType",
     "StarkBound", "StructureFlags", "SummatoryPoint", "dedekind_index_test",
-    "descriptor_text", "factor_mod_p", "field_constants", "geometric_grid",
+    "descriptor_text", "field_constants", "geometric_grid",
     "ideal_count_sieve", "kappa_estimate", "kappa_exact", "kronecker",
     "lambda_K", "load_field", "louboutin_upper", "mertens_constant",
     "mertens_table", "poly_discriminant", "prime_ideals_up_to",

@@ -26,7 +26,8 @@ class InvariantViolation(NfMertensError):
 
 
 class ReducibleDefiningPolynomial(NfMertensError):
-    """The defining polynomial has a proven rational factor."""
+    """The defining polynomial is not proven irreducible: a rational factor
+    was found, or no proof of irreducibility was."""
 
 
 class MissingClassData(NfMertensError):
@@ -43,10 +44,6 @@ class DomainError(NfMertensError):
 
 class UnknownStructureFlags(NfMertensError):
     """Structure flags are insufficient to select a residue-bound case."""
-
-
-class EmptyProduct(NfMertensError):
-    """No prime ideal of norm <= x exists, so the product is empty."""
 
 
 class CutoffOutOfRange(NfMertensError, ValueError):

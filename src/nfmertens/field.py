@@ -17,7 +17,9 @@ conductor and cyclotomic_root), or none when the polynomial is Phi_m itself,
 which is recognised. load_field proves the root and computes the subgroup H of
 (Z/m)^x fixing it, whose index is the degree; the certificate then proves the
 polynomial irreducible, fixes which structure flags may be stated, and gives
-the splitting of every prime not dividing m (splitting.py).
+the splitting of every prime not dividing m (splitting.py). Without a
+certificate the polynomial is proven irreducible from its factor degrees mod
+small primes, or refused.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ _KEYS = (
 CONDUCTOR_MAX = 1 << 10
 # is_prime is exact below this bound, so the certificate's prime q stays under it
 _PRIME_PROOF_MAX = 3 * 10 ** 24
+# _check_irreducible reads f mod p at the primes below this bound: 168 primes
+_IRREDUCIBILITY_PRIMES = 1000
 
 
 @dataclass(frozen=True)
@@ -220,43 +224,38 @@ def fundamental_discriminant(d: int) -> int:
     return s if s % 4 == 1 else 4 * s
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            out.append(n // f)
-        f += 1
-    return sorted(set(out))
-
-
 def _check_irreducible(poly: IntPoly) -> None:
-    """Sanity checks only: integer roots always, mod-p witness when found."""
-    const = poly.coeffs[0]
-    if const == 0:
-        raise ReducibleDefiningPolynomial("x divides the defining polynomial")
-    if abs(const) <= 10**12:
-        for d in _divisors(const):
-            if poly(d) == 0 or poly(-d) == 0:
-                root = d if poly(d) == 0 else -d
-                raise ReducibleDefiningPolynomial(
-                    f"integer root {root} found; polynomial is reducible")
-    # a prime where the reduction stays irreducible proves irreducibility;
-    # absence of a witness among small primes proves nothing, so accept
-    p = 2
-    for _ in range(25):
-        while not is_prime(p):
-            p += 1
-        coeffs = tuple(c % p for c in poly.coeffs)
-        if len(coeffs) == len(poly.coeffs) and coeffs[-1] != 0:
-            parts = _squarefree_parts(coeffs, p)
-            if len(parts) == 1 and parts[0][1] == 1:
-                dd = _distinct_degree_parts(parts[0][0], p)
-                if len(dd) == 1 and dd[0][1] == poly.degree:
-                    return
-        p += 1
+    """Prove poly irreducible over Q, or raise ReducibleDefiningPolynomial.
+
+    A factor of degree k over Q reduces mod p to a product of irreducible
+    factors, so wherever f mod p is squarefree k is a sum of some of its
+    factor degrees (Cohen, GTM 138, sec. 3.5). The subset sums of those
+    degrees, intersected over the primes p < _IRREDUCIBILITY_PRIMES, prove f
+    irreducible once only 0 and n are left. The rule refuses what it cannot
+    prove: every reducible f, but also an irreducible f with a proper sum at
+    every p, such as a quartic with Galois group V4, which needs a
+    cyclotomic certificate.
+    """
+    n = poly.degree
+    proven = 1 | 1 << n
+    common = (1 << n + 1) - 1  # bit k: a factor of degree k not ruled out
+    for p in filter(is_prime, range(2, _IRREDUCIBILITY_PRIMES)):
+        # f is monic, so f mod p keeps its degree
+        [(g, m), *rest] = _squarefree_parts(tuple(c % p for c in poly.coeffs), p)
+        if rest or m > 1:
+            continue
+        sums = 1
+        for part, d in _distinct_degree_parts(g, p):
+            for _ in range((len(part) - 1) // d):
+                sums |= sums << d
+        common &= sums
+        if common == proven:
+            return
+    raise ReducibleDefiningPolynomial(
+        "cannot prove the defining polynomial irreducible: mod each prime "
+        f"p < {_IRREDUCIBILITY_PRIMES} where it is squarefree, some of its "
+        f"factor degrees sum to a degree in [1, {n - 1}]; an abelian field "
+        "can name its conductor and cyclotomic_root")
 
 
 def _totient(m: int) -> int:
@@ -441,6 +440,17 @@ def load_field(descriptor_text: str) -> FieldDescriptor:
         w = values["roots_of_unity"]
         if h < 1 or w < 1 or float(values["regulator"]) <= 0:
             raise InvariantViolation("class data must be positive")
+        if w % 2:
+            raise InvariantViolation(
+                f"roots_of_unity = {w} is odd, but -1 is a root of unity")
+        # a quadratic field holds the 4th roots of unity at D = -4, the 6th at
+        # D = -3 and only +-1 otherwise; a real embedding leaves only +-1
+        forced = {-4: 4, -3: 6}.get(discriminant, 2) if n == 2 else \
+            2 if signature[0] else w
+        if w != forced:
+            raise InvariantViolation(
+                f"roots_of_unity = {w}, but the field with signature "
+                f"{signature} and discriminant {discriminant} has {forced}")
         class_data = ClassData(h=h, regulator=values["regulator"], w=w)
 
     normal = values.get("normal_over_q")

@@ -4,6 +4,7 @@ At a cutoff x the three quantities are the log-weighted sum log(N)/N, the
 reciprocal sum 1/N, and the product of (1 - 1/N), each over prime ideals of
 norm N <= x. Their error terms A, B, C are defined against log x,
 log log x + M, and the classical product asymptotic e^(-gamma)/(kappa log x).
+Below the least norm the sums are empty, 0, and the product is empty, 1.
 
 The field Mertens constant M is computed from its absolutely convergent
 series gamma + log kappa + sum over all prime ideals of [1/N + log(1 - 1/N)],
@@ -25,7 +26,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import EmptyProduct, MissingResidue
+from .errors import MissingResidue
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
 from .blockpass import running_fsums, segment_sums, slices
 from .splitting import _ideal_stream, check_cutoff, check_grid, rational_primes
@@ -91,20 +92,12 @@ def _mertens_pass(field: FieldDescriptor, grid: list[float], truncation_x: float
         table = (np.log(n) / n, recip, l1p) if k <= table_end else (none,) * 3
         return (*table, recip + l1p if k <= series_end else none)
 
-    empty = f"no prime ideal has norm <= {grid[0]}" if tops else None
-
     def ends(lo, norms):
-        # the stream's first norm is its least: past the first point, the
-        # pass ends at the block that holds it
-        if tops and lo == 0 and len(norms) and norms[0] > tops[0]:
-            raise EmptyProduct(empty)
         return np.searchsorted(norms, cutoffs, "right")
 
     parts = slices(map(itemgetter(0), _ideal_stream(field, cutoffs[-1])), ends)
     *table, series = map(running_fsums, segment_sums(parts, terms, len(cutoffs), 4))
     at = [cutoffs.index(x) for x in tops]
-    if tops and table[1][at[0]] == 0:  # an empty stream: the 1/N terms are positive
-        raise EmptyProduct(empty)
     return [[values[i] for i in at] for values in table], series[series_end]
 
 

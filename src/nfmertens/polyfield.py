@@ -6,16 +6,17 @@ bits even for modest cubics). Polynomials over F_p are plain trimmed
 coefficient tuples with every coefficient in [0, p); the modulus is passed
 alongside.
 
-Factorization over F_p runs the classical pipeline: squarefree decomposition,
-then distinct-degree splitting, then equal-degree splitting with a
-deterministically seeded generator, so identical inputs always produce
-identical factor lists. Factors are emitted sorted by degree, then
-lexicographically on the coefficient tuple.
+Over F_p there are the first two stages of the classical factorization
+(Cohen, GTM 138, sec. 3.4): the squarefree decomposition, and the
+distinct-degree split of a squarefree part into the products of its
+irreducible factors of each degree. There is no equal-degree stage: the
+splitting of a prime (splitting.py) and the irreducibility proof (field.py)
+read only the factor degrees and their multiplicities, and a product of
+degree k with factors of degree d holds k / d of them.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import CompositeModulus, ZeroPolynomial
@@ -85,12 +86,6 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly(_trim(k * c for k, c in enumerate(self.coeffs) if k))
 
-    def __call__(self, x: int) -> int:
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * x + c
-        return v
-
 
 def _sylvester_resultant(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Resultant of two integer polynomials via Bareiss elimination."""
@@ -141,15 +136,6 @@ def poly_discriminant(f: IntPoly) -> int:
 # ---------------------------------------------------------------------------
 # Polynomials over F_p: every kernel takes and returns trimmed coefficient
 # tuples.
-
-
-def _padd(a, b, p):
-    if len(a) < len(b):
-        a, b = b, a
-    c = list(a)
-    for i, v in enumerate(b):
-        c[i] = (c[i] + v) % p
-    return _trim(c)
 
 
 def _psub(a, b, p):
@@ -288,69 +274,6 @@ def _distinct_degree_parts(g, p):
     if len(g) > 1:
         parts.append((g, len(g) - 1))
     return parts
-
-
-def _content_seed(p: int, coeffs: tuple[int, ...]) -> int:
-    h = 0x9E3779B97F4A7C15
-    for v in (p, len(coeffs), *coeffs):
-        h = (h ^ (v & 0xFFFFFFFFFFFFFFFF)) * 0x100000001B3 % (1 << 64)
-    return h
-
-
-def _equal_degree_split(g, d, p, rng):
-    """g monic squarefree, all irreducible factors of degree d -> factor list."""
-    n = len(g) - 1
-    if n == d:
-        return [g]
-    while True:
-        r = _trim(rng.randrange(p) for _ in range(n))
-        if len(r) < 2:
-            continue
-        if p == 2:
-            # trace map over F_2: r + r^2 + ... + r^(2^(d-1))
-            t = r
-            s = r
-            for _ in range(d - 1):
-                s = _pmod(_pmul(s, s, p), g, p)
-                t = _padd(t, s, p)
-            cand = _pgcd(t, g, p)
-        else:
-            cand = _pgcd(r, g, p)
-            if len(cand) - 1 in (0, n):
-                s = _ppowmod(r, (p ** d - 1) // 2, g, p)
-                cand = _pgcd(_psub(s, (1,), p), g, p)
-        if 0 < len(cand) - 1 < n:
-            rest = _pdivmod(g, cand, p)[0]
-            return _equal_degree_split(cand, d, p, rng) + _equal_degree_split(rest, d, p, rng)
-
-
-def factor_mod_p(p: int, coeffs) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Factor the polynomial with these integer coefficients (lowest degree
-    first), reduced mod p, into monic irreducibles over F_p with
-    multiplicities.
-
-    Each factor is a trimmed coefficient tuple. The product of the factors,
-    raised to their multiplicities and scaled by the leading coefficient,
-    reconstructs the reduced polynomial exactly. Output order is canonical:
-    by degree, then lexicographic on the coefficient tuple. The equal-degree
-    stage draws from a generator seeded by the reduced polynomial, so
-    repeated calls are reproducible.
-    """
-    if not is_prime(p):
-        raise CompositeModulus(f"modulus {p} is not prime")
-    f = _trim(int(c) % p for c in coeffs)
-    if not f:
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    if len(f) == 1:
-        return ()
-    rng = random.Random(_content_seed(p, f))
-    out = []
-    for g, mult in _squarefree_parts(f, p):
-        for prod, d in _distinct_degree_parts(g, p):
-            for irr in _equal_degree_split(prod, d, p, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return tuple(out)
 
 
 def _dedekind_from_parts(f: IntPoly, p: int, parts) -> bool:

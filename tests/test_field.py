@@ -1,7 +1,10 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from nfmertens import field as field_module
 from nfmertens.errors import (
@@ -27,6 +30,9 @@ roots_of_unity = 4
 """
 
 SQRT5_BARE = "poly = [-5, 0, 1]\n"
+FIELDS = Path(__file__).resolve().parent.parent / "fields"
+X = sympy.symbols("x")
+UNPROVEN = "cannot prove the defining polynomial irreducible"
 
 
 class TestLoadField:
@@ -70,9 +76,9 @@ class TestLoadField:
             load_field("poly = [1, 0, 2]\n")
 
     def test_reducible_by_integer_root(self):
-        with pytest.raises(ReducibleDefiningPolynomial):
+        with pytest.raises(ReducibleDefiningPolynomial, match=UNPROVEN):
             load_field("poly = [-1, 0, 1]\n")  # x^2 - 1
-        with pytest.raises(ReducibleDefiningPolynomial):
+        with pytest.raises(ReducibleDefiningPolynomial, match=UNPROVEN):
             load_field("poly = [6, 11, 6, 1]\ndiscriminant = -4\nsignature = [1, 1]\n")
 
     def test_wrong_signature_rejected(self):
@@ -126,8 +132,80 @@ class TestLoadField:
         assert fd.degree == 2
 
 
-CYCLIC_CUBIC_FILE = (Path(__file__).resolve().parent.parent / "fields"
-                     / "cyclic-cubic-49.field").read_text()
+def monic_irreducibles(max_degree, constant):
+    """Monic polynomials over Q of degree 1 to max_degree that sympy proves
+    irreducible, with constant terms drawn from constant."""
+    return st.builds(
+        lambda const, middle, degree: IntPoly.of([const, *middle[:degree - 1], 1]),
+        constant, st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+        st.integers(1, max_degree),
+    ).filter(lambda f: sympy.Poly(list(reversed(f.coeffs)), X).is_irreducible)
+
+
+def product_text(f, g):
+    coeffs = [0] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            coeffs[i + j] += a * b
+    return f"poly = [{', '.join(map(str, coeffs))}]\n"
+
+
+class TestIrreducibility:
+    # each refusal reads f mod all 168 primes below 1000, about 25 ms
+    @given(monic_irreducibles(3, st.integers(-50, 50)),
+           monic_irreducibles(3, st.integers(-50, 50)))
+    @settings(max_examples=15, deadline=None)
+    def test_products_are_refused(self, f, g):
+        with pytest.raises(ReducibleDefiningPolynomial, match=UNPROVEN):
+            load_field(product_text(f, g))
+
+    @given(monic_irreducibles(2, st.integers(10 ** 6 + 1, 10 ** 8)),
+           monic_irreducibles(3, st.integers(10 ** 6 + 1, 10 ** 8)))
+    @settings(max_examples=10, deadline=None)
+    def test_products_past_a_large_constant_are_refused(self, f, g):
+        assert abs(f.coeffs[0] * g.coeffs[0]) > 10 ** 12
+        with pytest.raises(ReducibleDefiningPolynomial, match=UNPROVEN):
+            load_field(product_text(f, g))
+
+    def test_linear_times_quadratic_past_1e12(self):
+        b = 10 ** 13 + 14  # (x - b)(x^2 + 1)
+        with pytest.raises(ReducibleDefiningPolynomial, match=UNPROVEN):
+            load_field(f"poly = [{-b}, 1, {-b}, 1]\nsignature = [1, 1]\n"
+                       "discriminant = -4\n")
+
+    def test_v4_quartic_is_refused(self):
+        # Q(sqrt 2, sqrt 3): every reduction has a factor of degree 2
+        with pytest.raises(ReducibleDefiningPolynomial, match=UNPROVEN):
+            load_field("poly = [1, 0, -10, 0, 1]\nsignature = [4, 0]\n"
+                       "discriminant = 2304\n")
+
+    @pytest.mark.parametrize("text, certified", [
+        ("poly = [1, 0, 0, 0, 1]\ndiscriminant = 256\nsignature = [0, 2]\n", True),
+        ("poly = [-2, 0, 0, 0, 1]\ndiscriminant = -2048\nsignature = [2, 1]\n", False),
+        ("poly = [-2, 0, 0, 0, 0, 1]\ndiscriminant = 50000\nsignature = [1, 2]\n", False),
+        ("poly = [-1, -1, 0, 0, 0, 1]\ndiscriminant = 2869\nsignature = [1, 2]\n", False),
+        ("poly = [-2" + ", 0" * 28 + ", 1]\nsignature = [1, 14]\n"
+         f"discriminant = {29 ** 29 * 2 ** 28}\n", False),
+    ], ids=["x4+1", "x4-2", "x5-2", "x5-x-1", "x29-2"])
+    def test_proven_fields_load(self, text, certified):
+        # x^4 + 1 is Phi_8; the others are proven by their factor degrees
+        assert (load_field(text).cyclotomic is not None) == certified
+
+
+class TestRootsOfUnity:
+    @pytest.mark.parametrize("name, w, match", [
+        ("gaussian", 2, "has 4"), ("eisenstein", 2, "has 6"),
+        ("golden", 4, "has 2"), ("sqrt-7", 4, "has 2"),
+        ("cbrt2", 3, "odd"), ("cbrt2", 6, "has 2"), ("cyclotomic5", 5, "odd")])
+    def test_wrong_count_is_refuted(self, name, w, match):
+        text = (FIELDS / f"{name}.field").read_text()
+        wrong = re.sub(r"roots_of_unity = \d+", f"roots_of_unity = {w}", text)
+        assert wrong != text
+        with pytest.raises(InvariantViolation, match=match):
+            load_field(wrong)
+
+
+CYCLIC_CUBIC_FILE = (FIELDS / "cyclic-cubic-49.field").read_text()
 # alpha = zeta_7 + zeta_7^-1, a root of x^3 + x^2 - 2x - 1
 KEYS_7 = "conductor = 7\ncyclotomic_root = [0, 1, 0, 0, 0, 0, 1]\n"
 # the descriptor without its two certificate lines, which KEYS_7 puts back

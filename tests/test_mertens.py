@@ -6,7 +6,7 @@ import pytest
 
 from nfmertens import mertens, splitting
 from nfmertens.cli import main
-from nfmertens.errors import EmptyProduct, MissingResidue
+from nfmertens.errors import MissingResidue
 from nfmertens.field import Residue, kappa_exact
 from nfmertens.mertens import (
     EULER_GAMMA,
@@ -114,13 +114,16 @@ class TestMertensThird:
         assert 1 + row.C_K > 0
 
     def test_empty_product(self, golden):
-        with pytest.raises(EmptyProduct):
-            one_row(golden, 3)
+        # golden's least norm is 4: at x = 3 the sums are empty, 0, and the
+        # product is empty, 1
+        row = one_row(golden, 3)
+        assert (row.sum_logN_over_N, row.sum_recip, row.product) == (0.0, 0.0, 1.0)
+        assert row.A_K == -math.log(3)
 
-    def test_empty_product_reads_one_block(self, monkeypatch, tmp_path, capsys):
-        # golden's least norm is 4; the Mertens pass runs to the truncation
-        # cutoff 1e6, five blocks of primes, and its first norm refuses the
-        # grid point 3
+    def test_empty_product_reads_one_block(self, monkeypatch, tmp_path):
+        # the empty product at x = 3 costs no pass of its own: with the
+        # truncation cutoff at 10, golden's pass to 100 reads one block of
+        # primes and prints product 1 at x = 3
         asked = []
         stream = splitting._ideal_stream
 
@@ -128,10 +131,15 @@ class TestMertensThird:
             return map(lambda block: asked.append(1) or block, stream(*args, **kwargs))
         monkeypatch.setattr(mertens, "_ideal_stream", spied)
         path = Path(__file__).resolve().parent.parent / "fields" / "golden.field"
-        code = main(["verify", "--field", str(path), "--grid", "3,100",
-                     "--out", str(tmp_path / "report.csv")])
-        assert code == 2
-        assert "no prime ideal has norm <= 3" in capsys.readouterr().err
+        out = tmp_path / "mertens.csv"
+        code = main(["mertens", "--field", str(path), "--grid", "3,100",
+                     "--truncation-x", "10", "--out", str(out)])
+        assert code == 0
+        header, first, _ = (line.split(",") for line in out.read_text().splitlines()
+                            if not line.startswith("#"))
+        at_3 = dict(zip(header, first))
+        assert [at_3[k] for k in ("x", "sum_logN_over_N", "sum_recip", "product")] == \
+            ["3", "0", "0", "1"]
         assert len(asked) == 1
 
     def test_exp_identity(self, gauss):

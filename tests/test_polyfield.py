@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 from nfmertens.errors import CompositeModulus, ZeroPolynomial
 from nfmertens.polyfield import (
     IntPoly,
+    _distinct_degree_parts,
     _pgcd,
     _pmod,
     _pmul,
     _ppowmod,
     _psub,
+    _squarefree_parts,
     _trim,
     dedekind_index_test,
-    factor_mod_p,
     is_prime,
     poly_discriminant,
 )
@@ -68,82 +69,83 @@ class TestDiscriminant:
             to_sympy(poly).as_expr(), X)
 
 
-def reconstruct(p, factors, lead):
-    prod = (lead,)
-    for g, mult in factors:
-        for _ in range(mult):
-            prod = _pmul(prod, g, p)
-    return prod
+def factor_parts(p, coeffs):
+    """(irreducible degree, multiplicity) of every factor of f mod p, by the
+    squarefree and distinct-degree parts, with the parts' product times the
+    leading coefficient."""
+    f = mod_p(coeffs, p)
+    pairs, prod = [], (f[-1],)
+    for g, mult in _squarefree_parts(f, p):
+        for part, d in _distinct_degree_parts(g, p):
+            pairs += [(d, mult)] * ((len(part) - 1) // d)
+            for _ in range(mult):
+                prod = _pmul(prod, part, p)
+    return sorted(pairs), prod
+
+
+def sympy_factor_degrees(p, coeffs):
+    _, factors = sympy.Poly(list(reversed(coeffs)), X, modulus=p).factor_list()
+    return sorted((g.degree(), mult) for g, mult in factors)
 
 
 class TestFactorModP:
+    """f mod p through the two production stages, _squarefree_parts and
+    _distinct_degree_parts, against sympy's factor_list mod p."""
+
     def test_split_example(self):
-        assert factor_mod_p(5, (1, 0, 1)) == (((2, 1), 1), ((3, 1), 1))
+        # x^2 + 1 = (x - 2)(x - 3) mod 5: one part of degree-1 factors
+        assert _squarefree_parts((1, 0, 1), 5) == [((1, 0, 1), 1)]
+        assert _distinct_degree_parts((1, 0, 1), 5) == [((1, 0, 1), 1)]
 
     def test_inert_example(self):
-        assert factor_mod_p(7, (1, 0, 1)) == (((1, 0, 1), 1),)
+        assert _distinct_degree_parts((1, 0, 1), 7) == [((1, 0, 1), 2)]
 
     def test_ramified_example(self):
-        assert factor_mod_p(2, (1, 0, 1)) == (((1, 1), 2),)
-
-    def test_composite_modulus_rejected(self):
-        with pytest.raises(CompositeModulus):
-            factor_mod_p(15, (1, 0, 1))
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            factor_mod_p(5, (0,))
+        assert _squarefree_parts((1, 0, 1), 2) == [((1, 1), 2)]
 
     @pytest.mark.parametrize("poly", TEST_POLYS)
     def test_reconstruction_all_primes_to_1000(self, poly):
         for p in small_primes(1000):
-            f = mod_p(poly.coeffs, p)
-            if len(f) < 2:
-                continue
-            factors = factor_mod_p(p, f)
-            assert reconstruct(p, factors, f[-1]) == f, (poly, p)
+            pairs, prod = factor_parts(p, poly.coeffs)
+            assert prod == mod_p(poly.coeffs, p), (poly, p)
+            assert pairs == sympy_factor_degrees(p, poly.coeffs), (poly, p)
 
     @pytest.mark.parametrize("poly", TEST_POLYS[:5])
     def test_irreducibility_witness(self, poly):
-        # each factor divides x^(p^deg) - x and shares no root with smaller
-        # Frobenius fixed fields
+        # a part of degree d divides x^(p^d) - x and shares no root with
+        # x^(p^m) - x for m < d, so each of its irreducible factors has
+        # degree d
         x = (0, 1)
         for p in small_primes(60):
-            f = mod_p(poly.coeffs, p)
-            if len(f) < 2:
-                continue
-            for g, _ in factor_mod_p(p, f):
-                d = len(g) - 1
-                x_mod_g = _pmod(x, g, p)
-                assert _ppowmod(x, p ** d, g, p) == x_mod_g, (p, g)
-                for m in range(1, d):
-                    frob_m = _ppowmod(x, p ** m, g, p)
-                    shared = _pgcd(_psub(frob_m, x_mod_g, p), g, p)
-                    assert len(shared) == 1, (p, g, m)
+            for g, _ in _squarefree_parts(mod_p(poly.coeffs, p), p):
+                for part, d in _distinct_degree_parts(g, p):
+                    x_mod = _pmod(x, part, p)
+                    assert _ppowmod(x, p ** d, part, p) == x_mod, (p, part)
+                    for m in range(1, d):
+                        frob_m = _ppowmod(x, p ** m, part, p)
+                        shared = _pgcd(_psub(frob_m, x_mod, p), part, p)
+                        assert len(shared) == 1, (p, part, m)
 
     @pytest.mark.parametrize("poly", [q for q in TEST_POLYS if q.is_monic])
     def test_repeated_factor_iff_disc_divisible(self, poly):
         disc = poly_discriminant(poly)
         for p in small_primes(1000):
-            repeated = any(m > 1 for _, m in factor_mod_p(p, poly.coeffs))
+            parts = _squarefree_parts(mod_p(poly.coeffs, p), p)
+            repeated = any(m > 1 for _, m in parts)
             assert repeated == (disc % p == 0), (poly, p)
 
     @given(st.integers(min_value=0, max_value=4),
            st.lists(st.integers(min_value=0, max_value=100),
-                    min_size=1, max_size=6))
+                    min_size=2, max_size=7))
     @settings(max_examples=150, deadline=None)
     def test_random_reconstruction(self, prime_index, coeffs):
         p = (2, 3, 5, 13, 31)[prime_index]
         f = mod_p(coeffs, p)
-        if not f:
+        if len(f) < 2:
             return
-        if len(f) == 1:
-            assert factor_mod_p(p, coeffs) == ()
-            return
-        factors = factor_mod_p(p, coeffs)
-        assert reconstruct(p, factors, f[-1]) == f
-        assert list(factors) == sorted(factors,
-                                       key=lambda fm: (len(fm[0]), fm[0]))
+        pairs, prod = factor_parts(p, f)
+        assert prod == f
+        assert pairs == sympy_factor_degrees(p, f)
 
 
 class TestDedekind:

@@ -20,7 +20,6 @@ from nfmertens.errors import (
     CompositeModulus,
     CutoffOutOfRange,
     DenseSieveCapExceeded,
-    EmptyProduct,
     IndexPrimeUnsupported,
     InvariantViolation,
 )
@@ -942,15 +941,18 @@ class TestIdealStream:
     @pytest.mark.parametrize("name, least", [("eisenstein", 3), ("golden", 4),
                                              ("cyclotomic5", 5)])
     def test_empty_product_below_the_least_norm(self, corpus, name, least):
-        # with one prime a block, the blocks before the least norm are empty
+        # with one prime a block, the blocks before the least norm are empty;
+        # below it every sum is empty, 0, and the product is empty, 1
         field = corpus[name]
         kappa = Residue(value=1.0, provenance=PROVENANCE_EXACT)
         mconst = mertens_constant(field, 10, kappa)
         for grid in ([least - 1.0], [least - 0.5, 100.0], [2.0, least - 0.5, least]):
-            with pytest.raises(EmptyProduct):
-                mertens_table(field, grid, mconst, kappa)
-            with pytest.raises(EmptyProduct):
-                mertens_grid(field, grid, 10, kappa)
+            rows = mertens_table(field, grid, mconst, kappa)
+            assert mertens_grid(field, grid, 10, kappa) == (mconst, rows), grid
+            for row in rows:
+                if row.x < least:
+                    assert (row.sum_logN_over_N, row.sum_recip, row.product) == \
+                        (0.0, 0.0, 1.0), (grid, row.x)
         # one ideal, of norm least, lies above each least; its term is numpy's
         for grid in ([least], [least + 0.5, 100.0]):
             [row, *_] = mertens_table(field, grid, mconst, kappa)
