@@ -20,15 +20,15 @@ starts.
 row_sums takes one ascending pass over the blocks for a grid of cutoffs (the
 single-point functions are one-point grids), exact, or rounded as fsum would
 (blockpass.segment_sums and running_fsums): no sum depends on the grid or
-on where the blocks end.
+on where the blocks end. legendre_chebyshev_mismatches checks a whole row
+against the splitting table, per prime in exact integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, takewhile
-from math import fsum
+from itertools import accumulate
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -38,8 +38,7 @@ from .blockpass import running_fsums, segment_sums, slices
 from .bounds import LogMagnitude, lambda_K
 from .errors import DivisorBoundExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
-from .splitting import (_ideal_stream, _per_pattern, _splitting_table, check_cutoff,
-                        check_grid)
+from .splitting import _iroot, _per_pattern, _splitting_table, check_cutoff, check_grid
 
 _ROW_BLOCK = 1 << 20  # entries per block of uint16, 2 MB; wider blocks hold fewer
 _PAIRS = 1 << 15  # (m, P) pairs per step of a block's cofactor pass
@@ -220,7 +219,11 @@ def row_sums(blocks, grid, logs: bool = True) -> tuple[list[int], list[float]]:
 def ideal_count_sieve(field: FieldDescriptor, x: int) -> np.ndarray:
     """I(1), ..., I(x) in int64, so a caller's arithmetic cannot wrap."""
     check_cutoff("x", x, 1)
-    return np.concatenate([b for _, b in _row_blocks(field, int(x))])[1:].astype(np.int64)
+    row = np.empty(int(x) + 1, dtype=np.int64)
+    for lo, block in _row_blocks(field, int(x)):
+        row[lo:lo + len(block)] = block
+        del block  # else the loop holds it while the next one is made
+    return row[1:]
 
 
 def _sunley_envelope(field: FieldDescriptor, x: float) -> Optional[float]:
@@ -269,21 +272,24 @@ def kappa_estimate(field: FieldDescriptor, x: float) -> Residue:
                    halfwidth=halfwidth)
 
 
-def legendre_chebyshev_grid(field: FieldDescriptor, grid) -> list[float]:
-    """log of prod over prime ideals of norm^(sum_j Isum(x / norm^j)) at each
-    x of the ascending grid, from one pass over the row's blocks. Exactly
-    t_K(x); the identity's independent route."""
-    tops = [math.floor(x) for x in check_grid(grid)]
-    # each block read as a list, so no view of it outlives it
-    norms = list(chain.from_iterable(map(np.ndarray.tolist, map(
-        itemgetter(0), _ideal_stream(field, tops[-1])))))
-
-    def reads(n):  # at x, each ideal's exponent reads Isum at floor(x / norm^j)
-        return ((norm, takewhile(bool, (n // norm ** j for j in range(1, 64))))
-                for norm in norms if norm <= n)
-    points = sorted({t for n in tops for _, ts in reads(n) for t in ts})
-    isum = dict(zip(points, row_sums(_row_blocks(field, tops[-1]), points, logs=False)[0]))
-    return [fsum(e * math.log(norm) for norm, e in
-                 ((norm, sum(map(isum.get, ts))) for norm, ts in reads(n)) if e)
-            for n in tops]
-
+def legendre_chebyshev_mismatches(field: FieldDescriptor, grid) -> list[int]:
+    """At each x of the ascending grid, the number of primes p where the
+    coefficient of log p in T(x), sum_{n<=x} I(n) v_p(n), differs from
+    sum_{P|p} f_P sum_{k>=1} Isum(x / N(P)^k); from the whole int64 row."""
+    tops = np.array([math.floor(x) for x in check_grid(grid)])
+    top = int(tops[-1])
+    row = np.concatenate(([0], ideal_count_sieve(field, top)))
+    isum = np.cumsum(row)
+    primes, codes, patterns = _splitting_table(field, top)
+    diff = np.zeros((len(tops), len(primes)), dtype=np.int64)
+    for k in range(1, top.bit_length()):
+        q = primes[:np.searchsorted(primes, _iroot(top, k), "right")] ** k
+        size = top // q + 1  # a run of I(i q), i = 0..top // q, per q
+        start = np.cumsum(size) - size
+        at = np.arange(size.sum()) - np.repeat(start, size)
+        runs = np.cumsum(row[at * np.repeat(q, size)])
+        j = tops[:, None] // q  # sum_{i<=j} I(i q) = runs[start + j] - runs[start]
+        # N(P)^(k / f_P) = p^k for each f_P dividing k: w sums those f_P
+        w = np.array([sum(f for _, f in pairs if k % f == 0) for pairs in patterns])
+        diff[:, :len(q)] += runs[start + j] - runs[start] - w[codes[:len(q)]] * isum[j]
+    return np.count_nonzero(diff, axis=1).tolist()

@@ -5,8 +5,10 @@ measured quantity, the bound, and a slack. Slack is logarithmic because the
 explicit bounds are astronomically loose (the envelope constant alone is
 around e^70 for a quadratic field) and raw differences carry no information:
 
-  - ratio checks (quantity >= 0, bound > 0): log_slack = log(bound/quantity),
-    +inf when the quantity is exactly zero;
+  - ratio checks (quantity >= 0, bound > 0, else InvariantViolation):
+    log_slack = log(bound/quantity), +inf when the quantity is exactly zero;
+  - count checks (norm_power_case_table, legendre_chebyshev_identity): a
+    number of mismatches, bound 1, log_slack +inf at 0 and -inf above;
   - interval checks (values may be negative): log_slack = log1p of the linear
     margin to the nearer endpoint, so positive slack always means a pass.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from itertools import zip_longest
 
 from .bounds import (
     BoundsReport,
@@ -32,7 +35,8 @@ from .bounds import (
     xi_K,
 )
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
-from .idealcount import _row_blocks, _row_dtype, legendre_chebyshev_grid, row_sums
+from .errors import InvariantViolation
+from .idealcount import _row_blocks, _row_dtype, legendre_chebyshev_mismatches, row_sums
 from .mertens import (
     EULER_GAMMA,
     mertens_grid,
@@ -45,36 +49,32 @@ from .splitting import check_grid
 PAINFUL_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.2, 1.5, 2.0, 3.0)
 PAINFUL_XS = (100.0, 1000.0, 10000.0, 100000.0)
 LEGENDRE_LIMIT = 2000.0
-LEGENDRE_TOLERANCE = 1e-9
 
 
 def _ratio_check(name: str, x, quantity: float, bound: float) -> CheckResult:
-    if quantity == 0:
-        slack = math.inf
-    elif quantity > 0 and bound > 0:
-        slack = (math.log(bound) if bound != math.inf else math.inf) \
-            - math.log(quantity)
-    else:
-        slack = bound - quantity
-    return CheckResult(name=name, x=x, quantity=quantity, bound=bound,
-                       log_slack=slack, passed=quantity <= bound)
+    if not (quantity >= 0 and bound > 0):
+        raise InvariantViolation(f"{name} at x = {x}: {quantity} / {bound} is no ratio")
+    slack = math.log(bound) - math.log(quantity) if quantity else math.inf
+    return CheckResult(name, x, quantity, bound, slack, quantity <= bound)
+
+
+def _count_check(name: str, x, mismatches: int) -> CheckResult:
+    return CheckResult(name, x, float(mismatches), 1.0,
+                       -math.inf if mismatches else math.inf, mismatches == 0)
 
 
 def _log_ratio_check(name: str, x, log_quantity: float,
                      log_bound: float) -> CheckResult:
-    return CheckResult(name=name, x=x,
-                       quantity=LogMagnitude(log_quantity).value,
-                       bound=LogMagnitude(log_bound).value,
-                       log_slack=log_bound - log_quantity,
-                       passed=log_quantity <= log_bound)
+    return CheckResult(name, x, LogMagnitude(log_quantity).value,
+                       LogMagnitude(log_bound).value, log_bound - log_quantity,
+                       log_quantity <= log_bound)
 
 
 def _interval_check(name: str, x, quantity: float, lo: float,
                     hi: float) -> CheckResult:
     margin = min(quantity - lo, hi - quantity)
     slack = math.log1p(margin) if margin > 0 else -math.inf
-    return CheckResult(name=name, x=x, quantity=quantity, bound=hi,
-                       log_slack=slack, passed=lo <= quantity <= hi)
+    return CheckResult(name, x, quantity, hi, slack, lo <= quantity <= hi)
 
 
 @cache
@@ -82,18 +82,12 @@ def _field_independent_checks() -> tuple[CheckResult, ...]:
     """The checks no field changes, built once per process: the a-constant
     inequalities, the norm-power case table and the prime-power sums."""
     checks = [a_constant_inequality(deg) for deg in range(1, 21)]
-    mismatches = 0
-    for j in range(1, 8):
-        for deg in range(2, 15):
-            case, _ = multipart_case(deg, j)
-            num, den = j * (deg - 1), deg + 1  # alpha vs 1, exactly
-            expected = "linear" if num < den else "log" if num == den else "decay"
-            if case != expected:
-                mismatches += 1
-    checks.append(CheckResult(name="norm_power_case_table", x=None,
-                              quantity=float(mismatches), bound=1.0,
-                              log_slack=math.inf if mismatches == 0 else -math.inf,
-                              passed=mismatches == 0))
+
+    def expected(num, den):  # alpha = num / den against 1, exactly
+        return "linear" if num < den else "log" if num == den else "decay"
+    checks.append(_count_check("norm_power_case_table", None, sum(
+        multipart_case(deg, j)[0] != expected(j * (deg - 1), deg + 1)
+        for j in range(1, 8) for deg in range(2, 15))))
     for alpha, values in zip(PAINFUL_ALPHAS,
                              prime_power_grid(PAINFUL_XS, PAINFUL_ALPHAS)):
         for x, value in zip(PAINFUL_XS, values):
@@ -147,12 +141,12 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
             checks.append(_interval_check(
                 "mertens_constant_interval", None, mconst.M_K,
                 lo + mconst.tail_halfwidth, hi - mconst.tail_halfwidth))
-        sums = [(None, None)] * len(grid)
+        sums = [(None, None, None)] * len(grid)
         if exact:  # only the checks of an exact kappa read the I(n), T(x) sums
-            sums = zip(*row_sums(_row_blocks(field, math.floor(grid[-1])), grid))
-            small = [x for x in grid if x <= LEGENDRE_LIMIT]  # one short pass
-            rhs_values = iter(small and legendre_chebyshev_grid(field, small))
-        for row, (isum, tval) in zip(rows, sums):
+            small = [x for x in grid if x <= LEGENDRE_LIMIT]  # counts, then None
+            sums = zip_longest(*row_sums(_row_blocks(field, math.floor(grid[-1])), grid),
+                               small and legendre_chebyshev_mismatches(field, small))
+        for row, (isum, tval, mismatches) in zip(rows, sums):
             x = row.x
             if ups is not None:
                 checks.append(_log_ratio_check(
@@ -168,10 +162,9 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
                 c_bound = e_bound * math.exp(e_bound)
                 checks.append(_ratio_check("third_mertens_error", x,
                                            abs(row.C_K), c_bound))
-                if x <= LEGENDRE_LIMIT:
-                    rel = abs(tval - next(rhs_values)) / max(abs(tval), 1.0)
-                    checks.append(_ratio_check("legendre_chebyshev_identity",
-                                               x, rel, LEGENDRE_TOLERANCE))
+                if mismatches is not None:
+                    checks.append(_count_check("legendre_chebyshev_identity",
+                                               x, mismatches))
             if lam is not None and exact:
                 checks.append(_log_ratio_check(
                     "ideal_count_envelope", x,

@@ -11,9 +11,10 @@ from nfmertens.field import kappa_exact, load_field
 from nfmertens.idealcount import (
     ideal_count_sieve,
     kappa_estimate,
-    legendre_chebyshev_grid,
+    legendre_chebyshev_mismatches,
     row_sums,
     summatory,
+    summatory_grid,
     t_K,
 )
 from nfmertens import blockpass, idealcount
@@ -30,6 +31,8 @@ from nfmertens.splitting import DENSE_SIEVE_CAP, check_cutoff
 from nfmertens.splitting import (
     _splitting_table,
     kronecker,
+    prime_ideals_up_to,
+    rational_primes,
     splitting_type,
 )
 
@@ -588,26 +591,86 @@ class TestKappaEstimate:
             kappa_estimate(gauss, 50)
 
 
+def legendre_chebyshev_sum(field, x: float) -> float:
+    """T(x) by the Legendre-Chebyshev identity, in floats: one fsum over the
+    prime ideals P of norm <= x of log N(P) sum_k Isum(x / N(P)^k)."""
+    n = math.floor(x)
+    reads = [(ideal.norm, [n // ideal.norm ** k for k in range(1, n.bit_length())
+                           if ideal.norm ** k <= n])
+             for ideal in prime_ideals_up_to(field, x)]
+    points = sorted({t for _, ts in reads for t in ts})
+    isum = {t: point.value for t, point in zip(points, summatory_grid(field, points))}
+    return math.fsum(math.log(norm) * sum(map(isum.get, ts)) for norm, ts in reads)
+
+
+def plant(monkeypatch, n: int) -> None:
+    """Make every row block read I(n) + 1."""
+    build = idealcount._row_block
+
+    def planted(lo, hi, *args):
+        block = build(lo, hi, *args)
+        if lo <= n < hi:
+            block[n - lo] += 1
+        return block
+    monkeypatch.setattr(idealcount, "_row_block", planted)
+
+
+def _mismatches_python(field, x: int) -> int:
+    """The primes p <= x where sum_{n<=x} I(n) v_p(n) differs from
+    sum_{P|p} f_P sum_k Isum(x // N(P)^k), in Python ints from the row and
+    splitting_type."""
+    row = [0] + ideal_count_sieve(field, x).tolist()
+    isum = list(accumulate(row))
+    count = 0
+    for p in rational_primes(x).tolist():
+        lhs = 0
+        for n in range(p, x + 1, p):
+            m, v = n // p, 1
+            while m % p == 0:
+                m, v = m // p, v + 1
+            lhs += row[n] * v
+        rhs = sum(f * isum[x // p ** (f * k)] for _, f in splitting_type(field, p).pairs
+                  for k in range(1, x.bit_length()) if p ** (f * k) <= x)
+        count += lhs != rhs
+    return count
+
+
 class TestLegendreChebyshev:
-    @pytest.mark.parametrize("x", [50.0, 200.0, 500.0])
+    @pytest.mark.parametrize("x", [50.0, 200.0, 500.0, 1000.0, 2000.0])
     def test_identity_small(self, corpus, x):
+        # exact per prime, and T(x) equals the identity's float sum
         for name, field in corpus.items():
             if name == "non-monogenic-cubic":
                 continue
-            lhs = t_K(field, x)
-            [rhs] = legendre_chebyshev_grid(field, [x])
+            assert legendre_chebyshev_mismatches(field, [x]) == [0], (name, x)
+            lhs, rhs = t_K(field, x), legendre_chebyshev_sum(field, x)
             assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0), (name, x)
 
     def test_grid_takes_one_pass(self, corpus, monkeypatch):
         field = corpus["cbrt2"]
+        plant(monkeypatch, 9)
         grid = [10.0, 100.0, 1000.0, 2000.0]
-        expected = [legendre_chebyshev_grid(field, [x])[0] for x in grid]
+        expected = [legendre_chebyshev_mismatches(field, [x])[0] for x in grid]
+        assert all(expected)
         calls = []
         blocks = idealcount._row_blocks
         monkeypatch.setattr(idealcount, "_row_blocks",
                             lambda f, n: calls.append(n) or blocks(f, n))
-        assert legendre_chebyshev_grid(field, grid) == expected
+        assert legendre_chebyshev_mismatches(field, grid) == expected
         assert calls == [2000]
+
+    @pytest.mark.parametrize("name, n", [("gaussian", 9), ("cyclotomic5", 25),
+                                         ("cbrt2", 8), ("golden", 16)])
+    def test_planted_counts_match_python(self, corpus, monkeypatch, name, n):
+        # a wrong I(p^k) breaks the identity at p and at every prime whose
+        # right side reads Isum past n; the counts are those of Python ints
+        field = corpus[name]
+        grid = [5.0, float(n), 60.0, 300.0, 1000.0]
+        assert legendre_chebyshev_mismatches(field, grid) == [0] * len(grid)
+        plant(monkeypatch, n)
+        counts = legendre_chebyshev_mismatches(field, grid)
+        assert counts == [_mismatches_python(field, int(x)) for x in grid]
+        assert counts[0] == 0 and all(counts[1:])
 
 
 def test_max_divisor_count_brute():

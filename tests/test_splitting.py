@@ -27,7 +27,7 @@ from nfmertens.field import PROVENANCE_EXACT, Residue, descriptor_text, kappa_ex
 from nfmertens.idealcount import (
     ideal_count_sieve,
     kappa_estimate,
-    legendre_chebyshev_grid,
+    legendre_chebyshev_mismatches,
     summatory,
     summatory_grid,
     t_K,
@@ -1382,7 +1382,7 @@ SCALAR_ENTRY_POINTS = {
     "summatory": summatory,
     "t_K": t_K,
     "kappa_estimate": kappa_estimate,
-    "legendre_chebyshev_rhs": lambda field, x: legendre_chebyshev_grid(field, [x]),
+    "legendre_mismatches": lambda field, x: legendre_chebyshev_mismatches(field, [x]),
 }
 GRID_ENTRY_POINTS = {
     "summatory_grid": summatory_grid,

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from nfmertens.errors import IndexPrimeUnsupported
+from nfmertens.errors import IndexPrimeUnsupported, InvariantViolation
 from nfmertens.field import PROVENANCE_EXACT, Residue, kappa_exact, load_field
 from nfmertens.idealcount import kappa_estimate, row_sums
 from nfmertens.mertens import geometric_grid, mertens_constant, mertens_grid, mertens_table
 from nfmertens import cli, idealcount, mertens, splitting, verify
 from nfmertens.splitting import FieldContext, field_context, theta_K
 from nfmertens.verify import verify_all
+from test_idealcount import plant
 
 FIELDS_DIR = Path(__file__).resolve().parent.parent / "fields"
 
@@ -148,7 +149,7 @@ class TestVerifyAll:
         from nfmertens.field import load_field
         from nfmertens.idealcount import kappa_estimate
         calls = []
-        for name in ("row_sums", "_row_blocks", "legendre_chebyshev_grid"):
+        for name in ("row_sums", "_row_blocks", "legendre_chebyshev_mismatches"):
             monkeypatch.setattr(verify, name,
                                 lambda *args, name=name: calls.append(name))
         bare = load_field("poly = [1, 0, 1]\n")
@@ -158,6 +159,38 @@ class TestVerifyAll:
         names = {c.name for c in report.checks}
         assert "first_mertens_error" in names
         assert "ideal_count_envelope" not in names
+
+    def test_planted_ideal_count_fails_the_identity(self, gauss, monkeypatch):
+        # the identity reads the row against the splitting table: I(9) + 1,
+        # a wrong count at 3^2, must fail it from x = 9 on
+        grid = [5.0, 10.0, 100.0, 1000.0, 1e4]
+
+        def identity(report):
+            return {c.x: c for c in report.checks
+                    if c.name == "legendre_chebyshev_identity"}
+        rows = identity(verify_all(gauss, grid, kappa_exact(gauss), truncation_x=1e4))
+        assert [(c.quantity, c.bound, c.log_slack, c.passed) for c in rows.values()] \
+            == [(0.0, 1.0, math.inf, True)] * 4
+        plant(monkeypatch, 9)
+        rows = identity(verify_all(gauss, grid, kappa_exact(gauss), truncation_x=1e4))
+        assert sorted(rows) == [5.0, 10.0, 100.0, 1000.0]
+        assert rows[5.0].passed
+        for x in (10.0, 100.0, 1000.0):
+            assert not rows[x].passed and rows[x].quantity > 0
+            assert rows[x].log_slack == -math.inf
+
+    @pytest.mark.parametrize("quantity, bound", [(-1e-300, 1.0), (1.0, 0.0),
+                                                 (1.0, -1.0), (math.nan, 1.0),
+                                                 (1.0, math.nan)])
+    def test_ratio_check_needs_a_ratio(self, quantity, bound):
+        with pytest.raises(InvariantViolation):
+            verify._ratio_check("ratio", 10.0, quantity, bound)
+
+    def test_ratio_check_slack(self):
+        assert verify._ratio_check("ratio", 10.0, 0.0, 1.0).log_slack == math.inf
+        assert verify._ratio_check("ratio", 10.0, 2.0, math.inf).log_slack == math.inf
+        check = verify._ratio_check("ratio", 10.0, 2.0, 1.0)
+        assert check.log_slack == -math.log(2.0) and not check.passed
 
 
 class TestMemory:
@@ -203,7 +236,7 @@ class TestMemory:
         def norms_only(field, x, p_and_f=False):
             calls.append(p_and_f)
             return stream(field, x, p_and_f)
-        for module in (splitting, mertens, idealcount):
+        for module in (splitting, mertens):
             monkeypatch.setattr(module, "_ideal_stream", norms_only)
         monkeypatch.setattr(splitting, "_records_up_to",
                             lambda *args: calls.append(args))
@@ -251,7 +284,7 @@ class TestBlockLifetime:
         monkeypatch.setattr(splitting, "_PRIME_BLOCK", 7)
         monkeypatch.setattr(idealcount, "_ROW_BLOCK", 1000)
         stream = tracked(splitting._ideal_stream, lambda block: block, held)
-        for module in (splitting, mertens, idealcount, cli):
+        for module in (splitting, mertens, cli):
             monkeypatch.setattr(module, "_ideal_stream", stream)
         rows = tracked(idealcount._row_blocks, itemgetter(1), held)
         for module in (idealcount, verify, cli):
