@@ -6,10 +6,12 @@ number, regulator, and number of roots of unity. Class data is user-supplied,
 never computed here; the regulator arrives as a decimal string so its stated
 precision is preserved in reports.
 
-Quadratic fields need only the polynomial: the fundamental discriminant and
-signature are derived. Degree >= 3 requires explicit discriminant and
-signature, cross-checked against the polynomial discriminant (the quotient
-must be a perfect square).
+Quadratic fields need only the polynomial: the fundamental discriminant,
+from the squarefree part of disc(f) (polyfield.factor), and the signature
+are derived. Degree >= 3 requires explicit discriminant and signature,
+cross-checked against the polynomial discriminant (the quotient must be a
+positive perfect square) and against each other by Brill's theorem: the sign
+of the discriminant is (-1)^r2.
 
 An abelian field may carry a cyclotomic certificate: a conductor m and a root
 alpha of the defining polynomial written in the powers of zeta_m (the keys
@@ -19,7 +21,8 @@ which is recognised. load_field proves the root and computes the subgroup H of
 polynomial irreducible, fixes which structure flags may be stated, and gives
 the splitting of every prime not dividing m (splitting.py). Without a
 certificate the polynomial is proven irreducible from its factor degrees mod
-small primes, or refused.
+the small primes not dividing disc(f), where f mod p is squarefree, or
+refused.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
 from .polyfield import (
     IntPoly,
     _distinct_degree_parts,
-    _squarefree_parts,
+    factor,
     is_prime,
     poly_discriminant,
 )
@@ -193,59 +196,41 @@ def _parse_descriptor(text: str) -> dict:
     return values
 
 
-def _squarefree_kernel(d: int) -> int:
-    """Signed squarefree part of d by trial division."""
-    if d == 0:
-        raise InvariantViolation("discriminant must be nonzero")
-    sign = -1 if d < 0 else 1
-    n = abs(d)
-    if n > 10**14:
-        raise SchemaError("discriminant too large to validate; supply a smaller field")
-    kernel = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            if e % 2:
-                kernel *= f
-        f += 1 if f == 2 else 2
-    return sign * kernel * n
-
-
 def fundamental_discriminant(d: int) -> int:
     """Fundamental discriminant of Q(sqrt(d))."""
-    s = _squarefree_kernel(d)
+    if d == 0:
+        raise InvariantViolation("discriminant must be nonzero")
+    if abs(d) > 10**14:
+        raise SchemaError("discriminant too large to validate; supply a smaller field")
+    kernel = math.prod(p for p, e in factor(abs(d)).items() if e % 2)
+    s = kernel if d > 0 else -kernel  # the signed squarefree part of d
     if s == 1:
         raise InvariantViolation("discriminant of a degree-2 polynomial is a square; "
                                  "the polynomial is not irreducible")
     return s if s % 4 == 1 else 4 * s
 
 
-def _check_irreducible(poly: IntPoly) -> None:
+def _check_irreducible(poly: IntPoly, disc_poly: int) -> None:
     """Prove poly irreducible over Q, or raise ReducibleDefiningPolynomial.
 
     A factor of degree k over Q reduces mod p to a product of irreducible
     factors, so wherever f mod p is squarefree k is a sum of some of its
     factor degrees (Cohen, GTM 138, sec. 3.5). The subset sums of those
     degrees, intersected over the primes p < _IRREDUCIBILITY_PRIMES, prove f
-    irreducible once only 0 and n are left. The rule refuses what it cannot
-    prove: every reducible f, but also an irreducible f with a proper sum at
-    every p, such as a quartic with Galois group V4, which needs a
-    cyclotomic certificate.
+    irreducible once only 0 and n are left. f is monic, so f mod p keeps its
+    degree and is squarefree iff p does not divide disc_poly = disc(f). The
+    rule refuses what it cannot prove: every reducible f, but also an
+    irreducible f with a proper sum at every p, such as a quartic with
+    Galois group V4, which needs a cyclotomic certificate.
     """
     n = poly.degree
     proven = 1 | 1 << n
     common = (1 << n + 1) - 1  # bit k: a factor of degree k not ruled out
     for p in filter(is_prime, range(2, _IRREDUCIBILITY_PRIMES)):
-        # f is monic, so f mod p keeps its degree
-        [(g, m), *rest] = _squarefree_parts(tuple(c % p for c in poly.coeffs), p)
-        if rest or m > 1:
+        if disc_poly % p == 0:
             continue
         sums = 1
-        for part, d in _distinct_degree_parts(g, p):
+        for part, d in _distinct_degree_parts(tuple(c % p for c in poly.coeffs), p):
             for _ in range((len(part) - 1) // d):
                 sums |= sums << d
         common &= sums
@@ -259,14 +244,7 @@ def _check_irreducible(poly: IntPoly) -> None:
 
 
 def _totient(m: int) -> int:
-    result, rest, f = m, m, 2
-    while f * f <= rest:
-        if rest % f == 0:
-            result -= result // f
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    return result - result // rest if rest > 1 else result
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factor(m).items())
 
 
 def _root_subgroup(poly: IntPoly, m: int,
@@ -291,7 +269,7 @@ def _root_subgroup(poly: IntPoly, m: int,
         q += m
     if q >= _PRIME_PROOF_MAX:
         raise SchemaError("cyclotomic_root is too large to certify")
-    prime_factors = [p for p in range(2, m + 1) if m % p == 0 and is_prime(p)]
+    prime_factors = factor(m)
     g = 2
     while True:
         w = pow(g, (q - 1) // m, q)
@@ -381,14 +359,14 @@ def load_field(descriptor_text: str) -> FieldDescriptor:
     if "degree" in values and values["degree"] != n:
         raise InvariantViolation(
             f"declared degree {values['degree']} != polynomial degree {n}")
+    disc_poly = poly_discriminant(poly)
     # [(Z/m)^x : H] = n conjugates of a root of f prove f irreducible
     certificate = _certificate(poly, values)
     if certificate is not None:
         _check_certified_flags(n, values)
     elif n >= 2:
-        _check_irreducible(poly)
+        _check_irreducible(poly, disc_poly)
 
-    disc_poly = poly_discriminant(poly)
     if n == 1:
         discriminant = 1
         signature = (1, 0)
@@ -418,7 +396,8 @@ def load_field(descriptor_text: str) -> FieldDescriptor:
         if signature[0] + 2 * signature[1] != n:
             raise InvariantViolation(
                 f"r1 + 2 r2 = {signature[0] + 2 * signature[1]} != degree {n}")
-        if disc_poly % discriminant != 0:
+        # 0 divides only 0, and an irreducible f has disc(f) != 0
+        if discriminant == 0 or disc_poly % discriminant != 0:
             raise InvariantViolation(
                 "field discriminant does not divide the polynomial discriminant")
         quotient = disc_poly // discriminant
@@ -426,6 +405,10 @@ def load_field(descriptor_text: str) -> FieldDescriptor:
             raise InvariantViolation(
                 "polynomial discriminant / field discriminant is not a "
                 "positive perfect square")
+        if (discriminant > 0) != (signature[1] % 2 == 0):
+            raise InvariantViolation(
+                f"discriminant {discriminant} contradicts signature {signature}: "
+                "by Brill's theorem the sign of the discriminant is (-1)^r2")
     if n >= 2 and abs(discriminant) < 3:
         raise InvariantViolation("|discriminant| >= 3 required for degree >= 2")
 

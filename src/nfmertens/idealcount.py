@@ -275,8 +275,13 @@ def kappa_estimate(field: FieldDescriptor, x: float) -> Residue:
 def legendre_chebyshev_mismatches(field: FieldDescriptor, grid) -> list[int]:
     """At each x of the ascending grid, the number of primes p where the
     coefficient of log p in T(x), sum_{n<=x} I(n) v_p(n), differs from
-    sum_{P|p} f_P sum_{k>=1} Isum(x / N(P)^k); from the whole int64 row."""
-    tops = np.array([math.floor(x) for x in check_grid(grid)])
+    sum_{P|p} f_P sum_{k>=1} Isum(x / N(P)^k); from the whole int64 row.
+
+    The row, its prefix sums and the runs of I(i q) hold about 11 int64 per
+    n up to the last grid point: gaussian at 1e6 peaked at 116 MB. So the
+    grid must lie in [2, 1e6], or CutoffOutOfRange is raised before any
+    sieve starts."""
+    tops = np.array([math.floor(x) for x in check_grid(grid, 2, 10 ** 6)])
     top = int(tops[-1])
     row = np.concatenate(([0], ideal_count_sieve(field, top)))
     isum = np.cumsum(row)

@@ -1,4 +1,9 @@
-"""Exact polynomial arithmetic over Z and over prime fields F_p.
+"""Exact arithmetic over Z and over prime fields F_p.
+
+Integers are tested prime by deterministic Miller-Rabin (is_prime) and
+factored by trial division (factor), the one factoriser of the package:
+field.py reads a discriminant's squarefree part, phi(m) and the primes
+dividing a conductor m from it.
 
 Integer polynomials are immutable coefficient tuples, lowest degree first,
 with arbitrary-precision coefficients throughout (discriminants overflow 64
@@ -12,7 +17,11 @@ distinct-degree split of a squarefree part into the products of its
 irreducible factors of each degree. There is no equal-degree stage: the
 splitting of a prime (splitting.py) and the irreducibility proof (field.py)
 read only the factor degrees and their multiplicities, and a product of
-degree k with factors of degree d holds k / d of them.
+degree k with factors of degree d holds k / d of them. A monic f mod p is
+squarefree iff p does not divide disc(f), so the irreducibility proof skips
+those p and runs the distinct-degree split alone. Dedekind's criterion
+(dedekind_index_test) works on the same F_p kernels: its one step over Z,
+(g h - f) / p, is a product mod p^2.
 """
 
 from __future__ import annotations
@@ -47,6 +56,23 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def factor(n: int) -> dict[int, int]:
+    """{p: e} with n = prod(p^e) for n >= 1, by trial division: about
+    sqrt(n) / 2 steps for a prime n."""
+    if n < 1:
+        raise ValueError(f"factor takes n >= 1, not {n}")
+    found = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+            found[p] = found.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if n > 1:
+        found[n] = 1
+    return found
 
 
 def _trim(coeffs) -> tuple[int, ...]:
@@ -159,13 +185,6 @@ def _pmul(a, b, p):
     return _trim(v % p for v in c)
 
 
-def _pscale(a, s, p):
-    s %= p
-    if s == 0:
-        return ()
-    return _trim(v * s % p for v in a)
-
-
 def _pdivmod(a, b, p):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -192,7 +211,8 @@ def _pmod(a, b, p):
 def _pmonic(a, p):
     if not a or a[-1] == 1:
         return a
-    return _pscale(a, pow(a[-1], p - 2, p), p)
+    inv = pow(a[-1], p - 2, p)
+    return _trim(v * inv % p for v in a)
 
 
 def _pgcd(a, b, p):
@@ -217,11 +237,6 @@ def _ppowmod(base, e, mod, p):
 
 
 _X = (0, 1)
-
-
-def _frobenius(h, f, p):
-    """h^p mod f."""
-    return _ppowmod(h, p, f, p)
 
 
 def _pth_root(a, p):
@@ -265,7 +280,7 @@ def _distinct_degree_parts(g, p):
     d = 0
     while len(g) - 1 >= 2 * (d + 1):
         d += 1
-        h = _frobenius(h, g, p)
+        h = _ppowmod(h, p, g, p)
         gd = _pgcd(_psub(h, _X, p), g, p)
         if len(gd) > 1:
             parts.append((gd, d))
@@ -286,24 +301,12 @@ def _dedekind_from_parts(f: IntPoly, p: int, parts) -> bool:
         gbar = _pmul(gbar, g, p)
         for _ in range(m - 1):
             hbar = _pmul(hbar, g, p)
-    glift = gbar
-    hlift = hbar
-    # T = (lift(g) * lift(h) - f) / p, then reduced mod p
-    prod = [0] * (len(glift) + len(hlift) - 1)
-    for i, gi in enumerate(glift):
-        if gi:
-            for j, hj in enumerate(hlift):
-                prod[i + j] += gi * hj
-    n = max(len(prod), len(f.coeffs))
-    diff = [0] * n
-    for i, v in enumerate(prod):
-        diff[i] = v
-    for i, v in enumerate(f.coeffs):
-        diff[i] -= v
-    tbar = _trim(v // p % p for v in diff)
-    g1 = _pgcd(tbar, gbar, p)
-    g2 = _pgcd(g1, hbar, p)
-    return len(g2) == 1
+    # T = (g h - f) / p mod p for the lifts g, h with coefficients in [0, p):
+    # g h = f mod p, so T is (g h mod p^2 - f) mod p^2, floor-divided by p.
+    # g h and f are monic of the same degree
+    tbar = _trim((a - c) % (p * p) // p
+                 for a, c in zip(_pmul(gbar, hbar, p * p), f.coeffs))
+    return len(_pgcd(_pgcd(tbar, gbar, p), hbar, p)) == 1
 
 
 def dedekind_index_test(f: IntPoly, p: int) -> bool:

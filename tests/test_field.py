@@ -15,6 +15,7 @@ from nfmertens.errors import (
 )
 from nfmertens.field import (
     CONDUCTOR_MAX,
+    _totient,
     descriptor_text,
     fundamental_discriminant,
     kappa_exact,
@@ -104,9 +105,24 @@ class TestLoadField:
             load_field("poly = [-2, 0, 0, 1]\ndiscriminant = -54\n"
                        "signature = [1, 1]\n")
 
+    @pytest.mark.parametrize("name, signature", [
+        ("cbrt2", "[3, 0]"), ("cyclic-cubic-49", "[1, 1]"), ("cyclotomic5", "[2, 1]")])
+    def test_brill_sign_rule(self, name, signature):
+        # sign(D) = (-1)^r2; cbrt2's D = -108 with r2 = 0 once passed every check
+        text = re.sub(r"signature = \[\d+, \d+\]", f"signature = {signature}",
+                      (FIELDS / f"{name}.field").read_text())
+        with pytest.raises(InvariantViolation, match="Brill"):
+            load_field(text)
+
     def test_cubic_divisibility_enforced(self):
         with pytest.raises(InvariantViolation, match="divide"):
             load_field("poly = [-2, 0, 0, 1]\ndiscriminant = -100\n"
+                       "signature = [1, 1]\n")
+
+    def test_zero_discriminant_rejected(self):
+        # it once raised ZeroDivisionError: a traceback and exit 1, not 2
+        with pytest.raises(InvariantViolation, match="divide"):
+            load_field("poly = [-2, 0, 0, 1]\ndiscriminant = 0\n"
                        "signature = [1, 1]\n")
 
     def test_partial_class_data_rejected(self):
@@ -236,7 +252,8 @@ class TestCyclotomicCertificate:
 
     def test_certificate_replaces_the_witness_loop(self, monkeypatch):
         called = []
-        monkeypatch.setattr(field_module, "_check_irreducible", called.append)
+        monkeypatch.setattr(field_module, "_check_irreducible",
+                            lambda *args: called.append(args))
         load_field(CYCLIC_CUBIC + KEYS_7)
         load_field("poly = [1, 1, 1, 1, 1]\nsignature = [0, 2]\ndiscriminant = 125\n")
         assert called == []
@@ -313,3 +330,8 @@ class TestKappaExact:
 ])
 def test_fundamental_discriminant(d, expected):
     assert fundamental_discriminant(d) == expected
+
+
+def test_totient_against_sympy():
+    for m in range(1, CONDUCTOR_MAX + 1):
+        assert _totient(m) == sympy.totient(m), m

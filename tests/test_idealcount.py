@@ -659,6 +659,16 @@ class TestLegendreChebyshev:
         assert legendre_chebyshev_mismatches(field, grid) == expected
         assert calls == [2000]
 
+    def test_grid_past_1e6_is_refused(self, corpus, monkeypatch):
+        # about 11 int64 per n: a library caller asking for the 1e8 cap
+        # would hold some 9 GB; 1e6 + 1 is refused before any row block
+        built = []
+        monkeypatch.setattr(idealcount, "_row_blocks",
+                            lambda field, n: built.append(n))
+        with pytest.raises(CutoffOutOfRange, match="1e\\+06"):
+            legendre_chebyshev_mismatches(corpus["gaussian"], [10.0, 1e6 + 1])
+        assert built == []
+
     @pytest.mark.parametrize("name, n", [("gaussian", 9), ("cyclotomic5", 25),
                                          ("cbrt2", 8), ("golden", 16)])
     def test_planted_counts_match_python(self, corpus, monkeypatch, name, n):

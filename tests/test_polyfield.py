@@ -14,6 +14,7 @@ from nfmertens.polyfield import (
     _squarefree_parts,
     _trim,
     dedekind_index_test,
+    factor,
     is_prime,
     poly_discriminant,
 )
@@ -180,3 +181,17 @@ def test_is_prime_against_sympy():
         assert is_prime(n) == sympy.isprime(n), n
     for n in (2**31 - 1, 2**61 - 1, 10**12 + 39, 10**12 + 61):
         assert is_prime(n) == sympy.isprime(n), n
+
+
+@given(st.integers(min_value=1, max_value=10 ** 12))
+@settings(max_examples=100, deadline=None)
+def test_factor_against_sympy(n):
+    assert factor(n) == sympy.factorint(n)
+
+
+def test_factor_edges():
+    assert factor(1) == {}
+    assert factor(2 ** 40) == {2: 40}
+    assert factor(999983 ** 2) == {999983: 2}
+    with pytest.raises(ValueError):
+        factor(0)
