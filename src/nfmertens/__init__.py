@@ -1,6 +1,6 @@
 """Number-field Mertens sums, ideal counting, and explicit residue bounds."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .bounds import (
     BoundsReport,

@@ -1,20 +1,14 @@
-"""The block-pass driver of the Mertens, I(n) and theta grid sums.
+"""The block-pass driver of the Mertens and theta grid sums.
 
-A pass reads a stream of 1-d blocks, each made when the pass reaches it and
-dropped before the next is made (the prime ideals' norms, the rational
-primes, the I(n) row), and sums float64 terms of them over the segments
-between consecutive grid cutoffs. slices cuts each block, as it comes, at its
-own ends of the pass's segments (by searchsorted for norms and primes, by the
-block's offset for the row), walking only the segments that end in it, and
-segment_sums adds each series' exact_sum of every part into its segment.
-The sums stay exact, so one pass can serve two grids, and running_fsums holds
-the one rounding rule: the value of a series at a grid point is the exact sum
-of every term up to it, rounded once, the value math.fsum of those terms
-gives, whatever the grid. The terms are float64 from numpy (np.log, np.log1p,
-**). exact_sum sums parts of at most _SLICE terms by error-free extraction
-(Rump, Ogita & Oishi, "Accurate floating-point summation part I: faithful
-rounding", SIAM J. Sci. Comput. 31(1), 2008, ExtractVector), so a sum depends
-neither on the order of its terms nor on where the blocks end.
+A pass reads a stream of 1-d blocks (the prime ideals' norms, the rational
+primes), each made when the pass reaches it and dropped before the next, and
+sums float64 terms of them over the segments between consecutive grid
+cutoffs (slices, segment_sums). exact_sum sums parts of at most _SLICE terms
+by error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
+2008, ExtractVector), so one pass can serve two grids, and running_fsums
+holds the one rounding rule: the value of a series at a grid point is the
+exact sum of every term up to it rounded once, what math.fsum of those
+terms gives, whatever the grid and wherever the blocks end.
 """
 
 from __future__ import annotations

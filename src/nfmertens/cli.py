@@ -39,12 +39,10 @@ from .verify import verify_all
 
 TOOL_NAME = "nfmertens"
 
-# rows of a sieve dump formatted and written at a time: the counts and ideals
-# dumps hand each block over as int columns, which introws.int_rows turns
-# into text in a few numpy passes over the whole block, with no Python call
-# per row. The writers import introws only when such a block comes, so no
-# other command compiles it
-_BLOCK = 1 << 16
+# rows of a sieve dump written at a time, as int columns that introws.int_rows
+# turns into text with no Python call per row (2^15 counts rows: 0.6 MB when
+# word-padded); the writers import introws only when such a block comes
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ class DenseSieveCapExceeded(CutoffOutOfRange):
 
 
 class DivisorBoundExceeded(CutoffOutOfRange):
-    """The I(n) row up to the cutoff could pass its int64 guard, 2^62."""
+    """The I(n) row or sums up to the cutoff could pass their guard, 2^62."""
 
 
 class IndexPrimeUnsupported(NfMertensError):

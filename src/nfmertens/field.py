@@ -10,19 +10,13 @@ Quadratic fields need only the polynomial: the fundamental discriminant,
 from the squarefree part of disc(f) (polyfield.factor), and the signature
 are derived. Degree >= 3 requires explicit discriminant and signature,
 cross-checked against the polynomial discriminant (the quotient must be a
-positive perfect square) and against each other by Brill's theorem: the sign
-of the discriminant is (-1)^r2.
+positive perfect square) and r1 against the number of real roots of the
+polynomial (Sturm's theorem, polyfield.real_root_count). The sign of D, that
+of disc(f), is then (-1)^r2 (Brill's theorem).
 
-An abelian field may carry a cyclotomic certificate: a conductor m and a root
-alpha of the defining polynomial written in the powers of zeta_m (the keys
-conductor and cyclotomic_root), or none when the polynomial is Phi_m itself,
-which is recognised. load_field proves the root and computes the subgroup H of
-(Z/m)^x fixing it, whose index is the degree; the certificate then proves the
-polynomial irreducible, fixes which structure flags may be stated, and gives
-the splitting of every prime not dividing m (splitting.py). Without a
-certificate the polynomial is proven irreducible from its factor degrees mod
-the small primes not dividing disc(f), where f mod p is squarefree, or
-refused.
+An abelian field may carry a CyclotomicCertificate (the keys conductor and
+cyclotomic_root, or none for Phi_m itself), which also proves the polynomial
+irreducible; without one, _check_irreducible proves it or refuses it.
 """
 
 from __future__ import annotations
@@ -43,6 +37,7 @@ from .polyfield import (
     factor,
     is_prime,
     poly_discriminant,
+    real_root_count,
 )
 
 if TYPE_CHECKING:
@@ -405,10 +400,11 @@ def load_field(descriptor_text: str) -> FieldDescriptor:
             raise InvariantViolation(
                 "polynomial discriminant / field discriminant is not a "
                 "positive perfect square")
-        if (discriminant > 0) != (signature[1] % 2 == 0):
+        roots = real_root_count(poly)
+        if roots != signature[0]:
             raise InvariantViolation(
-                f"discriminant {discriminant} contradicts signature {signature}: "
-                "by Brill's theorem the sign of the discriminant is (-1)^r2")
+                f"signature {signature} has r1 = {signature[0]}, but the defining "
+                f"polynomial's real root count is {roots} (Sturm's theorem)")
     if n >= 2 and abs(discriminant) < 3:
         raise InvariantViolation("|discriminant| >= 3 required for degree >= 2")
 

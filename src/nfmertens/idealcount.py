@@ -1,40 +1,23 @@
-"""The ideal-counting function, its summatory function, and log-weighted sums.
+"""The number I(n) of ideals of norm n and its sums S(x) = sum_{n<=x} I(n)
+and T(x) = sum_{n<=x} I(n) log n.
 
-I(n) counts integral ideals of norm exactly n. It is multiplicative, and at a
-prime p its local values are the coefficients of prod_i 1/(1 - t^{f_i}) over
-the inertia degrees above p. The sieve is segmented (Bays & Hudson, BIT 17,
-1977): blocks of 2 MB (_ROW_BLOCK entries of uint16), each built when a pass
-reaches it; no row is kept. A prime P > sqrt(N) counts only by c1(P), its
-ideals of norm P, and no n has two such P: searchsorted finds the P with m P
-in the block for every cofactor m at once, and their c1 are stored into a
-block of ones. A prime p <= sqrt(N) then multiplies its count c at q = p^k
-into the multiples t q of the block, t prime to p, in 1-D strides: p < 8 in
-its p - 1 residue columns mod p, a larger p in every multiple of q, with the
-multiples of p q (at most 1/64 of the block) copied aside and written back.
-
-Every partial product is at most d_deg(n), the deg-fold divisor function; the
-blocks take the narrowest dtype that holds its maximum (_row_dtype). Every
-cutoff and grid passes splitting.check_cutoff or check_grid before any sieve
-starts.
-
-row_sums takes one ascending pass over the blocks for a grid of cutoffs (the
-single-point functions are one-point grids), exact, or rounded as fsum would
-(blockpass.segment_sums and running_fsums): no sum depends on the grid or
-on where the blocks end. legendre_chebyshev_mismatches checks a whole row
-against the splitting table, per prime in exact integers.
+I is multiplicative; I(p^k) is the coefficient of t^k in prod_P 1/(1 -
+t^f_P) over the inertia degrees above p. ideal_sums gives S and T on a grid
+from the splitting table alone. The dense row of I(n), sieved in 2 MB blocks
+no one keeps (Bays & Hudson, BIT 17, 1977), serves the counts dump,
+ideal_count_sieve and legendre_chebyshev_mismatches, and the sums' oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .blockpass import running_fsums, segment_sums, slices
+from . import blockpass
+from .blockpass import _SCALE, exact_sum
 from .bounds import LogMagnitude, lambda_K
 from .errors import DivisorBoundExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
@@ -63,10 +46,9 @@ def _counts_from_degrees(fs: Sequence[int], m: int) -> list[int]:
 
 
 def _max_divisor_count(x: int, k: int) -> int:
-    """Exact max over n <= x of d_k(n) = prod_i C(e_i + k - 1, k - 1), the
-    k-fold divisor function (d_2 = d), by descending-exponent search: d_k
-    grows with each exponent, so a maximiser is a product of the first primes
-    with non-increasing exponents."""
+    """Exact max over n <= x of the k-fold divisor function d_k(n) =
+    prod_i C(e_i + k - 1, k - 1): d_k grows with each exponent, so a
+    maximiser is a product of the first primes, exponents non-increasing."""
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
     best = 1
 
@@ -190,30 +172,97 @@ def _row_blocks(field: FieldDescriptor, n_max: int):
             for lo in range(0, n_max + 1, step))
 
 
-def row_sums(blocks, grid, logs: bool = True) -> tuple[list[int], list[float]]:
-    """(I-sums, T-sums) at each x of the ascending grid, the sums over n <= x
-    of I(n), exact, and of I(n) log n (none without logs), in one pass over
-    the blocks (lo, block) from lo = 0, cut by blockpass.slices; T leaves
-    out the terms of zero I(n), +0.0."""
-    cuts = np.array([math.floor(x) + 1 for x in grid])
-    isums = [0] * len(cuts)
+# I(n) <= d_k(n) for degree k, so S(x) <= sum_{n<=x} d_k(n) <= x (log x +
+# k - 1)^(k-1) / (k-1)! (induction on k: the sum over a <= x of the bound at
+# x / a is at most its a = 1 term plus its integral); C_p(x) = sum_{n<=x}
+# I(n) v_p(n) <= log2(x) S(x), and each partial sum is at most S or a C_p.
+def _check_sum_bound(n_max: int, k: int) -> None:
+    """Raise DivisorBoundExceeded, a usage error, unless the sums of
+    ideal_sums up to n_max stay below 2^62: degree 13 fits at the cap."""
+    if n_max >= 2 and math.log(n_max) + (k - 1) * math.log(math.log(n_max) + k - 1) \
+            - math.lgamma(k) + math.log(n_max.bit_length()) > 62 * math.log(2) - 1e-9:
+        raise DivisorBoundExceeded(f"x {n_max} is too large for a degree-{k} "
+                                   "field: the ideal sums' bound reaches 2^62")
 
-    def terms(k, a, part):
-        # uint16 and uint32 sum exactly; int64 (< 2^62) in two halves
-        isums[k] += int(part.sum()) if part.dtype != np.int64 else \
-            (int((part >> 31).sum()) << 31) + int((part & 2 ** 31 - 1).sum())
-        if not logs:
-            return ()
-        nz = np.flatnonzero(part != 0)
-        out = part[nz].astype(np.float64)
-        nz += a  # in place: two fewer temporaries per part
-        out *= np.log(nz.astype(np.float64))
-        return out,
 
-    parts = slices(map(itemgetter(1), blocks),
-                   lambda lo, block: np.clip(cuts - lo, 0, len(block)))
-    [tsums] = segment_sums(parts, terms, len(cuts), int(logs)) or [[]]
-    return list(accumulate(isums)), running_fsums(tsums)
+def ideal_sums(field: FieldDescriptor, grid, logs: bool = True) -> tuple[list[int], list[float]]:
+    """(S, T) at each x of the ascending grid, T empty without logs, from
+    the splitting table in slices of at most blockpass._SLICE primes: S
+    exact, T the exact sum of its float terms rounded once, so no value
+    depends on the grid."""
+    # S by the "min_25" sieve (Deleglise & Rivat, Experimental Math. 5, 1996)
+    # on V, every floor(x / k), which holds 0..sqrt(x_max) and is closed
+    # under floor(v / m): H starts as G(v), the degree-1 ideals of norm <= v;
+    # each p <= sqrt(x_max), largest first, adds to H(v), v >= p^2, the sum
+    # over p^(e+1) <= v of I(p^e) (H(v / p^e) - G(p)) + I(p^(e+1)); S = 1 + H.
+    # T(x) = sum_p log p C_p(x), C_p(x) = sum_k w_k S(x / p^k), w_k the sum
+    # of f_P over the P | p with f_P | k (Legendre, Chebyshev).
+    tops = [math.floor(x) for x in check_grid(grid, 0)]
+    n_max, r, step = tops[-1], math.isqrt(tops[-1]), blockpass._SLICE
+    _check_sum_bound(n_max, field.degree)
+    primes, codes, patterns = _splitting_table(field, n_max)
+    values = np.sort(np.concatenate([np.arange(r + 1)] + [
+        t // np.arange(1, math.isqrt(t) + 1) for t in tops]))
+    # V without repeats (np.unique imports numpy.ma: 12 ms); values[v] = v, v <= r
+    values = values[np.diff(values, prepend=-1) != 0]
+    c1 = _per_pattern(patterns, 1, np.int64)
+    at = np.searchsorted(primes, values, "right")  # pi(v)
+    h, total = np.zeros(len(values), dtype=np.int64), 0  # G(v), then H(v), then S(v)
+    for a in range(0, len(primes), step):
+        run = np.cumsum(c1.take(codes[a:a + step]))
+        run += total
+        i, j = np.searchsorted(at, [a, a + len(run)], "right")
+        h[i:j], total = run[at[i:j] - a - 1], int(run[-1])
+    small = np.searchsorted(primes, r, "right")
+    local = [_counts_from_degrees([f for _, f in pairs], n_max.bit_length())
+             for pairs in patterns]  # I(p^e) by pattern code
+    for p, code in zip(primes[:small][::-1].tolist(), codes[:small][::-1].tolist()):
+        count, start = local[code], np.searchsorted(values, p * p)
+        v, add, q, e = values[start:], np.zeros(len(values) - start, np.int64), p, 1
+        while q * p <= n_max:
+            m = np.searchsorted(v, q * p)
+            add[m:] += count[e] * (h[np.searchsorted(values, v[m:] // q)] - h[p]) \
+                + count[e + 1]
+            q, e = q * p, e + 1
+        h[start:] += add
+    h[1:] += 1
+    isums = h[np.searchsorted(values, tops)].tolist()
+    if not logs:
+        return isums, []
+    # (p^k, w_k, index of p) for k >= 2, p^k <= n_max, w_k != 0: the terms
+    # of C_p(x) past c1(p) S(x / p), built once for the whole grid
+    powers = []
+    for i, (p, code) in enumerate(zip(primes[:small].tolist(), codes[:small].tolist())):
+        q, k = p * p, 2
+        while q <= n_max:
+            w = sum(f for _, f in patterns[code] if k % f == 0)
+            if w:
+                powers.append((q, w, i))
+            q, k = q * p, k + 1
+    q, w, i = np.array(sorted(powers), dtype=np.int64).reshape(-1, 3).T
+    extra = []
+    for t in tops:
+        j = np.searchsorted(q, t, "right")
+        part = np.zeros(small, dtype=np.int64)
+        np.add.at(part, i[:j], w[:j] * h[np.searchsorted(values, t // q[:j])])
+        extra.append(part)
+    totals = [0] * len(tops)
+    for a in range(0, len(primes), step):
+        p = primes[a:a + step].astype(np.float64)
+        logp, c = np.log(p), c1.take(codes[a:a + step])
+        for g in range(np.searchsorted(tops, p[0]), len(tops)):
+            t = tops[g]
+            j = np.searchsorted(p, t, "right")
+            # t / p rounds by at most t / p 2^-53 < 1 / p, as t < 2^53, and is
+            # an integer or 1 / p or more below one: its floor is exact
+            s = (t / p[:j]).astype(np.int64)
+            big = np.searchsorted(p, t // (r + 1), "right")  # where t // p > r
+            s[big:] = h.take(s[big:])
+            s[:big] = h[np.searchsorted(values, s[:big])]
+            s *= c[:j]
+            s[:max(0, small - a)] += extra[g][a:a + j]
+            totals[g] += exact_sum(logp[:j] * s)
+    return isums, [total / (1 << _SCALE) for total in totals]
 
 
 def ideal_count_sieve(field: FieldDescriptor, x: int) -> np.ndarray:
@@ -238,10 +287,9 @@ def _sunley_envelope(field: FieldDescriptor, x: float) -> Optional[float]:
 
 
 def summatory_grid(field: FieldDescriptor, grid) -> list[SummatoryPoint]:
-    """summatory at each x of the ascending grid, from one pass over the
-    row's blocks up to the top point."""
+    """summatory at each x of the ascending grid, from one ideal_sums pass."""
     grid = check_grid(grid, 0)
-    values, _ = row_sums(_row_blocks(field, math.floor(grid[-1])), grid, logs=False)
+    values, _ = ideal_sums(field, grid, logs=False)
     return [SummatoryPoint(x=x, value=v, sunley_envelope=_sunley_envelope(field, x))
             for x, v in zip(grid, values)]
 
@@ -253,9 +301,10 @@ def summatory(field: FieldDescriptor, x: float) -> SummatoryPoint:
 
 
 def t_K(field: FieldDescriptor, x: float) -> float:
-    """Sum of I(n) log(n) for n <= x, compensated."""
+    """Sum of I(n) log(n) for n <= x, the exact sum of ideal_sums' terms
+    rounded once."""
     check_cutoff("x", x, 2)
-    return row_sums(_row_blocks(field, math.floor(x)), [x])[1][0]
+    return ideal_sums(field, [x])[1][0]
 
 
 def kappa_estimate(field: FieldDescriptor, x: float) -> Residue:
@@ -273,14 +322,12 @@ def kappa_estimate(field: FieldDescriptor, x: float) -> Residue:
 
 
 def legendre_chebyshev_mismatches(field: FieldDescriptor, grid) -> list[int]:
-    """At each x of the ascending grid, the number of primes p where the
-    coefficient of log p in T(x), sum_{n<=x} I(n) v_p(n), differs from
-    sum_{P|p} f_P sum_{k>=1} Isum(x / N(P)^k); from the whole int64 row.
-
+    """At each x of the ascending grid in [2, 1e6], the number of primes p
+    where the coefficient of log p in T(x), sum_{n<=x} I(n) v_p(n), differs
+    from sum_{P|p} f_P sum_{k>=1} Isum(x / N(P)^k), from the whole int64 row.
     The row, its prefix sums and the runs of I(i q) hold about 11 int64 per
-    n up to the last grid point: gaussian at 1e6 peaked at 116 MB. So the
-    grid must lie in [2, 1e6], or CutoffOutOfRange is raised before any
-    sieve starts."""
+    n (gaussian at 1e6 peaked at 116 MB), hence the range, which is checked
+    before any sieve starts."""
     tops = np.array([math.floor(x) for x in check_grid(grid, 2, 10 ** 6)])
     top = int(tops[-1])
     row = np.concatenate(([0], ideal_count_sieve(field, top)))

@@ -3,9 +3,7 @@
 int_rows gives the UTF-8 bytes of the text csv.writer or the row template
 of the JSON dump give row by row, with no Python call per row: the digits
 come four at a time from a lookup table, each row is laid out in uint32
-words with NUL as padding, and the NULs are then deleted. The counts and
-ideals dumps import this module alone, so the other commands neither
-compile nor hold it.
+words with NUL as padding, and the NULs are then deleted.
 """
 
 from __future__ import annotations

@@ -9,13 +9,11 @@ Below the least norm the sums are empty, 0, and the product is empty, 1.
 The field Mertens constant M is computed from its absolutely convergent
 series gamma + log kappa + sum over all prime ideals of [1/N + log(1 - 1/N)],
 truncated at a cutoff X with the rigorous tail bound degree/(ceil(X) - 1).
-Fitting the reciprocal sum would give no such tail control, so the series
-route is the only one used.
 
 The four series, the three sums and the constant's, are summed in one pass
-over the prime-ideal stream (mertens_grid) by the block-pass driver
-(blockpass.py): each value is the exact sum of its float64 terms log(N)/N,
-1/N and log1p(-1/N), taken in numpy, up to its cutoff, rounded once.
+over the prime-ideal stream (mertens_grid, blockpass.py): each value is the
+exact sum of its float64 terms log(N)/N, 1/N and log1p(-1/N) up to its
+cutoff, rounded once.
 """
 
 from __future__ import annotations

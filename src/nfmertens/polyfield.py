@@ -1,9 +1,8 @@
 """Exact arithmetic over Z and over prime fields F_p.
 
 Integers are tested prime by deterministic Miller-Rabin (is_prime) and
-factored by trial division (factor), the one factoriser of the package:
-field.py reads a discriminant's squarefree part, phi(m) and the primes
-dividing a conductor m from it.
+factored by trial division (factor), the one factoriser of the package.
+real_root_count counts the real roots of an integer polynomial (Sturm).
 
 Integer polynomials are immutable coefficient tuples, lowest degree first,
 with arbitrary-precision coefficients throughout (discriminants overflow 64
@@ -17,9 +16,7 @@ distinct-degree split of a squarefree part into the products of its
 irreducible factors of each degree. There is no equal-degree stage: the
 splitting of a prime (splitting.py) and the irreducibility proof (field.py)
 read only the factor degrees and their multiplicities, and a product of
-degree k with factors of degree d holds k / d of them. A monic f mod p is
-squarefree iff p does not divide disc(f), so the irreducibility proof skips
-those p and runs the distinct-degree split alone. Dedekind's criterion
+degree k with factors of degree d holds k / d of them. Dedekind's criterion
 (dedekind_index_test) works on the same F_p kernels: its one step over Z,
 (g h - f) / p, is a product mod p^2.
 """
@@ -27,6 +24,7 @@ those p and runs the distinct-degree split alone. Dedekind's criterion
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import CompositeModulus, ZeroPolynomial
 
@@ -157,6 +155,31 @@ def poly_discriminant(f: IntPoly) -> int:
     d = f.degree
     res = _sylvester_resultant(f.coeffs, f.derivative().coeffs)
     return (-1) ** (d * (d - 1) // 2) * res
+
+
+def real_root_count(f: IntPoly) -> int:
+    """The number of distinct real roots of f, degree >= 1, by Sturm's
+    theorem (Cohen, GTM 138, sec. 4.1)."""
+    # the sign changes of f, f', -rem(f, f'), ... at -infinity less those at
+    # +infinity; each remainder over Z is scaled by |lc| > 0 per step and
+    # divided by its content, so its signs are those over Q
+    chain = [f.coeffs, f.derivative().coeffs]
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        scale, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+        while len(r) >= len(b):
+            lead, shift = sign * r[-1], len(r) - len(b)
+            r = [scale * c - (lead * b[i - shift] if i >= shift else 0)
+                 for i, c in enumerate(r[:-1])]
+        r = _trim(r)
+        if not r:
+            break
+        chain.append(tuple(-c // gcd(*r) for c in r))
+
+    def changes(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes([(c[-1] > 0) == (len(c) % 2 == 1) for c in chain]) \
+        - changes([c[-1] > 0 for c in chain])
 
 
 # ---------------------------------------------------------------------------

@@ -1,61 +1,30 @@
 """Prime splitting in a number field and the rational-prime sieve.
 
 For each rational prime p the splitting type is the multiset of
-(ramification index, inertia degree) pairs of the prime ideals over p; the
-pairs always satisfy sum(e_i * f_i) = degree.
+(ramification index, inertia degree) pairs of the prime ideals over p, with
+sum(e_i * f_i) = degree.
 
 A field's route, chosen once by _route when _tabulate first needs it, is a
 triple (e, key, codes): every prime not dividing e reads the code of its
-pattern as codes[key(p)], in blocks of FROBENIUS_BLOCK primes, where -1 marks
-a key the route rules out. _route takes the first of three that applies.
-A field that reads its splitting from p mod m (_class_route) keys by p % m:
-Q with m = 1; a quadratic field with |D| <= CLASS_TABLE_MAX by the Kronecker
-character (D / r), m = |D|, at every prime; a field of degree >= 3 with a
-cyclotomic certificate (field.py) of conductor m <= CLASS_TABLE_MAX by the
-order of p in (Z/m)^x / H, the residue degree, with e = m disc(f). A pure
-field, f = x^l - a with l an odd prime (_kummer_route), keys by p mod l and
-one power residue, e = l a: for p != 1 mod l, x -> x^l permutes F_p^x, so f
-has one root in F_p and the others are its multiples by the l-th roots of
-unity, which Frobenius moves in orbits of k, the order of p mod l; for
-p = 1 mod l, f splits completely when t = a^((p-1)/l) is 1 mod p and is
-irreducible mod p otherwise (Lidl & Niederreiter, Finite Fields, 3.5;
-Ireland & Rosen, A Classical Introduction to Modern Number Theory, GTM 84,
-ch. 9). t^l = 1 mod p stands in for Stickelberger's check below. Such a
-field is never normal, so no class route competes. The other fields of
-degree 2 to 4 (_kernel_route) key by batched numpy passes over int64
-columns, one per prime: a quadratic field by Euler's criterion
-D^((p-1)/2) mod p, e = 2D; a cubic or quartic by (disc f / p) and whether
-x^p and x^(p^2) are x mod f, e = 2 disc(f), where Stickelberger's theorem,
-(disc f / p) = (-1)^(n - r) for the number r of irreducible factors of f mod
-p, rules out the keys no pattern has. The powers of x use delayed modular
-reduction (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008): each exponent bit
-sums the products of the square unreduced and reduces only while folding
-degrees d..2d-1 back through a per-block table of x^k mod f; DENSE_SIEVE_CAP
-states the int64 bound. D, disc(f) and a, which can exceed int64, are reduced
-mod p digit by digit.
+pattern as codes[key(p)], where -1 marks a key the route rules out. _route
+takes the first that applies of _class_route (p mod m), _kummer_route (p mod
+l and one power residue) and _kernel_route (batched numpy passes over int64
+columns with delayed modular reduction: Dumas, Giorgi & Pernet, ACM TOMS
+35(3), 2008).
 
 The primes dividing e, every prime of a field with no route (a non-abelian
 field of degree >= 5 that is not pure), and single-prime queries past the
-table take the exact pipeline (_pairs_for), before any batched block: the
-Kronecker symbol for a quadratic field, else the defining polynomial
+table take the exact pipeline (_pairs_for): the Kronecker symbol for a quadratic field, else the defining polynomial
 factored mod p, guarded by the Dedekind index criterion, so a prime dividing
 the index is a hard error, never a guess. Every prime dividing disc(f) divides
 the e of each route of degree >= 3, so an index prime reaches that criterion.
 The exact pipeline is the oracle of the kernel and Kummer routes, and the
 kernel routes that of the class and Kummer routes.
 
-What is computed for a field lives in one FieldContext, reached through
-field_context(): the route and the splitting table as numpy arrays (the
-primes, a small code per prime, and the few distinct patterns the codes
-index). Each descriptor holds its own context, grown as larger cutoffs are
-asked for and freed with the descriptor; equal descriptors do not share one.
-The prime sieve is shared by every field: the process keeps its largest,
-read-only. Nothing read from the table is kept: _ideal_stream yields the
-prime ideals in blocks of _PRIME_BLOCK primes, each sorted by (norm, p);
-idealcount builds the I(n) row in blocks the same way, and the passes over
-both are cut and summed by the block-pass driver (blockpass.py).
-check_cutoff and check_grid hold the one range rule of a cutoff and of a grid
-of cutoffs; every sieve applies it before it starts.
+A field's route and splitting table live in its FieldContext, freed with
+the descriptor; the prime sieve is shared, the process keeping its largest,
+read-only. check_cutoff and check_grid hold the one range rule of a cutoff
+and of a grid; every sieve applies it before it starts.
 """
 
 from __future__ import annotations
@@ -347,7 +316,8 @@ _ONE = (1, 1)
 
 # Splitting pattern by ((disc f / p) == 1, x^p == x, x^(p^2) == x) for monic f
 # of degree 3 or 4, squarefree mod p; cubics never need x^(p^2), so it reads
-# False for them. Stickelberger's theorem rules the other combinations out.
+# False for them. Stickelberger's theorem, (disc f / p) = (-1)^(n - r) for the
+# number r of irreducible factors of f mod p, rules the other combinations out.
 _FROBENIUS_TYPES = {
     3: {(False, False, False): (_ONE, (1, 2)),
         (True, True, False): (_ONE, _ONE, _ONE),
@@ -412,16 +382,11 @@ def splitting_type(field: FieldDescriptor, p: int) -> SplittingType:
 
 
 class FieldContext:
-    """What is kept for one field, grown on demand: its route and the
-    splitting table. The route (e, key, codes), or None, says how _tabulate
-    reads the primes not dividing e; route_for chooses it by _route when
+    """What is kept for one field, grown on demand: its route, chosen when
     _tabulate first needs it, so a query the exact pipeline answers chooses
-    none. The table holds every prime <= table_xmax, ascending, and the index
-    of its splitting pattern in patterns, which lists only the patterns the
-    route's codes and the exact pipeline have met. Nothing read from the
-    table is kept: the prime ideals come in blocks of primes (_ideal_stream)
-    and the I(n) row in blocks of n (idealcount._row_blocks), each built
-    afresh for the pass that reads it."""
+    none, and the splitting table: every prime <= table_xmax, ascending, and
+    the index of its splitting pattern in patterns, which lists only the
+    patterns the route's codes and the exact pipeline have met."""
 
     __slots__ = ("route", "primes", "codes", "patterns", "table_xmax", "__weakref__")
 
@@ -501,10 +466,14 @@ def _kummer_keys(ell: int, a: int, primes: np.ndarray) -> np.ndarray:
 
 def _kummer_route(field: FieldDescriptor, patterns: list):
     """The route of a pure field, f = x^ell - a with ell an odd prime, or
-    None: e = ell a, and the Kummer key's residue p % ell = r != 1 gives one
-    ideal of degree 1 and (ell - 1) / k of degree k, the order of r mod ell;
-    r = 1 gives ell ideals of degree 1 when a^((p-1)/ell) = 1 mod p, else one
-    of degree ell. The other keys hold -1."""
+    None: e = ell a. For p % ell = r != 1, x -> x^ell permutes F_p^x, so f
+    has one root in F_p, and Frobenius moves its multiples by the ell-th
+    roots of unity in orbits of k, the order of r mod ell: one ideal of
+    degree 1 and (ell - 1) / k of degree k. For r = 1, f splits completely
+    when t = a^((p-1)/ell) is 1 mod p, else is irreducible (Lidl &
+    Niederreiter, Finite Fields, 3.5; Ireland & Rosen, GTM 84, ch. 9); t^ell
+    = 1 stands in for Stickelberger's check. Other keys hold -1. Such a field
+    is never normal, so no class route competes."""
     ell = field.degree
     if ell < 3 or not is_prime(ell) or any(field.defining_poly.coeffs[1:ell]):
         return None

@@ -36,7 +36,7 @@ from .bounds import (
 )
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
 from .errors import InvariantViolation
-from .idealcount import _row_blocks, _row_dtype, legendre_chebyshev_mismatches, row_sums
+from .idealcount import ideal_sums, legendre_chebyshev_mismatches
 from .mertens import (
     EULER_GAMMA,
     mertens_grid,
@@ -112,8 +112,13 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
     consts = field_constants(field, kappa)
     lam, ups = consts.lambda_K, consts.upsilon_K
 
-    if exact:  # the dtype guard of the I(n) row, before any sieve starts
-        _row_dtype(math.floor(grid[-1]), n)
+    # only the checks of an exact kappa read the I(n) and T(x) sums; their
+    # int64 bound is checked before any sieve starts
+    sums = [(None, None, None)] * len(grid)
+    if exact:
+        small = [x for x in grid if x <= LEGENDRE_LIMIT]  # counts, then None
+        sums = zip_longest(*ideal_sums(field, grid),
+                           small and legendre_chebyshev_mismatches(field, small))
     checks = list(_field_independent_checks())
 
     # theta bound on the grid
@@ -141,11 +146,6 @@ def verify_all(field: FieldDescriptor, grid, kappa: Residue, *,
             checks.append(_interval_check(
                 "mertens_constant_interval", None, mconst.M_K,
                 lo + mconst.tail_halfwidth, hi - mconst.tail_halfwidth))
-        sums = [(None, None, None)] * len(grid)
-        if exact:  # only the checks of an exact kappa read the I(n), T(x) sums
-            small = [x for x in grid if x <= LEGENDRE_LIMIT]  # counts, then None
-            sums = zip_longest(*row_sums(_row_blocks(field, math.floor(grid[-1])), grid),
-                               small and legendre_chebyshev_mismatches(field, small))
         for row, (isum, tval, mismatches) in zip(rows, sums):
             x = row.x
             if ups is not None:

@@ -1,10 +1,11 @@
 """The grid sums as one math.fsum per grid point of every term up to it,
 each term a float64 from numpy (np.log, np.log1p and /) turned into a
 Python float. It is the oracle of mertens_constant, mertens_table,
-mertens_grid (the one pass of those two), the T-sums of idealcount.row_sums,
-mertens.prime_power_grid at alpha 0 (theta) and splitting.theta_K, which
-must give the same floats bit for bit. Its norms come from
-splitting_oracle.ideal_columns, not from the stream the library sums.
+mertens_grid (the one pass of those two), the T-sums of
+idealcount.ideal_sums, mertens.prime_power_grid at alpha 0 (theta) and
+splitting.theta_K, which must give the same floats bit for bit. Its norms
+come from splitting_oracle.ideal_columns, not from the stream the library
+sums, and its C_p(x) from the prefix sums of the dense I(n) row.
 
 Run as a script, it compares them for one field up to one cutoff and
 exits 1 on any difference:
@@ -23,12 +24,12 @@ from unittest.mock import patch
 
 import numpy as np
 
-from nfmertens import blockpass, mertens
+from nfmertens import mertens
 from nfmertens.field import PROVENANCE_EXACT, FieldDescriptor, Residue, load_field
-from nfmertens.idealcount import _row_blocks, row_sums
+from nfmertens.idealcount import _row_blocks, ideal_sums
 from nfmertens.mertens import (geometric_grid, mertens_constant, mertens_grid,
                                mertens_table, prime_power_grid)
-from nfmertens.splitting import rational_primes, theta_K
+from nfmertens.splitting import _iroot, _splitting_table, rational_primes, theta_K
 from splitting_oracle import oracle_norms
 
 
@@ -61,22 +62,23 @@ def mertens_sums(field: FieldDescriptor, grid) -> list[list[float]]:
                      lambda n: np.log1p(-1.0 / n).tolist())
 
 
-def log_sums(row: np.ndarray, grid) -> list[float]:
-    """T(x) at each grid point from the terms I(n) log n of the nonzero
-    I(n), 2 <= n <= x, of the full row, np.log taken in slices of _SLICE."""
-    step = blockpass._SLICE
-
-    def terms(segment):
-        lo, hi = segment
-        for a in range(lo, hi, step):
-            part = row[a:min(a + step, hi)]
-            nz = np.flatnonzero(part)
-            yield (part[nz].astype(np.float64)
-                   * np.log((nz + a).astype(np.float64))).tolist()
-
-    cuts = [max(2, math.floor(x) + 1) for x in grid]
-    [values] = fsum_grid(list(zip([2] + cuts, cuts)),
-                         lambda seg: chain.from_iterable(terms(seg)))
+def log_sums(field: FieldDescriptor, grid) -> list[float]:
+    """T(x) at each grid point as one fsum of the terms log p * C_p(x) over
+    the primes p <= x: C_p(x) = sum_k w_k(p) Isum(x / p^k), w_k(p) the sum of
+    f_P over the P | p with f_P | k, read from the prefix sums of the row."""
+    top = math.floor(grid[-1])
+    isum = np.cumsum(np.concatenate([b for _, b in _row_blocks(field, top)]),
+                     dtype=np.int64)
+    primes, codes, patterns = _splitting_table(field, top)
+    logp = np.log(primes.astype(np.float64))
+    values = []
+    for n in (math.floor(x) for x in grid):
+        c = np.zeros(np.searchsorted(primes, n, "right"), dtype=np.int64)
+        for k in range(1, n.bit_length()):
+            q = primes[:np.searchsorted(primes, _iroot(n, k), "right")]
+            w = np.array([sum(f for _, f in pairs if k % f == 0) for pairs in patterns])
+            c[:len(q)] += w[codes[:len(q)]] * isum[n // q ** k]
+        values.append(fsum((logp[:len(c)] * c).tolist()))
     return values
 
 
@@ -110,11 +112,9 @@ def mismatches(field: FieldDescriptor, grid, truncation_x: float) -> list[str]:
         apart = mconst, mertens_table(field, grid, mconst, kappa)
     if both != apart:
         found.append("mertens_grid differs from mertens_constant and mertens_table")
-    row = np.concatenate([b for _, b in _row_blocks(field, math.floor(grid[-1]))])
-    got, want = row_sums(_row_blocks(field, math.floor(grid[-1])), grid)[1], \
-        log_sums(row, grid)
+    got, want = ideal_sums(field, grid)[1], log_sums(field, grid)
     if got != want:
-        found.append(f"row_sums: T {got!r} != {want!r}")
+        found.append(f"ideal_sums: T {got!r} != {want!r}")
     [got] = prime_power_grid(grid, [0])
     want = theta_values(rational_primes(grid[-1]), grid)
     if got != want:

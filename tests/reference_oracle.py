@@ -14,6 +14,10 @@ D_K = -125752, which does not divide disc(f) = -78594700, and prime_decomp
 then raises ClosureFailure. So maximal_order first checks that
 disc(f) / D_K is a positive square, and raises OracleFault if not.
 
+reference_sums counts the ideals of each norm n <= x from prime_decomp's
+inertia degrees, and gives the I-sum and T(x), the sum of I(n) log n, in
+mpmath at 40 digits: the reference of idealcount.ideal_sums.
+
 Run as a script, it compares the pipeline with prime_decomp at every prime
 below a bound for each descriptor named, and exits 1 on any difference or
 oracle fault:
@@ -28,6 +32,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import mpmath
 import sympy
 from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.primes import prime_decomp
@@ -86,6 +91,36 @@ def pattern_mismatches(field: FieldDescriptor, bound: float) -> list[int]:
     return [p for p in sympy.primerange(2, math.ceil(bound))
             if pipeline_pattern(field, p) != (
                 None if order.index % p == 0 else reference_pattern(order, p))]
+
+
+def reference_sums(field: FieldDescriptor, grid) -> tuple[list[int], list]:
+    """The I-sum and T(x) at each x of the ascending grid. I(p^k) is the
+    coefficient of t^k in the product over P | p of 1 / (1 - t^f_P), and I
+    is multiplicative; T sums I(n) log n as mpf at 40 digits."""
+    order = maximal_order(field.defining_poly.coeffs)
+    top = math.floor(grid[-1])
+    row = [0] + [1] * top
+    for p in sympy.primerange(2, top + 1):
+        counts = [1] + [0] * top.bit_length()
+        for _, f in reference_pattern(order, p):
+            for k in range(f, len(counts)):
+                counts[k] += counts[k - f]
+        q, k = p, 1
+        while q <= top:
+            for n in range(q, top + 1, q):
+                if n // q % p:
+                    row[n] *= counts[k]
+            q, k = q * p, k + 1
+    isums, tsums = [], []
+    with mpmath.workdps(40):
+        isum, tsum, n = 0, mpmath.mpf(0), 0
+        for x in grid:
+            while n < math.floor(x):
+                n += 1
+                isum, tsum = isum + row[n], tsum + row[n] * mpmath.log(n)
+            isums.append(isum)
+            tsums.append(+tsum)
+    return isums, tsums
 
 
 def dedekind_mismatches(coeffs) -> list[int]:

@@ -297,16 +297,17 @@ class TestSieveCommand:
         assert header == ["x", "ideal_count_sum", "kappa_x", "envelope"]
         assert int(rows[0][1]) == 9
 
-    def test_summatory_builds_row_once(self, tmp_path, monkeypatch):
+    def test_summatory_builds_no_row(self, tmp_path, monkeypatch):
+        # the I-sums come from the splitting table alone
         builds = []
-        build = idealcount._row_blocks
-        monkeypatch.setattr(idealcount, "_row_blocks",
-                            lambda field, n: builds.append(n) or build(field, n))
+        build = idealcount._row_block
+        monkeypatch.setattr(idealcount, "_row_block",
+                            lambda lo, hi, *args: builds.append(lo) or build(lo, hi, *args))
         out = tmp_path / "summatory.csv"
         code = main(["sieve", "--field", GAUSS, "--what", "summatory",
                      "--xmax", "1e4", "--out", str(out)])
         assert code == 0
-        assert builds == [10 ** 4]
+        assert builds == []
         # the rows one summatory() call per grid point gives
         field = load_field(Path(GAUSS).read_text())
         kappa = kappa_exact(field).value
@@ -315,11 +316,13 @@ class TestSieveCommand:
             [_f15(p.x), str(p.value), _f15(kappa * p.x), _f15(p.sunley_envelope)]
             for p in points]
 
-    @pytest.mark.parametrize("command", [["verify"], ["sieve", "--what", "counts"]])
+    @pytest.mark.parametrize("command", [["verify"], ["sieve", "--what", "counts"],
+                                         ["sieve", "--what", "summatory"]])
     def test_divisor_guard_exits_2_before_any_sieve(self, tmp_path, capsys,
                                                     monkeypatch, command):
         # x^29 - 2 at the cap: max d_29(n) over n <= 1e8 reaches 2^62, past
-        # the int64 guard of the I(n) row
+        # the int64 guard of the I(n) row, and so does the bound of the
+        # ideal sums (verify and summatory)
         path = tmp_path / "deg29.field"
         path.write_text("poly = [-2" + ", 0" * 28 + ", 1]\nsignature = [1, 14]\n"
                         f"discriminant = {29 ** 29 * 2 ** 28}\n")
@@ -588,6 +591,16 @@ class TestConstantsCommand:
 class TestErrors:
     def test_missing_file_exits_two(self, capsys):
         assert main(["verify", "--field", "no-such-file.field"]) == 2
+
+    def test_wrong_real_root_count_exits_two(self, tmp_path, capsys):
+        # x^4 + 1 has no real root; the sign of D alone allows [4, 0]
+        path = tmp_path / "x4+1.field"
+        path.write_text("poly = [1, 0, 0, 0, 1]\nsignature = [4, 0]\ndiscriminant = 256\n")
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--field", str(path), "--xmax", "1000",
+                     "--out", str(out)]) == 2
+        assert "Sturm" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid_exits_two(self, tmp_path, capsys):
         out = tmp_path / "v.csv"

@@ -108,11 +108,22 @@ class TestLoadField:
     @pytest.mark.parametrize("name, signature", [
         ("cbrt2", "[3, 0]"), ("cyclic-cubic-49", "[1, 1]"), ("cyclotomic5", "[2, 1]")])
     def test_brill_sign_rule(self, name, signature):
-        # sign(D) = (-1)^r2; cbrt2's D = -108 with r2 = 0 once passed every check
+        # sign(D) = (-1)^r2 fails; cbrt2's D = -108 with r2 = 0 once passed
+        # every check. The real root count refutes each such r1
         text = re.sub(r"signature = \[\d+, \d+\]", f"signature = {signature}",
                       (FIELDS / f"{name}.field").read_text())
-        with pytest.raises(InvariantViolation, match="Brill"):
+        with pytest.raises(InvariantViolation, match="real root count"):
             load_field(text)
+
+    def test_sturm_count_of_real_roots(self):
+        # x^4 + 1 has no real root: [4, 0] has the sign of D that Brill's
+        # rule reads, so only the count of real roots refutes it
+        text = "poly = [1, 0, 0, 0, 1]\nsignature = [{}]\ndiscriminant = 256\n"
+        with pytest.raises(InvariantViolation, match="real root count is 0"):
+            load_field(text.format("4, 0"))
+        assert load_field(text.format("0, 2")).signature == (0, 2)
+        for path in FIELDS.glob("*.field"):
+            load_field(path.read_text())
 
     def test_cubic_divisibility_enforced(self):
         with pytest.raises(InvariantViolation, match="divide"):

@@ -11,14 +11,15 @@ from nfmertens.field import kappa_exact, load_field
 from nfmertens.idealcount import (
     ideal_count_sieve,
     kappa_estimate,
+    ideal_sums,
     legendre_chebyshev_mismatches,
-    row_sums,
     summatory,
     summatory_grid,
     t_K,
 )
-from nfmertens import blockpass, idealcount
+from nfmertens import blockpass, idealcount, splitting
 from nfmertens.idealcount import (
+    _check_sum_bound,
     _counts_from_degrees,
     _local_factors,
     _max_divisor_count,
@@ -35,6 +36,7 @@ from nfmertens.splitting import (
     rational_primes,
     splitting_type,
 )
+from row_oracle import T_ALLOWANCE, row_sums
 
 
 def _dense_row_python(field, n_max: int) -> list[int]:
@@ -471,10 +473,10 @@ class TestTK:
         assert t_K(field, 3000) == pytest.approx(direct, rel=1e-13)
 
     def test_one_value_whatever_the_grid(self, corpus):
-        # t_K at x is row_sums at x from a longer grid, bit for bit
+        # t_K at x is ideal_sums at x from a longer grid, bit for bit
         grid = geometric_grid(4, 20)
         for name in ("gaussian", "cbrt2", "cyclotomic5"):
-            tsums = row_sums(_row_blocks(corpus[name], 10 ** 5), grid)[1]
+            tsums = ideal_sums(corpus[name], grid)[1]
             assert [t_K(corpus[name], x) for x in grid] == tsums, name
 
 
@@ -526,6 +528,89 @@ class TestGridSums:
 
     def test_points_below_one_sum_to_zero(self, gauss):
         assert row_sums(_row_blocks(gauss, 10), [0.0, 0.5, 10.0])[0] == [0, 0, 9]
+
+
+LOADABLE = ["cbrt2", "cyclic-cubic-49", "cyclotomic5", "eisenstein", "gaussian",
+            "golden", "rationals", "sqrt-163", "sqrt-7", "sqrt2", "sqrt3"]
+SQUARES = [float(p * p) for p in (2, 3, 5, 7, 31, 101, 997)]
+
+
+class TestIdealSums:
+    """ideal_sums reads the splitting table alone: its I-sums are the row's
+    at every point, and its T-sums are the row's within T_ALLOWANCE."""
+
+    @staticmethod
+    def check(field, grid):
+        isums, tsums = ideal_sums(field, grid)
+        want_i, want_t = row_sums(_row_blocks(field, math.floor(grid[-1])), grid)
+        assert isums == want_i
+        assert all(abs(a - b) <= T_ALLOWANCE * b for a, b in zip(tsums, want_t))
+
+    def test_corpus_at_1e7(self, corpus):
+        grid = geometric_grid(4, 28)
+        for name in LOADABLE:
+            self.check(corpus[name], grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(LOADABLE),
+           points=st.lists(st.one_of(st.floats(0, 10 ** 6), st.floats(0, 2),
+                                     st.sampled_from(SQUARES)), min_size=1, max_size=6))
+    def test_random_grids(self, corpus, name, points):
+        self.check(corpus[name], sorted(set(points)))
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0, 9.0, 25.0])
+    def test_small_points(self, corpus, x):
+        # x < 2 holds no prime, and x = p^2 is the first point a prime sieves
+        for name in LOADABLE:
+            self.check(corpus[name], [x])
+
+    def test_slices_cut_the_prime_table(self, corpus, monkeypatch):
+        # a slice of 7 primes puts slice edges inside the primes <= sqrt(x)
+        # and their powers, and between the grid's cutoffs
+        shipped = blockpass._SLICE
+        monkeypatch.setattr(blockpass, "_SLICE", 7)
+        grid = [2.0, 10.0, 1000.0, 4096.0, 5000.5, 3e4]
+        for name in ("gaussian", "cbrt2", "cyclotomic5", "rationals"):
+            got = ideal_sums(corpus[name], grid)
+            monkeypatch.setattr(blockpass, "_SLICE", shipped)
+            assert got == ideal_sums(corpus[name], grid), name
+            monkeypatch.setattr(blockpass, "_SLICE", 7)
+            self.check(corpus[name], grid)
+
+
+class TestSumBound:
+    def test_closed_form_bounds_the_divisor_sums(self):
+        # sum_{n<=x} d_k(n) <= x (log x + k - 1)^(k-1) / (k-1)! at every x <= 5040
+        n_max = 5040
+        d = [0] + [1] * n_max
+        for k in range(1, 7):
+            if k > 1:
+                prev, d = d, [0] * (n_max + 1)
+                for m in range(1, n_max + 1):
+                    for n in range(m, n_max + 1, m):
+                        d[n] += prev[m]
+            for x, total in enumerate(accumulate(d)):
+                if x:
+                    assert total <= x * (math.log(x) + k - 1) ** (k - 1) / math.factorial(k - 1)
+
+    def test_degrees_at_the_cap(self):
+        _check_sum_bound(DENSE_SIEVE_CAP, 13)
+        with pytest.raises(DivisorBoundExceeded, match="x 100000000 .* degree-14"):
+            _check_sum_bound(DENSE_SIEVE_CAP, 14)
+        _check_sum_bound(10 ** 6, 19)
+        _check_sum_bound(1, 1000)  # no sum passes 1
+
+    def test_degree_29_near_the_cap_raises_before_any_sieve(self, monkeypatch):
+        field = load_field("poly = [-2" + ", 0" * 28 + ", 1]\nsignature = [1, 14]\n"
+                           f"discriminant = {29 ** 29 * 2 ** 28}\n")
+        monkeypatch.setattr(splitting, "_sieve", lambda n: pytest.fail("a sieve started"))
+        for call in (lambda: ideal_sums(field, [10.0, 9e7]),
+                     lambda: summatory(field, 9e7), lambda: t_K(field, 9e7),
+                     lambda: kappa_estimate(field, 9e7)):
+            with pytest.raises(DivisorBoundExceeded, match="degree-29") as info:
+                call()
+            assert isinstance(info.value, CutoffOutOfRange)
+        assert field.context is None or field.context.table_xmax == 0
 
 
 def all_terms_log_sum(row, x):

@@ -17,6 +17,7 @@ from nfmertens.polyfield import (
     factor,
     is_prime,
     poly_discriminant,
+    real_root_count,
 )
 
 X = sympy.symbols("x")
@@ -187,6 +188,23 @@ def test_is_prime_against_sympy():
 @settings(max_examples=100, deadline=None)
 def test_factor_against_sympy(n):
     assert factor(n) == sympy.factorint(n)
+
+
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_real_root_count_against_sympy(lower):
+    # repeated roots count once
+    coeffs = lower + [1]
+    distinct = set(sympy.Poly(coeffs[::-1], sympy.Symbol("x")).real_roots())
+    assert real_root_count(IntPoly.of(coeffs)) == len(distinct)
+
+
+def test_real_root_count_edges():
+    assert real_root_count(IntPoly.of([-3, 1])) == 1
+    assert real_root_count(IntPoly.of([1, 0, 0, 0, 1])) == 0  # x^4 + 1
+    assert real_root_count(IntPoly.of([0, -1, 0, 1])) == 3  # x^3 - x
+    assert real_root_count(IntPoly.of([1, -2, 1])) == 1  # (x - 1)^2
+    assert real_root_count(IntPoly.of([-2] + [0] * 28 + [1])) == 1
 
 
 def test_factor_edges():

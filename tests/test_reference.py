@@ -1,7 +1,7 @@
 """The exact layer against sympy's maximal order (reference_oracle): the
 splitting of every prime below 2000, ramified and index primes included, the
-Dedekind criterion at every prime dividing disc(f), and each descriptor's
-field discriminant."""
+Dedekind criterion at every prime dividing disc(f), each descriptor's field
+discriminant, and the I-sums and T(x) up to 1e4."""
 
 import operator
 
@@ -11,8 +11,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import FIELDS_DIR
 from nfmertens.field import load_field
+from nfmertens.idealcount import ideal_sums
+from nfmertens.mertens import geometric_grid
 from reference_oracle import (X, OracleFault, dedekind_mismatches, maximal_order,
-                              pattern_mismatches, pipeline_pattern)
+                              pattern_mismatches, pipeline_pattern, reference_sums)
 
 EXTRA = {
     "x4+1": "poly = [1, 0, 0, 0, 1]\ndiscriminant = 256\nsignature = [0, 2]\n",
@@ -62,3 +64,15 @@ def test_dedekind_matches_the_index_on_cubics(coeffs):
 def test_round_two_gives_the_discriminant(name):
     field = LOADED[name]
     assert maximal_order(field.defining_poly.coeffs).discriminant == field.discriminant
+
+
+@pytest.mark.parametrize("name", ["gaussian", "cbrt2", "cyclotomic5"])
+def test_ideal_sums_match_the_reference(name):
+    # the I-sums exactly, T(x) to 1e-13 relative, from x = 2 and at squares
+    # of primes
+    grid = sorted({2.0, 3.0, 4.0, 9.0, 49.0, 961.0, 9409.0, *geometric_grid(4, 16)})
+    isums, tsums = ideal_sums(FIELDS[name], grid)
+    want_i, want_t = reference_sums(FIELDS[name], grid)
+    assert isums == want_i
+    for x, got, want in zip(grid, tsums, want_t):
+        assert abs(got - want) <= 1e-13 * want, (x, got, want)

@@ -8,11 +8,12 @@ import pytest
 
 from nfmertens.errors import IndexPrimeUnsupported, InvariantViolation
 from nfmertens.field import PROVENANCE_EXACT, Residue, kappa_exact, load_field
-from nfmertens.idealcount import kappa_estimate, row_sums
+from nfmertens.idealcount import kappa_estimate
 from nfmertens.mertens import geometric_grid, mertens_constant, mertens_grid, mertens_table
 from nfmertens import cli, idealcount, mertens, splitting, verify
 from nfmertens.splitting import FieldContext, field_context, theta_K
 from nfmertens.verify import verify_all
+from row_oracle import row_sums
 from test_idealcount import plant
 
 FIELDS_DIR = Path(__file__).resolve().parent.parent / "fields"
@@ -149,7 +150,7 @@ class TestVerifyAll:
         from nfmertens.field import load_field
         from nfmertens.idealcount import kappa_estimate
         calls = []
-        for name in ("row_sums", "_row_blocks", "legendre_chebyshev_mismatches"):
+        for name in ("ideal_sums", "legendre_chebyshev_mismatches"):
             monkeypatch.setattr(verify, name,
                                 lambda *args, name=name: calls.append(name))
         bare = load_field("poly = [1, 0, 1]\n")
@@ -159,6 +160,25 @@ class TestVerifyAll:
         names = {c.name for c in report.checks}
         assert "first_mertens_error" in names
         assert "ideal_count_envelope" not in names
+
+    def test_no_row_block_past_the_identity(self, corpus, monkeypatch):
+        # the I- and T-sums come from the splitting table: only the
+        # identity's row, up to LEGENDRE_LIMIT, is built in blocks
+        ends = []
+        build = idealcount._row_block
+        monkeypatch.setattr(idealcount, "_row_block",
+                            lambda lo, hi, *args: ends.append(hi) or build(lo, hi, *args))
+        for name in ("gaussian", "cbrt2", "cyclotomic5"):
+            field = corpus[name]
+            idealcount.summatory_grid(field, [10.0, 1e5])
+            idealcount.t_K(field, 1e5)
+            kappa_estimate(field, 1e5)
+            assert ends == [], name
+            report = verify_all(field, geometric_grid(4, 20), kappa_exact(field),
+                                truncation_x=1e4)
+            assert report.failures == ()
+            assert ends and max(ends) <= verify.LEGENDRE_LIMIT + 1, name
+            ends.clear()
 
     def test_planted_ideal_count_fails_the_identity(self, gauss, monkeypatch):
         # the identity reads the row against the splitting table: I(9) + 1,
@@ -287,7 +307,7 @@ class TestBlockLifetime:
         for module in (splitting, mertens, cli):
             monkeypatch.setattr(module, "_ideal_stream", stream)
         rows = tracked(idealcount._row_blocks, itemgetter(1), held)
-        for module in (idealcount, verify, cli):
+        for module in (idealcount, cli):
             monkeypatch.setattr(module, "_row_blocks", rows)
         return held
 
