@@ -1,9 +1,8 @@
 """The block-pass driver of the Mertens and theta grid sums.
 
 A pass reads a stream of 1-d blocks (the prime ideals' norms, the rational
-primes), each made when the pass reaches it and dropped before the next, and
-sums float64 terms of them over the segments between consecutive grid
-cutoffs (slices, segment_sums). exact_sum sums parts of at most _SLICE terms
+primes) and sums float64 terms of them over the segments between consecutive
+grid cutoffs (slices, segment_sums). exact_sum sums parts of at most _SLICE terms
 by error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
 2008, ExtractVector), so one pass can serve two grids, and running_fsums
 holds the one rounding rule: the value of a series at a grid point is the
@@ -66,10 +65,9 @@ def slices(blocks, ends):
     into the segments k = 0, 1, ... of a pass: ends(lo, block), for the block
     of entries lo on, gives where in the block each segment ends, ascending.
     part holds the entries from a on, at most _SLICE of them and all of one
-    block and one segment. A block visits only its segments from the first
-    that ends past its start to the first that reaches its end, so a pass
-    takes O(parts + segments + blocks) Python steps. Each block is made when the
-    pass reaches it and dropped before the next is made."""
+    block and one segment. A block visits only the segments it meets, so a
+    pass takes O(parts + segments + blocks) Python steps. Each block is made
+    when the pass reaches it and dropped before the next is made."""
     lo = 0
     for block in blocks:
         cuts = ends(lo, block)

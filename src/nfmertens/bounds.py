@@ -2,9 +2,8 @@
 
 The envelope constant Lambda contains a factor e^(28.2 n + 5), far beyond
 double range for large degree, so every Lambda-scale quantity is carried as
-its natural logarithm and combined with log-sum-exp. The inequalities this
-package checks only need sign and ratio fidelity, which survives in the log
-domain at about 15 significant digits.
+its natural logarithm and combined with log-sum-exp, which keeps the sign
+and ratio fidelity the checks need to about 15 significant digits.
 
 Residue bounds: an upper bound from the discriminant alone, a universal
 lower bound of 0.36232/sqrt|disc|, and case-split lower bounds driven by

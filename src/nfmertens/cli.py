@@ -1,14 +1,11 @@
 """Batch command surface: sieve dumps, Mertens tables, constants, residue
 bounds, and the full verification suite.
 
-Exit codes separate defect signals from usage problems: 0 means success with
-every asserted check passing, 1 means a theorem inequality failed (a defect
-worth breaking a build over), 2 means bad input or field errors. Reports are
-written atomically: streamed into a temp file that is renamed over the report
-only when complete, and removed if anything fails first. They embed the tool
-version, a SHA-256 of the field descriptor, and the full config echo, and
-contain no timestamps: reruns with identical config produce byte-identical
-files.
+Exit codes: 0 when every asserted check passes, 1 when a theorem inequality
+fails (a defect worth breaking a build over), 2 for bad input or field
+errors. Reports are written atomically (_emit). They embed the tool version,
+a SHA-256 of the field descriptor and the full config echo, and no
+timestamp, so reruns with identical config produce byte-identical files.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ class IndexPrimeUnsupported(NfMertensError):
     """Splitting at a prime dividing the index cannot be read from the
     defining polynomial."""
 
-    def __init__(self, p: int, message: str | None = None):
+    def __init__(self, p: int):
         self.p = p
-        super().__init__(message or f"prime {p} divides the index; "
-                         "splitting cannot be read from the defining polynomial")
+        super().__init__(f"prime {p} divides the index; splitting cannot be "
+                         "read from the defining polynomial")

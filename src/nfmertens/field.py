@@ -9,10 +9,11 @@ precision is preserved in reports.
 Quadratic fields need only the polynomial: the fundamental discriminant,
 from the squarefree part of disc(f) (polyfield.factor), and the signature
 are derived. Degree >= 3 requires explicit discriminant and signature,
-cross-checked against the polynomial discriminant (the quotient must be a
-positive perfect square) and r1 against the number of real roots of the
-polynomial (Sturm's theorem, polyfield.real_root_count). The sign of D, that
-of disc(f), is then (-1)^r2 (Brill's theorem).
+cross-checked against the polynomial discriminant (the quotient must be the
+square of an index no prime of which passes Dedekind's criterion) and r1
+against the number of real roots of the polynomial (Sturm's theorem,
+polyfield.real_root_count). The sign of D, that of disc(f), is then (-1)^r2
+(Brill's theorem).
 
 An abelian field may carry a CyclotomicCertificate (the keys conductor and
 cyclotomic_root, or none for Phi_m itself), which also proves the polynomial
@@ -34,6 +35,7 @@ from .errors import (
 from .polyfield import (
     IntPoly,
     _distinct_degree_parts,
+    dedekind_index_test,
     factor,
     is_prime,
     poly_discriminant,
@@ -46,20 +48,9 @@ if TYPE_CHECKING:
 PROVENANCE_EXACT = "exact-class-number-formula"
 PROVENANCE_ESTIMATED = "estimated-from-ideal-count"
 
-_KEYS = (
-    "poly",
-    "degree",
-    "signature",
-    "discriminant",
-    "class_number",
-    "regulator",
-    "roots_of_unity",
-    "normal_over_q",
-    "normal_tower",
-    "quadratic_subfield",
-    "conductor",
-    "cyclotomic_root",
-)
+_KEYS = ("poly", "degree", "signature", "discriminant", "class_number",
+         "regulator", "roots_of_unity", "normal_over_q", "normal_tower",
+         "quadratic_subfield", "conductor", "cyclotomic_root")
 
 # Largest conductor a descriptor may name. Certifying a root takes up to
 # m phi(m) products of Python ints: about 0.2 s at 2^10.
@@ -400,6 +391,14 @@ def load_field(descriptor_text: str) -> FieldDescriptor:
             raise InvariantViolation(
                 "polynomial discriminant / field discriminant is not a "
                 "positive perfect square")
+        index = math.isqrt(quotient)
+        if index > 10**14:
+            raise SchemaError("index too large to validate; supply a smaller field")
+        for p in factor(index):  # Cohen, GTM 138, 6.1.4
+            if dedekind_index_test(poly, p):
+                raise InvariantViolation(
+                    f"discriminant {discriminant} is wrong: {p} divides sqrt(disc(f) "
+                    f"/ D) = {index}, but Dedekind's criterion holds at {p}")
         roots = real_root_count(poly)
         if roots != signature[0]:
             raise InvariantViolation(

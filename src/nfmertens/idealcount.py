@@ -21,7 +21,8 @@ from .blockpass import _SCALE, exact_sum
 from .bounds import LogMagnitude, lambda_K
 from .errors import DivisorBoundExceeded
 from .field import PROVENANCE_ESTIMATED, FieldDescriptor, Residue
-from .splitting import _iroot, _per_pattern, _splitting_table, check_cutoff, check_grid
+from .splitting import (_iroot, _per_pattern, _searchsorted, _splitting_table,
+                        check_cutoff, check_grid)
 
 _ROW_BLOCK = 1 << 20  # entries per block of uint16, 2 MB; wider blocks hold fewer
 _PAIRS = 1 << 15  # (m, P) pairs per step of a block's cofactor pass
@@ -107,8 +108,8 @@ def _row_block(lo: int, hi: int, dtype, small, big_p, big_codes,
         # big_p[a:a + runs] are the P with lo <= m P < hi: a long run is a
         # slice, the short ones a ragged arange, about _PAIRS pairs a step
         m = np.arange(1, (hi - 1) // int(big_p[0]) + 1)
-        a = np.searchsorted(big_p, (lo + m - 1) // m)
-        runs = np.searchsorted(big_p, (hi - 1) // m, "right") - a
+        a = _searchsorted(big_p, (lo + m - 1) // m)
+        runs = _searchsorted(big_p, (hi - 1) // m, "right") - a
         k = int((runs >= _RUN).sum())
         # every code indexes c1, so mode="clip" clips nothing: it only skips
         # the index checks, and the lookup runs 1.7x as fast as c1[codes]
@@ -134,8 +135,7 @@ def _row_block(lo: int, hi: int, dtype, small, big_p, big_codes,
                 if j < i:
                     pairs = np.repeat((a - ends + runs)[j:i], runs[j:i])
                     pairs += np.arange(ends[j] - runs[j], ends[i - 1])
-                    at = big_p[pairs]
-                    at *= np.repeat(m[j:i], runs[j:i])
+                    at = big_p[pairs] * np.repeat(m[j:i], runs[j:i])  # int64
                     at -= lo
                     block[at] = c[pairs]
     if not lo:
@@ -162,7 +162,7 @@ def _row_blocks(field: FieldDescriptor, n_max: int):
     check_cutoff("x", n_max, 0)
     dtype = _row_dtype(n_max, field.degree)
     primes, codes, patterns = _splitting_table(field, n_max)
-    split = np.searchsorted(primes, math.isqrt(n_max), "right")
+    split = _searchsorted(primes, math.isqrt(n_max), "right")
     small = list(_local_factors(primes[:split], codes[:split], patterns, n_max))
     # P > sqrt(n_max) stores c1(P), its number of degree-1 ideals, at each
     # m P <= n_max, read from the table's slices where a block needs them
@@ -206,14 +206,14 @@ def ideal_sums(field: FieldDescriptor, grid, logs: bool = True) -> tuple[list[in
     # V without repeats (np.unique imports numpy.ma: 12 ms); values[v] = v, v <= r
     values = values[np.diff(values, prepend=-1) != 0]
     c1 = _per_pattern(patterns, 1, np.int64)
-    at = np.searchsorted(primes, values, "right")  # pi(v)
+    at = _searchsorted(primes, values, "right")  # pi(v)
     h, total = np.zeros(len(values), dtype=np.int64), 0  # G(v), then H(v), then S(v)
     for a in range(0, len(primes), step):
         run = np.cumsum(c1.take(codes[a:a + step]))
         run += total
         i, j = np.searchsorted(at, [a, a + len(run)], "right")
         h[i:j], total = run[at[i:j] - a - 1], int(run[-1])
-    small = np.searchsorted(primes, r, "right")
+    small = _searchsorted(primes, r, "right")
     local = [_counts_from_degrees([f for _, f in pairs], n_max.bit_length())
              for pairs in patterns]  # I(p^e) by pattern code
     for p, code in zip(primes[:small][::-1].tolist(), codes[:small][::-1].tolist()):
@@ -324,10 +324,9 @@ def kappa_estimate(field: FieldDescriptor, x: float) -> Residue:
 def legendre_chebyshev_mismatches(field: FieldDescriptor, grid) -> list[int]:
     """At each x of the ascending grid in [2, 1e6], the number of primes p
     where the coefficient of log p in T(x), sum_{n<=x} I(n) v_p(n), differs
-    from sum_{P|p} f_P sum_{k>=1} Isum(x / N(P)^k), from the whole int64 row.
-    The row, its prefix sums and the runs of I(i q) hold about 11 int64 per
-    n (gaussian at 1e6 peaked at 116 MB), hence the range, which is checked
-    before any sieve starts."""
+    from sum_{P|p} f_P sum_{k>=1} Isum(x / N(P)^k), from the whole int64 row:
+    about 11 int64 per n (116 MB for gaussian at 1e6), hence the range,
+    checked before any sieve starts."""
     tops = np.array([math.floor(x) for x in check_grid(grid, 2, 10 ** 6)])
     top = int(tops[-1])
     row = np.concatenate(([0], ideal_count_sieve(field, top)))
@@ -335,7 +334,7 @@ def legendre_chebyshev_mismatches(field: FieldDescriptor, grid) -> list[int]:
     primes, codes, patterns = _splitting_table(field, top)
     diff = np.zeros((len(tops), len(primes)), dtype=np.int64)
     for k in range(1, top.bit_length()):
-        q = primes[:np.searchsorted(primes, _iroot(top, k), "right")] ** k
+        q = primes[:_searchsorted(primes, _iroot(top, k), "right")].astype(np.int64) ** k
         size = top // q + 1  # a run of I(i q), i = 0..top // q, per q
         start = np.cumsum(size) - size
         at = np.arange(size.sum()) - np.repeat(start, size)

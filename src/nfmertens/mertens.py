@@ -27,7 +27,8 @@ import numpy as np
 from .errors import MissingResidue
 from .field import PROVENANCE_EXACT, FieldDescriptor, Residue
 from .blockpass import running_fsums, segment_sums, slices
-from .splitting import _ideal_stream, check_cutoff, check_grid, rational_primes
+from .splitting import (_ideal_stream, _searchsorted, check_cutoff, check_grid,
+                        rational_primes)
 
 # Euler-Mascheroni constant, 40 decimal digits
 EULER_GAMMA_STR = "0.5772156649015328606065120900824024310422"
@@ -170,7 +171,7 @@ def prime_power_grid(xs, alphas) -> list[list[float]]:
         return [logs / p ** alpha for alpha in alphas]
 
     parts = slices([rational_primes(xs[-1])],
-                   lambda lo, primes: np.searchsorted(primes, tops, "right"))
+                   lambda lo, primes: _searchsorted(primes, tops, "right"))
     return list(map(running_fsums, segment_sums(parts, terms, len(tops), len(alphas))))
 
 

@@ -4,21 +4,17 @@ Integers are tested prime by deterministic Miller-Rabin (is_prime) and
 factored by trial division (factor), the one factoriser of the package.
 real_root_count counts the real roots of an integer polynomial (Sturm).
 
-Integer polynomials are immutable coefficient tuples, lowest degree first,
-with arbitrary-precision coefficients throughout (discriminants overflow 64
-bits even for modest cubics). Polynomials over F_p are plain trimmed
-coefficient tuples with every coefficient in [0, p); the modulus is passed
-alongside.
+Polynomials are coefficient tuples, lowest degree first: over Z immutable
+IntPolys of Python ints (discriminants overflow 64 bits even for modest
+cubics), over F_p trimmed tuples with every coefficient in [0, p), the
+modulus passed alongside.
 
-Over F_p there are the first two stages of the classical factorization
-(Cohen, GTM 138, sec. 3.4): the squarefree decomposition, and the
-distinct-degree split of a squarefree part into the products of its
-irreducible factors of each degree. There is no equal-degree stage: the
-splitting of a prime (splitting.py) and the irreducibility proof (field.py)
-read only the factor degrees and their multiplicities, and a product of
-degree k with factors of degree d holds k / d of them. Dedekind's criterion
-(dedekind_index_test) works on the same F_p kernels: its one step over Z,
-(g h - f) / p, is a product mod p^2.
+Over F_p there are the squarefree and distinct-degree stages of the
+classical factorization (Cohen, GTM 138, sec. 3.4), but no equal-degree
+stage: splitting.py and field.py read only factor degrees and
+multiplicities, and a product of degree k of factors of degree d holds k / d
+of them. Dedekind's criterion (dedekind_index_test) works on the same
+kernels, plus one product mod p^2.
 """
 
 from __future__ import annotations
@@ -80,7 +76,6 @@ def _trim(coeffs) -> tuple[int, ...]:
     return tuple(c)
 
 
-# ---------------------------------------------------------------------------
 # Integer polynomials
 
 
@@ -127,8 +122,7 @@ def _sylvester_resultant(a: tuple[int, ...], b: tuple[int, ...]) -> int:
         for j, c in enumerate(reversed(b)):
             m[db + i][i + j] = c
     # fraction-free Gaussian elimination (Bareiss)
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -182,7 +176,6 @@ def real_root_count(f: IntPoly) -> int:
         - changes([c[-1] > 0 for c in chain])
 
 
-# ---------------------------------------------------------------------------
 # Polynomials over F_p: every kernel takes and returns trimmed coefficient
 # tuples.
 

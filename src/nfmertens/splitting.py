@@ -6,24 +6,21 @@ sum(e_i * f_i) = degree.
 
 A field's route, chosen once by _route when _tabulate first needs it, is a
 triple (e, key, codes): every prime not dividing e reads the code of its
-pattern as codes[key(p)], where -1 marks a key the route rules out. _route
-takes the first that applies of _class_route (p mod m), _kummer_route (p mod
-l and one power residue) and _kernel_route (batched numpy passes over int64
-columns with delayed modular reduction: Dumas, Giorgi & Pernet, ACM TOMS
-35(3), 2008).
+pattern as codes[key(p)], -1 for a key the route rules out. _route takes the
+first that applies of _class_route (p mod m), _kummer_route (p mod l and one
+power residue) and _kernel_route (batched int64 numpy passes with delayed
+modular reduction: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
 
-The primes dividing e, every prime of a field with no route (a non-abelian
-field of degree >= 5 that is not pure), and single-prime queries past the
-table take the exact pipeline (_pairs_for): the Kronecker symbol for a quadratic field, else the defining polynomial
-factored mod p, guarded by the Dedekind index criterion, so a prime dividing
-the index is a hard error, never a guess. Every prime dividing disc(f) divides
-the e of each route of degree >= 3, so an index prime reaches that criterion.
-The exact pipeline is the oracle of the kernel and Kummer routes, and the
-kernel routes that of the class and Kummer routes.
+The primes dividing e, every prime of a field with no route (non-abelian,
+degree >= 5, not pure), and single primes past the table take the exact
+pipeline (_pairs_for), guarded by the Dedekind index criterion: an index
+prime, which divides the e of every route of degree >= 3, is a hard error,
+never a guess. The exact pipeline is the oracle of the kernel and Kummer
+routes, and the kernel routes that of the class and Kummer routes.
 
 A field's route and splitting table live in its FieldContext, freed with
-the descriptor; the prime sieve is shared, the process keeping its largest,
-read-only. check_cutoff and check_grid hold the one range rule of a cutoff
+the descriptor; the uint32 prime sieve is shared, the process keeping its
+largest, read-only. check_cutoff and check_grid hold the one range rule of a cutoff
 and of a grid; every sieve applies it before it starts.
 """
 
@@ -77,8 +74,8 @@ CLASS_TABLE_MAX = 1 << 16
 
 _DIGIT_BITS = 24
 
-# Primes per block of the prime-ideal stream: a block's int64 norms take at
-# most 8 bytes times the degree per prime, 512 KB for a quartic
+# Primes per block of the prime-ideal stream, which casts them to int64: a
+# block's norms take at most 8 bytes a prime ideal, 512 KB for a quartic
 _PRIME_BLOCK = 1 << 14
 
 
@@ -103,11 +100,11 @@ def _simple_sieve(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p:: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(flags)
 
 
 # The largest sieve made in this process, read-only, and its cutoff
-_sieved = np.empty(0, dtype=np.int64)
+_sieved = np.empty(0, dtype=np.uint32)
 _sieved.flags.writeable = False
 _sieved_to = 1
 
@@ -115,17 +112,18 @@ _sieved_to = 1
 def _prime_count_bound(n: int) -> int:
     """At least pi(n), the number of primes <= n, for n >= 2: Rosser and
     Schoenfeld's pi(x) < 1.25506 x / log x for x > 1 (Illinois J. Math. 6,
-    1962, (3.6)), plus one for the float's rounding; 6.8e6 at 1e8."""
+    1962, (3.6)), plus one for the float's rounding; 6.8e6 (27 MB) at 1e8."""
     return int(1.25506 * n / math.log(n)) + 1
 
 
 def _sieve(n: int) -> np.ndarray:
-    """Ascending array of all primes <= n, n >= 2: 2, then the odd numbers from
-    3 in segments of SIEVE_SEGMENT flags, flag i for lo + 2 i, each writing its
-    primes in place into one array sized by _prime_count_bound, whose pages
-    past the last prime are never written and so take no memory."""
+    """Ascending uint32 array of all primes <= n, 2 <= n < 2^32: 2, then the
+    odd numbers from 3 in segments of SIEVE_SEGMENT flags, flag i for lo + 2 i,
+    each writing its primes in place into one array sized by
+    _prime_count_bound, whose pages past the last prime are never written and
+    so take no memory."""
     base = _simple_sieve(math.isqrt(n))[1:].tolist()
-    primes = np.empty(_prime_count_bound(n), dtype=np.int64)
+    primes = np.empty(_prime_count_bound(n), dtype=np.uint32)
     primes[0] = 2
     k, lo = 1, 3
     while lo <= n:
@@ -137,18 +135,17 @@ def _sieve(n: int) -> np.ndarray:
                 flags[(start - lo) // 2:: p] = False
         found = np.flatnonzero(flags)
         found *= 2
-        np.add(found, lo, out=primes[k:k + len(found)])
+        np.add(found, lo, out=primes[k:k + len(found)], casting="unsafe")
         k, lo = k + len(found), hi
     return primes[:k]
 
 
 def rational_primes(x: float) -> np.ndarray:
-    """Ascending array of all primes <= x, read-only.
+    """Ascending uint32 array of all primes <= x, read-only.
 
-    The process keeps the largest sieve it has made and returns a prefix view
-    of it for every cutoff up to that one; it sieves again only past it. So
-    the array is shared: writing to it raises ValueError, and a caller that
-    needs to write takes a copy.
+    The process keeps its largest sieve and returns prefix views of it,
+    sieving again only past its cutoff. The array is shared: writing to it
+    raises ValueError, so a caller that needs to write takes a copy.
     """
     global _sieved, _sieved_to
     if x < 2:
@@ -158,7 +155,13 @@ def rational_primes(x: float) -> np.ndarray:
     if n > _sieved_to:
         _sieved, _sieved_to = _sieve(n), n
         _sieved.flags.writeable = False
-    return _sieved[:np.searchsorted(_sieved, n, "right")]
+    return _sieved[:_searchsorted(_sieved, n, "right")]
+
+
+def _searchsorted(table: np.ndarray, needles, side: str = "left"):
+    """np.searchsorted with the needles cast to the table's dtype, which
+    holds them: numpy would cast the whole table (5 ms at 1e8) to theirs."""
+    return np.searchsorted(table, np.asarray(needles, table.dtype), side)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -225,13 +228,14 @@ def _pattern_mod_p(field: FieldDescriptor, p: int) -> tuple[tuple[int, int], ...
 
 
 def _int_mod(a: int, primes: np.ndarray) -> np.ndarray:
-    """a mod p for every p in primes, for any int a and primes below 2^39.
+    """a mod p in int64 for every p in primes, for any int a and primes below
+    2^39.
 
     |a| enters in base-2^24 digits by Horner's rule; with r < p < 2^39 each
     step r * 2^24 + digit stays below 2^63.
     """
     mag = abs(a)
-    r = np.zeros_like(primes)
+    r = np.zeros(primes.shape, dtype=np.int64)
     for shift in range(mag.bit_length() // _DIGIT_BITS * _DIGIT_BITS, -1, -_DIGIT_BITS):
         digit = (mag >> shift) & ((1 << _DIGIT_BITS) - 1)
         r = (r * (1 << _DIGIT_BITS) + digit) % primes
@@ -373,7 +377,7 @@ def splitting_type(field: FieldDescriptor, p: int) -> SplittingType:
     table the table decides that p is prime; past it, is_prime does."""
     ctx = field_context(field)
     if p <= ctx.table_xmax:
-        i = np.searchsorted(ctx.primes, p)
+        i = _searchsorted(ctx.primes, max(p, 0))
         if i < len(ctx.primes) and ctx.primes[i] == p:
             return SplittingType(p=p, pairs=ctx.patterns[ctx.codes[i]])
     elif is_prime(p):
@@ -393,7 +397,7 @@ class FieldContext:
     def __init__(self):
         self.patterns: list[tuple[tuple[int, int], ...]] = []
         self.route = _UNCHOSEN
-        self.primes = np.empty(0, dtype=np.int64)
+        self.primes = np.empty(0, dtype=np.uint32)
         self.codes = np.empty(0, dtype=np.uint8)
         self.table_xmax = 0
 
@@ -409,13 +413,13 @@ _UNCHOSEN = object()  # the route of a context before route_for is called
 
 
 def _codes(patterns: list, pairs) -> np.ndarray:
-    """The index in patterns of each entry of pairs, -1 for None; patterns
-    gains the ones it lacks."""
+    """The index in patterns of each entry of pairs, -1 for None, as int8 up
+    to 127 patterns; patterns gains the ones it lacks."""
     for pattern in pairs:
         if pattern is not None and pattern not in patterns:
             patterns.append(pattern)
     return np.array([-1 if pattern is None else patterns.index(pattern)
-                     for pattern in pairs], dtype=np.int64)
+                     for pattern in pairs], np.min_scalar_type(-1 - len(patterns)))
 
 
 def _class_route(field: FieldDescriptor, patterns: list):
@@ -527,31 +531,30 @@ def _tabulate(field: FieldDescriptor, ctx: FieldContext,
     """Code in ctx.patterns of the splitting pattern of each prime in primes.
 
     The primes ctx's route takes, those not dividing its e, read codes[key(p)]
-    in blocks of FROBENIUS_BLOCK primes, so no temporary spans the whole
-    range; a code of -1 raises InvariantViolation. The rest, every prime when
-    there is no route, take _pairs_for one prime at a time, first, so an
-    index prime raises before any batched work. The codes are written in
-    place into one array of the narrowest dtype that holds them.
+    in int64 blocks of FROBENIUS_BLOCK primes; a code of -1 raises
+    InvariantViolation. The rest, every prime when there is no route, take
+    _pairs_for first, so an index prime raises before any batched work. Each
+    mask and cast spans one block; the codes go in place into one array of
+    the narrowest dtype that holds them.
     """
     route = ctx.route_for(field)
-    e, key, table = route or (None, None, None)
-    blocks = [slice(lo, lo + FROBENIUS_BLOCK)
-              for lo in range(0, len(primes), FROBENIUS_BLOCK)] if route else []
-    sel = np.zeros(len(primes), dtype=bool)
-    for b in blocks:
-        sel[b] = _int_mod(e, primes[b]) != 0
-    rest = np.flatnonzero(~sel)
-    exact = _codes(ctx.patterns, [_pairs_for(field, p) for p in primes[rest].tolist()])
-    narrow = np.min_scalar_type(max(len(ctx.patterns) - 1, 0))
-    codes = np.zeros(len(primes), dtype=narrow)
-    codes[rest] = exact
-    for b in blocks:
-        block = primes[b][sel[b]]
+    e, key, table = route or (0, None, None)  # every prime divides 0
+    starts = range(0, len(primes), FROBENIUS_BLOCK)
+    rest = [np.flatnonzero(_int_mod(e, primes[lo:lo + FROBENIUS_BLOCK]) == 0) + lo
+            for lo in starts]
+    at = np.concatenate([np.empty(0, np.intp), *rest])
+    exact = _codes(ctx.patterns, [_pairs_for(field, p) for p in primes[at].tolist()])
+    codes = np.zeros(len(primes), np.min_scalar_type(max(len(ctx.patterns) - 1, 0)))
+    codes[at] = exact
+    for lo, out in zip(starts, rest) if route else ():
+        sel = np.ones(min(FROBENIUS_BLOCK, len(primes) - lo), dtype=bool)
+        sel[out - lo] = False
+        block = primes[lo:lo + FROBENIUS_BLOCK][sel].astype(np.int64)
         batch = table[key(block)]
         if (batch < 0).any():
             raise InvariantViolation(
                 f"p = {block[batch < 0][0]} has a key its splitting route rules out")
-        codes[b][sel[b]] = batch
+        codes[lo:lo + FROBENIUS_BLOCK][sel] = batch
     return codes
 
 
@@ -566,7 +569,7 @@ def _splitting_table(field: FieldDescriptor,
         codes = _tabulate(field, ctx, primes[len(ctx.primes):])
         ctx.codes = np.concatenate((ctx.codes, codes)) if len(ctx.codes) else codes
         ctx.primes, ctx.table_xmax = primes, n
-    k = np.searchsorted(ctx.primes, n, "right")
+    k = _searchsorted(ctx.primes, n, "right")
     return ctx.primes[:k], ctx.codes[:k], ctx.patterns
 
 
@@ -603,18 +606,18 @@ def _ideal_stream(field: FieldDescriptor, xi: int, p_and_f: bool = False):
     for f in sorted({f for pairs in patterns for _, f in pairs} - {1}):
         # only primes p <= xi^(1/f) are raised to the power f, so each int64
         # norm p^f <= xi, the end of a sieved prime table, far below 2^63
-        k = np.searchsorted(primes, _iroot(xi, f), "right")
+        k = _searchsorted(primes, _iroot(xi, f), "right")
         count = _per_pattern(patterns, f, narrow)[codes[:k]]
-        p = primes[:k][count > 0]
+        p = primes[:k][count > 0].astype(np.int64)
         high.append(np.stack((p ** f, p, np.full_like(p, f), count[count > 0])))
     high = np.concatenate(high, axis=1)
     high = high[:, np.argsort(high[0])]
-    pos = np.searchsorted(primes, high[0])  # each p^f follows the pos-th prime
+    pos = _searchsorted(primes, high[0])  # each p^f follows the pos-th prime
 
     def blocks():
         for a in range(0, len(primes), _PRIME_BLOCK):
             b = min(a + _PRIME_BLOCK, len(primes))
-            p = np.repeat(primes[a:b], c1[codes[a:b]])
+            p = np.repeat(primes[a:b], c1[codes[a:b]]).astype(np.int64)
             i, j = np.searchsorted(pos, [a, b], "right")
             h = np.repeat(high[:3, i:j], high[3, i:j], axis=1)  # the block's p^f
             rows = np.stack((p, p, np.ones_like(p)) if p_and_f else (p,))

@@ -29,7 +29,8 @@ from nfmertens.field import PROVENANCE_EXACT, FieldDescriptor, Residue, load_fie
 from nfmertens.idealcount import _row_blocks, ideal_sums
 from nfmertens.mertens import (geometric_grid, mertens_constant, mertens_grid,
                                mertens_table, prime_power_grid)
-from nfmertens.splitting import _iroot, _splitting_table, rational_primes, theta_K
+from nfmertens.splitting import (_iroot, _searchsorted, _splitting_table,
+                                 rational_primes, theta_K)
 from splitting_oracle import oracle_norms
 
 
@@ -73,9 +74,9 @@ def log_sums(field: FieldDescriptor, grid) -> list[float]:
     logp = np.log(primes.astype(np.float64))
     values = []
     for n in (math.floor(x) for x in grid):
-        c = np.zeros(np.searchsorted(primes, n, "right"), dtype=np.int64)
+        c = np.zeros(_searchsorted(primes, n, "right"), dtype=np.int64)
         for k in range(1, n.bit_length()):
-            q = primes[:np.searchsorted(primes, _iroot(n, k), "right")]
+            q = primes[:_searchsorted(primes, _iroot(n, k), "right")]
             w = np.array([sum(f for _, f in pairs if k % f == 0) for pairs in patterns])
             c[:len(q)] += w[codes[:len(q)]] * isum[n // q ** k]
         values.append(fsum((logp[:len(c)] * c).tolist()))

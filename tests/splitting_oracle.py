@@ -31,8 +31,8 @@ import numpy as np
 
 from nfmertens.field import FieldDescriptor, load_field
 from nfmertens.splitting import (FieldContext, _class_route, _iroot, _kernel_route,
-                                 _kummer_route, _splitting_table, _tabulate,
-                                 rational_primes)
+                                 _kummer_route, _searchsorted, _splitting_table,
+                                 _tabulate, rational_primes)
 
 
 def route_context(field: FieldDescriptor, route) -> FieldContext:
@@ -83,15 +83,15 @@ def ideal_columns(primes: np.ndarray, codes: np.ndarray, patterns: list,
     high = [np.empty((4, 0), dtype=np.int64)]  # rows norm, p, f, count
     for f in sorted({f for pairs in patterns for _, f in pairs} - {1}):
         # only primes p <= xi^(1/f) are raised to the power f
-        k = np.searchsorted(primes, _iroot(xi, f), "right")
+        k = _searchsorted(primes, _iroot(xi, f), "right")
         count = per_prime(f, k)
         p = primes[:k][count > 0]
         high.append(np.stack((p ** f, p, np.full_like(p, f), count[count > 0])))
     high = np.concatenate(high, axis=1)
     high = high[:, np.argsort(high[0])]
-    k = np.searchsorted(primes, xi, "right")
+    k = _searchsorted(primes, xi, "right")
     # where the norms p^f land among the k + len(high) merged entries
-    at = np.searchsorted(primes[:k], high[0]) + np.arange(high.shape[1])
+    at = _searchsorted(primes[:k], high[0]) + np.arange(high.shape[1])
     low = np.ones(k + len(at), dtype=bool)
     low[at] = False
     merged = np.empty((3 if p_and_f else 1, len(low)), dtype=np.int64)

@@ -602,6 +602,18 @@ class TestErrors:
         assert "Sturm" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_wrong_discriminant_exits_two(self, tmp_path, capsys):
+        # -108 / -27 = 4 is a square, but Dedekind's criterion holds at 2:
+        # it once passed every check at 1e5
+        path = tmp_path / "cbrt2-27.field"
+        path.write_text(Path(CBRT2).read_text().replace("discriminant = -108",
+                                                        "discriminant = -27"))
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--field", str(path), "--xmax", "1e5",
+                     "--out", str(out)]) == 2
+        assert "criterion holds at 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid_exits_two(self, tmp_path, capsys):
         out = tmp_path / "v.csv"
         code = main(["verify", "--field", GAUSS, "--grid", "100,10",

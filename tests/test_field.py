@@ -125,6 +125,29 @@ class TestLoadField:
         for path in FIELDS.glob("*.field"):
             load_field(path.read_text())
 
+    @pytest.mark.parametrize("wrong, p", [(-27, 2), (-12, 3)])
+    def test_wrong_discriminant_is_refuted(self, wrong, p):
+        # disc(x^3 - 2) / D is 4 and 9, squares, but Dedekind's criterion
+        # holds at 2 and 3, so neither divides the index: D is -108
+        text = (FIELDS / "cbrt2.field").read_text()
+        wrong_text = text.replace("discriminant = -108", f"discriminant = {wrong}")
+        assert wrong_text != text
+        with pytest.raises(InvariantViolation, match=f"criterion holds at {p}$"):
+            load_field(wrong_text)
+
+    def test_true_index_prime_loads(self):
+        # 2 divides the index of x^3 - x^2 - 2x - 8, and the criterion fails
+        # there: the descriptor loads, and splitting at 2 is refused later
+        field = load_field((FIELDS / "non-monogenic-cubic.field").read_text())
+        assert poly_discriminant(field.defining_poly) == 4 * field.discriminant
+
+    def test_index_past_the_factoring_bound_is_refused(self):
+        # disc(x^3 - a) = -27 a^2, so D = -108 leaves the index a / 2 = 10^15
+        a = 2 * 10 ** 15
+        with pytest.raises(SchemaError, match="index too large"):
+            load_field(f"poly = [{-a}, 0, 0, 1]\nsignature = [1, 1]\n"
+                       "discriminant = -108\n")
+
     def test_cubic_divisibility_enforced(self):
         with pytest.raises(InvariantViolation, match="divide"):
             load_field("poly = [-2, 0, 0, 1]\ndiscriminant = -100\n"

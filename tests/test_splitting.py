@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from bisect import bisect_right
 from fractions import Fraction
@@ -16,6 +17,7 @@ from sympy import kronecker_symbol
 
 from nfmertens import blockpass, mertens, splitting, verify
 from nfmertens.blockpass import exact_sum, running_fsums, segment_sums, slices
+from nfmertens.cli import main
 from nfmertens.errors import (
     CompositeModulus,
     CutoffOutOfRange,
@@ -853,7 +855,8 @@ class TestRecordArray:
 
     def test_prime_powers_near_the_cap(self, monkeypatch):
         # int64 powers of primes near 1e8 wrap, 99,999,989^6 to a negative
-        # number, so only p <= x^(1/f) may be raised to the power f
+        # number, so only p <= x^(1/f) may be raised to the power f; the
+        # process's table is uint32, whose powers wrap sooner
         assert (np.array([TOP_PRIME]) ** 6)[0] < 0
         top = [TOP_PRIME]
         while len(top) < 12:
@@ -865,21 +868,22 @@ class TestRecordArray:
                        for _, f in patterns[c])
         in_range = [n for n, _, _ in every if n <= DENSE_SIEVE_CAP]
         assert max(in_range) > 10 ** 7
-        table = (np.array(primes, dtype=np.int64), np.array(codes, dtype=np.uint8),
-                 patterns)
         # the stream reads this table, cut at its top, in blocks of 5 primes
         monkeypatch.setattr(splitting, "_PRIME_BLOCK", 5)
-        monkeypatch.setattr(splitting, "_splitting_table", lambda field, n: (
-            table[0][:np.searchsorted(table[0], n, "right")],
-            table[1][:np.searchsorted(table[0], n, "right")], patterns))
-        for xi in sorted({DENSE_SIEVE_CAP, *in_range, *(n - 1 for n in in_range)}):
-            expected = [r for r in every if r[0] <= xi]
-            assert _ideal_records(*table, xi).tolist() == expected, xi
-            columns = ideal_columns(*table, xi, p_and_f=True)
-            assert np.column_stack(columns).tolist() == expected, xi
-            [norms] = ideal_columns(*table, xi)
-            assert norms.tolist() == [n for n, _, _ in expected], xi
-            assert _records_up_to(None, xi).tolist() == expected, xi
+        for dtype in (np.int64, np.uint32):
+            table = (np.array(primes, dtype=dtype), np.array(codes, dtype=np.uint8),
+                     patterns)
+            monkeypatch.setattr(splitting, "_splitting_table", lambda field, n: (
+                table[0][:np.searchsorted(table[0], n, "right")],
+                table[1][:np.searchsorted(table[0], n, "right")], patterns))
+            for xi in sorted({DENSE_SIEVE_CAP, *in_range, *(n - 1 for n in in_range)}):
+                expected = [r for r in every if r[0] <= xi]
+                assert _ideal_records(*table, xi).tolist() == expected, (dtype, xi)
+                columns = ideal_columns(*table, xi, p_and_f=True)
+                assert np.column_stack(columns).tolist() == expected, (dtype, xi)
+                [norms] = ideal_columns(*table, xi)
+                assert norms.tolist() == [n for n, _, _ in expected], (dtype, xi)
+                assert _records_up_to(None, xi).tolist() == expected, (dtype, xi)
 
 
 STREAM_X = 3000
@@ -1417,3 +1421,123 @@ def test_out_of_range_raises_before_any_sieve(monkeypatch, call, arg):
     assert isinstance(info.value, ValueError)
     assert sieved == []
     assert field.context is None or field.context.table_xmax == 0
+
+
+def top_primes(count):
+    """The count largest primes below the dense-sieve cap, ascending."""
+    primes = [TOP_PRIME]
+    while len(primes) < count:
+        primes.insert(0, sympy.prevprime(primes[0]))
+    return primes
+
+
+class TestLeanTables:
+    """The process's prime table is uint32 and the route code tables int8;
+    every user that needs int64 casts its own block or slice."""
+
+    def test_rational_primes_is_read_only_uint32(self):
+        primes = rational_primes(10 ** 4)
+        assert primes.dtype == np.uint32 and not primes.flags.writeable
+        with pytest.raises(ValueError):
+            primes[0] = 2
+        assert rational_primes(1).dtype == np.uint32
+        assert FieldContext().primes.dtype == np.uint32
+
+    def test_searchsorted_on_the_table_takes_its_dtype(self, monkeypatch, tmp_path):
+        # numpy casts the whole haystack to needles of another dtype, 5 ms a
+        # call on the 5.8M primes below the cap
+        calls = []
+        searchsorted = np.searchsorted
+
+        def spy(a, v, *args, **kwargs):
+            if np.may_share_memory(a, splitting._sieved):
+                calls.append((a.dtype, np.asarray(v).dtype))
+            return searchsorted(a, v, *args, **kwargs)
+
+        def cli(what):
+            return lambda field, path: main([
+                "sieve", "--field", str(path), "--what", what, "--xmax", "2e4",
+                "--out", str(tmp_path / f"{what}.csv")])
+        runs = {
+            "verify_all": lambda field, path: verify.verify_all(
+                field, [10.0, 1000.0, 2e4], kappa_exact(field), truncation_x=2e4),
+            "mertens_grid": lambda field, path: mertens_grid(
+                field, [10.0, 2e4], 2e4, kappa_exact(field)),
+            "kappa_estimate": lambda field, path: kappa_estimate(field, 2e4),
+            "legendre_chebyshev_mismatches": lambda field, path:
+                legendre_chebyshev_mismatches(field, [100.0, 2e4]),
+            "theta_K": lambda field, path: theta_K(field, 2e4),
+            "splitting_type": lambda field, path: _splitting_table(field, 20_000)
+                and splitting_type(field, 19_997),
+            **{f"sieve --what {what}": cli(what) for what in ("counts", "ideals", "summatory")},
+        }
+        monkeypatch.setattr(np, "searchsorted", spy)
+        for name in ("gaussian", "cbrt2", "cyclotomic5"):
+            path = GAUSS_PATH.parent / f"{name}.field"
+            for run, call in runs.items():
+                calls.clear()
+                call(load_field(path.read_text()), path)
+                assert calls, (name, run)
+                assert all(a == v == np.uint32 for a, v in calls), (name, run, calls)
+
+    # every route: the class tables of Q, a quadratic and two certified
+    # fields, the Kummer route at l = 3 and 5, Euler's pass and the
+    # Frobenius pass on a cubic and a quartic
+    @pytest.mark.parametrize("text, route", [
+        ("rationals", "_class_route"), ("gaussian", "_class_route"),
+        ("cyclic-cubic-49", "_class_route"), ("cyclotomic5", "_class_route"),
+        ("cbrt2", "_kummer_keys"), (X5_MINUS_2, "_kummer_keys"),
+        (WIDE_QUADRATIC, "_kernel_route"), (CYCLIC_CUBIC_UNKEYED, "_frobenius_keys"),
+        (X4_MINUS_2, "_frobenius_keys")])
+    def test_route_keys_at_the_top_primes(self, text, route):
+        if "=" not in text:
+            text = (GAUSS_PATH.parent / f"{text}.field").read_text()
+        field = load_field(text)
+        top = top_primes(40)
+        ctx = FieldContext()
+        codes = _tabulate(field, ctx, np.array(top, dtype=np.uint32))
+        key = ctx.route[1]
+        assert getattr(key, "func", key).__qualname__.split(".")[0] == route
+        assert [ctx.patterns[c] for c in codes.tolist()] == \
+            [_pattern_mod_p(field, p) for p in top]
+
+    def test_int_mod_on_a_uint32_block(self):
+        primes = np.array([2, 3, 65_521, 2 ** 24 + 43, *top_primes(5)], dtype=np.uint32)
+        for a in (0, 1, -1, 2 ** 24, -(2 ** 24) - 1, 2 ** 63 + 5, -(3 ** 60),
+                  10 ** 40 + 7, -TOP_PRIME):
+            got = splitting._int_mod(a, primes)
+            assert got.dtype == np.int64
+            assert got.tolist() == [a % p for p in primes.tolist()], a
+
+    def test_class_table_is_int8(self):
+        # Q(sqrt 65021): 65,021 codes, 520,168 bytes as int64
+        field = load_field("poly = [-16255, -1, 1]\n")
+        ctx = field_context(field)
+        _, _, table = ctx.route_for(field)
+        assert table.dtype == np.int8 and table.nbytes == 65_021 <= 65_536
+        for r in range(0, 65_021, 997):
+            assert ctx.patterns[table[r]] == kronecker_pattern(65_021, r), r
+
+    def test_codes_take_the_narrowest_signed_dtype(self):
+        codes = splitting._codes([], [None, ((1, 1),)])
+        assert codes.dtype == np.int8 and codes.tolist() == [-1, 0]
+        patterns = []
+        codes = splitting._codes(patterns, [((1, k),) for k in range(1, 200)] + [None])
+        assert codes.dtype == np.int16 and codes.tolist() == [*range(199), -1]
+
+    @pytest.mark.parametrize("name", ["gaussian", "cbrt2"])
+    def test_tabulate_makes_no_whole_table_temporary(self, name):
+        # the codes, one byte a prime, and one block's masks and casts: a
+        # whole-table bool mask and its negation once took two more bytes
+        primes = rational_primes(10 ** 7)
+        field = load_field((GAUSS_PATH.parent / f"{name}.field").read_text())
+        ctx = FieldContext()
+        ctx.route_for(field)
+        tracemalloc.start()
+        try:
+            codes = _tabulate(field, ctx, primes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes.nbytes == len(primes) == 664_579
+        assert peak < len(primes) + (1 << 19)
